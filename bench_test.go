@@ -1,9 +1,11 @@
 // Package mpx_bench is the root benchmark harness: one benchmark per
-// experiment id in DESIGN.md (the paper's Figure 1 plus every proved
-// guarantee turned into a measured table). Each benchmark exercises the
-// computational core of its experiment and reports the headline quality
-// metric via b.ReportMetric, so `go test -bench=. -benchmem` regenerates
-// the performance side of EXPERIMENTS.md.
+// experiment id (the paper's Figure 1 plus every proved guarantee turned
+// into a measured table). E1–E18 mirror the runners registered in
+// internal/expt (expt.IDs lists them); E19 onward exist only here. Each
+// benchmark exercises the computational core of its experiment and reports
+// the headline quality metric via b.ReportMetric, so
+// `go test -bench=. -benchmem` regenerates the performance side of the
+// experiment tables.
 package mpx_bench
 
 import (
@@ -20,7 +22,6 @@ import (
 	"mpx/internal/apps/spanner"
 	"mpx/internal/core"
 	"mpx/internal/expt"
-	"mpx/internal/frontier"
 	"mpx/internal/graph"
 	"mpx/internal/parallel"
 )
@@ -311,18 +312,79 @@ func BenchmarkE19Direction(b *testing.B) {
 	}
 }
 
-// maxSteadyAllocsPerRound is the allocation-regression gate for E20: a
-// steady-state round's only garbage is the handful of loop closures
-// submitted to the pool (every O(n) buffer is owned by the Traversal /
-// pool scratch), so the per-round allocation count must stay a small
-// constant. The measured baseline is ~3.4 allocs and ~2.7 KB per round;
-// the gates are hard ceilings with modest headroom, not loose tolerances —
-// an accidental per-round O(n) buffer shows up as tens of kilobytes per
-// round and fails the bytes gate immediately.
-const (
-	maxSteadyAllocsPerRound = 6
-	maxSteadyBytesPerRound  = 4096
-)
+// roundOverhead measures allocations per partition round across whole
+// partition calls: run performs one call and returns its round count. It
+// warms the pool and the allocator size classes with one call, then
+// reports allocs/round, B/round and rounds/call over b.N calls.
+func roundOverhead(b *testing.B, run func() int) (allocsPerRound, bytesPerRound float64) {
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	b.ReportAllocs()
+	totalRounds := 0
+	for i := 0; i < b.N; i++ {
+		totalRounds += run()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	allocsPerRound = float64(after.Mallocs-before.Mallocs) / float64(totalRounds)
+	bytesPerRound = float64(after.TotalAlloc-before.TotalAlloc) / float64(totalRounds)
+	b.ReportMetric(allocsPerRound, "allocs/round")
+	b.ReportMetric(bytesPerRound, "B/round")
+	b.ReportMetric(float64(totalRounds)/float64(b.N), "rounds")
+	return allocsPerRound, bytesPerRound
+}
+
+// BenchmarkE20RoundOverhead is the allocation-regression gate on
+// core.Partition's round loop, measured across whole Partition calls. A
+// call allocates its O(n) result, shift plan and claim arrays once; the
+// per-round remainder is the closures each round submits to the pool plus
+// that amortized set-up. The 250×250 grid at β=0.02 runs 606 rounds, so
+// the set-up averages out to ~10 KB per round, under forced push and under
+// forced pull; gnm at β=0.1 under auto switches push→pull→push (4 of its
+// 104 rounds pull), so it also runs both switches and the pull-cohort
+// build, with the set-up spread over fewer rounds. An O(n) buffer
+// allocated per round (the regression this guards against — e.g. the
+// frontier or the pull cohort losing its double buffer) costs ~250 KB per
+// round on the grid and ~240 KB on gnm, over 16× and 3× their bytes
+// gates. The gates are hard ceilings set from measurement (2-vCPU x86-64,
+// Workers 8: 5.8/8.4/11.0 allocs and 10.4/13.2/63 KB per round) with
+// modest headroom.
+func BenchmarkE20RoundOverhead(b *testing.B) {
+	cases := []struct {
+		name      string
+		g         *graph.Graph
+		beta      float64
+		dir       core.Direction
+		maxAllocs float64
+		maxBytes  float64
+	}{
+		{"grid/push", benchGrid, 0.02, core.DirectionForcePush, 8, 16 << 10},
+		{"grid/pull", benchGrid, 0.02, core.DirectionForcePull, 12, 20 << 10},
+		{"gnm/auto", graph.GNM(60000, 240000, 1), 0.1, core.DirectionAuto, 16, 96 << 10},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			opts := core.Options{Seed: 1, Workers: 8, Pool: benchPool, Direction: c.dir}
+			allocs, bytes := roundOverhead(b, func() int {
+				d, err := core.Partition(c.g, c.beta, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return d.Rounds
+			})
+			if allocs > c.maxAllocs {
+				b.Fatalf("partition rounds allocate %.1f objects/round (gate %g): per-round scratch is leaking",
+					allocs, c.maxAllocs)
+			}
+			if bytes > c.maxBytes {
+				b.Fatalf("partition rounds allocate %.0f B/round (gate %g): an O(n) per-round buffer is back",
+					bytes, c.maxBytes)
+			}
+		})
+	}
+}
 
 // Weighted-round gates for E20's weighted variant. A weighted partition
 // call unavoidably allocates its O(n) result and setup arrays once, which
@@ -336,72 +398,6 @@ const (
 	maxWeightedBytesPerRound  = 24576
 )
 
-// BenchmarkE20RoundOverhead measures the fixed overhead of one
-// steady-state synchronous round: a frontier BFS over the gnm family with
-// a persistent Traversal and the shared pool, reporting allocations and
-// bytes per round and failing the run if either regresses past the gate.
-func BenchmarkE20RoundOverhead(b *testing.B) {
-	g := graph.GNM(60000, 240000, 1)
-	n := g.NumVertices()
-	tr := frontier.NewTraversal(g)
-	opts := frontier.Options{Workers: 8, Pool: benchPool}
-	visited := parallel.NewBitset(n)
-	dist := make([]int32, n)
-	var depth int32
-	cond := func(u uint32) bool { return !visited.GetAtomic(u) }
-	update := func(src, dst uint32) bool {
-		if visited.TrySetAtomic(dst) {
-			dist[dst] = depth
-			return true
-		}
-		return false
-	}
-	runBFS := func() int {
-		parallel.Fill(0, dist, -1)
-		visited.Reset(0)
-		depth = 0
-		dist[0] = 0
-		visited.Set(0)
-		// NewSubset takes ownership of the id slice (Recycle reuses it as
-		// compaction scratch), so each run hands over a fresh one.
-		front := frontier.NewSubset(n, []uint32{0})
-		rounds := 0
-		for !front.IsEmpty() {
-			depth++
-			next := tr.EdgeMap(front, cond, update, opts)
-			tr.Recycle(front)
-			front = next
-			rounds++
-		}
-		tr.Recycle(front)
-		return rounds
-	}
-	runBFS() // size every piece of scratch before measuring
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	b.ReportAllocs()
-	totalRounds := 0
-	for i := 0; i < b.N; i++ {
-		totalRounds += runBFS()
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	allocsPerRound := float64(after.Mallocs-before.Mallocs) / float64(totalRounds)
-	bytesPerRound := float64(after.TotalAlloc-before.TotalAlloc) / float64(totalRounds)
-	b.ReportMetric(allocsPerRound, "allocs/round")
-	b.ReportMetric(bytesPerRound, "B/round")
-	b.ReportMetric(float64(totalRounds)/float64(b.N), "rounds")
-	if allocsPerRound > maxSteadyAllocsPerRound {
-		b.Fatalf("steady-state rounds allocate %.1f objects/round (gate %d): per-round scratch is leaking",
-			allocsPerRound, maxSteadyAllocsPerRound)
-	}
-	if bytesPerRound > maxSteadyBytesPerRound {
-		b.Fatalf("steady-state rounds allocate %.0f B/round (gate %d): an O(n) per-round buffer is back",
-			bytesPerRound, maxSteadyBytesPerRound)
-	}
-}
-
 // BenchmarkE20WeightedRoundOverhead is the weighted companion of E20: it
 // measures allocations per Δ-stepping bucket round across whole
 // PartitionWeightedParallel calls (auto direction, so push and pull rounds
@@ -410,36 +406,20 @@ func BenchmarkE20RoundOverhead(b *testing.B) {
 func BenchmarkE20WeightedRoundOverhead(b *testing.B) {
 	wg := graph.RandomWeights(graph.Grid2D(120, 120), 1, 10, 3)
 	opts := core.Options{Seed: 1, Workers: 8, Pool: benchPool}
-	run := func() int {
+	allocs, bytes := roundOverhead(b, func() int {
 		d, err := core.PartitionWeightedParallel(wg, 0.1, 0, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return d.Rounds
-	}
-	run() // warm the pool and the allocator size classes before measuring
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	b.ReportAllocs()
-	totalRounds := 0
-	for i := 0; i < b.N; i++ {
-		totalRounds += run()
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	allocsPerRound := float64(after.Mallocs-before.Mallocs) / float64(totalRounds)
-	bytesPerRound := float64(after.TotalAlloc-before.TotalAlloc) / float64(totalRounds)
-	b.ReportMetric(allocsPerRound, "allocs/round")
-	b.ReportMetric(bytesPerRound, "B/round")
-	b.ReportMetric(float64(totalRounds)/float64(b.N), "rounds")
-	if allocsPerRound > maxWeightedAllocsPerRound {
+	})
+	if allocs > maxWeightedAllocsPerRound {
 		b.Fatalf("weighted rounds allocate %.1f objects/round (gate %d): per-round scratch is leaking",
-			allocsPerRound, maxWeightedAllocsPerRound)
+			allocs, maxWeightedAllocsPerRound)
 	}
-	if bytesPerRound > maxWeightedBytesPerRound {
+	if bytes > maxWeightedBytesPerRound {
 		b.Fatalf("weighted rounds allocate %.0f B/round (gate %d): an O(n) per-round buffer is back",
-			bytesPerRound, maxWeightedBytesPerRound)
+			bytes, maxWeightedBytesPerRound)
 	}
 }
 

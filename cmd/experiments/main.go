@@ -1,5 +1,5 @@
-// Command experiments runs the reproduction experiment suite (E1–E12 from
-// DESIGN.md) and prints markdown tables suitable for EXPERIMENTS.md.
+// Command experiments runs the reproduction experiment suite (the E1–E18
+// runners registered in internal/expt) and prints them as markdown tables.
 //
 //	experiments                 # run everything at full scale
 //	experiments -run E3 -scale 0.1

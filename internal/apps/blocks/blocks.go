@@ -20,6 +20,7 @@ package blocks
 import (
 	"context"
 
+	"mpx/internal/bfs"
 	"mpx/internal/core"
 	"mpx/internal/graph"
 	"mpx/internal/hier"
@@ -114,8 +115,7 @@ func DecomposePoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, 
 // endpoints. Marking is an idempotent atomic bit set, so the count is
 // deterministic at any worker count.
 func distinctCenters(pool *parallel.Pool, workers int, intra []graph.Edge, center []uint32, seen *parallel.Bitset) int {
-	// Bitset.Reset fills on the default pool; route the clear through the
-	// caller's pool like every other kernel here.
+	// Clear the marks on the caller's pool like every other kernel here.
 	parallel.FillPool(pool, workers, seen.Words(), 0)
 	return int(pool.ReduceInt64(workers, len(intra), func(i int) int64 {
 		if seen.TrySetAtomic(center[intra[i].U]) {
@@ -160,7 +160,7 @@ func (bd *Decomposition) ComponentDiameters() [][]int32 {
 			}
 			var diam int32
 			for _, s := range members {
-				dist := bfsWithin(sub, s)
+				dist := bfs.Sequential(sub, s)
 				for _, v := range members {
 					if dist[v] > diam {
 						diam = dist[v]
@@ -172,23 +172,4 @@ func (bd *Decomposition) ComponentDiameters() [][]int32 {
 		out[i] = diams
 	}
 	return out
-}
-
-func bfsWithin(g *graph.Graph, s uint32) []int32 {
-	dist := make([]int32, g.NumVertices())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[s] = 0
-	queue := []uint32{s}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, u := range g.Neighbors(v) {
-			if dist[u] == -1 {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	return dist
 }

@@ -83,10 +83,11 @@ type levelPartition struct {
 }
 
 // resolveDiam0 applies Build's diameter default: the graph's
-// pseudo-diameter, floored at 1.
+// pseudo-diameter (the largest over its components, so the coarsest level
+// spans every component), floored at 1.
 func resolveDiam0(g *graph.Graph, diam0 float64) float64 {
 	if diam0 <= 0 {
-		diam0 = float64(bfs.PseudoDiameter(g, 0))
+		diam0 = float64(bfs.PseudoDiameter(g))
 		if diam0 < 1 {
 			diam0 = 1
 		}

@@ -121,3 +121,48 @@ func TestBuildDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultDiameterCoversEveryComponent is the regression test for the
+// default diameter on disconnected graphs: it must span the largest
+// component, not just vertex 0's. With an isolated vertex 0 next to a
+// 400-vertex path, a hierarchy started from vertex 0's diameter is too
+// fine and the tree metric stops dominating path distances.
+func TestDefaultDiameterCoversEveryComponent(t *testing.T) {
+	const pathLen = 400
+	var edges []graph.Edge
+	var wedges []graph.WeightedEdge
+	for v := uint32(1); v < pathLen; v++ {
+		edges = append(edges, graph.Edge{U: v, V: v + 1})
+		wedges = append(wedges, graph.WeightedEdge{U: v, V: v + 1, W: 1})
+	}
+	g, err := graph.FromEdges(pathLen+1, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg, err := graph.FromWeightedEdges(pathLen+1, wedges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Build(g, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wtr, err := BuildWeighted(wg, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	undominated, wundominated := 0, 0
+	for v := uint32(2); v <= pathLen; v++ {
+		dg := float64(v - 1) // path distance from vertex 1
+		if tr.Dist(1, v) < dg {
+			undominated++
+		}
+		if wtr.Dist(1, v) < dg {
+			wundominated++
+		}
+	}
+	if undominated > 0 || wundominated > 0 {
+		t.Fatalf("tree metric fails to dominate %d (weighted: %d) of %d path pairs",
+			undominated, wundominated, pathLen-1)
+	}
+}

@@ -70,7 +70,7 @@ func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.We
 		wmin, wmax = 1, 1
 	}
 	if diam0 <= 0 {
-		diam0 = float64(bfs.PseudoDiameter(wg.Unweighted(), 0)) * wmax
+		diam0 = float64(bfs.PseudoDiameter(wg.Unweighted())) * wmax
 		if diam0 < wmin {
 			diam0 = wmin
 		}

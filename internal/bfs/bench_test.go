@@ -14,39 +14,6 @@ func BenchmarkSequentialGrid(b *testing.B) {
 	}
 }
 
-func BenchmarkParallelGrid(b *testing.B) {
-	g := graph.Grid2D(400, 400)
-	b.SetBytes(g.NumArcs() * 4)
-	for i := 0; i < b.N; i++ {
-		_ = Parallel(g, 0, 0)
-	}
-}
-
-func BenchmarkDirectionOptimizingRMAT(b *testing.B) {
-	g := graph.RMAT(16, 500000, 1)
-	for i := 0; i < b.N; i++ {
-		_ = DirectionOptimizing(g, 0, 0)
-	}
-}
-
-func BenchmarkParallelRMAT(b *testing.B) {
-	g := graph.RMAT(16, 500000, 1)
-	for i := 0; i < b.N; i++ {
-		_ = Parallel(g, 0, 0)
-	}
-}
-
-func BenchmarkMultiSource(b *testing.B) {
-	g := graph.Grid2D(400, 400)
-	sources := make([]uint32, 100)
-	for i := range sources {
-		sources[i] = uint32(i * 1600)
-	}
-	for i := 0; i < b.N; i++ {
-		_ = ParallelMulti(g, sources, 0)
-	}
-}
-
 func BenchmarkDijkstraWeighted(b *testing.B) {
 	wg := graph.RandomWeights(graph.Grid2D(200, 200), 1, 10, 1)
 	for i := 0; i < b.N; i++ {

@@ -1,43 +1,37 @@
-// Package bfs provides breadth-first-search routines over the CSR graph
-// substrate: a sequential reference, a level-synchronous parallel top-down
-// BFS with CAS-claimed frontiers, a direction-optimizing hybrid in the style
-// of Beamer et al. (SC 2012, cited as [8] by the paper), and a multi-source
-// BFS with per-source delayed start times — the primitive the paper's
-// Section 5 reduces the Partition algorithm to.
+// Package bfs holds the serial search references the rest of the
+// repository checks against and builds on: breadth-first search
+// (Sequential), the double-sweep diameter estimate (PseudoDiameter) and
+// binary-heap Dijkstra on weighted graphs (DijkstraWeighted). The parallel
+// engines live in internal/core: Partition's push/pull claim rounds are the
+// paper's Section 5 multi-source BFS over shifted start times, and
+// PartitionWeightedParallel runs Δ-stepping.
 package bfs
 
 import (
-	"context"
 	"math"
-	"sync/atomic"
 
 	"mpx/internal/graph"
-	"mpx/internal/parallel"
 )
 
 // Unreached marks vertices not reached by a search.
 const Unreached int32 = -1
 
-// ctxErr polls ctx at a round boundary; a nil ctx is never cancelled. The
-// poll calls ctx.Err() directly rather than selecting on Done() so
-// fault-injection contexts that trip on the Nth poll observe every round.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
 // Sequential computes BFS distances from source; dist[v] == Unreached for
 // unreachable vertices.
 func Sequential(g *graph.Graph, source uint32) []int32 {
-	n := g.NumVertices()
-	dist := make([]int32, n)
+	dist := make([]int32, g.NumVertices())
 	for i := range dist {
 		dist[i] = Unreached
 	}
+	sweep(g, source, dist, make([]uint32, 0, 64))
+	return dist
+}
+
+// sweep runs a BFS from source over dist, in which Unreached marks the
+// unvisited vertices, and appends the vertices it visits to queue in BFS
+// order (so the last one appended is a farthest one).
+func sweep(g *graph.Graph, source uint32, dist []int32, queue []uint32) []uint32 {
 	dist[source] = 0
-	queue := make([]uint32, 0, 64)
 	queue = append(queue, source)
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
@@ -49,262 +43,39 @@ func Sequential(g *graph.Graph, source uint32) []int32 {
 			}
 		}
 	}
-	return dist
-}
-
-// Result carries the output of a parallel search.
-type Result struct {
-	Dist    []int32  // per-vertex distance, Unreached if not visited
-	Parent  []uint32 // per-vertex BFS parent (self for sources/unreached)
-	Rounds  int      // number of synchronous rounds executed (depth proxy)
-	Relaxed int64    // directed edges examined (work proxy)
-}
-
-// Parallel computes BFS distances from source using level-synchronous
-// top-down expansion with atomic frontier claiming across the given number
-// of workers. The visit order within a round is nondeterministic but the
-// distances (and Rounds/Relaxed counters) are not.
-func Parallel(g *graph.Graph, source uint32, workers int) *Result {
-	return ParallelMulti(g, []uint32{source}, workers)
-}
-
-// ParallelMulti is Parallel from a set of simultaneous sources (all at
-// distance 0). Parents are the claiming neighbor; for equal-distance claims
-// the parent is scheduling-dependent but the distance is not.
-func ParallelMulti(g *graph.Graph, sources []uint32, workers int) *Result {
-	return ParallelMultiPool(nil, g, sources, workers)
-}
-
-// ParallelMultiPool is ParallelMulti executing its rounds on the given
-// persistent worker pool (nil means parallel.Default()). Per-round scratch
-// — the per-worker claim buffers and the double-buffered frontier — is
-// allocated once and reused across every round, so a steady-state round
-// performs no O(n) allocation.
-func ParallelMultiPool(pool *parallel.Pool, g *graph.Graph, sources []uint32, workers int) *Result {
-	n := g.NumVertices()
-	res := &Result{
-		Dist:   make([]int32, n),
-		Parent: make([]uint32, n),
-	}
-	state := make([]int32, n) // 0 = unvisited, 1 = claimed; CAS target
-	pool.ForRange(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			res.Dist[i] = Unreached
-			res.Parent[i] = uint32(i)
-		}
-	})
-	frontier := make([]uint32, 0, len(sources))
-	for _, s := range sources {
-		if atomic.CompareAndSwapInt32(&state[s], 0, 1) {
-			res.Dist[s] = 0
-			frontier = append(frontier, s)
-		}
-	}
-	var sc expandScratch
-	var relaxed int64
-	depth := int32(0)
-	for len(frontier) > 0 {
-		depth++
-		next := expandTopDown(g, frontier, state, res.Dist, res.Parent, depth, workers, &relaxed, &sc, pool)
-		sc.next = frontier[:0] // old frontier becomes the next output buffer
-		frontier = next
-		res.Rounds++
-	}
-	res.Relaxed = relaxed
-	return res
-}
-
-// expandScratch is the reusable round state of the level-synchronous
-// loops: per-worker claim buffers and the output frontier double buffer.
-type expandScratch struct {
-	buffers [][]uint32
-	next    []uint32
-}
-
-// expandTopDown claims all unvisited neighbors of the frontier at distance
-// depth, returning the new frontier. Per-worker buffers are compacted with
-// an offset scan and a parallel copy into the scratch's reused output
-// buffer (in worker order, as before).
-func expandTopDown(g *graph.Graph, frontier []uint32, state []int32,
-	dist []int32, parent []uint32, depth int32, workers int, relaxed *int64,
-	sc *expandScratch, pool *parallel.Pool) []uint32 {
-
-	w := parallel.Workers(workers, len(frontier))
-	if cap(sc.buffers) < w {
-		sc.buffers = make([][]uint32, w)
-	}
-	buffers := sc.buffers[:w]
-	nf := len(frontier)
-	pool.Run(w, func(k int) {
-		lo := k * nf / w
-		hi := (k + 1) * nf / w
-		buf := buffers[k][:0]
-		var local int64
-		for i := lo; i < hi; i++ {
-			v := frontier[i]
-			for _, u := range g.Neighbors(v) {
-				local++
-				if atomic.LoadInt32(&state[u]) == 0 &&
-					atomic.CompareAndSwapInt32(&state[u], 0, 1) {
-					dist[u] = depth
-					parent[u] = v
-					buf = append(buf, u)
-				}
-			}
-		}
-		buffers[k] = buf
-		atomic.AddInt64(relaxed, local)
-	})
-	next := pool.Concat(workers, sc.next[:0], buffers)
-	sc.next = nil
-	return next
-}
-
-// DirectionOptimizing runs the Beamer-style hybrid BFS: top-down expansion
-// while the frontier is small, switching to bottom-up sweeps when the
-// frontier's outgoing arc count exceeds 1/alpha of the remaining arcs, and
-// back to top-down once the frontier shrinks below n/beta (without the
-// switch-back, high-diameter graphs pay O(n·diameter) bottom-up scans).
-// alpha=15, beta=24 are the conventional settings. The frontier and claim
-// bitmaps are bit-packed (parallel.Bitset, shared with the frontier
-// package's dense subsets) and reused across rounds, so a bottom-up round
-// costs O(n/64) words to reset rather than O(n) bools.
-func DirectionOptimizing(g *graph.Graph, source uint32, workers int) *Result {
-	return DirectionOptimizingPool(nil, g, source, workers)
-}
-
-// DirectionOptimizingPool is DirectionOptimizing executing its rounds on
-// the given persistent worker pool (nil means parallel.Default()), with
-// the frontier buffers and bitmaps reused across rounds.
-func DirectionOptimizingPool(pool *parallel.Pool, g *graph.Graph, source uint32, workers int) *Result {
-	res, _ := DirectionOptimizingPoolCtx(nil, pool, g, source, workers)
-	return res
-}
-
-// DirectionOptimizingPoolCtx is DirectionOptimizingPool with cancellation:
-// ctx (nil means never cancelled) is polled between rounds — never inside
-// an expansion kernel — and a cancelled search returns (nil, ctx.Err())
-// with no partial result.
-func DirectionOptimizingPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, source uint32, workers int) (*Result, error) {
-	const alpha = 15
-	const betaDown = 24
-	n := g.NumVertices()
-	res := &Result{
-		Dist:   make([]int32, n),
-		Parent: make([]uint32, n),
-	}
-	for i := range res.Dist {
-		res.Dist[i] = Unreached
-		res.Parent[i] = uint32(i)
-	}
-	inFrontier := parallel.NewBitset(n)
-	claimed := parallel.NewBitset(n)
-	state := make([]int32, n)
-	res.Dist[source] = 0
-	state[source] = 1
-	frontier := []uint32{source}
-	var sc expandScratch
-	remainingArcs := g.NumArcs()
-	depth := int32(0)
-	var relaxed int64
-	bottomUp := false
-	for len(frontier) > 0 {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		depth++
-		res.Rounds++
-		fr := frontier
-		frontierArcs := pool.ReduceInt64(workers, len(fr), func(i int) int64 {
-			return int64(g.Degree(fr[i]))
-		})
-		remainingArcs -= frontierArcs
-		if bottomUp {
-			// Return to top-down once the frontier is small again.
-			bottomUp = len(frontier) >= n/betaDown
-		} else {
-			bottomUp = frontierArcs*alpha > remainingArcs
-		}
-		if bottomUp {
-			// Bottom-up: every unvisited vertex scans its neighbors for a
-			// frontier member. Side effects live outside the claim bitset's
-			// member scan, so the sweep runs once with a plain parallel
-			// loop; each vertex sets only its own bit (atomically, since
-			// 64 vertices share a word).
-			parallel.FillPool(pool, workers, inFrontier.Words(), 0)
-			for _, v := range frontier {
-				inFrontier.Set(v)
-			}
-			parallel.FillPool(pool, workers, claimed.Words(), 0)
-			pool.ForRange(workers, n, func(lo, hi int) {
-				var local int64
-				for i := lo; i < hi; i++ {
-					if state[i] != 0 {
-						continue
-					}
-					for _, u := range g.Neighbors(uint32(i)) {
-						local++
-						if inFrontier.Get(u) {
-							res.Dist[i] = depth
-							res.Parent[i] = u
-							claimed.SetAtomic(uint32(i))
-							break
-						}
-					}
-				}
-				atomic.AddInt64(&relaxed, local)
-			})
-			next := claimed.MembersInto(pool, workers, frontier[:0])
-			nx := next
-			pool.ForRange(workers, len(nx), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					state[nx[i]] = 1
-				}
-			})
-			frontier = next
-		} else {
-			next := expandTopDown(g, frontier, state, res.Dist, res.Parent, depth, workers, &relaxed, &sc, pool)
-			sc.next = frontier[:0]
-			frontier = next
-		}
-	}
-	res.Relaxed = relaxed
-	return res, nil
-}
-
-// Eccentricity returns max_v dist(source, v) over reached vertices, and the
-// number reached.
-func Eccentricity(g *graph.Graph, source uint32) (ecc int32, reached int) {
-	dist := Sequential(g, source)
-	for _, d := range dist {
-		if d != Unreached {
-			reached++
-			if d > ecc {
-				ecc = d
-			}
-		}
-	}
-	return ecc, reached
+	return queue
 }
 
 // PseudoDiameter estimates the diameter with the standard double-sweep
-// heuristic: BFS from start, then BFS from the farthest vertex found. For
-// trees the result is exact.
-func PseudoDiameter(g *graph.Graph, start uint32) int32 {
-	dist := Sequential(g, start)
-	far := start
-	var best int32
-	for v, d := range dist {
-		if d != Unreached && d > best {
-			best = d
-			far = uint32(v)
-		}
+// heuristic, run on every connected component: BFS from the component's
+// smallest vertex, then BFS from the farthest vertex found (the smallest
+// one on ties). It returns the largest second-sweep eccentricity over all
+// components, which is exact when every component is a tree. Each vertex
+// is visited by exactly two sweeps, so the pass is O(n+m).
+func PseudoDiameter(g *graph.Graph) int32 {
+	n := g.NumVertices()
+	first := make([]int32, n) // first-sweep distances, doubling as visited marks
+	second := make([]int32, n)
+	for i := range first {
+		first[i] = Unreached
+		second[i] = Unreached
 	}
-	dist = Sequential(g, far)
-	best = 0
-	for _, d := range dist {
-		if d != Unreached && d > best {
-			best = d
+	queue := make([]uint32, 0, 64)
+	var best int32
+	for s := 0; s < n; s++ {
+		if first[s] != Unreached {
+			continue
+		}
+		queue = sweep(g, uint32(s), first, queue[:0])
+		far := uint32(s)
+		for _, v := range queue {
+			if first[v] > first[far] || (first[v] == first[far] && v < far) {
+				far = v
+			}
+		}
+		queue = sweep(g, far, second, queue[:0])
+		if ecc := second[queue[len(queue)-1]]; ecc > best {
+			best = ecc
 		}
 	}
 	return best

@@ -1,4 +1,4 @@
-package bfs
+package core
 
 import (
 	"context"
@@ -7,28 +7,6 @@ import (
 
 	"mpx/internal/graph"
 	"mpx/internal/parallel"
-)
-
-// Direction selects how the weighted bucket-relaxation rounds traverse the
-// graph; it mirrors the unweighted partition's core.Direction. Push rounds
-// relax the out-edges of the frontier through an atomic minimum on the
-// IEEE distance bits; pull rounds have every unsettled vertex scan its own
-// in-neighborhood for frontier members and take the minimum candidate
-// distance itself (only the owner writes its word, so the round is
-// race-free). Both directions drive the same monotone min-plus fixpoint,
-// and the final (Dist, Parent) output is bit-identical across directions
-// and worker counts — see docs/determinism.md for the argument.
-type Direction int
-
-const (
-	// DirectionAuto switches per round with a Beamer-style heuristic:
-	// push while the frontier's outgoing arcs are few, pull once they
-	// rival the unsettled cohort's arcs, and back as the bucket drains.
-	DirectionAuto Direction = iota
-	// DirectionPush pins every round to top-down atomic-min relaxation.
-	DirectionPush
-	// DirectionPull pins every round to bottom-up neighborhood scans.
-	DirectionPull
 )
 
 // Beamer-style switch constants for the weighted rounds, recalibrated like
@@ -42,103 +20,53 @@ const (
 	wpullMinFrac = 8 // and only when the frontier holds > n/wpullMinFrac vertices
 )
 
-// DeltaStepping computes single-source shortest paths on a positively
-// weighted graph with the Meyer–Sanders Δ-stepping algorithm: vertices are
-// bucketed by ⌊dist/Δ⌋ and each bucket is settled by parallel relaxation
-// rounds. It is the parallel engine behind the weighted partition
-// experiment (the paper's Section 6 notes that parallel depth in the
-// weighted setting is the open question — Δ-stepping is the standard
-// practical answer, and the experiment measures its round count).
-//
-// delta <= 0 picks the common heuristic Δ = max weight / average degree,
-// clamped to at least the minimum edge weight.
-func DeltaStepping(g *graph.WeightedGraph, source uint32, delta float64, workers int) *WeightedResult {
-	init := make([]float64, g.NumVertices())
-	for i := range init {
-		init[i] = math.Inf(1)
-	}
-	init[source] = 0
-	return DeltaSteppingMulti(g, init, delta, workers)
-}
-
-// DeltaSteppingMulti is Δ-stepping from an implicit super-source: init[v]
-// gives the starting distance of v (+Inf for non-sources). This is exactly
+// deltaStep is the Meyer–Sanders Δ-stepping engine behind
+// PartitionWeightedParallel: shortest paths from an implicit super-source,
+// where init[v] is the starting distance of v (+Inf for non-sources) —
 // the shifted-shortest-path primitive of the paper's Section 5 lifted to
-// weighted graphs: PartitionWeightedParallel passes init[u] = δ_max − δ_u.
-func DeltaSteppingMulti(g *graph.WeightedGraph, init []float64, delta float64, workers int) *WeightedResult {
-	return DeltaSteppingMultiPool(nil, g, init, delta, workers)
-}
-
-// DeltaSteppingMultiPool is DeltaSteppingMulti with the bucket-relaxation
-// rounds executing on the given persistent worker pool (nil means
-// parallel.Default()) and automatic per-round direction switching; the
-// per-worker relaxation buffers are reused across rounds.
-func DeltaSteppingMultiPool(pool *parallel.Pool, g *graph.WeightedGraph, init []float64, delta float64, workers int) *WeightedResult {
-	return DeltaSteppingMultiPoolDir(pool, g, init, delta, workers, DirectionAuto)
-}
-
-// DeltaSteppingMultiPoolDir is the full engine: Δ-stepping from the init
-// distances with the given traversal Direction. Distances converge to the
-// unique fixpoint of dist[v] = min(init[v], min_u dist[u]+w(u,v)) — every
-// relaxation order reaches the same IEEE bit patterns because the float
-// additions are identical and min never rounds — and parents are then
-// recovered by a single deterministic pull pass (resolveParents), so the
-// (Dist, Parent) output is bit-identical across directions and worker
-// counts. The Rounds and Relaxed counters describe the schedule actually
-// executed and may differ between directions.
-func DeltaSteppingMultiPoolDir(pool *parallel.Pool, g *graph.WeightedGraph, init []float64, delta float64, workers int, dir Direction) *WeightedResult {
-	res, _ := DeltaSteppingMultiPoolDirCtx(nil, pool, g, init, delta, workers, dir)
-	return res
-}
-
-// DeltaSteppingMultiPoolDirCtx is DeltaSteppingMultiPoolDir with
-// cancellation: ctx (nil means never cancelled) is polled between
-// bucket-relaxation rounds — never inside a relaxation kernel — and a
-// cancelled search returns (nil, ctx.Err()) with no partial result.
-func DeltaSteppingMultiPoolDirCtx(ctx context.Context, pool *parallel.Pool, g *graph.WeightedGraph, init []float64, delta float64, workers int, dir Direction) (*WeightedResult, error) {
+// weighted graphs. It writes the distances into dist and the
+// shortest-path forest into parent (both of length n, unreached vertices
+// keep +Inf and parent themselves) and returns the number of relaxation
+// rounds. Vertices are bucketed by ⌊dist/Δ⌋ and each bucket is settled by
+// parallel relaxation rounds; delta <= 0 means DefaultDelta.
+//
+// dir selects the round direction. Push rounds relax the out-edges of the
+// frontier through an atomic minimum on the IEEE distance bits (positive
+// float64 ordering matches uint64 ordering of their bits); pull rounds have
+// every unsettled vertex scan its own in-neighborhood for frontier members
+// and take the minimum candidate distance itself (only the owner writes
+// its word, so the round is race-free); auto switches per round, pushing
+// while the frontier's arcs are few and pulling once they rival the
+// unsettled cohort's. Distances converge to the unique fixpoint of
+// dist[v] = min(init[v], min_u dist[u]+w(u,v)) — every relaxation order
+// reaches the same bits because the float additions are identical and min
+// never rounds — and parents are then recovered by one deterministic pull
+// pass (resolveParents), so dist and parent are bit-identical across
+// directions and worker counts (docs/determinism.md). The round count
+// describes the schedule actually executed and may differ between
+// directions, and between runs with several workers (a CAS race can move
+// an improvement by a round).
+//
+// ctx (nil means never cancelled) is polled between relaxation rounds —
+// never inside a kernel — and a cancelled search returns ctx.Err(), with
+// dist and parent left holding no meaningful result.
+func deltaStep(ctx context.Context, pool *parallel.Pool, g *graph.WeightedGraph, init []float64, delta float64, workers int, dir Direction, dist []float64, parent []uint32) (rounds int, err error) {
 	n := g.NumVertices()
-	res := &WeightedResult{
-		Dist:   make([]float64, n),
-		Parent: make([]uint32, n),
-	}
 	if n == 0 {
-		return res, nil
-	}
-	minW, maxW := math.Inf(1), 0.0
-	var arcs int64
-	for v := 0; v < n; v++ {
-		_, ws := g.Neighbors(uint32(v))
-		for _, w := range ws {
-			if w < minW {
-				minW = w
-			}
-			if w > maxW {
-				maxW = w
-			}
-			arcs++
-		}
+		return 0, nil
 	}
 	if delta <= 0 {
-		if arcs == 0 {
-			delta = 1
-		} else {
-			avgDeg := float64(arcs) / float64(n)
-			delta = maxW / math.Max(avgDeg, 1)
-			if delta < minW {
-				delta = minW
-			}
-		}
+		delta = DefaultDelta(g)
 	}
-	for i := range res.Dist {
-		res.Dist[i] = init[i]
-		res.Parent[i] = uint32(i)
+	copy(dist, init)
+	for i := range parent {
+		parent[i] = uint32(i)
 	}
 
-	// distBits holds the distance as atomically-updatable bits; positive
-	// float64 ordering matches uint64 ordering of their IEEE bits.
+	// distBits holds the distances as atomically-updatable bits.
 	distBits := make([]uint64, n)
 	for i := range distBits {
-		distBits[i] = math.Float64bits(res.Dist[i])
+		distBits[i] = math.Float64bits(init[i])
 	}
 
 	bucketOf := func(d float64) int { return int(d / delta) }
@@ -155,11 +83,10 @@ func DeltaSteppingMultiPoolDirCtx(ctx context.Context, pool *parallel.Pool, g *g
 		}
 	}
 	if len(buckets) == 0 {
-		return res, nil
+		return 0, nil
 	}
 
-	relaxed := int64(0)
-	sc := relaxScratch{cohortCur: -1, unsettledArcs: arcs, stamp: make([]int32, n)}
+	sc := relaxScratch{cohortCur: -1, unsettledArcs: 2 * g.NumEdges(), stamp: make([]int32, n)}
 	push := func(v uint32, b int) {
 		for b >= len(buckets) {
 			buckets = append(buckets, nil)
@@ -178,13 +105,13 @@ func DeltaSteppingMultiPoolDirCtx(ctx context.Context, pool *parallel.Pool, g *g
 		buckets[cur] = nil
 		for len(frontier) > 0 {
 			if err := ctxErr(ctx); err != nil {
-				return nil, err
+				return rounds, err
 			}
-			res.Rounds++
+			rounds++
 			switch dir {
-			case DirectionPush:
+			case DirectionForcePush:
 				pulling = false
-			case DirectionPull:
+			case DirectionForcePull:
 				pulling = true
 			default:
 				// The arc count costs a reduction over the frontier, so it
@@ -208,28 +135,19 @@ func DeltaSteppingMultiPoolDirCtx(ctx context.Context, pool *parallel.Pool, g *g
 			if pulling {
 				ensureCohort(pool, g, distBits, delta, cur, workers, &sc)
 				frontier = pullFrontier(g, frontier, distBits, cur, workers,
-					&relaxed, push, inBucket, bucketOf, &sc, pool)
+					push, inBucket, bucketOf, &sc, pool)
 			} else {
 				frontier = relaxFrontier(g, frontier, distBits, cur, workers,
-					&relaxed, push, inBucket, bucketOf, &sc, pool)
+					push, inBucket, bucketOf, &sc, pool)
 			}
 		}
 		cur++
 	}
 	for v := 0; v < n; v++ {
-		res.Dist[v] = math.Float64frombits(distBits[v])
+		dist[v] = math.Float64frombits(distBits[v])
 	}
-	resolveParents(pool, g, init, res.Dist, res.Parent, workers)
-	res.Relaxed = relaxed
-	return res, nil
-}
-
-// WeightedResult is the output of a weighted parallel search.
-type WeightedResult struct {
-	Dist    []float64
-	Parent  []uint32
-	Rounds  int
-	Relaxed int64
+	resolveParents(pool, g, init, dist, parent, workers)
+	return rounds, nil
 }
 
 // enq records a distance improvement: vertex v now falls in bucket b.
@@ -249,8 +167,7 @@ type relaxScratch struct {
 	stamp   []int32
 	epoch   int32
 	// inFrontier is the bit-packed frontier membership map pull rounds scan
-	// against (same parallel.Bitset the unweighted partition and the
-	// frontier package's dense subsets build on).
+	// against.
 	inFrontier *parallel.Bitset
 	// cohort is the unsettled vertex list pull rounds iterate: every vertex
 	// whose tentative distance falls in the current or a later bucket. It
@@ -314,13 +231,12 @@ func (sc *relaxScratch) dedup(vs []uint32) []uint32 {
 }
 
 // relaxFrontier is the push (top-down) round: it relaxes all edges out of
-// the frontier, lowering target distances with CAS on the IEEE bits
-// (order-preserving for non-negative floats). The relaxation is a fixpoint
-// iteration, so races only cost extra rounds, never wrong distances;
-// parents are not tracked here — they are recovered deterministically from
-// the settled distances by resolveParents.
+// the frontier, lowering target distances with CAS on the IEEE bits. The
+// relaxation is a fixpoint iteration, so races only cost extra rounds,
+// never wrong distances; parents are not tracked here — they are recovered
+// deterministically from the settled distances by resolveParents.
 func relaxFrontier(g *graph.WeightedGraph, frontier []uint32, distBits []uint64,
-	cur int, workers int, relaxed *int64,
+	cur int, workers int,
 	push func(uint32, int), inBucket []int32, bucketOf func(float64) int,
 	sc *relaxScratch, pool *parallel.Pool) []uint32 {
 
@@ -334,13 +250,11 @@ func relaxFrontier(g *graph.WeightedGraph, frontier []uint32, distBits []uint64,
 		lo := k * nf / w
 		hi := (k + 1) * nf / w
 		buf := buffers[k][:0]
-		var local int64
 		for i := lo; i < hi; i++ {
 			v := frontier[i]
 			dv := math.Float64frombits(atomic.LoadUint64(&distBits[v]))
 			nbrs, ws := g.Neighbors(v)
 			for j, u := range nbrs {
-				local++
 				nd := dv + ws[j]
 				for {
 					oldBits := atomic.LoadUint64(&distBits[u])
@@ -355,7 +269,6 @@ func relaxFrontier(g *graph.WeightedGraph, frontier []uint32, distBits []uint64,
 			}
 		}
 		buffers[k] = buf
-		atomic.AddInt64(relaxed, local)
 	})
 	return sc.collect(buffers, cur, push, inBucket, true)
 }
@@ -367,7 +280,7 @@ func relaxFrontier(g *graph.WeightedGraph, frontier []uint32, distBits []uint64,
 // vertex writes its distance word. Frontier membership is a bit-packed
 // parallel.Bitset reset in O(n/64).
 func pullFrontier(g *graph.WeightedGraph, frontier []uint32, distBits []uint64,
-	cur int, workers int, relaxed *int64,
+	cur int, workers int,
 	push func(uint32, int), inBucket []int32, bucketOf func(float64) int,
 	sc *relaxScratch, pool *parallel.Pool) []uint32 {
 
@@ -395,7 +308,6 @@ func pullFrontier(g *graph.WeightedGraph, frontier []uint32, distBits []uint64,
 		lo := k * nc / w
 		hi := (k + 1) * nc / w
 		buf := buffers[k][:0]
-		var local int64
 		for i := lo; i < hi; i++ {
 			u := cohort[i]
 			du := math.Float64frombits(atomic.LoadUint64(&distBits[u]))
@@ -405,7 +317,6 @@ func pullFrontier(g *graph.WeightedGraph, frontier []uint32, distBits []uint64,
 				if !inF.Get(v) {
 					continue
 				}
-				local++
 				if cand := math.Float64frombits(atomic.LoadUint64(&distBits[v])) + ws[j]; cand < best {
 					best = cand
 				}
@@ -416,7 +327,6 @@ func pullFrontier(g *graph.WeightedGraph, frontier []uint32, distBits []uint64,
 			}
 		}
 		buffers[k] = buf
-		atomic.AddInt64(relaxed, local)
 	})
 	return sc.collect(buffers, cur, push, inBucket, false)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"mpx/internal/bfs"
 	"mpx/internal/graph"
 	"mpx/internal/parallel"
 )
@@ -63,43 +62,29 @@ func PartitionWeightedParallel(wg *graph.WeightedGraph, beta float64, delta floa
 	})
 	// The bucket-relaxation rounds run on the same persistent pool, in the
 	// traversal direction the caller selected; Ctx cancels between rounds.
-	res, err := bfs.DeltaSteppingMultiPoolDirCtx(opts.Ctx, pool, wg, init, delta, opts.Workers, bfsDirection(opts.Direction))
+	// They leave the shifted distances in d.Dist and the shortest-path
+	// forest in d.Parent.
+	d.Rounds, err = deltaStep(opts.Ctx, pool, wg, init, delta, opts.Workers, opts.Direction, d.Dist, d.Parent)
 	if err != nil {
 		return nil, err
 	}
-	d.Rounds = res.Rounds
 
 	// Every vertex is reached (its own start value is finite). Recover
 	// centers by chasing parents to the forest roots; path lengths are
 	// bounded by the piece radius and the chases are independent, so the
 	// pass is cheap and parallel.
-	d.Parent = res.Parent
 	pool.For(opts.Workers, n, func(v int) {
-		d.Center[v] = chaseRoot(res.Parent, uint32(v))
+		d.Center[v] = chaseRoot(d.Parent, uint32(v))
 	})
 	// Tree distances from the center: shifted distance minus the center's
-	// start offset.
+	// start offset, converted in place.
 	pool.For(opts.Workers, n, func(v int) {
-		c := d.Center[v]
-		d.Dist[v] = res.Dist[v] - init[c]
+		d.Dist[v] -= init[d.Center[v]]
 		if d.Dist[v] < 0 {
 			d.Dist[v] = 0 // guard fp wobble on the centers themselves
 		}
 	})
 	return d, nil
-}
-
-// bfsDirection maps the package's Direction option onto the Δ-stepping
-// engine's traversal mode.
-func bfsDirection(d Direction) bfs.Direction {
-	switch d {
-	case DirectionForcePush:
-		return bfs.DirectionPush
-	case DirectionForcePull:
-		return bfs.DirectionPull
-	default:
-		return bfs.DirectionAuto
-	}
 }
 
 // chaseRoot follows parent pointers to the forest root.
@@ -115,9 +100,11 @@ func chaseRoot(parent []uint32, v uint32) uint32 {
 	return v
 }
 
-// Rounds reported by the weighted parallel partition depend on Δ; this
-// helper returns the Meyer–Sanders default used when delta <= 0 is passed,
-// exposed so experiments can report the Δ actually used.
+// DefaultDelta is the Δ PartitionWeightedParallel uses when delta <= 0 is
+// passed: the common Meyer–Sanders heuristic Δ = max weight / average
+// degree, clamped to at least the minimum edge weight (1 for edgeless
+// graphs). Rounds depend on Δ, so it is exported for experiments to
+// report the Δ actually used.
 func DefaultDelta(wg *graph.WeightedGraph) float64 {
 	n := wg.NumVertices()
 	if n == 0 {

@@ -1,6 +1,8 @@
-// Package expt is the experiment harness: one runner per experiment id in
-// DESIGN.md's index (E1–E12), each regenerating the corresponding figure,
-// table or proved guarantee of the paper as measured rows. Runners scale
+// Package expt is the experiment harness: one runner per experiment id
+// (E1–E18, registered by the init functions of figures.go,
+// applications.go, lemmas.go and extensions.go; IDs lists them), each
+// regenerating the corresponding figure, table or proved guarantee of the
+// paper as measured rows. Runners scale
 // with Config.Scale so the same code drives quick integration tests and the
 // full paper-scale reproduction in cmd/experiments.
 package expt

@@ -1,9 +1,6 @@
 package parallel
 
-import (
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 const benchN = 1 << 20
 
@@ -21,18 +18,6 @@ func benchFor(b *testing.B, workers int) {
 			}
 		})
 	}
-}
-
-func BenchmarkForDynamic(b *testing.B) {
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		var local int64
-		ForDynamic(4, 100000, 512, func(j int) {
-			atomic.AddInt64(&local, 1)
-		})
-		sink = local
-	}
-	_ = sink
 }
 
 func BenchmarkReduceInt64(b *testing.B) {
@@ -62,13 +47,6 @@ func BenchmarkExclusiveScan(b *testing.B) {
 func BenchmarkPack(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Pack(4, benchN, func(j int) bool { return j%3 == 0 })
-	}
-}
-
-func BenchmarkMinUint64Uncontended(b *testing.B) {
-	var x uint64 = 1 << 63
-	for i := 0; i < b.N; i++ {
-		MinUint64(&x, uint64(1<<63)-uint64(i))
+		_ = Default().PackInto(4, benchN, func(j int) bool { return j%3 == 0 }, nil)
 	}
 }

@@ -1,43 +1,25 @@
 package parallel
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Bitset is a bit-packed vertex set over a fixed universe [0, n), backed by
 // []uint64 words. Compared with a []bool bitmap it touches 8x less memory
-// per sweep and clears in O(n/64) word stores, which is what makes dense
-// (bottom-up) traversal rounds profitable. Concurrent writers must use the
-// atomic methods; reads concurrent with plain writes are the caller's
-// responsibility, exactly as with a []bool bitmap.
+// per sweep and clears in O(n/64) word stores (FillPool over Words), which
+// is what makes dense (bottom-up) traversal rounds profitable. Concurrent
+// writers must use the atomic methods; reads concurrent with writes are the
+// caller's responsibility, exactly as with a []bool bitmap.
 type Bitset struct {
 	words []uint64
-	n     int
 }
 
 // NewBitset returns an empty bitset over [0, n).
 func NewBitset(n int) *Bitset {
-	return &Bitset{words: make([]uint64, (n+63)/64), n: n}
+	return &Bitset{words: make([]uint64, (n+63)/64)}
 }
-
-// Len returns the universe size n.
-func (b *Bitset) Len() int { return b.n }
 
 // Get reports whether bit i is set (plain read).
 func (b *Bitset) Get(i uint32) bool {
 	return b.words[i>>6]&(1<<(i&63)) != 0
-}
-
-// Set sets bit i without synchronization. Safe only when no other goroutine
-// touches the same word.
-func (b *Bitset) Set(i uint32) {
-	b.words[i>>6] |= 1 << (i & 63)
-}
-
-// Clear clears bit i without synchronization.
-func (b *Bitset) Clear(i uint32) {
-	b.words[i>>6] &^= 1 << (i & 63)
 }
 
 // SetAtomic sets bit i with an atomic OR, safe under concurrent writers to
@@ -54,97 +36,6 @@ func (b *Bitset) TrySetAtomic(i uint32) bool {
 	return atomic.OrUint64(&b.words[i>>6], mask)&mask == 0
 }
 
-// ClearAtomic clears bit i with an atomic AND, safe under concurrent
-// writers to the same word (the parallel claim-reset path).
-func (b *Bitset) ClearAtomic(i uint32) {
-	atomic.AndUint64(&b.words[i>>6], ^(uint64(1) << (i & 63)))
-}
-
-// GetAtomic reports bit i with an atomic load.
-func (b *Bitset) GetAtomic(i uint32) bool {
-	return atomic.LoadUint64(&b.words[i>>6])&(1<<(i&63)) != 0
-}
-
-// Reset clears every bit in parallel: O(n/64) word stores.
-func (b *Bitset) Reset(workers int) {
-	Fill(workers, b.words, 0)
-}
-
-// Count returns the number of set bits using a parallel popcount reduction.
-func (b *Bitset) Count(workers int) int {
-	return int(ReduceInt64(workers, len(b.words), func(i int) int64 {
-		return int64(bits.OnesCount64(b.words[i]))
-	}))
-}
-
 // Words exposes the backing word array (length (n+63)/64) for word-at-a-
-// time consumers like parallel reductions; bit i lives at words[i>>6] bit
-// i&63.
+// time consumers such as FillPool; bit i lives at words[i>>6] bit i&63.
 func (b *Bitset) Words() []uint64 { return b.words }
-
-// Members appends the set bits (ascending) to out and returns it; pass nil
-// to allocate. The scan skips zero words, so sparse sets materialize fast.
-func (b *Bitset) Members(out []uint32) []uint32 {
-	for wi, w := range b.words {
-		base := uint32(wi) << 6
-		for w != 0 {
-			out = append(out, base+uint32(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return out
-}
-
-// MembersInto is Members on a worker pool (nil p means Default): a
-// two-pass parallel count/scan/write over word blocks. The output is
-// identical to Members at every worker count; out is reused when its
-// capacity suffices.
-func (b *Bitset) MembersInto(p *Pool, workers int, out []uint32) []uint32 {
-	nw := len(b.words)
-	w := Workers(workers, nw)
-	if w == 1 || nw < serialCutoff {
-		return b.Members(out[:0])
-	}
-	p = p.orDefault()
-	counts := make([]int64, w)
-	p.Run(w, func(k int) {
-		lo, hi := k*nw/w, (k+1)*nw/w
-		var c int64
-		for wi := lo; wi < hi; wi++ {
-			c += int64(bits.OnesCount64(b.words[wi]))
-		}
-		counts[k] = c
-	})
-	var run int64
-	for k := 0; k < w; k++ {
-		v := counts[k]
-		counts[k] = run
-		run += v
-	}
-	out = GrowUint32(out[:0], int(run))
-	p.Run(w, func(k int) {
-		lo, hi := k*nw/w, (k+1)*nw/w
-		pos := counts[k]
-		for wi := lo; wi < hi; wi++ {
-			word := b.words[wi]
-			base := uint32(wi) << 6
-			for ; word != 0; word &= word - 1 {
-				out[pos] = base + uint32(bits.TrailingZeros64(word))
-				pos++
-			}
-		}
-	})
-	return out
-}
-
-// ForEachWord calls body(wordIndex, word) for every nonzero word in
-// parallel blocks; used for dense sweeps that want word-at-a-time access.
-func (b *Bitset) ForEachWord(workers int, body func(wi int, w uint64)) {
-	ForRange(workers, len(b.words), func(lo, hi int) {
-		for wi := lo; wi < hi; wi++ {
-			if w := b.words[wi]; w != 0 {
-				body(wi, w)
-			}
-		}
-	})
-}

@@ -1,41 +1,44 @@
 package parallel
 
 import (
+	"math/bits"
 	"sync"
 	"testing"
 )
 
+// popcount counts the set bits of b.
+func popcount(b *Bitset) int {
+	c := 0
+	for _, w := range b.Words() {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
 func TestBitsetBasics(t *testing.T) {
 	b := NewBitset(130)
-	if b.Len() != 130 || b.Count(1) != 0 {
+	if len(b.Words()) != 3 || popcount(b) != 0 {
 		t.Fatal("fresh bitset not empty")
 	}
 	for _, i := range []uint32{0, 63, 64, 129} {
-		b.Set(i)
+		b.SetAtomic(i)
 		if !b.Get(i) {
 			t.Fatalf("bit %d not set", i)
 		}
 	}
-	if b.Count(1) != 4 {
-		t.Fatalf("Count=%d want 4", b.Count(1))
+	if b.Get(1) || b.Get(65) || b.Get(128) {
+		t.Fatal("unset bit reads as set")
 	}
-	b.Clear(64)
-	if b.Get(64) || b.Count(1) != 3 {
-		t.Fatal("Clear failed")
+	if popcount(b) != 4 {
+		t.Fatalf("popcount=%d want 4", popcount(b))
 	}
-	members := b.Members(nil)
-	want := []uint32{0, 63, 129}
-	if len(members) != len(want) {
-		t.Fatalf("Members=%v", members)
+	// Bit i lives at words[i>>6] bit i&63.
+	if w := b.Words(); w[0] != 1|1<<63 || w[1] != 1 || w[2] != 1<<1 {
+		t.Fatalf("word layout %#x", w)
 	}
-	for i := range want {
-		if members[i] != want[i] {
-			t.Fatalf("Members=%v want %v", members, want)
-		}
-	}
-	b.Reset(1)
-	if b.Count(1) != 0 {
-		t.Fatal("Reset failed")
+	FillPool(nil, 1, b.Words(), 0)
+	if popcount(b) != 0 || b.Get(64) {
+		t.Fatal("clearing the words failed")
 	}
 }
 
@@ -47,7 +50,7 @@ func TestBitsetTrySetAtomic(t *testing.T) {
 	if b.TrySetAtomic(7) {
 		t.Fatal("second TrySetAtomic must lose")
 	}
-	if !b.GetAtomic(7) {
+	if !b.Get(7) {
 		t.Fatal("bit not observable")
 	}
 }
@@ -79,23 +82,7 @@ func TestBitsetTrySetAtomicRace(t *testing.T) {
 	if total != n {
 		t.Fatalf("bits won %d times, want %d", total, n)
 	}
-	if b.Count(2) != n {
-		t.Fatalf("Count=%d want %d", b.Count(2), n)
-	}
-}
-
-func TestBitsetForEachWord(t *testing.T) {
-	b := NewBitset(256)
-	b.Set(5)
-	b.Set(130)
-	seen := make(map[int]uint64)
-	var mu sync.Mutex
-	b.ForEachWord(2, func(wi int, w uint64) {
-		mu.Lock()
-		seen[wi] = w
-		mu.Unlock()
-	})
-	if len(seen) != 2 || seen[0] != 1<<5 || seen[2] != 1<<2 {
-		t.Fatalf("ForEachWord saw %v", seen)
+	if popcount(b) != n {
+		t.Fatalf("popcount=%d want %d", popcount(b), n)
 	}
 }

@@ -143,8 +143,21 @@ func TestPanicErrorUnwrap(t *testing.T) {
 	}
 }
 
+// TestRecovered checks the boundary helper directly: a raw panic value is
+// wrapped with the current stack, and an already-wrapped one is returned
+// as is, so the innermost stack survives several layers.
+func TestRecovered(t *testing.T) {
+	pe := Recovered("boom")
+	if pe.Value != "boom" || len(pe.Stack) == 0 {
+		t.Fatalf("Recovered(\"boom\") = %+v", pe)
+	}
+	if again := Recovered(pe); again != pe {
+		t.Fatal("Recovered rewrapped a *PanicError")
+	}
+}
+
 // TestRunPanicPrimitives checks that panics inside the higher-level
-// primitives (For, ForDynamic, ReduceInt64) are contained the same way and
+// primitives (For, ForRange, ReduceInt64) are contained the same way and
 // leave the primitives reusable.
 func TestRunPanicPrimitives(t *testing.T) {
 	p := NewPool(4)
@@ -157,9 +170,9 @@ func TestRunPanicPrimitives(t *testing.T) {
 		})
 	})
 	recoverPanicError(t, func() {
-		p.ForDynamic(8, 10000, 64, func(i int) {
-			if i == 5000 {
-				panic("dyn boom")
+		p.ForRange(8, 10000, func(lo, hi int) {
+			if lo <= 5000 && 5000 < hi {
+				panic("range boom")
 			}
 		})
 	})

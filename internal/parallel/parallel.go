@@ -1,7 +1,7 @@
 // Package parallel provides the PRAM-style primitives the decomposition
 // algorithms are written against: parallel for-loops over index ranges,
-// blocked reductions, prefix sums (scans), stream packing, and small atomic
-// helpers.
+// blocked reductions, prefix sums (scans), stream packing and filtering,
+// radix sorts, and a bit-packed set with atomic claims.
 //
 // All primitives execute on a persistent worker pool (Pool) instead of
 // spawning goroutines per call: the package-level functions run on the
@@ -20,10 +20,7 @@
 // never depends on goroutine scheduling.
 package parallel
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "runtime"
 
 // Workers normalizes a requested worker count: values <= 0 become
 // GOMAXPROCS, and the count is never larger than n (no idle spinners for
@@ -47,9 +44,9 @@ func Workers(requested, n int) int {
 const serialCutoff = 2048
 
 // CompactCutoff is the shared work-size threshold below which round loops
-// (frontier/BFS/partition compaction copies) run inline rather than on the
-// pool. It equals the primitive serial cutoff so the whole stack switches
-// to parallel execution at one size.
+// (partition round compaction copies, shift-plan passes, radix sorts) run
+// inline rather than on the pool. It equals the primitive serial cutoff so
+// the whole stack switches to parallel execution at one size.
 const CompactCutoff = serialCutoff
 
 // For runs body(i) for every i in [0, n) using the given number of workers
@@ -65,25 +62,10 @@ func ForRange(workers, n int, body func(lo, hi int)) {
 	Default().ForRange(workers, n, body)
 }
 
-// ForDynamic runs body(i) for i in [0, n) with dynamic chunk scheduling:
-// workers repeatedly grab chunks of the given size from a shared counter.
-// Use it when per-index cost is highly skewed (e.g. per-vertex work
-// proportional to degree on power-law graphs). chunk <= 0 picks a default.
-func ForDynamic(workers, n, chunk int, body func(i int)) {
-	Default().ForDynamic(workers, n, chunk, body)
-}
-
 // ReduceInt64 computes the sum over i in [0, n) of f(i) using a blocked
 // tree-free reduction (per-worker partials, then a serial combine).
 func ReduceInt64(workers, n int, f func(i int) int64) int64 {
 	return Default().ReduceInt64(workers, n, f)
-}
-
-// ReduceFloat64 is ReduceInt64 for float64 values. The combine order is
-// fixed (worker index order) so results are deterministic for a fixed
-// worker count.
-func ReduceFloat64(workers, n int, f func(i int) float64) float64 {
-	return Default().ReduceFloat64(workers, n, f)
 }
 
 // MaxFloat64 returns the maximum of f(i) over [0, n) and the smallest index
@@ -97,30 +79,4 @@ func MaxFloat64(workers, n int, f func(i int) float64) (max float64, argmax int)
 // per-block sums, serial scan of block sums, then per-block local scans.
 func ExclusiveScan(workers int, data []int64) int64 {
 	return Default().ExclusiveScan(workers, data)
-}
-
-// Pack returns the values v in [0, n) (in increasing order) for which
-// keep(v) is true. It is the parallel filter used to build BFS frontiers.
-func Pack(workers, n int, keep func(i int) bool) []uint32 {
-	return Default().Pack(workers, n, keep)
-}
-
-// Fill sets every element of data to v in parallel on the default pool.
-func Fill[T any](workers int, data []T, v T) {
-	FillPool(Default(), workers, data, v)
-}
-
-// MinUint64 atomically lowers *addr to v if v is smaller, returning true if
-// the store happened. This is the atomic-min used to resolve same-round
-// cluster claims deterministically.
-func MinUint64(addr *uint64, v uint64) bool {
-	for {
-		old := atomic.LoadUint64(addr)
-		if v >= old {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(addr, old, v) {
-			return true
-		}
-	}
 }

@@ -46,18 +46,6 @@ func TestForRangeBlocksPartition(t *testing.T) {
 	}
 }
 
-func TestForDynamicCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 3000, 10000} {
-		hits := make([]int32, n)
-		ForDynamic(4, n, 100, func(i int) { atomic.AddInt32(&hits[i], 1) })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d hit %d times", n, i, h)
-			}
-		}
-	}
-}
-
 func TestReduceInt64MatchesSerial(t *testing.T) {
 	f := func(vals []int64) bool {
 		var want int64
@@ -73,7 +61,8 @@ func TestReduceInt64MatchesSerial(t *testing.T) {
 }
 
 func TestReduceFloat64Small(t *testing.T) {
-	got := ReduceFloat64(2, 4, func(i int) float64 { return float64(i) })
+	var p *Pool
+	got := p.ReduceFloat64(2, 4, func(i int) float64 { return float64(i) })
 	if got != 6 {
 		t.Errorf("got %g want 6", got)
 	}
@@ -168,7 +157,7 @@ func TestExclusiveScanLarge(t *testing.T) {
 func TestPackMatchesSerialFilter(t *testing.T) {
 	for _, n := range []int{0, 1, 999, 50000} {
 		keep := func(i int) bool { return i%3 == 0 }
-		got := Pack(4, n, keep)
+		got := Default().PackInto(4, n, keep, nil)
 		var want []uint32
 		for i := 0; i < n; i++ {
 			if keep(i) {
@@ -188,42 +177,10 @@ func TestPackMatchesSerialFilter(t *testing.T) {
 
 func TestFill(t *testing.T) {
 	data := make([]int32, 30000)
-	Fill(4, data, int32(-7))
+	FillPool(nil, 4, data, int32(-7))
 	for i, v := range data {
 		if v != -7 {
 			t.Fatalf("data[%d]=%d", i, v)
 		}
-	}
-}
-
-func TestMinUint64(t *testing.T) {
-	var x uint64 = 100
-	if !MinUint64(&x, 50) || x != 50 {
-		t.Errorf("MinUint64 to 50 failed: x=%d", x)
-	}
-	if MinUint64(&x, 60) || x != 50 {
-		t.Errorf("MinUint64 raised value: x=%d", x)
-	}
-	if MinUint64(&x, 50) {
-		t.Error("MinUint64 equal value should not store")
-	}
-}
-
-func TestMinUint64Concurrent(t *testing.T) {
-	var x uint64 = 1 << 62
-	done := make(chan struct{})
-	for k := 0; k < 8; k++ {
-		go func(k int) {
-			for i := 0; i < 1000; i++ {
-				MinUint64(&x, uint64(k*1000+i))
-			}
-			done <- struct{}{}
-		}(k)
-	}
-	for k := 0; k < 8; k++ {
-		<-done
-	}
-	if atomic.LoadUint64(&x) != 0 {
-		t.Errorf("concurrent min should reach 0, got %d", x)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // woken only when a parallel primitive submits work. Submitting a loop
 // costs a few channel operations instead of spawning and destroying one
 // goroutine per worker per call, which is what makes fine-grained
-// synchronous rounds (BFS levels, EdgeMap sweeps, Partition claim rounds)
-// cheap enough to run back to back.
+// synchronous rounds (Partition claim rounds, Δ-stepping bucket rounds,
+// hierarchy levels) cheap enough to run back to back.
 //
 // Scheduling model: every primitive call is turned into a job of `slots`
 // logical work units (one per requested worker). The submitting goroutine
@@ -93,7 +93,7 @@ var (
 )
 
 // Default returns the process-wide shared pool (GOMAXPROCS workers),
-// creating it on first use. The package-level primitives (For, Pack, ...)
+// creating it on first use. The package-level primitives (For, ReduceInt64, ...)
 // and every method invoked on a nil *Pool run on it, so one pool instance
 // serves an entire run unless a caller explicitly constructs its own.
 func Default() *Pool {
@@ -107,9 +107,6 @@ func (p *Pool) orDefault() *Pool {
 	}
 	return p
 }
-
-// Size returns the number of persistent workers.
-func (p *Pool) Size() int { return p.orDefault().size }
 
 // Close parks the pool permanently: the persistent workers exit. Primitives
 // invoked afterwards still complete correctly — the submitting goroutine
@@ -324,41 +321,6 @@ func (p *Pool) ForRange(workers, n int, body func(lo, hi int)) {
 	})
 }
 
-// ForDynamic runs body(i) for i in [0, n) with dynamic chunk scheduling:
-// participants repeatedly grab chunks of the given size from a shared
-// counter. chunk <= 0 picks a default.
-func (p *Pool) ForDynamic(workers, n, chunk int, body func(i int)) {
-	if n <= 0 {
-		return
-	}
-	w := Workers(workers, n)
-	if chunk <= 0 {
-		chunk = 256
-	}
-	if w == 1 || n < serialCutoff {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	p.orDefault().Run(w, func(int) {
-		for {
-			lo := int(next.Add(int64(chunk))) - chunk
-			if lo >= n {
-				return
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				body(i)
-			}
-		}
-	})
-}
-
 // ReduceInt64 computes the sum over i in [0, n) of f(i) with per-slot
 // partials combined in slot order (deterministic for a fixed worker count).
 func (p *Pool) ReduceInt64(workers, n int, f func(i int) int64) int64 {
@@ -507,14 +469,9 @@ func (p *Pool) ExclusiveScan(workers int, data []int64) int64 {
 	return run
 }
 
-// Pack returns the values v in [0, n) (in increasing order) for which
-// keep(v) is true.
-func (p *Pool) Pack(workers, n int, keep func(i int) bool) []uint32 {
-	return p.PackInto(workers, n, keep, nil)
-}
-
-// PackInto is Pack writing into dst (reused when its capacity suffices,
-// grown otherwise); it returns the filled slice. The two-pass offset-scan
+// PackInto writes the values v in [0, n) for which keep(v) is true, in
+// increasing order, into dst (reused when its capacity suffices, grown
+// otherwise) and returns the filled slice. The two-pass offset-scan
 // structure makes the output order identical at every worker count.
 func (p *Pool) PackInto(workers, n int, keep func(i int) bool, dst []uint32) []uint32 {
 	if n <= 0 {
@@ -661,7 +618,7 @@ func GrowUint32(s []uint32, n int) []uint32 {
 }
 
 // FillPool sets every element of data to v using the given pool (nil means
-// Default). It is the pool-explicit form of Fill.
+// Default).
 func FillPool[T any](p *Pool, workers int, data []T, v T) {
 	p.ForRange(workers, len(data), func(lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -30,11 +30,10 @@ func TestPoolPrimitivesMatchSerial(t *testing.T) {
 				t.Fatalf("ForRange n=%d w=%d covered %d", n, w, covered)
 			}
 
-			Fill(w, hits, 0)
-			p.ForDynamic(w, n, 64, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			FillPool(p, w, hits, 7)
 			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("ForDynamic n=%d w=%d: index %d hit %d times", n, w, i, h)
+				if h != 7 {
+					t.Fatalf("FillPool n=%d w=%d: hits[%d]=%d", n, w, i, h)
 				}
 			}
 
@@ -72,13 +71,13 @@ func TestPoolPrimitivesMatchSerial(t *testing.T) {
 				}
 			}
 
-			packed := p.Pack(w, n, func(i int) bool { return i%3 == 0 })
+			packed := p.PackInto(w, n, func(i int) bool { return i%3 == 0 }, nil)
 			if want := (n + 2) / 3; len(packed) != want {
-				t.Fatalf("Pack n=%d w=%d: %d elements want %d", n, w, len(packed), want)
+				t.Fatalf("PackInto n=%d w=%d: %d elements want %d", n, w, len(packed), want)
 			}
 			for i, v := range packed {
 				if v != uint32(3*i) {
-					t.Fatalf("Pack n=%d w=%d: packed[%d]=%d", n, w, i, v)
+					t.Fatalf("PackInto n=%d w=%d: packed[%d]=%d", n, w, i, v)
 				}
 			}
 		}
@@ -131,6 +130,20 @@ func TestPoolConcat(t *testing.T) {
 	dst2 := p.Concat(8, dst[:0], bufs)
 	if &dst2[0] != &dst[0] {
 		t.Error("Concat did not reuse dst's backing array")
+	}
+}
+
+// TestGrowUint32 checks both branches: a buffer with enough capacity is
+// resliced in place, and a short one is reallocated with its prefix kept.
+func TestGrowUint32(t *testing.T) {
+	buf := make([]uint32, 2, 8)
+	buf[0], buf[1] = 4, 5
+	if got := GrowUint32(buf, 6); len(got) != 6 || &got[0] != &buf[0] {
+		t.Fatalf("in-capacity grow: len %d, reused %v", len(got), &got[0] == &buf[0])
+	}
+	got := GrowUint32(buf, 20)
+	if len(got) != 20 || &got[0] == &buf[0] || got[0] != 4 || got[1] != 5 {
+		t.Fatalf("reallocating grow: len %d, prefix %v", len(got), got[:2])
 	}
 }
 
@@ -210,9 +223,6 @@ func TestPoolNilReceiverUsesDefault(t *testing.T) {
 	if got != 10000 {
 		t.Fatalf("nil pool: got %d", got)
 	}
-	if p.Size() != Default().Size() {
-		t.Errorf("nil pool size %d, default %d", p.Size(), Default().Size())
-	}
 }
 
 // TestPoolDeterministicResults verifies the slot decomposition (not the
@@ -225,7 +235,7 @@ func TestPoolDeterministicResults(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		var first []uint32
 		for rep := 0; rep < 5; rep++ {
-			got := p.Pack(w, n, func(i int) bool { return i%7 == 3 })
+			got := p.PackInto(w, n, func(i int) bool { return i%7 == 3 }, nil)
 			if rep == 0 {
 				first = got
 				continue
@@ -239,51 +249,5 @@ func TestPoolDeterministicResults(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestBitsetMembersIntoMatchesMembers checks the parallel member scan
-// against the serial one on a universe large enough for the parallel path.
-func TestBitsetMembersIntoMatchesMembers(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	n := serialCutoff * 64 * 2 // enough words for the parallel path
-	b := NewBitset(n)
-	for i := 0; i < n; i += 17 {
-		b.Set(uint32(i))
-	}
-	want := b.Members(nil)
-	for _, w := range []int{1, 2, 8} {
-		got := b.MembersInto(p, w, nil)
-		if len(got) != len(want) {
-			t.Fatalf("w=%d: %d members want %d", w, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("w=%d: member %d: got %d want %d", w, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestBitsetClearAtomic checks the atomic clear against plain Clear.
-func TestBitsetClearAtomic(t *testing.T) {
-	b := NewBitset(128)
-	for i := uint32(0); i < 128; i++ {
-		b.Set(i)
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < 4; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			for i := uint32(k); i < 128; i += 4 {
-				b.ClearAtomic(i)
-			}
-		}(k)
-	}
-	wg.Wait()
-	if got := b.Count(1); got != 0 {
-		t.Errorf("%d bits survived concurrent ClearAtomic", got)
 	}
 }
