@@ -13,7 +13,7 @@ import (
 // e23Setup builds the E23 workload: a ≥100k-vertex grid, a persistent
 // hierarchy over it, and a batch of ~500 intra-cluster non-tree edges of
 // level 0 — edges whose deletion (and re-insertion) provably preserves
-// every level's partition fixpoint, so an Update only refreshes level 0
+// every level's partition fixpoint, so an UpdateCtx only refreshes level 0
 // and splices everything above it. The batch touches ≤1% of the vertices.
 func e23Setup(b *testing.B) (*graph.Graph, hier.Config, *hier.Hierarchy, []graph.Edge) {
 	b.Helper()
@@ -71,10 +71,10 @@ func checkE23Stats(b *testing.B, us hier.UpdateStats, levels, n int) {
 
 // BenchmarkE23IncrementalUpdate is the incremental-vs-rebuild experiment:
 // batched edge updates touching ≤1% of the vertices of a 105k-vertex grid,
-// applied through Hierarchy.Update (alternating delete/re-insert of the
+// applied through Hierarchy.UpdateCtx (alternating delete/re-insert of the
 // same intra-cluster edge set, so the hierarchy returns to a known state
 // every two batches). It asserts the reuse stats per batch and fails
-// unless Update beats a from-scratch BuildHierarchy by ≥3× wall-clock;
+// unless UpdateCtx beats a from-scratch BuildHierarchy by ≥3× wall-clock;
 // the measured speedup is reported as a metric (and lands in
 // BENCH_E23.json via the JSON harness).
 func BenchmarkE23IncrementalUpdate(b *testing.B) {
@@ -90,7 +90,7 @@ func BenchmarkE23IncrementalUpdate(b *testing.B) {
 	start := time.Now()
 	for t := 0; t < trials; t++ {
 		for _, bb := range []graph.Batch{del, ins} {
-			us, err := h.Update(bb, nil)
+			us, err := h.UpdateCtx(nil, bb, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func BenchmarkE23IncrementalUpdate(b *testing.B) {
 		if i%2 == 1 {
 			bb = ins
 		}
-		us, err := h.Update(bb, nil)
+		us, err := h.UpdateCtx(nil, bb, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func BenchmarkE23IncrementalUpdate(b *testing.B) {
 }
 
 // BenchmarkE23RebuildBaseline is the comparison arm: the same hierarchy
-// built from scratch (what every batch would cost without Update).
+// built from scratch (what every batch would cost without UpdateCtx).
 func BenchmarkE23RebuildBaseline(b *testing.B) {
 	g := graph.Grid2D(350, 300)
 	cfg := hier.Config{

@@ -176,14 +176,14 @@ func BenchmarkE7Baselines(b *testing.B) {
 	})
 	b.Run("ballgrow", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.BallGrowing(g, 0.1, uint64(i)); err != nil {
+			if _, err := core.BallGrowingCtx(nil, g, 0.1, uint64(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("iterative", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.PartitionIterative(g, 0.1, uint64(i), 0); err != nil {
+			if _, err := core.PartitionIterativeCtx(nil, g, 0.1, uint64(i), 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -232,7 +232,7 @@ func BenchmarkE10Blocks(b *testing.B) {
 	g := graph.Torus2D(120, 120)
 	var nblocks int
 	for i := 0; i < b.N; i++ {
-		bd, err := blocks.Decompose(g, 0.5, uint64(i), 0)
+		bd, err := blocks.DecomposePoolCtx(nil, nil, g, 0.5, uint64(i), 0, 0, core.DirectionAuto)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func BenchmarkE12LowStretch(b *testing.B) {
 	g := graph.Grid2D(100, 100)
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		tr, err := lowstretch.Build(g, 0.2, uint64(i))
+		tr, err := lowstretch.BuildPoolCtx(nil, nil, g, 0.2, uint64(i), 0, core.DirectionAuto)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -480,7 +480,7 @@ func BenchmarkE22Apps(b *testing.B) {
 				b.ReportAllocs()
 				var levels int
 				for i := 0; i < b.N; i++ {
-					tr, err := lowstretch.BuildPool(benchPool, fam.g, fam.beta, 1, w, core.DirectionAuto)
+					tr, err := lowstretch.BuildPoolCtx(nil, benchPool, fam.g, fam.beta, 1, w, core.DirectionAuto)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -492,7 +492,7 @@ func BenchmarkE22Apps(b *testing.B) {
 				b.ReportAllocs()
 				var nblocks int
 				for i := 0; i < b.N; i++ {
-					bd, err := blocks.DecomposePool(benchPool, fam.g, 0.5, 1, 0, w, core.DirectionAuto)
+					bd, err := blocks.DecomposePoolCtx(nil, benchPool, fam.g, 0.5, 1, 0, w, core.DirectionAuto)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -519,15 +519,17 @@ const maxHierAllocsPerLevel = 600
 // BenchmarkE22HierarchyAllocGate measures allocations per hierarchy level
 // across whole low-stretch-tree builds (the deepest engine user: contract
 // mode with edge annotations) and fails the run if the per-level count
-// regresses toward O(m) map churn.
+// regresses toward O(m) map churn. It measures the incremental build mpxd
+// serves (lowstretch.BuildIncrementalPoolCtx: retained hierarchy,
+// per-level tree-edge segments, LCA index).
 func BenchmarkE22HierarchyAllocGate(b *testing.B) {
 	g := graph.GNM(30000, 120000, 1)
 	run := func() int {
-		tr, err := lowstretch.BuildPool(benchPool, g, 0.3, 1, 8, core.DirectionAuto)
+		inc, err := lowstretch.BuildIncrementalPoolCtx(nil, benchPool, g, 0.3, 1, 8, core.DirectionAuto)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return tr.Levels
+		return inc.Tree().Levels
 	}
 	run() // warm the pool and allocator size classes before measuring
 	var before, after runtime.MemStats
@@ -569,7 +571,7 @@ func BenchmarkE22WeightedHierarchyAllocGate(b *testing.B) {
 	g := graph.GNM(30000, 120000, 1)
 	wg := graph.RandomWeights(g, 1, 8, 2)
 	run := func() int {
-		tr, err := lowstretch.BuildWeightedPool(benchPool, wg, 0.3, 1, 8, core.DirectionAuto)
+		tr, err := lowstretch.BuildWeightedPoolCtx(nil, benchPool, wg, 0.3, 1, 8, core.DirectionAuto)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -613,7 +615,7 @@ func BenchmarkE22WeightedApps(b *testing.B) {
 				b.ReportAllocs()
 				var levels int
 				for i := 0; i < b.N; i++ {
-					tr, err := lowstretch.BuildWeightedPool(benchPool, fam.wg, fam.beta, 1, w, core.DirectionAuto)
+					tr, err := lowstretch.BuildWeightedPoolCtx(nil, benchPool, fam.wg, fam.beta, 1, w, core.DirectionAuto)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -625,7 +627,7 @@ func BenchmarkE22WeightedApps(b *testing.B) {
 				b.ReportAllocs()
 				var nblocks int
 				for i := 0; i < b.N; i++ {
-					bd, err := blocks.DecomposeWeightedPool(benchPool, fam.wg, 0.5, 1, 0, w, core.DirectionAuto)
+					bd, err := blocks.DecomposeWeightedPoolCtx(nil, benchPool, fam.wg, 0.5, 1, 0, w, core.DirectionAuto)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -675,7 +677,7 @@ func BenchmarkE14Solver(b *testing.B) {
 	}
 	var iters int
 	for i := 0; i < b.N; i++ {
-		tr, err := lowstretch.Build(g, 0.2, uint64(i))
+		tr, err := lowstretch.BuildPoolCtx(nil, nil, g, 0.2, uint64(i), 0, core.DirectionAuto)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -708,7 +710,7 @@ func BenchmarkE15WeightedParallel(b *testing.B) {
 func BenchmarkE16Embedding(b *testing.B) {
 	g := graph.Grid2D(50, 50)
 	for i := 0; i < b.N; i++ {
-		if _, err := embedding.Build(g, 0, uint64(i)); err != nil {
+		if _, err := embedding.BuildPoolCtx(nil, nil, g, 0, uint64(i), 0, core.DirectionAuto); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -719,7 +721,7 @@ func BenchmarkE17Separator(b *testing.B) {
 	g := graph.Grid2D(100, 100)
 	var size int
 	for i := 0; i < b.N; i++ {
-		r, err := separator.Find(g, 0, 2.0/3, uint64(i))
+		r, err := separator.FindPoolCtx(nil, nil, g, 0, 2.0/3, uint64(i), 0, core.DirectionAuto)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -735,7 +737,7 @@ func BenchmarkE18Connectivity(b *testing.B) {
 	b.Run("ldd-contraction", func(b *testing.B) {
 		var rounds int
 		for i := 0; i < b.N; i++ {
-			r, err := connectivity.ComponentsPool(benchPool, g, 0.4, uint64(i), 0, core.DirectionAuto)
+			r, err := connectivity.ComponentsPoolCtx(nil, benchPool, g, 0.4, uint64(i), 0, core.DirectionAuto)
 			if err != nil {
 				b.Fatal(err)
 			}

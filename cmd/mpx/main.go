@@ -193,6 +193,12 @@ func main() {
 		ctx = tctx
 	}
 
+	// One persistent worker pool serves the whole run; every parallel round
+	// of every algorithm below executes on it.
+	pool := parallel.NewPool(0)
+	defer pool.Close()
+	opts := core.Options{Ctx: ctx, Seed: *seed, Workers: *workers, TieBreak: tieBreak, Direction: dir, Pool: pool}
+
 	// Weighted hierarchy apps build their graph once (a weighted DIMACS
 	// file is parsed a single time, weights included) and run before the
 	// unweighted path.
@@ -208,9 +214,7 @@ func main() {
 		if *snapOut != "" {
 			writeSnapshotOut(*snapOut, nil, wg)
 		}
-		pool := parallel.NewPool(0)
-		defer pool.Close()
-		if err := runWeightedApp(ctx, *app, pool, wg, *beta, *seed, *workers, dir, *wmax, fromFile); err != nil {
+		if err := runWeightedApp(*app, wg, *beta, *wmax, fromFile, opts); err != nil {
 			fail(err, *timeout)
 		}
 		return
@@ -227,14 +231,9 @@ func main() {
 	if *snapOut != "" {
 		writeSnapshotOut(*snapOut, g, nil)
 	}
-	// One persistent worker pool serves the whole run; every parallel round
-	// of every algorithm below executes on it.
-	pool := parallel.NewPool(0)
-	defer pool.Close()
-	opts := core.Options{Ctx: ctx, Seed: *seed, Workers: *workers, TieBreak: tieBreak, Direction: dir, Pool: pool}
 
 	if *queries != "" {
-		if err := runQueries(ctx, pool, g, *beta, *seed, *workers, dir, *queries, *qbatch); err != nil {
+		if err := runQueries(g, *beta, *queries, *qbatch, opts); err != nil {
 			fail(err, *timeout)
 		}
 		return
@@ -252,14 +251,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mpx:", err)
 			os.Exit(1)
 		}
-		if err := runUpdates(ctx, *app, pool, g, *beta, *seed, *workers, dir, batches); err != nil {
+		if err := runUpdates(*app, g, *beta, batches, opts); err != nil {
 			fail(err, *timeout)
 		}
 		return
 	}
 
 	if *app != "partition" {
-		if err := runApp(ctx, *app, pool, g, *beta, *seed, *workers, dir, opts); err != nil {
+		if err := runApp(*app, g, *beta, opts); err != nil {
 			fail(err, *timeout)
 		}
 		return
@@ -469,7 +468,8 @@ func writeSnapshotOut(path string, g *graph.Graph, wg *graph.WeightedGraph) {
 // the true AKPW low-stretch tree, the weighted Linial–Saks blocks, or the
 // weighted tree-metric embedding — printing the per-level weighted
 // hierarchy statistics.
-func runWeightedApp(ctx context.Context, app string, pool *parallel.Pool, wg *graph.WeightedGraph, beta float64, seed uint64, workers int, dir core.Direction, wmax float64, fromFile bool) error {
+func runWeightedApp(app string, wg *graph.WeightedGraph, beta, wmax float64, fromFile bool, opts core.Options) error {
+	ctx, pool, seed, workers, dir := opts.Ctx, opts.Pool, opts.Seed, opts.Workers, opts.Direction
 	if fromFile {
 		fmt.Printf("graph: n=%d m=%d (weighted input)\n", wg.NumVertices(), wg.NumEdges())
 	} else {
@@ -510,7 +510,8 @@ func runWeightedApp(ctx context.Context, app string, pool *parallel.Pool, wg *gr
 // runApp drives one of the hierarchy applications on the shared process
 // pool, honoring -beta, -seed, -workers and -direction, and prints the
 // per-level hierarchy statistics the internal/hier engine records.
-func runApp(ctx context.Context, app string, pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, workers int, dir core.Direction, opts core.Options) error {
+func runApp(app string, g *graph.Graph, beta float64, opts core.Options) error {
+	ctx, pool, seed, workers, dir := opts.Ctx, opts.Pool, opts.Seed, opts.Workers, opts.Direction
 	fmt.Printf("graph: n=%d m=%d\n", g.NumVertices(), g.NumEdges())
 	switch app {
 	case "connectivity":
@@ -538,17 +539,13 @@ func runApp(ctx context.Context, app string, pool *parallel.Pool, g *graph.Graph
 		if err != nil {
 			return err
 		}
-		st := tr.Stretch()
-		fmt.Printf("lowstretch: levels=%d treeEdges=%d meanStretch=%.2f maxStretch=%d direction=%s\n",
-			tr.Levels, len(tr.Edges), st.Mean, st.Max, dir)
-		printHierStats(tr.Stats)
+		printLowstretch(tr, dir)
 	case "blocks":
 		bd, err := blocks.DecomposePoolCtx(ctx, pool, g, beta, seed, 0, workers, dir)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("blocks: blocks=%d edges=%d direction=%s\n", bd.NumBlocks(), bd.EdgeCount(), dir)
-		printHierStats(bd.Stats)
+		printBlocks(bd, dir)
 	case "separator":
 		r, err := separator.FindPoolCtx(ctx, pool, g, beta, 2.0/3, seed, workers, dir)
 		if err != nil {
@@ -562,14 +559,32 @@ func runApp(ctx context.Context, app string, pool *parallel.Pool, g *graph.Graph
 		if err != nil {
 			return err
 		}
-		dist := tr.MeasureDistortion(200, seed)
-		fmt.Printf("embedding: levels=%d meanDistortion=%.2f maxDistortion=%.2f dominatedFrac=%.3f direction=%s\n",
-			tr.Levels, dist.MeanDistortion, dist.MaxDistortion, dist.DominatedFrac, dir)
-		printHierStats(tr.Stats)
+		printEmbedding(tr, seed, dir)
 	default:
 		panic("unreachable: -app validated against validApps above")
 	}
 	return nil
+}
+
+// printLowstretch, printBlocks and printEmbedding print an app's closing
+// summary line and per-level stats; runApp and runUpdates share them.
+func printLowstretch(tr *lowstretch.Tree, dir core.Direction) {
+	st := tr.Stretch()
+	fmt.Printf("lowstretch: levels=%d treeEdges=%d meanStretch=%.2f maxStretch=%d direction=%s\n",
+		tr.Levels, len(tr.Edges), st.Mean, st.Max, dir)
+	printHierStats(tr.Stats)
+}
+
+func printBlocks(bd *blocks.Decomposition, dir core.Direction) {
+	fmt.Printf("blocks: blocks=%d edges=%d direction=%s\n", bd.NumBlocks(), bd.EdgeCount(), dir)
+	printHierStats(bd.Stats)
+}
+
+func printEmbedding(tr *embedding.Tree, seed uint64, dir core.Direction) {
+	dist := tr.MeasureDistortion(200, seed)
+	fmt.Printf("embedding: levels=%d meanDistortion=%.2f maxDistortion=%.2f dominatedFrac=%.3f direction=%s\n",
+		tr.Levels, dist.MeanDistortion, dist.MaxDistortion, dist.DominatedFrac, dir)
+	printHierStats(tr.Stats)
 }
 
 // printHierStats reports the hierarchy shape: per level, the graph sizes

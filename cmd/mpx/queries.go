@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -15,7 +14,6 @@ import (
 	"mpx/internal/core"
 	"mpx/internal/graph"
 	"mpx/internal/oracle"
-	"mpx/internal/parallel"
 	"mpx/internal/xrand"
 )
 
@@ -255,7 +253,8 @@ func serveBatch(b []query, do *oracle.DistanceOracle, mo *oracle.MembershipOracl
 // report throughput and per-batch latency percentiles. Queries never
 // mutate the structures, so the replay is a pure read workload — the
 // serving shape of the E25 experiment.
-func runQueries(ctx context.Context, pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, workers int, dir core.Direction, spec string, qbatch int) error {
+func runQueries(g *graph.Graph, beta float64, spec string, qbatch int, opts core.Options) error {
+	ctx, pool, seed, workers, dir := opts.Ctx, opts.Pool, opts.Seed, opts.Workers, opts.Direction
 	inc, err := lowstretch.BuildIncrementalPoolCtx(ctx, pool, g, beta, seed, workers, dir)
 	if err != nil {
 		return err

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -14,7 +13,6 @@ import (
 	"mpx/internal/apps/lowstretch"
 	"mpx/internal/core"
 	"mpx/internal/graph"
-	"mpx/internal/parallel"
 )
 
 // parseUpdateTrace reads a batch trace for -updates: one edge operation per
@@ -114,7 +112,8 @@ func parseUpdateTrace(r io.Reader) ([]graph.Batch, error) {
 // The maintained structure is bit-identical after every batch to a
 // from-scratch build on the updated graph (the incremental contract), so
 // the final summary line matches a plain run on the final graph.
-func runUpdates(ctx context.Context, app string, pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, workers int, dir core.Direction, batches []graph.Batch) error {
+func runUpdates(app string, g *graph.Graph, beta float64, batches []graph.Batch, opts core.Options) error {
+	ctx, pool, seed, workers, dir := opts.Ctx, opts.Pool, opts.Seed, opts.Workers, opts.Direction
 	for i, b := range batches {
 		if len(b.InsertW) > 0 {
 			return fmt.Errorf("trace batch %d has weighted inserts; -updates replays unweighted hierarchies (drop the weight column)", i)
@@ -134,11 +133,7 @@ func runUpdates(ctx context.Context, app string, pool *parallel.Pool, g *graph.G
 			}
 			fmt.Printf("batch %d: %s treeEdges=%d\n", i, us, len(inc.Tree().Edges))
 		}
-		tr := inc.Tree()
-		st := tr.Stretch()
-		fmt.Printf("lowstretch: levels=%d treeEdges=%d meanStretch=%.2f maxStretch=%d direction=%s\n",
-			tr.Levels, len(tr.Edges), st.Mean, st.Max, dir)
-		printHierStats(tr.Stats)
+		printLowstretch(inc.Tree(), dir)
 	case "blocks":
 		inc, err := blocks.BuildIncrementalPoolCtx(ctx, pool, g, beta, seed, 0, workers, dir)
 		if err != nil {
@@ -151,9 +146,7 @@ func runUpdates(ctx context.Context, app string, pool *parallel.Pool, g *graph.G
 			}
 			fmt.Printf("batch %d: %s blocks=%d\n", i, us, inc.Decomposition().NumBlocks())
 		}
-		bd := inc.Decomposition()
-		fmt.Printf("blocks: blocks=%d edges=%d direction=%s\n", bd.NumBlocks(), bd.EdgeCount(), dir)
-		printHierStats(bd.Stats)
+		printBlocks(inc.Decomposition(), dir)
 	case "embedding":
 		inc, err := embedding.BuildIncrementalPoolCtx(ctx, pool, g, 0, seed, workers, dir)
 		if err != nil {
@@ -167,11 +160,7 @@ func runUpdates(ctx context.Context, app string, pool *parallel.Pool, g *graph.G
 			fmt.Printf("batch %d: update{levels=%d repartitioned=%d refined=%d reused=%d}\n",
 				i, us.Levels, us.Repartitioned, us.Refined, us.Reused)
 		}
-		tr := inc.Tree()
-		dist := tr.MeasureDistortion(200, seed)
-		fmt.Printf("embedding: levels=%d meanDistortion=%.2f maxDistortion=%.2f dominatedFrac=%.3f direction=%s\n",
-			tr.Levels, dist.MeanDistortion, dist.MaxDistortion, dist.DominatedFrac, dir)
-		printHierStats(tr.Stats)
+		printEmbedding(inc.Tree(), seed, dir)
 	default:
 		return fmt.Errorf("-updates supports apps lowstretch, blocks and embedding (got %q)", app)
 	}

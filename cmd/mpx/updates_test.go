@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpx/internal/core"
 	"mpx/internal/graph"
 )
 
@@ -103,19 +104,19 @@ func TestRunUpdatesReplay(t *testing.T) {
 	}
 	for _, app := range []string{"lowstretch", "blocks", "embedding"} {
 		g := graph.Grid2D(12, 12)
-		if err := runUpdates(nil, app, nil, g, 0.3, 1, 2, 0, batches); err != nil {
+		if err := runUpdates(app, g, 0.3, batches, core.Options{Seed: 1, Workers: 2}); err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
 	}
 	g := graph.Grid2D(8, 8)
-	if err := runUpdates(nil, "partition", nil, g, 0.3, 1, 2, 0, batches); err == nil {
+	if err := runUpdates("partition", g, 0.3, batches, core.Options{Seed: 1, Workers: 2}); err == nil {
 		t.Fatal("unsupported app must error")
 	}
 	weightedBatch, err := parseUpdateTrace(strings.NewReader("+ 1 2 4.5\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runUpdates(nil, "lowstretch", nil, g, 0.3, 1, 2, 0, weightedBatch); err == nil {
+	if err := runUpdates("lowstretch", g, 0.3, weightedBatch, core.Options{Seed: 1, Workers: 2}); err == nil {
 		t.Fatal("weighted trace must error on unweighted replay")
 	}
 }

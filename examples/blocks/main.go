@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"mpx/internal/apps/blocks"
+	"mpx/internal/core"
 	"mpx/internal/graph"
 )
 
@@ -18,7 +19,7 @@ func main() {
 	fmt.Printf("rmat graph: n=%d m=%d  (log2 m = %.1f)\n\n", g.NumVertices(), g.NumEdges(),
 		math.Log2(float64(g.NumEdges())))
 
-	bd, err := blocks.Decompose(g, 0.5, 2, 0)
+	bd, err := blocks.DecomposePoolCtx(nil, nil, g, 0.5, 2, 0, 0, core.DirectionAuto)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"mpx/internal/apps/connectivity"
+	"mpx/internal/core"
 	"mpx/internal/graph"
 )
 
@@ -21,7 +22,7 @@ func main() {
 		{"gnm sparse", graph.GNM(200000, 240000, 3)},
 		{"small world", graph.WattsStrogatz(100000, 3, 0.05, 5)},
 	} {
-		r, err := connectivity.Components(wl.g, 0.4, 1, 0)
+		r, err := connectivity.ComponentsPoolCtx(nil, nil, wl.g, 0.4, 1, 0, core.DirectionAuto)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"mpx/internal/apps/lowstretch"
+	"mpx/internal/core"
 	"mpx/internal/graph"
 )
 
@@ -20,7 +21,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		akpw, err := lowstretch.Build(g, 0.2, 5)
+		akpw, err := lowstretch.BuildPoolCtx(nil, nil, g, 0.2, 5, 0, core.DirectionAuto)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 
 	"mpx/internal/apps/lowstretch"
 	"mpx/internal/apps/solver"
+	"mpx/internal/core"
 	"mpx/internal/graph"
 	"mpx/internal/xrand"
 )
@@ -31,7 +32,7 @@ func main() {
 			b[i] -= sum / float64(len(b))
 		}
 
-		akpw, err := lowstretch.Build(g, 0.2, 7)
+		akpw, err := lowstretch.BuildPoolCtx(nil, nil, g, 0.2, 7, 0, core.DirectionAuto)
 		if err != nil {
 			log.Fatal(err)
 		}

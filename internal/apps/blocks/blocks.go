@@ -48,66 +48,22 @@ type Decomposition struct {
 	Stats []hier.LevelStat
 }
 
-// Decompose computes a block decomposition of g using β (1/2 gives the
-// classical guarantee) and the given seed, on the shared default pool.
-// maxIters caps the iteration count defensively; 0 means 4·log2(m)+8.
-func Decompose(g *graph.Graph, beta float64, seed uint64, maxIters int) (*Decomposition, error) {
-	return DecomposePool(nil, g, beta, seed, maxIters, 0, core.DirectionAuto)
-}
-
-// DecomposePool is Decompose on an explicit persistent worker pool (nil
-// means parallel.Default()) with an explicit logical worker count and
-// traversal direction. For a fixed (g, beta, seed) the blocks are
-// bit-identical at every worker count and direction.
-func DecomposePool(pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, maxIters, workers int, dir core.Direction) (*Decomposition, error) {
-	return DecomposePoolCtx(nil, pool, g, beta, seed, maxIters, workers, dir)
-}
-
-// DecomposePoolCtx is DecomposePool with a cancellation context (nil means
-// never cancelled), polled at level and partition-round boundaries; a
+// DecomposePoolCtx computes a block decomposition of g using β (1/2 gives
+// the classical guarantee) and the given seed, on pool (nil means
+// parallel.Default()) with workers logical workers (<= 0 means GOMAXPROCS)
+// and traversal direction dir. maxIters caps the iteration count
+// defensively; 0 means 4·log2(m)+8. For a fixed (g, beta, seed) the blocks
+// are bit-identical at every worker count and direction. ctx (nil means
+// never cancelled) is polled at level and partition-round boundaries; a
 // cancelled run returns (nil, ctx.Err()) with no partial decomposition.
+//
+// It is BuildIncrementalPoolCtx with the retained hierarchy dropped.
 func DecomposePoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, maxIters, workers int, dir core.Direction) (*Decomposition, error) {
-	if beta <= 0 || beta >= 1 {
-		return nil, core.ErrBeta
-	}
-	bd := &Decomposition{G: g, Beta: beta}
-	if maxIters <= 0 {
-		maxIters = 8
-		for m := g.NumEdges(); m > 0; m >>= 1 {
-			maxIters += 4
-		}
-	}
-	centerSeen := parallel.NewBitset(g.NumVertices())
-	res, err := hier.Run(hier.Config{
-		Ctx:       ctx,
-		Beta:      beta,
-		Seed:      seed,
-		Workers:   workers,
-		Pool:      pool,
-		Direction: dir,
-		MaxLevels: maxIters,
-		Residual:  true,
-		NeedIntra: true,
-	}, g, func(lv *hier.Level) error {
-		if len(lv.IntraEdges) == 0 {
-			return nil
-		}
-		blk := Block{
-			Edges:              append([]graph.Edge(nil), lv.IntraEdges...),
-			MaxComponentRadius: lv.D.MaxRadius(),
-			Clusters:           distinctCenters(pool, workers, lv.IntraEdges, lv.D.Center, centerSeen),
-		}
-		bd.Blocks = append(bd.Blocks, blk)
-		return nil
-	})
-	if err == hier.ErrMaxLevels {
-		return nil, core.ErrBeta // β left edges uncovered within the cap; defensive
-	}
+	inc, err := BuildIncrementalPoolCtx(ctx, pool, g, beta, seed, maxIters, workers, dir)
 	if err != nil {
 		return nil, err
 	}
-	bd.Stats = res.Stats
-	return bd, nil
+	return inc.Decomposition(), nil
 }
 
 // distinctCenters counts the clusters that contributed an edge to the

@@ -4,12 +4,13 @@ import (
 	"math"
 	"testing"
 
+	"mpx/internal/core"
 	"mpx/internal/graph"
 )
 
 func TestDecomposePartitionsEdges(t *testing.T) {
 	g := graph.Grid2D(20, 20)
-	bd, err := Decompose(g, 0.5, 1, 0)
+	bd, err := DecomposePoolCtx(nil, nil, g, 0.5, 1, 0, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestDecomposePartitionsEdges(t *testing.T) {
 
 func TestDecomposeBlockCountLogarithmic(t *testing.T) {
 	g := graph.Grid2D(40, 40)
-	bd, err := Decompose(g, 0.5, 2, 0)
+	bd, err := DecomposePoolCtx(nil, nil, g, 0.5, 2, 0, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestDecomposeBlockCountLogarithmic(t *testing.T) {
 
 func TestDecomposeComponentDiameters(t *testing.T) {
 	g := graph.Grid2D(15, 15)
-	bd, err := Decompose(g, 0.5, 3, 0)
+	bd, err := DecomposePoolCtx(nil, nil, g, 0.5, 3, 0, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestDecomposeGeometricEdgeDecay(t *testing.T) {
 	// With beta = 1/2 the expected cut is half the edges; check the block
 	// sizes decay overall (first block holds more than the average).
 	g := graph.Torus2D(30, 30)
-	bd, err := Decompose(g, 0.5, 4, 0)
+	bd, err := DecomposePoolCtx(nil, nil, g, 0.5, 4, 0, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +88,14 @@ func TestDecomposeGeometricEdgeDecay(t *testing.T) {
 }
 
 func TestDecomposeRejectsBadBeta(t *testing.T) {
-	if _, err := Decompose(graph.Path(4), 0, 0, 0); err == nil {
+	if _, err := DecomposePoolCtx(nil, nil, graph.Path(4), 0, 0, 0, 0, core.DirectionAuto); err == nil {
 		t.Error("expected error")
 	}
 }
 
 func TestDecomposeEdgelessGraph(t *testing.T) {
 	g, _ := graph.FromEdges(5, nil)
-	bd, err := Decompose(g, 0.5, 0, 0)
+	bd, err := DecomposePoolCtx(nil, nil, g, 0.5, 0, 0, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +106,11 @@ func TestDecomposeEdgelessGraph(t *testing.T) {
 
 func TestDecomposeDeterministic(t *testing.T) {
 	g := graph.GNM(150, 500, 9)
-	a, err := Decompose(g, 0.5, 7, 0)
+	a, err := DecomposePoolCtx(nil, nil, g, 0.5, 7, 0, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Decompose(g, 0.5, 7, 0)
+	b, err := DecomposePoolCtx(nil, nil, g, 0.5, 7, 0, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,14 +44,14 @@ func TestDecomposePoolDirectionsBitIdentical(t *testing.T) {
 	}
 	for name, g := range gs {
 		for _, seed := range []uint64{1, 42} {
-			base, err := DecomposePool(nil, g, 0.5, seed, 0, 1, core.DirectionForcePush)
+			base, err := DecomposePoolCtx(nil, nil, g, 0.5, seed, 0, 1, core.DirectionForcePush)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := fingerprint(base)
 			for _, dir := range allDirections {
 				for _, w := range []int{1, 2, 8} {
-					bd, err := DecomposePool(nil, g, 0.5, seed, 0, w, dir)
+					bd, err := DecomposePoolCtx(nil, nil, g, 0.5, seed, 0, w, dir)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -72,7 +72,7 @@ func TestDecomposeGolden(t *testing.T) {
 	g := graph.Torus2D(14, 15)
 	for _, dir := range allDirections {
 		for _, w := range []int{1, 2, 8} {
-			bd, err := DecomposePool(nil, g, 0.5, 5, 0, w, dir)
+			bd, err := DecomposePoolCtx(nil, nil, g, 0.5, 5, 0, w, dir)
 			if err != nil {
 				t.Fatal(err)
 			}

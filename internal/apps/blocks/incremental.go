@@ -11,10 +11,10 @@ import (
 
 // Incremental is a block decomposition maintained under batched edge
 // updates: a persistent residual-mode hier.Hierarchy plus one retained
-// Block per level (nil where the level contributed no intra edges). An
-// Update recomputes blocks only for levels the hierarchy re-derived or
+// Block per level (nil where the level contributed no intra edges).
+// UpdateCtx recomputes blocks only for levels the hierarchy re-derived or
 // refreshed; spliced levels keep their Block verbatim. The maintained
-// Decomposition is bit-identical to DecomposePool on the updated graph
+// Decomposition is bit-identical to DecomposePoolCtx on the updated graph
 // with the same parameters (including the same explicit maxIters — pass it
 // explicitly when comparing, since the 0 default is resolved against the
 // graph handed to the initial build). Not safe for concurrent use.
@@ -29,21 +29,9 @@ type Incremental struct {
 	perLevel []*Block
 }
 
-// BuildIncremental constructs an updatable block decomposition on the
-// shared default pool; see BuildIncrementalPool.
-func BuildIncremental(g *graph.Graph, beta float64, seed uint64, maxIters int) (*Incremental, error) {
-	return BuildIncrementalPool(nil, g, beta, seed, maxIters, 0, core.DirectionAuto)
-}
-
-// BuildIncrementalPool is DecomposePool retaining the hierarchy for
-// incremental maintenance.
-func BuildIncrementalPool(pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, maxIters, workers int, dir core.Direction) (*Incremental, error) {
-	return BuildIncrementalPoolCtx(nil, pool, g, beta, seed, maxIters, workers, dir)
-}
-
-// BuildIncrementalPoolCtx is BuildIncrementalPool with a cancellation
-// context (nil means never cancelled) covering the initial build; per-call
-// update deadlines go through UpdateCtx.
+// BuildIncrementalPoolCtx is DecomposePoolCtx retaining the hierarchy for
+// incremental maintenance. ctx (nil means never cancelled) covers the
+// initial build; per-call update deadlines go through UpdateCtx.
 func BuildIncrementalPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, maxIters, workers int, dir core.Direction) (*Incremental, error) {
 	if beta <= 0 || beta >= 1 {
 		return nil, core.ErrBeta
@@ -83,20 +71,15 @@ func BuildIncrementalPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.
 }
 
 // Decomposition returns the maintained block decomposition. The pointer
-// stays valid across updates; Update mutates it in place.
+// stays valid across updates; UpdateCtx mutates it in place.
 func (inc *Incremental) Decomposition() *Decomposition { return inc.dec }
 
-// Update applies b to the underlying graph, re-deriving exactly the
+// UpdateCtx applies b to the underlying graph, re-deriving exactly the
 // residual levels whose inputs changed and recomputing only their blocks.
-// An error leaves the structure inconsistent; discard it.
-func (inc *Incremental) Update(b graph.Batch) (hier.UpdateStats, error) {
-	return inc.UpdateCtx(nil, b)
-}
-
-// UpdateCtx is Update with a per-call cancellation context (nil means
-// never cancelled). A cancellation or contained panic before the
-// hierarchy commits leaves the structure untouched and the batch safely
-// retryable; an error after commit leaves it inconsistent — discard it.
+// ctx (nil means never cancelled) covers this call only. A cancellation or
+// contained panic before the hierarchy commits leaves the structure
+// untouched and the batch safely retryable; an error after commit leaves
+// it inconsistent — discard it.
 func (inc *Incremental) UpdateCtx(ctx context.Context, b graph.Batch) (hier.UpdateStats, error) {
 	us, err := inc.h.UpdateCtx(ctx, b, inc.capture)
 	if err == hier.ErrMaxLevels {

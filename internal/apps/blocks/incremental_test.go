@@ -39,18 +39,18 @@ func decompsEqual(t *testing.T, tag string, got, want *Decomposition) {
 }
 
 // TestIncrementalMatchesRebuild drives random batches through
-// Incremental.Update and requires the maintained block decomposition to be
-// bit-identical to DecomposePool on the updated graph (same explicit
+// Incremental.UpdateCtx and requires the maintained block decomposition to be
+// bit-identical to DecomposePoolCtx on the updated graph (same explicit
 // iteration cap) at every step — including the edge-partition invariant.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	base := graph.Grid2D(16, 14)
 	const beta, seed, maxIters = 0.5, 7, 80
 	for _, w := range []int{1, 4} {
-		inc, err := BuildIncrementalPool(nil, base, beta, seed, maxIters, w, core.DirectionAuto)
+		inc, err := BuildIncrementalPoolCtx(nil, nil, base, beta, seed, maxIters, w, core.DirectionAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh0, err := DecomposePool(nil, base, beta, seed, maxIters, w, core.DirectionAuto)
+		fresh0, err := DecomposePoolCtx(nil, nil, base, beta, seed, maxIters, w, core.DirectionAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				b.Delete = append(b.Delete, edges[xrand.Mix(step, 0x1b+uint64(i))%uint64(len(edges))])
 			}
-			us, err := inc.Update(b)
+			us, err := inc.UpdateCtx(nil, b)
 			if err != nil {
 				t.Fatalf("w=%d step %d: %v", w, step, err)
 			}
@@ -78,7 +78,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := DecomposePool(nil, cur, beta, seed, maxIters, w, core.DirectionAuto)
+			fresh, err := DecomposePoolCtx(nil, nil, cur, beta, seed, maxIters, w, core.DirectionAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,12 +96,12 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 // TestIncrementalNoOp checks the splice fast path at the app layer.
 func TestIncrementalNoOp(t *testing.T) {
 	base := graph.Grid2D(12, 12)
-	inc, err := BuildIncremental(base, 0.5, 3, 80)
+	inc, err := BuildIncrementalPoolCtx(nil, nil, base, 0.5, 3, 80, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := len(inc.Decomposition().Blocks)
-	us, err := inc.Update(graph.Batch{Insert: []graph.Edge{{U: 0, V: 1}}})
+	us, err := inc.UpdateCtx(nil, graph.Batch{Insert: []graph.Edge{{U: 0, V: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,29 +42,17 @@ type WeightedDecomposition struct {
 	Stats []hier.LevelStat
 }
 
-// DecomposeWeighted computes a weighted block decomposition on the shared
-// default pool; see DecomposeWeightedPool.
-func DecomposeWeighted(wg *graph.WeightedGraph, beta float64, seed uint64, maxIters int) (*WeightedDecomposition, error) {
-	return DecomposeWeightedPool(nil, wg, beta, seed, maxIters, 0, core.DirectionAuto)
-}
-
-// DecomposeWeightedPool is the weighted block decomposition on an explicit
-// persistent worker pool (nil means parallel.Default()) with an explicit
-// logical worker count and traversal direction. β is in units of inverse
+// DecomposeWeightedPoolCtx is the weighted block decomposition on pool
+// (nil means parallel.Default()) with workers logical workers (<= 0 means
+// GOMAXPROCS) and traversal direction dir. β is in units of inverse
 // weighted distance: pass beta/wtypical to cluster at scale wtypical.
 // maxIters caps the iteration count defensively; 0 means 4·log2(m)+8,
 // and each iteration's β shrinks geometrically once the default cap is
 // half exhausted, so heavy residual edges are always eventually absorbed.
 // For a fixed (wg, beta, seed) the blocks are bit-identical at every
-// worker count and direction.
-func DecomposeWeightedPool(pool *parallel.Pool, wg *graph.WeightedGraph, beta float64, seed uint64, maxIters, workers int, dir core.Direction) (*WeightedDecomposition, error) {
-	return DecomposeWeightedPoolCtx(nil, pool, wg, beta, seed, maxIters, workers, dir)
-}
-
-// DecomposeWeightedPoolCtx is DecomposeWeightedPool with a cancellation
-// context (nil means never cancelled), polled at level and Δ-stepping
-// round boundaries; a cancelled run returns (nil, ctx.Err()) with no
-// partial decomposition.
+// worker count and direction. ctx (nil means never cancelled) is polled at
+// level and Δ-stepping round boundaries; a cancelled run returns
+// (nil, ctx.Err()) with no partial decomposition.
 func DecomposeWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.WeightedGraph, beta float64, seed uint64, maxIters, workers int, dir core.Direction) (*WeightedDecomposition, error) {
 	if beta <= 0 || beta >= 1 {
 		return nil, core.ErrBeta
@@ -92,7 +80,7 @@ func DecomposeWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *grap
 		return b
 	}
 	centerSeen := parallel.NewBitset(wg.NumVertices())
-	res, err := hier.RunWeighted(hier.Config{
+	h, err := hier.BuildWeightedHierarchy(hier.Config{
 		Ctx:       ctx,
 		WBetaAt:   betaAt,
 		Seed:      seed,
@@ -120,7 +108,7 @@ func DecomposeWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *grap
 	if err != nil {
 		return nil, err
 	}
-	bd.Stats = res.Stats
+	bd.Stats = h.Result().Stats
 	return bd, nil
 }
 

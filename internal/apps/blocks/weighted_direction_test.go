@@ -51,14 +51,14 @@ func TestDecomposeWeightedPoolDirectionsBitIdentical(t *testing.T) {
 	dirs := []core.Direction{core.DirectionForcePush, core.DirectionForcePull, core.DirectionAuto}
 	for name, wg := range weightedDirectionGraphs() {
 		for _, seed := range []uint64{1, 42} {
-			base, err := DecomposeWeightedPool(nil, wg, 0.5, seed, 0, 1, core.DirectionForcePush)
+			base, err := DecomposeWeightedPoolCtx(nil, nil, wg, 0.5, seed, 0, 1, core.DirectionForcePush)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := wfingerprint(base)
 			for _, dir := range dirs {
 				for _, w := range []int{1, 2, 8} {
-					bd, err := DecomposeWeightedPool(nil, wg, 0.5, seed, 0, w, dir)
+					bd, err := DecomposeWeightedPoolCtx(nil, nil, wg, 0.5, seed, 0, w, dir)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -79,7 +79,7 @@ func TestDecomposeWeightedGolden(t *testing.T) {
 	const golden = uint64(0x0889c292b8140c9e)
 	wg := graph.RandomWeights(graph.Grid2D(13, 17), 1, 3, 3)
 	for _, w := range []int{1, 2, 8} {
-		bd, err := DecomposeWeightedPool(nil, wg, 0.5, 5, 0, w, core.DirectionAuto)
+		bd, err := DecomposeWeightedPoolCtx(nil, nil, wg, 0.5, 5, 0, w, core.DirectionAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestDecomposeWeightedGolden(t *testing.T) {
 // every original edge lands in exactly one block.
 func TestDecomposeWeightedCoversEdges(t *testing.T) {
 	wg := graph.RandomWeights(graph.GNM(400, 1500, 3), 1, 8, 9)
-	bd, err := DecomposeWeightedPool(nil, wg, 0.5, 2, 0, 4, core.DirectionAuto)
+	bd, err := DecomposeWeightedPoolCtx(nil, nil, wg, 0.5, 2, 0, 4, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

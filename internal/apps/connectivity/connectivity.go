@@ -36,27 +36,15 @@ type Result struct {
 	Stats []hier.LevelStat
 }
 
-// Components computes connected components via LDD contraction with the
-// given β per round (beta in (0,1); 0.4 is the conventional constant),
-// running on the shared parallel.Default() pool.
-func Components(g *graph.Graph, beta float64, seed uint64, workers int) (*Result, error) {
-	return ComponentsPool(nil, g, beta, seed, workers, core.DirectionAuto)
-}
-
-// ComponentsPool is Components on an explicit persistent worker pool (nil
-// means parallel.Default()) with an explicit traversal direction: the
-// decompose-and-contract rounds run on the internal/hier engine, so every
-// Partition, the parallel graph.ContractClustersPool contraction, and the
-// original→quotient vertex relabeling all execute on the same pool
-// instance with reused scratch.
-func ComponentsPool(pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, workers int, dir core.Direction) (*Result, error) {
-	return ComponentsPoolCtx(nil, pool, g, beta, seed, workers, dir)
-}
-
-// ComponentsPoolCtx is ComponentsPool with a cancellation context (nil
-// means never cancelled), polled at contraction-round and partition-round
-// boundaries; a cancelled run returns (nil, ctx.Err()) with no partial
-// labeling.
+// ComponentsPoolCtx computes connected components via LDD contraction
+// with the given β per round (beta in (0,1); 0.4 is the conventional
+// constant). The decompose-and-contract rounds run on the internal/hier
+// engine, so every Partition, the parallel graph.ContractClustersPool
+// contraction, and the original→quotient vertex relabeling execute on pool
+// (nil means parallel.Default()) with reused scratch. workers <= 0 means
+// GOMAXPROCS. ctx (nil means never cancelled) is polled at
+// contraction-round and partition-round boundaries; a cancelled run
+// returns (nil, ctx.Err()) with no partial labeling.
 func ComponentsPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, workers int, dir core.Direction) (*Result, error) {
 	if beta <= 0 || beta >= 1 {
 		return nil, core.ErrBeta
@@ -66,7 +54,7 @@ func ComponentsPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph,
 	if n == 0 {
 		return res, nil
 	}
-	hres, err := hier.Run(hier.Config{
+	h, err := hier.BuildHierarchy(hier.Config{
 		Ctx:            ctx,
 		Beta:           beta,
 		Seed:           seed,
@@ -81,6 +69,7 @@ func ComponentsPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph,
 	if err != nil {
 		return nil, err
 	}
+	hres := h.Result()
 	res.Rounds = hres.Levels
 	res.Stats = hres.Stats
 	for _, st := range hres.Stats {

@@ -37,7 +37,7 @@ func TestComponentsConnected(t *testing.T) {
 		graph.Complete(30),
 		graph.Hypercube(8),
 	} {
-		r, err := Components(g, 0.4, 1, 2)
+		r, err := ComponentsPoolCtx(nil, nil, g, 0.4, 1, 2, core.DirectionAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestComponentsDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Components(g, 0.4, 2, 1)
+	r, err := ComponentsPoolCtx(nil, nil, g, 0.4, 2, 1, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestComponentsDisconnected(t *testing.T) {
 
 func TestComponentsEdgeDecay(t *testing.T) {
 	g := graph.Torus2D(40, 40)
-	r, err := Components(g, 0.4, 3, 2)
+	r, err := ComponentsPoolCtx(nil, nil, g, 0.4, 3, 2, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestComponentsQuickAgainstBFS(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r, err := Components(g, 0.4, seed, 2)
+		r, err := ComponentsPoolCtx(nil, nil, g, 0.4, seed, 2, core.DirectionAuto)
 		if err != nil {
 			return false
 		}
@@ -124,19 +124,19 @@ func TestComponentsQuickAgainstBFS(t *testing.T) {
 }
 
 func TestComponentsRejectsBadBeta(t *testing.T) {
-	if _, err := Components(graph.Path(4), 0, 0, 1); err == nil {
+	if _, err := ComponentsPoolCtx(nil, nil, graph.Path(4), 0, 0, 1, core.DirectionAuto); err == nil {
 		t.Error("expected error")
 	}
 }
 
 func TestComponentsEmptyAndEdgeless(t *testing.T) {
 	empty, _ := graph.FromEdges(0, nil)
-	r, err := Components(empty, 0.4, 0, 1)
+	r, err := ComponentsPoolCtx(nil, nil, empty, 0.4, 0, 1, core.DirectionAuto)
 	if err != nil || r.Components != 0 {
 		t.Errorf("empty: %+v err=%v", r, err)
 	}
 	iso, _ := graph.FromEdges(5, nil)
-	r, err = Components(iso, 0.4, 0, 1)
+	r, err = ComponentsPoolCtx(nil, nil, iso, 0.4, 0, 1, core.DirectionAuto)
 	if err != nil || r.Components != 5 || r.Rounds != 0 {
 		t.Errorf("edgeless: %+v err=%v", r, err)
 	}
@@ -151,7 +151,7 @@ func TestComponentsPoolDirectionsBitIdentical(t *testing.T) {
 		"gnm":  graph.GNM(600, 1500, 5),
 	}
 	for name, g := range gs {
-		base, err := ComponentsPool(nil, g, 0.4, 1, 1, core.DirectionForcePush)
+		base, err := ComponentsPoolCtx(nil, nil, g, 0.4, 1, 1, core.DirectionForcePush)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestComponentsPoolDirectionsBitIdentical(t *testing.T) {
 		dirs := []core.Direction{core.DirectionForcePush, core.DirectionForcePull, core.DirectionAuto}
 		for _, dir := range dirs {
 			for _, w := range []int{1, 2, 8} {
-				r, err := ComponentsPool(nil, g, 0.4, 1, w, dir)
+				r, err := ComponentsPoolCtx(nil, nil, g, 0.4, 1, w, dir)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -48,14 +48,14 @@ func TestBuildPoolDirectionsBitIdentical(t *testing.T) {
 	}
 	for name, g := range gs {
 		for _, seed := range []uint64{1, 42} {
-			base, err := BuildPool(nil, g, 0, seed, 1, core.DirectionForcePush)
+			base, err := BuildPoolCtx(nil, nil, g, 0, seed, 1, core.DirectionForcePush)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := fingerprint(base)
 			for _, dir := range allDirections {
 				for _, w := range []int{1, 2, 8} {
-					tr, err := BuildPool(nil, g, 0, seed, w, dir)
+					tr, err := BuildPoolCtx(nil, nil, g, 0, seed, w, dir)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -76,7 +76,7 @@ func TestBuildGolden(t *testing.T) {
 	g := graph.Grid2D(12, 14)
 	for _, dir := range allDirections {
 		for _, w := range []int{1, 2, 8} {
-			tr, err := BuildPool(nil, g, 0, 5, w, dir)
+			tr, err := BuildPoolCtx(nil, nil, g, 0, 5, w, dir)
 			if err != nil {
 				t.Fatal(err)
 			}

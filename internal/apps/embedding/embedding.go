@@ -40,27 +40,16 @@ type Tree struct {
 	length []float64
 }
 
-// Build constructs the hierarchy with initial diameter target diam0 (pass
-// 0 to use the graph's pseudo-diameter) halving per level, on the shared
-// default pool.
-func Build(g *graph.Graph, diam0 float64, seed uint64) (*Tree, error) {
-	return BuildPool(nil, g, diam0, seed, 0, core.DirectionAuto)
-}
-
-// BuildPool is Build on an explicit persistent worker pool (nil means
-// parallel.Default()) with an explicit logical worker count and traversal
-// direction: every level's Partition runs on the pool, and the per-level
-// piece refinement is the hier.RefineAssignment sort-based kernel instead
-// of a composite-key map. For a fixed (g, diam0, seed) the embedding is
-// bit-identical at every worker count and direction.
-func BuildPool(pool *parallel.Pool, g *graph.Graph, diam0 float64, seed uint64, workers int, dir core.Direction) (*Tree, error) {
-	t, _, err := buildTree(nil, pool, g, diam0, seed, workers, dir, false)
-	return t, err
-}
-
-// BuildPoolCtx is BuildPool with a cancellation context (nil means never
-// cancelled), polled at every level and partition-round boundary; a
-// cancelled build returns (nil, ctx.Err()) with no partial tree.
+// BuildPoolCtx constructs the hierarchy with initial diameter target diam0
+// (pass 0 to use the graph's pseudo-diameter) halving per level, on pool
+// (nil means parallel.Default()) with workers logical workers (<= 0 means
+// GOMAXPROCS) and traversal direction dir: every level's Partition runs on
+// the pool, and the per-level piece refinement is the
+// hier.RefineAssignment sort-based kernel instead of a composite-key map.
+// For a fixed (g, diam0, seed) the embedding is bit-identical at every
+// worker count and direction. ctx (nil means never cancelled) is polled at
+// every level and partition-round boundary; a cancelled build returns
+// (nil, ctx.Err()) with no partial tree.
 func BuildPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, diam0 float64, seed uint64, workers int, dir core.Direction) (*Tree, error) {
 	t, _, err := buildTree(ctx, pool, g, diam0, seed, workers, dir, false)
 	return t, err
@@ -82,7 +71,7 @@ type levelPartition struct {
 	beta float64
 }
 
-// resolveDiam0 applies Build's diameter default: the graph's
+// resolveDiam0 applies BuildPoolCtx's diameter default: the graph's
 // pseudo-diameter (the largest over its components, so the coarsest level
 // spans every component), floored at 1.
 func resolveDiam0(g *graph.Graph, diam0 float64) float64 {
@@ -95,8 +84,8 @@ func resolveDiam0(g *graph.Graph, diam0 float64) float64 {
 	return diam0
 }
 
-// buildTree is the shared level loop behind BuildPool and
-// BuildIncrementalPool; retain additionally returns the per-level
+// buildTree is the shared level loop behind BuildPoolCtx and
+// BuildIncrementalPoolCtx; retain additionally returns the per-level
 // decompositions for incremental maintenance.
 func buildTree(ctx context.Context, pool *parallel.Pool, g *graph.Graph, diam0 float64, seed uint64, workers int, dir core.Direction, retain bool) (*Tree, []levelPartition, error) {
 	n := g.NumVertices()

@@ -3,12 +3,13 @@ package embedding
 import (
 	"testing"
 
+	"mpx/internal/core"
 	"mpx/internal/graph"
 )
 
 func TestBuildBasicShape(t *testing.T) {
 	g := graph.Grid2D(15, 15)
-	tr, err := Build(g, 0, 1)
+	tr, err := BuildPoolCtx(nil, nil, g, 0, 1, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +20,7 @@ func TestBuildBasicShape(t *testing.T) {
 
 func TestDistProperties(t *testing.T) {
 	g := graph.Grid2D(12, 12)
-	tr, err := Build(g, 0, 2)
+	tr, err := BuildPoolCtx(nil, nil, g, 0, 2, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestTreeMetricUltrametricInequality(t *testing.T) {
 	// Dist(u,w) <= max(Dist(u,v), Dist(v,w)) for all triples, because
 	// separation levels satisfy sep(u,w) >= min(sep(u,v), sep(v,w)).
 	g := graph.GNM(60, 180, 3)
-	tr, err := Build(g, 0, 3)
+	tr, err := BuildPoolCtx(nil, nil, g, 0, 3, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestTreeMetricUltrametricInequality(t *testing.T) {
 
 func TestMeasureDistortionDominates(t *testing.T) {
 	g := graph.Grid2D(20, 20)
-	tr, err := Build(g, 0, 4)
+	tr, err := BuildPoolCtx(nil, nil, g, 0, 4, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +91,11 @@ func TestMeasureDistortionDominates(t *testing.T) {
 
 func TestEmptyAndTrivialGraphs(t *testing.T) {
 	empty, _ := graph.FromEdges(0, nil)
-	if _, err := Build(empty, 0, 0); err != nil {
+	if _, err := BuildPoolCtx(nil, nil, empty, 0, 0, 0, core.DirectionAuto); err != nil {
 		t.Fatal(err)
 	}
 	single, _ := graph.FromEdges(1, nil)
-	tr, err := Build(single, 0, 0)
+	tr, err := BuildPoolCtx(nil, nil, single, 0, 0, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +106,11 @@ func TestEmptyAndTrivialGraphs(t *testing.T) {
 
 func TestBuildDeterministic(t *testing.T) {
 	g := graph.Torus2D(10, 10)
-	a, err := Build(g, 0, 9)
+	a, err := BuildPoolCtx(nil, nil, g, 0, 9, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(g, 0, 9)
+	b, err := BuildPoolCtx(nil, nil, g, 0, 9, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +144,11 @@ func TestDefaultDiameterCoversEveryComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Build(g, 0, 1)
+	tr, err := BuildPoolCtx(nil, nil, g, 0, 1, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wtr, err := BuildWeighted(wg, 0, 1)
+	wtr, err := BuildWeightedPoolCtx(nil, nil, wg, 0, 1, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

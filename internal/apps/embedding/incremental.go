@@ -16,11 +16,11 @@ import (
 // damage model is per-level independent: a level re-partitions only when
 // core's O(batch) fixpoint check rejects the batch, and re-refines its
 // piece assignment only when its own partition or the parent level's
-// assignment moved. The maintained Tree is bit-identical to BuildPool on
+// assignment moved. The maintained Tree is bit-identical to BuildPoolCtx on
 // the updated graph with the same parameters — with diam0 pinned at build
 // time: the initial diameter target is resolved once (the 0 default reads
 // the pseudo-diameter of the ORIGINAL graph) and kept across updates, so
-// compare against BuildPool with that explicit diam0. Not safe for
+// compare against BuildPoolCtx with that explicit diam0. Not safe for
 // concurrent use.
 type Incremental struct {
 	t       *Tree
@@ -32,7 +32,7 @@ type Incremental struct {
 	scratch *hier.RefineScratch
 }
 
-// UpdateStats reports how much of the embedding an Update reused.
+// UpdateStats reports how much of the embedding an UpdateCtx reused.
 type UpdateStats struct {
 	// Levels is the number of partition levels (the leaf level excluded).
 	Levels int
@@ -45,21 +45,10 @@ type UpdateStats struct {
 	Reused int
 }
 
-// BuildIncremental constructs an updatable embedding on the shared default
-// pool; see BuildIncrementalPool.
-func BuildIncremental(g *graph.Graph, diam0 float64, seed uint64) (*Incremental, error) {
-	return BuildIncrementalPool(nil, g, diam0, seed, 0, core.DirectionAuto)
-}
-
-// BuildIncrementalPool is BuildPool retaining the per-level decompositions
-// for incremental maintenance.
-func BuildIncrementalPool(pool *parallel.Pool, g *graph.Graph, diam0 float64, seed uint64, workers int, dir core.Direction) (*Incremental, error) {
-	return BuildIncrementalPoolCtx(nil, pool, g, diam0, seed, workers, dir)
-}
-
-// BuildIncrementalPoolCtx is BuildIncrementalPool with a cancellation
-// context (nil means never cancelled) covering the initial build; per-call
-// update deadlines go through UpdateCtx.
+// BuildIncrementalPoolCtx is BuildPoolCtx retaining the per-level
+// decompositions for incremental maintenance. ctx (nil means never
+// cancelled) covers the initial build; per-call update deadlines go
+// through UpdateCtx.
 func BuildIncrementalPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, diam0 float64, seed uint64, workers int, dir core.Direction) (*Incremental, error) {
 	diam0 = resolveDiam0(g, diam0)
 	t, parts, err := buildTree(ctx, pool, g, diam0, seed, workers, dir, true)
@@ -78,25 +67,19 @@ func BuildIncrementalPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.
 }
 
 // Tree returns the maintained embedding. The pointer stays valid across
-// updates; Update mutates it in place.
+// updates; UpdateCtx mutates it in place.
 func (inc *Incremental) Tree() *Tree { return inc.t }
 
-// Update applies b to the base graph and refreshes the embedding level by
-// level: each level re-partitions only if the batch broke its fixpoint,
-// re-refines only if its inputs moved (refinement stops propagating as
-// soon as a recomputed assignment comes out unchanged), and always
-// refreshes its M-dependent stats. An error leaves the structure
-// inconsistent; discard it.
-func (inc *Incremental) Update(b graph.Batch) (UpdateStats, error) {
-	return inc.UpdateCtx(nil, b)
-}
-
-// UpdateCtx is Update with a per-call cancellation context (nil means
-// never cancelled), polled at every level boundary and inside each
-// re-partition. Unlike the contraction hierarchies, the embedding refreshes
-// its levels in place, so a cancellation that strikes after the first level
-// committed leaves the structure inconsistent exactly like any other
-// Update error — discard it.
+// UpdateCtx applies b to the base graph and refreshes the embedding level
+// by level: each level re-partitions only if the batch broke its
+// fixpoint, re-refines only if its inputs moved (refinement stops
+// propagating as soon as a recomputed assignment comes out unchanged), and
+// always refreshes its M-dependent stats. ctx (nil means never cancelled)
+// is polled at every level boundary and inside each re-partition. An
+// error leaves the structure inconsistent; discard it. Unlike the
+// contraction hierarchies, the embedding refreshes its levels in place, so
+// this includes a cancellation that strikes after the first level
+// committed.
 func (inc *Incremental) UpdateCtx(ctx context.Context, b graph.Batch) (UpdateStats, error) {
 	t := inc.t
 	newG, ar, err := graph.ApplyBatch(t.G, b)

@@ -38,18 +38,18 @@ func embeddingsEqual(t *testing.T, tag string, got, want *Tree) {
 }
 
 // TestIncrementalMatchesRebuild drives random batches through
-// Incremental.Update and requires the maintained embedding to be
-// bit-identical to BuildPool on the updated graph with the same pinned
+// Incremental.UpdateCtx and requires the maintained embedding to be
+// bit-identical to BuildPoolCtx on the updated graph with the same pinned
 // diam0.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	base := graph.Grid2D(15, 13)
 	const diam0, seed = 28.0, 11
 	for _, w := range []int{1, 4} {
-		inc, err := BuildIncrementalPool(nil, base, diam0, seed, w, core.DirectionAuto)
+		inc, err := BuildIncrementalPoolCtx(nil, nil, base, diam0, seed, w, core.DirectionAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh0, err := BuildPool(nil, base, diam0, seed, w, core.DirectionAuto)
+		fresh0, err := BuildPoolCtx(nil, nil, base, diam0, seed, w, core.DirectionAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				b.Delete = append(b.Delete, edges[xrand.Mix(step, 0xe4b+uint64(i))%uint64(len(edges))])
 			}
-			us, err := inc.Update(b)
+			us, err := inc.UpdateCtx(nil, b)
 			if err != nil {
 				t.Fatalf("w=%d step %d: %v", w, step, err)
 			}
@@ -80,7 +80,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := BuildPool(nil, cur, diam0, seed, w, core.DirectionAuto)
+			fresh, err := BuildPoolCtx(nil, nil, cur, diam0, seed, w, core.DirectionAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,11 +102,11 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 // merely refresh stats).
 func TestIncrementalNoOp(t *testing.T) {
 	base := graph.Grid2D(20, 19)
-	inc, err := BuildIncrementalPool(nil, base, 24, 2, 2, core.DirectionAuto)
+	inc, err := BuildIncrementalPoolCtx(nil, nil, base, 24, 2, 2, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, err := inc.Update(graph.Batch{Insert: []graph.Edge{{U: 0, V: 1}}})
+	us, err := inc.UpdateCtx(nil, graph.Batch{Insert: []graph.Edge{{U: 0, V: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestIncrementalNoOp(t *testing.T) {
 	if target == nil {
 		t.Skip("no universally safe edge on this instance")
 	}
-	us, err = inc.Update(graph.Batch{Delete: []graph.Edge{*target}})
+	us, err = inc.UpdateCtx(nil, graph.Batch{Delete: []graph.Edge{*target}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,27 +38,16 @@ type WeightedTree struct {
 	length []float64
 }
 
-// BuildWeighted constructs the weighted hierarchy on the shared default
-// pool; see BuildWeightedPool.
-func BuildWeighted(wg *graph.WeightedGraph, diam0 float64, seed uint64) (*WeightedTree, error) {
-	return BuildWeightedPool(nil, wg, diam0, seed, 0, core.DirectionAuto)
-}
-
-// BuildWeightedPool constructs the weighted hierarchy with initial
+// BuildWeightedPoolCtx constructs the weighted hierarchy with initial
 // weighted diameter target diam0 (pass 0 to use the hop pseudo-diameter
 // times the maximum edge weight, a cheap upper bound) halving per level
-// until it drops under the lightest edge weight, on an explicit persistent
-// worker pool (nil means parallel.Default()). For a fixed (wg, diam0,
-// seed) the embedding is bit-identical at every worker count and
-// direction.
-func BuildWeightedPool(pool *parallel.Pool, wg *graph.WeightedGraph, diam0 float64, seed uint64, workers int, dir core.Direction) (*WeightedTree, error) {
-	return BuildWeightedPoolCtx(nil, pool, wg, diam0, seed, workers, dir)
-}
-
-// BuildWeightedPoolCtx is BuildWeightedPool with a cancellation context
-// (nil means never cancelled), polled at every level and Δ-stepping round
-// boundary; a cancelled build returns (nil, ctx.Err()) with no partial
-// tree.
+// until it drops under the lightest edge weight, on pool (nil means
+// parallel.Default()) with workers logical workers (<= 0 means
+// GOMAXPROCS) and traversal direction dir. For a fixed (wg, diam0, seed)
+// the embedding is bit-identical at every worker count and direction. ctx
+// (nil means never cancelled) is polled at every level and Δ-stepping
+// round boundary; a cancelled build returns (nil, ctx.Err()) with no
+// partial tree.
 func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.WeightedGraph, diam0 float64, seed uint64, workers int, dir core.Direction) (*WeightedTree, error) {
 	n := wg.NumVertices()
 	t := &WeightedTree{G: wg}

@@ -47,14 +47,14 @@ func TestBuildWeightedPoolDirectionsBitIdentical(t *testing.T) {
 	dirs := []core.Direction{core.DirectionForcePush, core.DirectionForcePull, core.DirectionAuto}
 	for name, wg := range weightedDirectionGraphs() {
 		for _, seed := range []uint64{1, 42} {
-			base, err := BuildWeightedPool(nil, wg, 0, seed, 1, core.DirectionForcePush)
+			base, err := BuildWeightedPoolCtx(nil, nil, wg, 0, seed, 1, core.DirectionForcePush)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := wfingerprint(base)
 			for _, dir := range dirs {
 				for _, w := range []int{1, 2, 8} {
-					tr, err := BuildWeightedPool(nil, wg, 0, seed, w, dir)
+					tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0, seed, w, dir)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -75,7 +75,7 @@ func TestBuildWeightedGolden(t *testing.T) {
 	const golden = uint64(0xa12329a3fbbfe948)
 	wg := graph.RandomWeights(graph.Grid2D(12, 13), 1, 3, 3)
 	for _, w := range []int{1, 2, 8} {
-		tr, err := BuildWeightedPool(nil, wg, 0, 5, w, core.DirectionAuto)
+		tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0, 5, w, core.DirectionAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestBuildWeightedGolden(t *testing.T) {
 // weighted distances, and refinement is monotone (pieces only split).
 func TestBuildWeightedDominates(t *testing.T) {
 	wg := graph.RandomWeights(graph.Grid2D(14, 14), 1, 5, 9)
-	tr, err := BuildWeightedPool(nil, wg, 0, 4, 4, core.DirectionAuto)
+	tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0, 4, 4, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,14 +43,14 @@ var allDirections = []core.Direction{
 func TestBuildPoolDirectionsBitIdentical(t *testing.T) {
 	for name, g := range directionGraphs() {
 		for _, seed := range []uint64{1, 42} {
-			base, err := BuildPool(nil, g, 0.25, seed, 1, core.DirectionForcePush)
+			base, err := BuildPoolCtx(nil, nil, g, 0.25, seed, 1, core.DirectionForcePush)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := fingerprint(base)
 			for _, dir := range allDirections {
 				for _, w := range []int{1, 2, 8} {
-					tr, err := BuildPool(nil, g, 0.25, seed, w, dir)
+					tr, err := BuildPoolCtx(nil, nil, g, 0.25, seed, w, dir)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -73,7 +73,7 @@ func TestBuildGolden(t *testing.T) {
 	g := graph.Grid2D(13, 17)
 	for _, dir := range allDirections {
 		for _, w := range []int{1, 2, 8} {
-			tr, err := BuildPool(nil, g, 0.3, 5, w, dir)
+			tr, err := BuildPoolCtx(nil, nil, g, 0.3, 5, w, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,19 +84,20 @@ func TestBuildGolden(t *testing.T) {
 	}
 }
 
-// TestBuildMatchesBuildPool checks the compatibility wrapper stays the
-// default-pool instantiation of the pooled path.
+// TestBuildMatchesBuildPool checks the default worker count (0 means
+// GOMAXPROCS) builds the same forest as an explicit count on the default
+// pool.
 func TestBuildMatchesBuildPool(t *testing.T) {
 	g := graph.GNM(300, 900, 3)
-	a, err := Build(g, 0.2, 9)
+	a, err := BuildPoolCtx(nil, nil, g, 0.2, 9, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildPool(nil, g, 0.2, 9, 4, core.DirectionAuto)
+	b, err := BuildPoolCtx(nil, nil, g, 0.2, 9, 4, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fingerprint(a) != fingerprint(b) {
-		t.Fatal("Build and BuildPool diverge")
+		t.Fatal("workers=0 and workers=4 builds diverge")
 	}
 }

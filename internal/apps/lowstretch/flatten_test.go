@@ -108,7 +108,7 @@ func TestFlattenedSparseTableBitIdentical(t *testing.T) {
 		{"single", graph.Path(1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, err := BuildPool(nil, tc.g, 0.2, 5, 4, core.DirectionAuto)
+			tr, err := BuildPoolCtx(nil, nil, tc.g, 0.2, 5, 4, core.DirectionAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestFlattenedSparseTableBitIdentical(t *testing.T) {
 func TestFlattenedSparseTableWeightedBitIdentical(t *testing.T) {
 	g := graph.GNM(2000, 6000, 9)
 	wg := graph.RandomWeights(g, 1, 16, 4)
-	tr, err := BuildWeightedPool(nil, wg, 0.3, 2, 4, core.DirectionAuto)
+	tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0.3, 2, 4, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSparseRebuildAtWorkerCounts(t *testing.T) {
 	g := graph.Grid2D(50, 31)
 	var ref []uint32
 	for _, w := range []int{1, 2, 8} {
-		tr, err := BuildPool(nil, g, 0.15, 3, w, core.DirectionAuto)
+		tr, err := BuildPoolCtx(nil, nil, g, 0.15, 3, w, core.DirectionAuto)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,45 +12,34 @@ import (
 
 // Incremental is a low-stretch spanning forest maintained under batched
 // edge updates. It owns a persistent hier.Hierarchy plus the per-level
-// tree-edge segments, so an Update only recomputes the segments of levels
+// tree-edge segments, so an UpdateCtx only recomputes the segments of levels
 // the hierarchy actually re-derived or refreshed — spliced levels keep
 // their edges verbatim — and skips the O(n log n) LCA index rebuild
 // entirely when the tree came out unchanged. The maintained Tree is
-// bit-identical to BuildPool on the updated graph with the same
+// bit-identical to BuildPoolCtx on the updated graph with the same
 // parameters. Not safe for concurrent use.
 type Incremental struct {
 	h    *hier.Hierarchy
 	tree *Tree
 	// segs[l] holds level l's tree edges in original coordinates, in the
-	// same order BuildPool's visit callback emits them.
+	// order the visit callback emits them.
 	segs [][]graph.Edge
 	// edgesChanged is set by the capture callback whenever a re-visited
 	// level's segment differs from the retained one.
 	edgesChanged bool
 }
 
-// BuildIncremental constructs an updatable low-stretch forest on the shared
-// default pool; see BuildIncrementalPool.
-func BuildIncremental(g *graph.Graph, beta float64, seed uint64) (*Incremental, error) {
-	return BuildIncrementalPool(nil, g, beta, seed, 0, core.DirectionAuto)
-}
-
-// BuildIncrementalPool is BuildPool retaining the hierarchy for incremental
-// maintenance: the initial Tree is bit-identical to BuildPool's, and every
-// subsequent Update leaves Tree bit-identical to BuildPool on the updated
-// graph.
-func BuildIncrementalPool(pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, workers int, dir core.Direction) (*Incremental, error) {
-	return BuildIncrementalPoolCtx(nil, pool, g, beta, seed, workers, dir)
-}
-
-// BuildIncrementalPoolCtx is BuildIncrementalPool with a cancellation
-// context (nil means never cancelled) covering the initial build; per-call
-// update deadlines go through UpdateCtx.
+// BuildIncrementalPoolCtx is BuildPoolCtx retaining the hierarchy for
+// incremental maintenance: the initial Tree is the one BuildPoolCtx
+// returns, and every subsequent UpdateCtx leaves Tree bit-identical to
+// BuildPoolCtx on the updated graph. ctx (nil means never cancelled)
+// covers the initial build; per-call update deadlines go through
+// UpdateCtx.
 func BuildIncrementalPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, workers int, dir core.Direction) (*Incremental, error) {
 	if beta <= 0 || beta >= 1 {
 		return nil, core.ErrBeta
 	}
-	inc := &Incremental{tree: &Tree{G: g, pool: pool, workers: workers}}
+	inc := &Incremental{tree: &Tree{G: g, lcaIndex: lcaIndex{pool: pool, workers: workers}}}
 	h, err := hier.BuildHierarchy(hier.Config{
 		Ctx:          ctx,
 		Beta:         beta,
@@ -74,31 +63,25 @@ func BuildIncrementalPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.
 }
 
 // Tree returns the maintained spanning forest. The pointer stays valid
-// across updates; Update mutates it in place.
+// across updates; UpdateCtx mutates it in place.
 func (inc *Incremental) Tree() *Tree { return inc.tree }
 
 // Hierarchy exposes the retained decompose-and-contract hierarchy the tree
 // is derived from, so query layers (oracle.MembershipOracle, cmd/mpx
 // -queries) can export cluster maps from the same build that produced the
-// tree. Mutating it directly (its own Update) desynchronizes the Tree; go
-// through Incremental.Update instead.
+// tree. Mutating it directly (its own UpdateCtx) desynchronizes the Tree;
+// go through Incremental.UpdateCtx instead.
 func (inc *Incremental) Hierarchy() *hier.Hierarchy { return inc.h }
 
-// Update applies b to the underlying graph and re-derives exactly the
+// UpdateCtx applies b to the underlying graph and re-derives exactly the
 // hierarchy levels whose inputs changed, splicing the retained tree-edge
 // segments of every reused level. The LCA index is rebuilt only when the
-// edge set actually moved. An error leaves the structure inconsistent;
-// discard it.
-func (inc *Incremental) Update(b graph.Batch) (hier.UpdateStats, error) {
-	return inc.UpdateCtx(nil, b)
-}
-
-// UpdateCtx is Update with a per-call cancellation context (nil means
-// never cancelled). A cancellation or contained panic that strikes before
-// the hierarchy commits leaves the whole structure untouched (retry the
-// batch freely — the underlying Hierarchy.UpdateCtx is all-or-nothing and
-// no visits have been delivered); an error after commit, like every other
-// Update error, leaves the structure inconsistent — discard it.
+// edge set actually moved. ctx (nil means never cancelled) covers this
+// call only. A cancellation or contained panic that strikes before the
+// hierarchy commits leaves the whole structure untouched (retry the batch
+// freely — the underlying Hierarchy.UpdateCtx is all-or-nothing and no
+// visits have been delivered); an error after commit leaves the structure
+// inconsistent — discard it.
 func (inc *Incremental) UpdateCtx(ctx context.Context, b graph.Batch) (hier.UpdateStats, error) {
 	inc.edgesChanged = false
 	us, err := inc.h.UpdateCtx(ctx, b, inc.capture)

@@ -42,17 +42,17 @@ func treesIdentical(t *testing.T, tag string, got, want *Tree) {
 }
 
 // TestIncrementalMatchesRebuild drives a chain of random batches through
-// Incremental.Update and requires the maintained Tree to be bit-identical
-// to BuildPool on the updated graph at every step.
+// Incremental.UpdateCtx and requires the maintained Tree to be
+// bit-identical to BuildPoolCtx on the updated graph at every step.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	base := graph.Grid2D(18, 15)
 	const beta, seed = 0.25, 9
 	for _, w := range []int{1, 4} {
-		inc, err := BuildIncrementalPool(nil, base, beta, seed, w, core.DirectionAuto)
+		inc, err := BuildIncrementalPoolCtx(nil, nil, base, beta, seed, w, core.DirectionAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh0, err := BuildPool(nil, base, beta, seed, w, core.DirectionAuto)
+		fresh0, err := BuildPoolCtx(nil, nil, base, beta, seed, w, core.DirectionAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,14 +72,14 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				b.Delete = append(b.Delete, edges[xrand.Mix(step, 0xb10c+uint64(i))%uint64(len(edges))])
 			}
-			if _, err := inc.Update(b); err != nil {
+			if _, err := inc.UpdateCtx(nil, b); err != nil {
 				t.Fatalf("w=%d step %d: %v", w, step, err)
 			}
 			cur, _, err = graph.ApplyBatch(cur, b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := BuildPool(nil, cur, beta, seed, w, core.DirectionAuto)
+			fresh, err := BuildPoolCtx(nil, nil, cur, beta, seed, w, core.DirectionAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,14 +93,14 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 // must not rebuild the LCA index, and a no-op batch must reuse every level.
 func TestIncrementalSkipsIndexRebuild(t *testing.T) {
 	base := graph.Grid2D(25, 24)
-	inc, err := BuildIncrementalPool(nil, base, 0.2, 4, 2, core.DirectionAuto)
+	inc, err := BuildIncrementalPoolCtx(nil, nil, base, 0.2, 4, 2, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := inc.Tree()
 	mark := &tr.order[0]
 
-	us, err := inc.Update(graph.Batch{Insert: []graph.Edge{{U: 0, V: 1}}})
+	us, err := inc.UpdateCtx(nil, graph.Batch{Insert: []graph.Edge{{U: 0, V: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestIncrementalSkipsIndexRebuild(t *testing.T) {
 	if target == nil {
 		t.Fatal("no intra non-tree edge found")
 	}
-	us, err = inc.Update(graph.Batch{Delete: []graph.Edge{*target}})
+	us, err = inc.UpdateCtx(nil, graph.Batch{Delete: []graph.Edge{*target}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestIncrementalSkipsIndexRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := BuildPool(nil, updated, 0.2, 4, 2, core.DirectionAuto)
+	fresh, err := BuildPoolCtx(nil, nil, updated, 0.2, 4, 2, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ package lowstretch
 import (
 	"context"
 	"errors"
-	"math/bits"
 
 	"mpx/internal/core"
 	"mpx/internal/graph"
@@ -42,85 +41,29 @@ type Tree struct {
 	// Stats summarizes each hierarchy level (sizes, clusters, cut).
 	Stats []hier.LevelStat
 
-	depth []int32
-	order []int32 // first visit position of each vertex in the Euler tour
-	euler []uint32
-	// sparse is the LCA sparse table over euler positions (min by depth),
-	// flattened into one stride-indexed backing array: row k occupies
-	// sparse[k*sstride : k*sstride + len(euler) - (1<<k) + 1]. One flat
-	// allocation and no per-row pointer chase on the query path — the
-	// layout the high-QPS oracle batch kernels read.
-	sparse  []uint32
-	sstride int
-	comp    []int32 // connected component labels (forest support)
-
-	// pool/workers drive the parallel index build (each sparse-table row
-	// is an independent elementwise min-scan over the previous row). A nil
-	// pool means parallel.Default(); queries never touch the pool.
-	pool    *parallel.Pool
-	workers int
+	lcaIndex
 }
 
-// Build constructs a low-stretch spanning forest of g with decomposition
-// parameter beta at every level, on the shared default pool.
-func Build(g *graph.Graph, beta float64, seed uint64) (*Tree, error) {
-	return BuildPool(nil, g, beta, seed, 0, core.DirectionAuto)
-}
-
-// BuildPool is Build on an explicit persistent worker pool (nil means
-// parallel.Default()) with an explicit logical worker count and traversal
-// direction: every level of the decompose-and-contract hierarchy —
-// Partition, edge classification, contraction, annotation — executes on
-// the pool via the internal/hier engine. For a fixed (g, beta, seed) the
-// resulting forest is bit-identical at every worker count and direction.
-func BuildPool(pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, workers int, dir core.Direction) (*Tree, error) {
-	return BuildPoolCtx(nil, pool, g, beta, seed, workers, dir)
-}
-
-// BuildPoolCtx is BuildPool with a cancellation context (nil means never
-// cancelled): ctx is polled at every hierarchy level and partition-round
-// boundary, and a cancelled build returns (nil, ctx.Err()) with no partial
-// tree. Panics escaping the pooled kernels surface as *parallel.PanicError
-// errors; see docs/robustness.md.
+// BuildPoolCtx constructs a low-stretch spanning forest of g with
+// decomposition parameter beta at every level. Every level of the
+// decompose-and-contract hierarchy — Partition, edge classification,
+// contraction, annotation — executes on pool (nil means
+// parallel.Default()) via the internal/hier engine, with workers logical
+// workers (<= 0 means GOMAXPROCS) and traversal direction dir. For a fixed
+// (g, beta, seed) the resulting forest is bit-identical at every worker
+// count and direction. ctx (nil means never cancelled) is polled at every
+// hierarchy level and partition-round boundary, and a cancelled build
+// returns (nil, ctx.Err()) with no partial tree. Panics escaping the
+// pooled kernels surface as *parallel.PanicError errors; see
+// docs/robustness.md.
+//
+// It is BuildIncrementalPoolCtx with the retained hierarchy dropped.
 func BuildPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, workers int, dir core.Direction) (*Tree, error) {
-	if beta <= 0 || beta >= 1 {
-		return nil, core.ErrBeta
-	}
-	t := &Tree{G: g, pool: pool, workers: workers}
-	if g.NumVertices() == 0 {
-		return t, nil
-	}
-	res, err := hier.Run(hier.Config{
-		Ctx:          ctx,
-		Beta:         beta,
-		Seed:         seed,
-		Workers:      workers,
-		Pool:         pool,
-		Direction:    dir,
-		NeedEdgeOrig: true,
-	}, g, func(lv *hier.Level) error {
-		// Per-cluster BFS tree edges -> original tree edges.
-		for v := 0; v < lv.G.NumVertices(); v++ {
-			p := lv.D.Parent[v]
-			if p == uint32(v) {
-				continue
-			}
-			t.Edges = append(t.Edges, lv.OrigEdge(uint32(v), p))
-		}
-		return nil
-	})
-	if err == hier.ErrMaxLevels {
-		return nil, errors.New("lowstretch: contraction failed to converge")
-	}
+	inc, err := BuildIncrementalPoolCtx(ctx, pool, g, beta, seed, workers, dir)
 	if err != nil {
 		return nil, err
 	}
-	t.Levels = res.Levels
-	t.Stats = res.Stats
-	if err := t.index(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return inc.Tree(), nil
 }
 
 // BFSTree returns the baseline spanning forest: a plain BFS tree from the
@@ -155,8 +98,8 @@ func BFSTree(g *graph.Graph) (*Tree, error) {
 	return t, nil
 }
 
-// index builds depth arrays, the Euler tour and the sparse table for O(1)
-// LCA queries, and verifies the edge set is acyclic and spanning.
+// index builds the LCA index over the tree edges and verifies the edge set
+// is a spanning forest.
 func (t *Tree) index() error {
 	n := t.G.NumVertices()
 	if n == 0 {
@@ -180,125 +123,10 @@ func (t *Tree) index() error {
 		flat[offs[e.V]+cursor[e.V]] = e.U
 		cursor[e.V]++
 	}
-	adj := func(v uint32) []uint32 { return flat[offs[v]:offs[v+1]] }
-	t.depth = make([]int32, n)
-	t.order = make([]int32, n)
-	t.comp = make([]int32, n)
-	for i := range t.order {
-		t.order[i] = -1
-		t.comp[i] = -1
-	}
-	t.euler = t.euler[:0]
-	comp := int32(0)
-	visited := 0
-	// Iterative DFS with an explicit stack; emits the Euler tour.
-	type frame struct {
-		v    uint32
-		next int
-	}
-	for root := 0; root < n; root++ {
-		if t.order[root] != -1 {
-			continue
-		}
-		stack := []frame{{uint32(root), 0}}
-		t.depth[root] = 0
-		t.comp[root] = comp
-		t.order[root] = int32(len(t.euler))
-		t.euler = append(t.euler, uint32(root))
-		visited++
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			advanced := false
-			for f.next < len(adj(f.v)) {
-				u := adj(f.v)[f.next]
-				f.next++
-				if t.order[u] != -1 {
-					continue
-				}
-				t.depth[u] = t.depth[f.v] + 1
-				t.comp[u] = comp
-				t.order[u] = int32(len(t.euler))
-				t.euler = append(t.euler, u)
-				visited++
-				stack = append(stack, frame{u, 0})
-				advanced = true
-				break
-			}
-			if !advanced {
-				stack = stack[:len(stack)-1]
-				if len(stack) > 0 {
-					t.euler = append(t.euler, stack[len(stack)-1].v)
-				}
-			}
-		}
-		comp++
-	}
-	if visited != n {
-		return errors.New("lowstretch: tree does not span the graph")
-	}
-	// Tree edge count check: acyclic + spanning per component.
-	if len(t.Edges) != n-int(comp) {
+	if comps := t.build(offs, flat, nil, nil); len(t.Edges) != n-comps {
 		return errors.New("lowstretch: edge set is not a spanning forest")
 	}
-	t.buildSparse()
 	return nil
-}
-
-// buildSparse fills the flattened sparse table: row 0 is the Euler tour,
-// row k the elementwise depth-min of row k-1 with itself shifted by
-// 2^(k-1). Rows build in order, but every element of a row is independent,
-// so each row is one parallel sweep on the pool — the index build is
-// O(m log m) work at O(log m) additional depth, with a single backing
-// allocation reused across rebuilds. Values are bit-identical to the
-// serial per-row construction: the min-scan reads only the previous row.
-func (t *Tree) buildSparse() {
-	m := len(t.euler)
-	t.sstride = m
-	if m == 0 {
-		t.sparse = t.sparse[:0]
-		return
-	}
-	levels := 1
-	for 1<<levels <= m {
-		levels++
-	}
-	if cap(t.sparse) < levels*m {
-		t.sparse = make([]uint32, levels*m)
-	}
-	t.sparse = t.sparse[:levels*m]
-	copy(t.sparse[:m], t.euler)
-	depth := t.depth
-	for k := 1; k < levels; k++ {
-		half := 1 << (k - 1)
-		prev := t.sparse[(k-1)*m : k*m]
-		row := t.sparse[k*m : k*m+m-2*half+1]
-		t.pool.ForRange(t.workers, len(row), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				a, b := prev[i], prev[i+half]
-				if depth[a] <= depth[b] {
-					row[i] = a
-				} else {
-					row[i] = b
-				}
-			}
-		})
-	}
-}
-
-// LCA returns the lowest common ancestor of u and v, which must lie in the
-// same component.
-func (t *Tree) LCA(u, v uint32) uint32 {
-	a, b := t.order[u], t.order[v]
-	if a > b {
-		a, b = b, a
-	}
-	k := bits.Len32(uint32(b-a+1)) - 1
-	base := k * t.sstride
-	x, y := t.sparse[base+int(a)], t.sparse[base+int(b)-(1<<k)+1]
-	if t.depth[x] <= t.depth[y] {
-		return x
-	}
-	return y
 }
 
 // Dist returns the tree distance between u and v, or -1 if they lie in

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"mpx/internal/bfs"
+	"mpx/internal/core"
 	"mpx/internal/graph"
 )
 
 func TestBuildSpanningTreeOnGrid(t *testing.T) {
 	g := graph.Grid2D(20, 20)
-	tr, err := Build(g, 0.3, 1)
+	tr, err := BuildPoolCtx(nil, nil, g, 0.3, 1, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func TestBuildSpanningTreeOnGrid(t *testing.T) {
 
 func TestTreeDistMatchesBFSOnTreeSubgraph(t *testing.T) {
 	g := graph.Grid2D(10, 12)
-	tr, err := Build(g, 0.25, 2)
+	tr, err := BuildPoolCtx(nil, nil, g, 0.25, 2, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestTreeDistMatchesBFSOnTreeSubgraph(t *testing.T) {
 
 func TestStretchStatsSane(t *testing.T) {
 	g := graph.Grid2D(25, 25)
-	tr, err := Build(g, 0.3, 3)
+	tr, err := BuildPoolCtx(nil, nil, g, 0.3, 3, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestLowStretchBeatsBFSOnGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := Build(g, 0.2, 4)
+	ls, err := BuildPoolCtx(nil, nil, g, 0.2, 4, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestForestOnDisconnectedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Build(g, 0.3, 5)
+	tr, err := BuildPoolCtx(nil, nil, g, 0.3, 5, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,18 +118,18 @@ func TestForestOnDisconnectedGraph(t *testing.T) {
 }
 
 func TestBuildRejectsBadBeta(t *testing.T) {
-	if _, err := Build(graph.Path(4), 1.5, 0); err == nil {
+	if _, err := BuildPoolCtx(nil, nil, graph.Path(4), 1.5, 0, 0, core.DirectionAuto); err == nil {
 		t.Error("expected error")
 	}
 }
 
 func TestEmptyAndTrivialGraphs(t *testing.T) {
 	empty, _ := graph.FromEdges(0, nil)
-	if _, err := Build(empty, 0.3, 0); err != nil {
+	if _, err := BuildPoolCtx(nil, nil, empty, 0.3, 0, 0, core.DirectionAuto); err != nil {
 		t.Errorf("empty graph: %v", err)
 	}
 	single, _ := graph.FromEdges(1, nil)
-	tr, err := Build(single, 0.3, 0)
+	tr, err := BuildPoolCtx(nil, nil, single, 0.3, 0, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestEmptyAndTrivialGraphs(t *testing.T) {
 
 func TestLCASymmetricAndIdempotent(t *testing.T) {
 	g := graph.BinaryTree(63)
-	tr, err := Build(g, 0.4, 6)
+	tr, err := BuildPoolCtx(nil, nil, g, 0.4, 6, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 package lowstretch
 
-// This file is the true AKPW construction the unweighted Build
+// This file is the true AKPW construction the unweighted BuildPoolCtx
 // approximates: Alon–Karp–Peleg–West low-stretch spanning trees of
 // WEIGHTED graphs. AKPW is fundamentally a weighted scheme — edges are
 // bucketed into geometric weight classes and the graph is contracted level
@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/bits"
 
 	"mpx/internal/core"
 	"mpx/internal/graph"
@@ -50,49 +49,26 @@ type WeightedTree struct {
 	// MinWeight is the lightest edge weight, the base of the class scale.
 	MinWeight float64
 
-	depth  []int32
+	lcaIndex
 	wdepth []float64 // weighted depth from the component root
-	order  []int32
-	euler  []uint32
-	// sparse is the flattened LCA sparse table (see Tree.sparse): row k at
-	// sparse[k*sstride : k*sstride + len(euler) - (1<<k) + 1].
-	sparse  []uint32
-	sstride int
-	comp    []int32
-
-	// pool/workers drive the parallel index build; nil means
-	// parallel.Default(). Queries never touch the pool.
-	pool    *parallel.Pool
-	workers int
 }
 
-// BuildWeighted constructs an AKPW low-stretch spanning forest of wg on
-// the shared default pool; see BuildWeightedPool.
-func BuildWeighted(wg *graph.WeightedGraph, beta float64, seed uint64) (*WeightedTree, error) {
-	return BuildWeightedPool(nil, wg, beta, seed, 0, core.DirectionAuto)
-}
-
-// BuildWeightedPool constructs an AKPW low-stretch spanning forest of wg
-// with base decomposition parameter beta, on an explicit persistent worker
-// pool (nil means parallel.Default()) with an explicit logical worker
-// count and traversal direction. beta is interpreted at the lightest
-// weight class: level l decomposes with β_l = beta/(wmin·y^l) (clamped
-// into the valid (0, 1) range), so cluster radii grow by the class factor
-// y per level — the AKPW progression. For a fixed (wg, beta, seed) the
-// forest is bit-identical at every worker count and direction.
-func BuildWeightedPool(pool *parallel.Pool, wg *graph.WeightedGraph, beta float64, seed uint64, workers int, dir core.Direction) (*WeightedTree, error) {
-	return BuildWeightedPoolCtx(nil, pool, wg, beta, seed, workers, dir)
-}
-
-// BuildWeightedPoolCtx is BuildWeightedPool with a cancellation context
-// (nil means never cancelled), polled at level and Δ-stepping round
-// boundaries; a cancelled build returns (nil, ctx.Err()) with no partial
-// forest.
+// BuildWeightedPoolCtx constructs an AKPW low-stretch spanning forest of
+// wg with base decomposition parameter beta, on pool (nil means
+// parallel.Default()) with workers logical workers (<= 0 means
+// GOMAXPROCS) and traversal direction dir. beta is interpreted at the
+// lightest weight class: level l decomposes with β_l = beta/(wmin·y^l)
+// (clamped into the valid (0, 1) range), so cluster radii grow by the
+// class factor y per level — the AKPW progression. For a fixed
+// (wg, beta, seed) the forest is bit-identical at every worker count and
+// direction. ctx (nil means never cancelled) is polled at level and
+// Δ-stepping round boundaries; a cancelled build returns (nil, ctx.Err())
+// with no partial forest.
 func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.WeightedGraph, beta float64, seed uint64, workers int, dir core.Direction) (*WeightedTree, error) {
 	if beta <= 0 || beta >= 1 {
 		return nil, core.ErrBeta
 	}
-	t := &WeightedTree{G: wg, pool: pool, workers: workers}
+	t := &WeightedTree{G: wg, lcaIndex: lcaIndex{pool: pool, workers: workers}}
 	n := wg.NumVertices()
 	if n == 0 {
 		return t, nil
@@ -120,12 +96,11 @@ func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.We
 	}
 	maxLevels += 16
 
-	res, err := hier.RunWeighted(hier.Config{
+	h, err := hier.BuildWeightedHierarchy(hier.Config{
 		Ctx: ctx,
 		WBetaAt: func(level int, _ *graph.WeightedGraph) float64 {
 			return clampBeta(beta / (wmin * math.Pow(akpwClassGrowth, float64(level))))
 		},
-		// Δ follows the level scale: bucket width = mean shift = 1/β_l.
 		Seed:         seed,
 		Workers:      workers,
 		Pool:         pool,
@@ -154,8 +129,8 @@ func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.We
 	if err != nil {
 		return nil, err
 	}
-	t.Levels = res.Levels
-	t.Stats = res.Stats
+	t.Levels = h.Levels()
+	t.Stats = h.Result().Stats
 	return t, t.index()
 }
 
@@ -211,9 +186,8 @@ func classHistogramOnPool(pool *parallel.Pool, workers int, wg *graph.WeightedGr
 	return hist
 }
 
-// index builds depth arrays (hop and weighted), the Euler tour and the
-// sparse table for O(1) LCA queries, and verifies the edge set is a
-// spanning forest.
+// index builds the LCA index and the weighted depths over the tree edges
+// and verifies the edge set is a spanning forest.
 func (t *WeightedTree) index() error {
 	n := t.G.NumVertices()
 	if n == 0 {
@@ -239,119 +213,11 @@ func (t *WeightedTree) index() error {
 		flatW[offs[e.V]+cursor[e.V]] = e.W
 		cursor[e.V]++
 	}
-	t.depth = make([]int32, n)
 	t.wdepth = make([]float64, n)
-	t.order = make([]int32, n)
-	t.comp = make([]int32, n)
-	for i := range t.order {
-		t.order[i] = -1
-		t.comp[i] = -1
-	}
-	t.euler = t.euler[:0]
-	comp := int32(0)
-	type frame struct {
-		v    uint32
-		next int
-	}
-	for root := 0; root < n; root++ {
-		if t.order[root] != -1 {
-			continue
-		}
-		stack := []frame{{uint32(root), 0}}
-		t.depth[root] = 0
-		t.wdepth[root] = 0
-		t.comp[root] = comp
-		t.order[root] = int32(len(t.euler))
-		t.euler = append(t.euler, uint32(root))
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			advanced := false
-			for f.next < int(offs[f.v+1]-offs[f.v]) {
-				i := offs[f.v] + int64(f.next)
-				u := flat[i]
-				f.next++
-				if t.order[u] != -1 {
-					continue
-				}
-				t.depth[u] = t.depth[f.v] + 1
-				t.wdepth[u] = t.wdepth[f.v] + flatW[i]
-				t.comp[u] = comp
-				t.order[u] = int32(len(t.euler))
-				t.euler = append(t.euler, u)
-				stack = append(stack, frame{u, 0})
-				advanced = true
-				break
-			}
-			if !advanced {
-				stack = stack[:len(stack)-1]
-				if len(stack) > 0 {
-					t.euler = append(t.euler, stack[len(stack)-1].v)
-				}
-			}
-		}
-		comp++
-	}
-	// The DFS loop starts from every still-unvisited vertex, so every
-	// vertex is reached by construction; the forest invariant is the edge
-	// count per component (acyclic + spanning).
-	if len(t.Edges) != n-int(comp) {
+	if comps := t.build(offs, flat, flatW, t.wdepth); len(t.Edges) != n-comps {
 		return errors.New("lowstretch: weighted edge set is not a spanning forest")
 	}
-	t.buildSparse()
 	return nil
-}
-
-// buildSparse fills the flattened sparse table exactly as Tree.buildSparse
-// does: one backing allocation, each row a parallel elementwise depth-min
-// sweep over the previous row, bit-identical to the serial construction.
-func (t *WeightedTree) buildSparse() {
-	m := len(t.euler)
-	t.sstride = m
-	if m == 0 {
-		t.sparse = t.sparse[:0]
-		return
-	}
-	levels := 1
-	for 1<<levels <= m {
-		levels++
-	}
-	if cap(t.sparse) < levels*m {
-		t.sparse = make([]uint32, levels*m)
-	}
-	t.sparse = t.sparse[:levels*m]
-	copy(t.sparse[:m], t.euler)
-	depth := t.depth
-	for k := 1; k < levels; k++ {
-		half := 1 << (k - 1)
-		prev := t.sparse[(k-1)*m : k*m]
-		row := t.sparse[k*m : k*m+m-2*half+1]
-		t.pool.ForRange(t.workers, len(row), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				a, b := prev[i], prev[i+half]
-				if depth[a] <= depth[b] {
-					row[i] = a
-				} else {
-					row[i] = b
-				}
-			}
-		})
-	}
-}
-
-// LCA returns the lowest common ancestor of u and v, which must lie in the
-// same component.
-func (t *WeightedTree) LCA(u, v uint32) uint32 {
-	a, b := t.order[u], t.order[v]
-	if a > b {
-		a, b = b, a
-	}
-	k := bits.Len32(uint32(b-a+1)) - 1
-	base := k * t.sstride
-	x, y := t.sparse[base+int(a)], t.sparse[base+int(b)-(1<<k)+1]
-	if t.depth[x] <= t.depth[y] {
-		return x
-	}
-	return y
 }
 
 // Dist returns the weighted tree distance between u and v, or -1 if they

@@ -49,14 +49,14 @@ func weightedDirectionGraphs() map[string]*graph.WeightedGraph {
 func TestBuildWeightedPoolDirectionsBitIdentical(t *testing.T) {
 	for name, wg := range weightedDirectionGraphs() {
 		for _, seed := range []uint64{1, 42} {
-			base, err := BuildWeightedPool(nil, wg, 0.25, seed, 1, core.DirectionForcePush)
+			base, err := BuildWeightedPoolCtx(nil, nil, wg, 0.25, seed, 1, core.DirectionForcePush)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := wfingerprint(base)
 			for _, dir := range allDirections {
 				for _, w := range []int{1, 2, 8} {
-					tr, err := BuildWeightedPool(nil, wg, 0.25, seed, w, dir)
+					tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0.25, seed, w, dir)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -80,7 +80,7 @@ func TestBuildWeightedGolden(t *testing.T) {
 	wg := graph.RandomWeights(graph.Grid2D(13, 17), 1, 4, 3)
 	for _, dir := range allDirections {
 		for _, w := range []int{1, 2, 8} {
-			tr, err := BuildWeightedPool(nil, wg, 0.3, 5, w, dir)
+			tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0.3, 5, w, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestBuildWeightedGolden(t *testing.T) {
 // tree edge is exactly 1), and the mean stretch is finite and >= 1.
 func TestBuildWeightedStretch(t *testing.T) {
 	wg := graph.RandomWeights(graph.Grid2D(20, 20), 1, 5, 9)
-	tr, err := BuildWeightedPool(nil, wg, 0.25, 4, 4, core.DirectionAuto)
+	tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0.25, 4, 4, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestBuildWeightedStretch(t *testing.T) {
 func TestBuildWeightedUnitWeightsMatchHopStretch(t *testing.T) {
 	g := graph.Grid2D(16, 16)
 	wg := graph.RandomWeights(g, 1, 1, 1) // every weight exactly 1
-	tr, err := BuildWeightedPool(nil, wg, 0.3, 7, 2, core.DirectionAuto)
+	tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0.3, 7, 2, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestBuildWeightedUnitWeightsMatchHopStretch(t *testing.T) {
 // range.
 func TestBuildWeightedClassHistogram(t *testing.T) {
 	wg := graph.RandomWeights(graph.GNM(300, 1200, 2), 1, 60, 5)
-	tr, err := BuildWeightedPool(nil, wg, 0.3, 1, 2, core.DirectionAuto)
+	tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0.3, 1, 2, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,14 +55,14 @@ func TestFindPoolDirectionsBitIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, seed := range []uint64{1, 42} {
-			base, err := FindPool(nil, tc.g, tc.beta, 2.0/3, seed, 1, core.DirectionForcePush)
+			base, err := FindPoolCtx(nil, nil, tc.g, tc.beta, 2.0/3, seed, 1, core.DirectionForcePush)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := fingerprint(base)
 			for _, dir := range allDirections {
 				for _, w := range []int{1, 2, 8} {
-					r, err := FindPool(nil, tc.g, tc.beta, 2.0/3, seed, w, dir)
+					r, err := FindPoolCtx(nil, nil, tc.g, tc.beta, 2.0/3, seed, w, dir)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -83,7 +83,7 @@ func TestFindGolden(t *testing.T) {
 	g := graph.Grid2D(20, 20)
 	for _, dir := range allDirections {
 		for _, w := range []int{1, 2, 8} {
-			r, err := FindPool(nil, g, 0.3, 2.0/3, 2, w, dir)
+			r, err := FindPoolCtx(nil, nil, g, 0.3, 2.0/3, 2, w, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestFindOutputOrderingPinned(t *testing.T) {
 	// β=0 auto-tunes: the first attempts produce one giant piece and fail
 	// the balance bound, so the retry loop reuses the scratch repeatedly
 	// before succeeding.
-	r, err := Find(g, 0, 0.6, 7)
+	r, err := FindPoolCtx(nil, nil, g, 0, 0.6, 7, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFindOutputOrderingPinned(t *testing.T) {
 	}
 	want := fingerprint(r)
 	for run := 0; run < 3; run++ {
-		again, err := FindPool(nil, g, 0, 0.6, 7, 8, core.DirectionForcePull)
+		again, err := FindPoolCtx(nil, nil, g, 0, 0.6, 7, 8, core.DirectionForcePull)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,8 +51,8 @@ type Result struct {
 }
 
 // findScratch owns the buffers splitPieces reuses across the β retries of
-// one Find call: the auto-tuning loop used to rebuild (and stdlib-sort) a
-// fresh piece table per retry.
+// one FindPoolCtx call: the auto-tuning loop used to rebuild (and
+// stdlib-sort) a fresh piece table per retry.
 type findScratch struct {
 	counts  []int64  // per center: piece size
 	centers []uint32 // cluster centers, ascending
@@ -62,25 +62,15 @@ type findScratch struct {
 	inSep   []bool   // per vertex: separator membership
 }
 
-// Find computes a balanced separator: no side exceeds maxImbalance (in
-// (0.5, 1), e.g. 2/3) of the non-separator vertices. beta controls the
-// decomposition granularity; pass 0 to auto-tune (doubling until pieces are
-// small enough to balance). Runs on the shared default pool.
-func Find(g *graph.Graph, beta float64, maxImbalance float64, seed uint64) (*Result, error) {
-	return FindPool(nil, g, beta, maxImbalance, seed, 0, core.DirectionAuto)
-}
-
-// FindPool is Find on an explicit persistent worker pool (nil means
-// parallel.Default()) with an explicit logical worker count and traversal
-// direction.
-func FindPool(pool *parallel.Pool, g *graph.Graph, beta, maxImbalance float64, seed uint64, workers int, dir core.Direction) (*Result, error) {
-	return FindPoolCtx(nil, pool, g, beta, maxImbalance, seed, workers, dir)
-}
-
-// FindPoolCtx is FindPool with a cancellation context (nil means never
-// cancelled), polled at partition-round boundaries and between β retries
-// of the auto-tuning loop; a cancelled run returns (nil, ctx.Err()) with
-// no partial separator.
+// FindPoolCtx computes a balanced separator: no side exceeds maxImbalance
+// (in (0.5, 1), e.g. 2/3) of the non-separator vertices. beta controls the
+// decomposition granularity; pass 0 to auto-tune (doubling until pieces
+// are small enough to balance). It runs on pool (nil means
+// parallel.Default()) with workers logical workers (<= 0 means
+// GOMAXPROCS) and traversal direction dir. ctx (nil means never
+// cancelled) is polled at partition-round boundaries and between β
+// retries of the auto-tuning loop; a cancelled run returns
+// (nil, ctx.Err()) with no partial separator.
 func FindPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, beta, maxImbalance float64, seed uint64, workers int, dir core.Direction) (*Result, error) {
 	if maxImbalance <= 0.5 || maxImbalance >= 1 {
 		return nil, errors.New("separator: maxImbalance must lie in (0.5, 1)")

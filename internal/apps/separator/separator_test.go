@@ -4,12 +4,13 @@ import (
 	"math"
 	"testing"
 
+	"mpx/internal/core"
 	"mpx/internal/graph"
 )
 
 func TestFindOnGrid(t *testing.T) {
 	g := graph.Grid2D(30, 30)
-	r, err := Find(g, 0, 2.0/3, 1)
+	r, err := FindPoolCtx(nil, nil, g, 0, 2.0/3, 1, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestFindOnGrid(t *testing.T) {
 
 func TestFindExplicitBeta(t *testing.T) {
 	g := graph.Grid2D(20, 20)
-	r, err := Find(g, 0.3, 2.0/3, 2)
+	r, err := FindPoolCtx(nil, nil, g, 0.3, 2.0/3, 2, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestFindExplicitBeta(t *testing.T) {
 func TestFindRejectsBadImbalance(t *testing.T) {
 	g := graph.Path(10)
 	for _, mi := range []float64{0.5, 1.0, 0, -1} {
-		if _, err := Find(g, 0.2, mi, 0); err == nil {
+		if _, err := FindPoolCtx(nil, nil, g, 0.2, mi, 0, 0, core.DirectionAuto); err == nil {
 			t.Errorf("maxImbalance=%g: expected error", mi)
 		}
 	}
@@ -57,14 +58,14 @@ func TestFindFailsWhenPieceTooLarge(t *testing.T) {
 	// no balanced split exists at that beta; auto-tuning escalates, an
 	// explicit beta errors.
 	g := graph.Complete(20)
-	if _, err := Find(g, 0.01, 0.6, 1); err == nil {
+	if _, err := FindPoolCtx(nil, nil, g, 0.01, 0.6, 1, 0, core.DirectionAuto); err == nil {
 		t.Error("expected failure with one giant piece at explicit tiny beta")
 	}
 }
 
 func TestFindEmptyGraph(t *testing.T) {
 	g, _ := graph.FromEdges(0, nil)
-	r, err := Find(g, 0.2, 0.66, 0)
+	r, err := FindPoolCtx(nil, nil, g, 0.2, 0.66, 0, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestVerifyCatchesViolations(t *testing.T) {
 func TestSeparatorOnRoadNetwork(t *testing.T) {
 	g0 := graph.RoadNetwork(40, 40, 0.85, 20, 5)
 	g, _ := graph.LargestComponent(g0)
-	r, err := Find(g, 0, 0.7, 3)
+	r, err := FindPoolCtx(nil, nil, g, 0, 0.7, 3, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestSeparatorDisconnectedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, errF := Find(g, 0.5, 0.6, 1)
+	r, errF := FindPoolCtx(nil, nil, g, 0.5, 0.6, 1, 0, core.DirectionAuto)
 	if errF != nil {
 		t.Fatal(errF)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mpx/internal/apps/lowstretch"
+	"mpx/internal/core"
 	"mpx/internal/graph"
 	"mpx/internal/parallel/faultpool"
 	"mpx/internal/xrand"
@@ -15,7 +16,7 @@ func buildWeightedFixture(t *testing.T) (*WeightedLaplacian, *WeightedTreeSolver
 	t.Helper()
 	g := graph.Grid2D(20, 20)
 	wg := graph.RandomWeights(g, 1, 4, 3)
-	tr, err := lowstretch.BuildWeighted(wg, 0.4, 1)
+	tr, err := lowstretch.BuildWeightedPoolCtx(nil, nil, wg, 0.4, 1, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpx/internal/apps/lowstretch"
+	"mpx/internal/core"
 	"mpx/internal/graph"
 	"mpx/internal/xrand"
 )
@@ -178,7 +179,7 @@ func TestPCGMatchesCGSolution(t *testing.T) {
 	g := graph.Grid2D(10, 10)
 	l := NewLaplacian(g)
 	b := randomRHS(g.NumVertices(), 5)
-	tree, err := lowstretch.Build(g, 0.2, 3)
+	tree, err := lowstretch.BuildPoolCtx(nil, nil, g, 0.2, 3, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestLowStretchTreePreconditionsBetterThanBFSTree(t *testing.T) {
 	g := graph.Grid2D(40, 40)
 	l := NewLaplacian(g)
 	b := randomRHS(g.NumVertices(), 17)
-	akpw, err := lowstretch.Build(g, 0.2, 7)
+	akpw, err := lowstretch.BuildPoolCtx(nil, nil, g, 0.2, 7, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

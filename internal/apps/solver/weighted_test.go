@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpx/internal/apps/lowstretch"
+	"mpx/internal/core"
 	"mpx/internal/graph"
 	"mpx/internal/xrand"
 )
@@ -57,7 +58,7 @@ func TestWeightedLaplacianUnitEquivalence(t *testing.T) {
 // with TreeSolver.
 func TestWeightedTreeSolverUnitEquivalence(t *testing.T) {
 	g := graph.Grid2D(15, 16)
-	tr, err := lowstretch.Build(g, 0.3, 2)
+	tr, err := lowstretch.BuildPoolCtx(nil, nil, g, 0.3, 2, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestWeightedTreeSolverUnitEquivalence(t *testing.T) {
 func TestWeightedPCGUnitEquivalence(t *testing.T) {
 	g := graph.Grid2D(14, 14)
 	wg := unitWeights(g)
-	tr, err := lowstretch.Build(g, 0.3, 4)
+	tr, err := lowstretch.BuildPoolCtx(nil, nil, g, 0.3, 4, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestWeightedPCGUnitEquivalence(t *testing.T) {
 func TestWeightedPCGSolvesWeightedSystem(t *testing.T) {
 	g := graph.Grid2D(16, 16)
 	wg := graph.RandomWeights(g, 1, 6, 5)
-	tr, err := lowstretch.BuildWeighted(wg, 0.3, 7)
+	tr, err := lowstretch.BuildWeightedPoolCtx(nil, nil, wg, 0.3, 7, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

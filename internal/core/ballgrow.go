@@ -7,7 +7,7 @@ import (
 	"mpx/internal/xrand"
 )
 
-// BallGrowing is the classical sequential low-diameter decomposition the
+// BallGrowingCtx is the classical sequential low-diameter decomposition the
 // paper describes in its introduction: repeatedly grow a BFS ball from an
 // unassigned vertex until the ball's boundary (arcs to unassigned vertices
 // outside) is at most β times its residual volume (arcs from ball members
@@ -19,16 +19,12 @@ import (
 // condition over all balls bounds the cut edges by O(βm). These are the
 // guarantees of Theorem 1.2 up to constants, but the pieces are found one
 // after another — the Ω(n)-length sequential dependence chain that the
-// paper's algorithm removes. BallGrowing is the sequential baseline of
-// experiment E7.
-func BallGrowing(g *graph.Graph, beta float64, seed uint64) (*Decomposition, error) {
-	return BallGrowingCtx(nil, g, beta, seed)
-}
-
-// BallGrowingCtx is BallGrowing with a cancellation context (nil means
-// never cancelled), polled at every ball-growth round — the serial analog
-// of the parallel round boundary. A cancelled run returns (nil, ctx.Err())
-// with no partial decomposition.
+// paper's algorithm removes. It is the sequential baseline of experiment
+// E7.
+//
+// ctx (nil means never cancelled) is polled at every ball-growth round —
+// the serial analog of the parallel round boundary. A cancelled run
+// returns (nil, ctx.Err()) with no partial decomposition.
 func BallGrowingCtx(ctx context.Context, g *graph.Graph, beta float64, seed uint64) (*Decomposition, error) {
 	if beta <= 0 || beta >= 1 {
 		return nil, ErrBeta

@@ -21,7 +21,7 @@ func TestBallGrowingValid(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, beta := range []float64{0.1, 0.3} {
-			d, err := BallGrowing(tc.g, beta, 42)
+			d, err := BallGrowingCtx(nil, tc.g, beta, 42)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
@@ -37,7 +37,7 @@ func TestBallGrowingGuarantees(t *testing.T) {
 	g := graph.Grid2D(60, 60)
 	n := float64(g.NumVertices())
 	for _, beta := range []float64{0.1, 0.2} {
-		d, err := BallGrowing(g, beta, 1)
+		d, err := BallGrowingCtx(nil, g, beta, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestBallGrowingGuarantees(t *testing.T) {
 func TestBallGrowingRejectsBadBeta(t *testing.T) {
 	g := graph.Path(4)
 	for _, beta := range []float64{0, 1} {
-		if _, err := BallGrowing(g, beta, 0); err == nil {
+		if _, err := BallGrowingCtx(nil, g, beta, 0); err == nil {
 			t.Errorf("beta=%g: expected error", beta)
 		}
 	}
@@ -65,11 +65,11 @@ func TestBallGrowingRejectsBadBeta(t *testing.T) {
 
 func TestBallGrowingEmptyAndSingleton(t *testing.T) {
 	empty := mustFromEdges(t, 0, nil)
-	if d, err := BallGrowing(empty, 0.1, 0); err != nil || d.NumClusters() != 0 {
+	if d, err := BallGrowingCtx(nil, empty, 0.1, 0); err != nil || d.NumClusters() != 0 {
 		t.Errorf("empty: d=%v err=%v", d, err)
 	}
 	single := mustFromEdges(t, 1, nil)
-	d, err := BallGrowing(single, 0.1, 0)
+	d, err := BallGrowingCtx(nil, single, 0.1, 0)
 	if err != nil || d.NumClusters() != 1 {
 		t.Errorf("single: clusters=%d err=%v", d.NumClusters(), err)
 	}
@@ -82,7 +82,7 @@ func TestPartitionIterativeValid(t *testing.T) {
 		graph.GNM(300, 800, 3),
 	}
 	for gi, g := range cases {
-		d, err := PartitionIterative(g, 0.1, 5, 1)
+		d, err := PartitionIterativeCtx(nil, g, 0.1, 5, 1)
 		if err != nil {
 			t.Fatalf("graph %d: %v", gi, err)
 		}
@@ -94,7 +94,7 @@ func TestPartitionIterativeValid(t *testing.T) {
 }
 
 func TestPartitionIterativeRejectsBadBeta(t *testing.T) {
-	if _, err := PartitionIterative(graph.Path(4), 0, 0, 1); err == nil {
+	if _, err := PartitionIterativeCtx(nil, graph.Path(4), 0, 0, 1); err == nil {
 		t.Error("expected error for beta=0")
 	}
 }
@@ -171,11 +171,11 @@ func TestWeightedPartitionRejectsBadBeta(t *testing.T) {
 
 func TestBaselinesCoverEveryVertexOnce(t *testing.T) {
 	g := graph.GNM(250, 700, 19)
-	bg, err := BallGrowing(g, 0.15, 3)
+	bg, err := BallGrowingCtx(nil, g, 0.15, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := PartitionIterative(g, 0.15, 3, 1)
+	it, err := PartitionIterativeCtx(nil, g, 0.15, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

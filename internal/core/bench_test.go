@@ -102,7 +102,7 @@ func BenchmarkCutEdges(b *testing.B) {
 func BenchmarkBallGrowingGrid(b *testing.B) {
 	g := graph.Grid2D(200, 200)
 	for i := 0; i < b.N; i++ {
-		if _, err := BallGrowing(g, 0.1, uint64(i)); err != nil {
+		if _, err := BallGrowingCtx(nil, g, 0.1, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

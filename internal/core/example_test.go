@@ -41,10 +41,10 @@ func ExamplePartition_deterministic() {
 	// identical at 1 and 8 workers: true
 }
 
-// ExampleBallGrowing runs the classical sequential baseline.
-func ExampleBallGrowing() {
+// ExampleBallGrowingCtx runs the classical sequential baseline.
+func ExampleBallGrowingCtx() {
 	g := graph.Cycle(100)
-	d, err := core.BallGrowing(g, 0.2, 1)
+	d, err := core.BallGrowingCtx(nil, g, 0.2, 1)
 	if err != nil {
 		panic(err)
 	}

@@ -8,10 +8,10 @@ import (
 	"mpx/internal/xrand"
 )
 
-// PartitionIterative is a decomposition in the style of Blelloch, Gupta,
-// Koutis, Miller, Peng and Tangwongsan (SPAA 2011) — the algorithm the
-// paper streamlines. It runs O(log n) iterations; iteration k samples each
-// still-unassigned vertex as a center with probability ~2^k/n, grows
+// PartitionIterativeCtx is a decomposition in the style of Blelloch,
+// Gupta, Koutis, Miller, Peng and Tangwongsan (SPAA 2011) — the algorithm
+// the paper streamlines. It runs O(log n) iterations; iteration k samples
+// each still-unassigned vertex as a center with probability ~2^k/n, grows
 // uniformly-shifted BFS regions from the new centers over unassigned
 // vertices for a bounded number of rounds, and keeps whatever was claimed.
 // Any stragglers in the final iteration become singleton centers.
@@ -21,14 +21,10 @@ import (
 // and is the "previous algorithm" arm of experiment E7. Its guarantees
 // carry extra log factors exactly as the paper describes — observable as a
 // larger radius/cut constant in the measurements.
-func PartitionIterative(g *graph.Graph, beta float64, seed uint64, workers int) (*Decomposition, error) {
-	return PartitionIterativeCtx(nil, g, beta, seed, workers)
-}
-
-// PartitionIterativeCtx is PartitionIterative with a cancellation context
-// (nil means never cancelled), polled at every sampling iteration and
-// every BFS round within it. A cancelled run returns (nil, ctx.Err()) with
-// no partial decomposition.
+//
+// ctx (nil means never cancelled) is polled at every sampling iteration
+// and every BFS round within it. A cancelled run returns (nil, ctx.Err())
+// with no partial decomposition.
 func PartitionIterativeCtx(ctx context.Context, g *graph.Graph, beta float64, seed uint64, workers int) (*Decomposition, error) {
 	if beta <= 0 || beta >= 1 {
 		return nil, ErrBeta

@@ -106,7 +106,7 @@ func TestQuickValidityUnderRelabeling(t *testing.T) {
 func TestQuickBallGrowingAlwaysValid(t *testing.T) {
 	f := func(raw []byte, seed uint64) bool {
 		g := randomGraph(raw, 40)
-		d, err := BallGrowing(g, 0.25, seed)
+		d, err := BallGrowingCtx(nil, g, 0.25, seed)
 		if err != nil {
 			return false
 		}

@@ -47,10 +47,10 @@ func runE7Baselines(cfg Config) (*Result, error) {
 			return core.Partition(g, beta, core.Options{Seed: seed, Workers: cfg.Workers})
 		}},
 		{"ballgrow", func(g *graph.Graph, beta float64, seed uint64) (*core.Decomposition, error) {
-			return core.BallGrowing(g, beta, seed)
+			return core.BallGrowingCtx(nil, g, beta, seed)
 		}},
 		{"iterative", func(g *graph.Graph, beta float64, seed uint64) (*core.Decomposition, error) {
-			return core.PartitionIterative(g, beta, seed, cfg.Workers)
+			return core.PartitionIterativeCtx(nil, g, beta, seed, cfg.Workers)
 		}},
 	}
 	for _, wl := range workloads {
@@ -181,7 +181,7 @@ func runE10Blocks(cfg Config) (*Result, error) {
 		{"gnm", graph.GNM(cfg.scaledN(30000, 2000), int64(cfg.scaledN(90000, 6000)), xrand.Mix(cfg.Seed, 31))},
 	}
 	for _, wl := range workloads {
-		bd, err := blocks.Decompose(wl.g, 0.5, xrand.Mix(cfg.Seed, 32), 0)
+		bd, err := blocks.DecomposePoolCtx(nil, nil, wl.g, 0.5, xrand.Mix(cfg.Seed, 32), 0, 0, core.DirectionAuto)
 		if err != nil {
 			return nil, err
 		}
@@ -250,7 +250,7 @@ func runE12LowStretch(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		lt, err := lowstretch.Build(g, 0.2, xrand.Mix(cfg.Seed, 51))
+		lt, err := lowstretch.BuildPoolCtx(nil, nil, g, 0.2, xrand.Mix(cfg.Seed, 51), 0, core.DirectionAuto)
 		if err != nil {
 			return nil, err
 		}

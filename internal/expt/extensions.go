@@ -83,7 +83,7 @@ func runE16Embedding(cfg Config) (*Result, error) {
 		{"gnm", largestOf(graph.GNM(cfg.scaledN(2000, 400), int64(cfg.scaledN(6000, 1200)), xrand.Mix(cfg.Seed, 81)))},
 	}
 	for _, wl := range workloads {
-		tr, err := embedding.Build(wl.g, 0, xrand.Mix(cfg.Seed, 82))
+		tr, err := embedding.BuildPoolCtx(nil, nil, wl.g, 0, xrand.Mix(cfg.Seed, 82), 0, core.DirectionAuto)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +107,7 @@ func runE17Separator(cfg Config) (*Result, error) {
 	}
 	for _, side := range []int{40, 80, cfg.scaledSide(160, 120)} {
 		g := graph.Grid2D(side, side)
-		r, err := separator.Find(g, 0, 2.0/3, xrand.Mix(cfg.Seed, 91))
+		r, err := separator.FindPoolCtx(nil, nil, g, 0, 2.0/3, xrand.Mix(cfg.Seed, 91), 0, core.DirectionAuto)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +142,7 @@ func runE18Connectivity(cfg Config) (*Result, error) {
 		{"rmat", graph.RMAT(log2ceil(cfg.scaledN(30000, 2000)), int64(cfg.scaledN(150000, 9000)), xrand.Mix(cfg.Seed, 96))},
 	}
 	for _, wl := range workloads {
-		r, err := connectivity.Components(wl.g, 0.4, xrand.Mix(cfg.Seed, 97), cfg.Workers)
+		r, err := connectivity.ComponentsPoolCtx(nil, nil, wl.g, 0.4, xrand.Mix(cfg.Seed, 97), cfg.Workers, core.DirectionAuto)
 		if err != nil {
 			return nil, err
 		}

@@ -115,7 +115,7 @@ func runE14Solver(cfg Config) (*Result, error) {
 		for i := range b {
 			b[i] -= sum / float64(len(b))
 		}
-		akpw, err := lowstretch.Build(g, 0.2, xrand.Mix(cfg.Seed, 61))
+		akpw, err := lowstretch.BuildPoolCtx(nil, nil, g, 0.2, xrand.Mix(cfg.Seed, 61), 0, core.DirectionAuto)
 		if err != nil {
 			return nil, err
 		}

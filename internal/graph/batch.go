@@ -8,7 +8,7 @@ import (
 
 // Batch is a set of edge updates to apply to a graph: the unit of change of
 // the incremental hierarchy maintenance layer (internal/hier,
-// Hierarchy.Update). Semantically the deletes are applied first, then the
+// Hierarchy.UpdateCtx). Semantically the deletes are applied first, then the
 // inserts, against a simple (deduplicated) graph — exactly the
 // FromEdgesDedup edge-set algebra — so an edge listed in both Delete and
 // Insert ends up present.

@@ -121,7 +121,7 @@ func TestClusterMapsWorkerInvariance(t *testing.T) {
 }
 
 // TestClusterMapsSurviveUpdate pins the ownership contract: maps exported
-// before an Update keep their (stale) values, and a fresh export reflects
+// before an UpdateCtx keep their (stale) values, and a fresh export reflects
 // the updated hierarchy.
 func TestClusterMapsSurviveUpdate(t *testing.T) {
 	g := graph.Grid2D(30, 30)
@@ -132,7 +132,7 @@ func TestClusterMapsSurviveUpdate(t *testing.T) {
 	for l := range old {
 		snapshot[l] = append([]uint32(nil), old[l]...)
 	}
-	if _, err := h.Update(graph.Batch{Insert: []graph.Edge{{U: 0, V: uint32(n - 1)}}}, nil); err != nil {
+	if _, err := h.UpdateCtx(nil, graph.Batch{Insert: []graph.Edge{{U: 0, V: uint32(n - 1)}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for l := range old {

@@ -46,34 +46,23 @@ func ctxErr(ctx context.Context) error {
 // or vertices) within Config.MaxLevels levels.
 var ErrMaxLevels = errors.New("hier: hierarchy failed to converge within MaxLevels")
 
-// Config configures a hierarchy run. The zero value decomposes with
-// BetaAt/Beta unset, which is invalid — callers must set Beta or BetaAt.
+// Config configures a hierarchy build. Beta (or, for weighted builds,
+// WBetaAt) must be set; the zero value is invalid.
 type Config struct {
-	// Ctx, when non-nil, cancels a hierarchy build or update in flight.
-	// It is polled at level boundaries and forwarded into every per-level
-	// Partition (which polls it between rounds). Cancellation is
-	// all-or-nothing: a cancelled Run/Build returns ctx.Err() and no
-	// result, a cancelled Hierarchy.Update returns ctx.Err() with the
-	// hierarchy exactly as it was. Nil means never cancelled.
+	// Ctx, when non-nil, cancels a hierarchy build in flight. It is polled
+	// at level boundaries and forwarded into every per-level Partition
+	// (which polls it between rounds). Cancellation is all-or-nothing: a
+	// cancelled build returns ctx.Err() and no hierarchy. Nil means never
+	// cancelled. Updates take their own context (Hierarchy.UpdateCtx).
 	Ctx context.Context
-	// Beta is the per-level decomposition parameter (used when BetaAt is
+	// Beta is the per-level decomposition parameter (used when WBetaAt is
 	// nil).
 	Beta float64
-	// BetaAt, when non-nil, supplies a per-level β schedule (the embedding
-	// halves its diameter target per level, for example).
-	BetaAt func(level int, g *graph.Graph) float64
 	// WBetaAt, when non-nil, supplies the per-level β schedule of a
-	// weighted run (RunWeighted); β is in units of inverse weighted
-	// distance there, so weighted schedules see the weighted graph. Nil
-	// means the flat Beta.
+	// weighted build (BuildWeightedHierarchy); β is in units of inverse
+	// weighted distance there, so weighted schedules see the weighted
+	// graph. Nil means the flat Beta.
 	WBetaAt func(level int, wg *graph.WeightedGraph) float64
-	// Delta is the Δ-stepping bucket width forwarded to every weighted
-	// Partition call (<= 0 lets the engine pick its default). Δ shapes the
-	// round schedule only — the output is a fixpoint independent of it.
-	Delta float64
-	// DeltaAt, when non-nil, supplies a per-level Δ schedule for weighted
-	// runs (AKPW aligns Δ with the level's weight-class width).
-	DeltaAt func(level int, wg *graph.WeightedGraph) float64
 	// Seed fixes all randomness; level l decomposes with
 	// xrand.Mix(Seed, l).
 	Seed uint64
@@ -83,11 +72,8 @@ type Config struct {
 	// Pool is the persistent worker pool every level executes on; nil
 	// means parallel.Default().
 	Pool *parallel.Pool
-	// Direction, TieBreak and ShiftSource are forwarded to every
-	// Partition call.
-	Direction   core.Direction
-	TieBreak    core.TieBreak
-	ShiftSource core.ShiftSource
+	// Direction is forwarded to every Partition call.
+	Direction core.Direction
 	// MaxLevels caps the level count defensively; 0 means 64.
 	MaxLevels int
 	// Residual keeps the vertex set fixed and recurses on the cut-edge
@@ -113,25 +99,11 @@ func (c Config) maxLevels() int {
 	return 64
 }
 
-func (c Config) betaAt(level int, g *graph.Graph) float64 {
-	if c.BetaAt != nil {
-		return c.BetaAt(level, g)
-	}
-	return c.Beta
-}
-
 func (c Config) wbetaAt(level int, wg *graph.WeightedGraph) float64 {
 	if c.WBetaAt != nil {
 		return c.WBetaAt(level, wg)
 	}
 	return c.Beta
-}
-
-func (c Config) deltaAt(level int, wg *graph.WeightedGraph) float64 {
-	if c.DeltaAt != nil {
-		return c.DeltaAt(level, wg)
-	}
-	return c.Delta
 }
 
 // LevelStat summarizes one hierarchy level for reporting (cmd/mpx -app
@@ -183,7 +155,7 @@ type Level struct {
 	// coordinates (Config.NeedIntra; aliases scratch — copy to retain).
 	IntraEdges []graph.Edge
 
-	eng  *Engine
+	eng  *engine
 	orig []graph.Edge // annotation per canonical edge rank of G; nil = identity
 }
 
@@ -210,7 +182,7 @@ type Result struct {
 	// Final is the fully contracted (or fully residual) graph the run
 	// stopped on: it has no edges unless the run errored.
 	Final *graph.Graph
-	// WFinal is the weighted final graph of a RunWeighted hierarchy (its
+	// WFinal is the weighted final graph of a weighted hierarchy (its
 	// unweighted view is Final).
 	WFinal *graph.WeightedGraph
 	// OrigMap maps each original vertex to its vertex in Final
@@ -218,9 +190,9 @@ type Result struct {
 	OrigMap []uint32
 }
 
-// Engine owns the reusable scratch of a hierarchy run. One engine may run
-// many hierarchies; scratch persists across runs and levels.
-type Engine struct {
+// engine owns the reusable scratch of a hierarchy: one per Hierarchy,
+// persisting across its levels, rebuilds and updates.
+type engine struct {
 	cfg Config
 	sc  graph.ContractScratch
 
@@ -238,43 +210,6 @@ type Engine struct {
 	upperOff   []int64
 	firstUpper []int32
 	rankFor    *graph.Graph
-}
-
-// New returns an engine for the given configuration.
-func New(cfg Config) *Engine { return &Engine{cfg: cfg} }
-
-// Run executes a full hierarchy with a fresh engine; see Engine.Run.
-func Run(cfg Config, g *graph.Graph, visit func(*Level) error) (*Result, error) {
-	return New(cfg).Run(g, visit)
-}
-
-// Run drives the hierarchy over g, invoking visit (which may be nil) once
-// per level. It stops when the current graph has no edges, returning
-// ErrMaxLevels (with partial Result) if the cap is hit first, and
-// propagates any error from Partition or visit. The full derivation is
-// computed before the first visit is delivered (the staged two-phase
-// scheme of update.go): a cancellation (Config.Ctx) or a contained panic
-// (*parallel.PanicError) therefore returns an error and no result, with
-// no visit ever observed.
-//
-// Run is a thin wrapper over the persistent Hierarchy (update.go): it
-// builds one, discards the retained per-level state, and returns the
-// Result. Callers that want to maintain the hierarchy under edge updates
-// use BuildHierarchy/Hierarchy.Update instead.
-func (e *Engine) Run(g *graph.Graph, visit func(*Level) error) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, parallel.Recovered(r)
-		}
-	}()
-	h := &Hierarchy{eng: e, res: &Result{}}
-	if err := h.build(g, visit); err != nil {
-		if errors.Is(err, ErrMaxLevels) {
-			return h.res, err
-		}
-		return nil, err
-	}
-	return h.res, nil
 }
 
 // CutEdgesOnPool counts the undirected edges of g whose endpoints carry
@@ -304,7 +239,7 @@ func CutEdgesOnPool(pool *parallel.Pool, workers int, g *graph.Graph, center []u
 // — that contracts onto it. "First" is realized by a stable pool radix
 // sort on the packed quotient-pair keys, so the choice is deterministic at
 // every worker count.
-func (e *Engine) annotateContraction(cur *graph.Graph, orig []graph.Edge, center, quot []uint32, next *graph.Graph) []graph.Edge {
+func (e *engine) annotateContraction(cur *graph.Graph, orig []graph.Edge, center, quot []uint32, next *graph.Graph) []graph.Edge {
 	pool := e.cfg.Pool
 	workers := e.cfg.Workers
 	n := cur.NumVertices()
@@ -419,7 +354,7 @@ func (e *Engine) annotateContraction(cur *graph.Graph, orig []graph.Edge, center
 
 // collectIntra gathers the intra-cluster edges of cur in canonical order,
 // mapped to original coordinates through the current annotation table.
-func (e *Engine) collectIntra(cur *graph.Graph, orig []graph.Edge, center []uint32) []graph.Edge {
+func (e *engine) collectIntra(cur *graph.Graph, orig []graph.Edge, center []uint32) []graph.Edge {
 	pool := e.cfg.Pool
 	workers := e.cfg.Workers
 	n := cur.NumVertices()
@@ -481,7 +416,7 @@ func (e *Engine) collectIntra(cur *graph.Graph, orig []graph.Edge, center []uint
 // buildRank prepares the upper-triangular edge-rank tables OrigEdge
 // queries against: upperOff[v] is the canonical rank of v's first upper
 // edge and firstUpper[v] the adjacency index of v's first neighbor > v.
-func (e *Engine) buildRank(g *graph.Graph) {
+func (e *engine) buildRank(g *graph.Graph) {
 	if e.rankFor == g {
 		return
 	}
@@ -502,7 +437,7 @@ func (e *Engine) buildRank(g *graph.Graph) {
 }
 
 // edgeRank returns the canonical rank of edge {a, b} (a < b) of g.
-func (e *Engine) edgeRank(g *graph.Graph, a, b uint32) int {
+func (e *engine) edgeRank(g *graph.Graph, a, b uint32) int {
 	if e.rankFor != g {
 		panic("hier: OrigEdge called outside its level's visit callback")
 	}

@@ -48,7 +48,7 @@ func TestRunMatchesSerialHierarchy(t *testing.T) {
 		for _, w := range []int{1, 2, 8} {
 			var got []*Level
 			var gotQuots [][]uint32
-			res, err := Run(Config{Beta: 0.25, Seed: 9, Workers: w, TrackVertexMap: true}, g,
+			h, err := BuildHierarchy(Config{Beta: 0.25, Seed: 9, Workers: w, TrackVertexMap: true}, g,
 				func(lv *Level) error {
 					got = append(got, &Level{Index: lv.Index, G: lv.G, D: lv.D, NumQuot: lv.NumQuot})
 					gotQuots = append(gotQuots, lv.Quot)
@@ -57,6 +57,7 @@ func TestRunMatchesSerialHierarchy(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, w, err)
 			}
+			res := h.Result()
 			if res.Levels != len(wantDecs) {
 				t.Fatalf("%s workers=%d: %d levels, want %d", name, w, res.Levels, len(wantDecs))
 			}
@@ -116,7 +117,7 @@ func TestOrigEdgeAnnotations(t *testing.T) {
 	for v := range cur {
 		cur[v] = uint32(v)
 	}
-	_, err := Run(Config{Beta: 0.3, Seed: 4, Workers: 8, NeedEdgeOrig: true}, g,
+	_, err := BuildHierarchy(Config{Beta: 0.3, Seed: 4, Workers: 8, NeedEdgeOrig: true}, g,
 		func(lv *Level) error {
 			for a := 0; a < lv.G.NumVertices(); a++ {
 				for _, b := range lv.G.Neighbors(uint32(a)) {
@@ -151,7 +152,7 @@ func TestResidualMatchesSerial(t *testing.T) {
 	g := graph.Torus2D(20, 24)
 	remaining := g.Edges()
 	level := 0
-	res, err := Run(Config{Beta: 0.5, Seed: 7, Workers: 4, Residual: true, NeedIntra: true, MaxLevels: 100}, g,
+	h, err := BuildHierarchy(Config{Beta: 0.5, Seed: 7, Workers: 4, Residual: true, NeedIntra: true, MaxLevels: 100}, g,
 		func(lv *Level) error {
 			sub, err := graph.FromEdges(g.NumVertices(), remaining)
 			if err != nil {
@@ -187,7 +188,7 @@ func TestResidualMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(remaining) != 0 || res.Final.NumEdges() != 0 {
+	if len(remaining) != 0 || h.Result().Final.NumEdges() != 0 {
 		t.Fatalf("residual run left %d edges", len(remaining))
 	}
 }
@@ -200,7 +201,7 @@ func TestResidualMatchesSerial(t *testing.T) {
 func TestOrigEdgeDenseTinyLevel(t *testing.T) {
 	g := graph.Complete(7) // n=7, m=21: c can exceed n at high beta
 	for seed := uint64(0); seed < 20; seed++ {
-		_, err := Run(Config{Beta: 0.98, Seed: seed, Workers: 8, NeedEdgeOrig: true, NeedIntra: true}, g,
+		_, err := BuildHierarchy(Config{Beta: 0.98, Seed: seed, Workers: 8, NeedEdgeOrig: true, NeedIntra: true}, g,
 			func(lv *Level) error {
 				for a := 0; a < lv.G.NumVertices(); a++ {
 					for _, b := range lv.G.Neighbors(uint32(a)) {
@@ -220,7 +221,7 @@ func TestOrigEdgeDenseTinyLevel(t *testing.T) {
 // TestRunMaxLevels checks the defensive cap errors out rather than looping.
 func TestRunMaxLevels(t *testing.T) {
 	g := graph.Grid2D(30, 30)
-	_, err := Run(Config{Beta: 0.2, Seed: 1, MaxLevels: 1}, g, nil)
+	_, err := BuildHierarchy(Config{Beta: 0.2, Seed: 1, MaxLevels: 1}, g, nil)
 	if err != ErrMaxLevels {
 		t.Fatalf("err = %v, want ErrMaxLevels", err)
 	}

@@ -13,10 +13,10 @@ import (
 
 // This file turns the one-shot decompose-and-contract driver into an
 // online system: a persistent Hierarchy retains every level's input graph,
-// decomposition, quotient map and annotation table, and Update applies a
+// decomposition, quotient map and annotation table, and UpdateCtx applies a
 // graph.Batch by re-deriving — never patching — exactly the levels whose
 // inputs changed (the ROADMAP rule). The contract is strict bit-identity:
-// after Update, the Hierarchy's Result, every retained level, and every
+// after UpdateCtx, the Hierarchy's Result, every retained level, and every
 // value a visit callback observes are identical to a from-scratch build on
 // the updated graph with the same Config.
 //
@@ -49,13 +49,13 @@ import (
 // fixpoint check incremental is an open ROADMAP item.
 //
 // Every derivation runs in two phases (docs/robustness.md): a pure compute
-// phase (computeLevels / the staged Update walk) that reads the live
+// phase (computeLevels / the staged UpdateCtx walk) that reads the live
 // hierarchy but never mutates it and delivers no visits, and a commit
 // phase that installs the staged state and only then replays the visit
-// callbacks. Cancellation (Config.Ctx, polled at level and round
-// boundaries) and contained panics therefore abort before commit: the
-// hierarchy, its Result and the engine stay exactly as they were, and the
-// same Update can simply be retried.
+// callbacks. Cancellation (Config.Ctx for builds, UpdateCtx's ctx for
+// updates; polled at level and round boundaries) and contained panics
+// therefore abort before commit: the hierarchy, its Result and the engine
+// stay exactly as they were, and the same UpdateCtx can simply be retried.
 
 // levelState is everything the Hierarchy retains per level: the level's
 // input graph (weighted view when applicable), its decomposition, the
@@ -75,13 +75,13 @@ type levelState struct {
 // of a build plus everything needed to maintain it under edge updates.
 // It is not safe for concurrent use.
 type Hierarchy struct {
-	eng      *Engine
+	eng      *engine
 	res      *Result
 	levels   []levelState
 	weighted bool
 }
 
-// UpdateStats reports how much of the hierarchy an Update reused.
+// UpdateStats reports how much of the hierarchy an UpdateCtx reused.
 type UpdateStats struct {
 	// Levels is the level count after the update.
 	Levels int
@@ -109,18 +109,21 @@ func (s UpdateStats) String() string {
 }
 
 // BuildHierarchy builds a persistent unweighted hierarchy over g, invoking
-// visit per level exactly as Run does. The returned Hierarchy owns the
-// engine's scratch; keep it to call Update. On ErrMaxLevels the hierarchy
-// is returned alongside the error (its partial levels are consistent);
-// other errors — including Config.Ctx cancellation and contained panics —
-// return nil.
+// visit (which may be nil) once per level. It stops when the current graph
+// has no edges and propagates any error from Partition or visit. The full
+// derivation is computed before the first visit is delivered, so a
+// cancellation (Config.Ctx) or a contained panic (*parallel.PanicError)
+// returns nil and the error with no visit ever observed. On ErrMaxLevels
+// (the cap was hit first) the hierarchy is returned alongside the error;
+// its partial levels are consistent. Callers that only want the Result
+// read h.Result() and drop h; keep h to call UpdateCtx.
 func BuildHierarchy(cfg Config, g *graph.Graph, visit func(*Level) error) (h *Hierarchy, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			h, err = nil, parallel.Recovered(r)
 		}
 	}()
-	h = &Hierarchy{eng: New(cfg), res: &Result{}}
+	h = &Hierarchy{eng: &engine{cfg: cfg}, res: &Result{}}
 	if err := h.build(g, visit); err != nil {
 		if errors.Is(err, ErrMaxLevels) {
 			return h, err
@@ -130,15 +133,22 @@ func BuildHierarchy(cfg Config, g *graph.Graph, visit func(*Level) error) (h *Hi
 	return h, nil
 }
 
-// BuildWeightedHierarchy is BuildHierarchy for weighted graphs (the
-// RunWeighted driver).
+// BuildWeightedHierarchy is BuildHierarchy for weighted graphs. Per level
+// it runs core.PartitionWeightedParallel with β from Config.WBetaAt (or
+// the flat Beta) and Δ-stepping bucket width 1/β, then contracts clusters
+// through graph.ContractWeightedClustersPool (summing parallel edge
+// weights) or rebuilds the weighted residual graph (Config.Residual).
+// Vertex maps, edge annotations and intra-edge collection behave exactly
+// as in BuildHierarchy; Level.G is the unweighted view of Level.WG, so
+// OrigEdge works unchanged. Output is bit-identical at every worker count
+// and traversal direction for a fixed (wg, config).
 func BuildWeightedHierarchy(cfg Config, wg *graph.WeightedGraph, visit func(*Level) error) (h *Hierarchy, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			h, err = nil, parallel.Recovered(r)
 		}
 	}()
-	h = &Hierarchy{eng: New(cfg), res: &Result{}, weighted: true}
+	h = &Hierarchy{eng: &engine{cfg: cfg}, res: &Result{}, weighted: true}
 	if err := h.buildWeighted(wg, visit); err != nil {
 		if errors.Is(err, ErrMaxLevels) {
 			return h, err
@@ -149,13 +159,13 @@ func BuildWeightedHierarchy(cfg Config, wg *graph.WeightedGraph, visit func(*Lev
 }
 
 // Result returns the hierarchy's current result. The same pointer stays
-// valid across updates; Update mutates it in place (at commit time only).
+// valid across updates; UpdateCtx mutates it in place (at commit time only).
 func (h *Hierarchy) Result() *Result { return h.res }
 
 // Levels returns the current level count.
 func (h *Hierarchy) Levels() int { return h.res.Levels }
 
-// Graph returns the current base graph (the updated one after Update).
+// Graph returns the current base graph (the updated one after UpdateCtx).
 func (h *Hierarchy) Graph() *graph.Graph {
 	if len(h.levels) > 0 {
 		return h.levels[0].g
@@ -190,7 +200,8 @@ func (h *Hierarchy) initOrigMap(n0 int) {
 
 // recomposeOrigMap rebuilds Result.OrigMap as the composition of every
 // level's quotient map. Pure integer map folding in a fixed order — the
-// values are identical to the per-level composition Run used to maintain.
+// values are identical to composing the maps level by level during the
+// build.
 func (h *Hierarchy) recomposeOrigMap() {
 	cfg := h.eng.cfg
 	if !cfg.TrackVertexMap || cfg.Residual || h.res.OrigMap == nil {
@@ -214,7 +225,7 @@ func (h *Hierarchy) recomposeOrigMap() {
 }
 
 // build derives the full unweighted hierarchy over g, installs it, and
-// replays the visits. The shared body of Run and BuildHierarchy.
+// replays the visits.
 func (h *Hierarchy) build(g *graph.Graph, visit func(*Level) error) error {
 	cfg := h.eng.cfg
 	h.initOrigMap(g.NumVertices())
@@ -263,7 +274,7 @@ func (h *Hierarchy) buildWeighted(wg *graph.WeightedGraph, visit func(*Level) er
 // polls it between rounds). On ErrMaxLevels the levels computed so far are
 // returned alongside the error (they are consistent and installable); any
 // other error returns nothing.
-func (e *Engine) computeLevels(ctx context.Context, start int, cur *graph.Graph, orig []graph.Edge) ([]levelState, []LevelStat, *graph.Graph, error) {
+func (e *engine) computeLevels(ctx context.Context, start int, cur *graph.Graph, orig []graph.Edge) ([]levelState, []LevelStat, *graph.Graph, error) {
 	cfg := e.cfg
 	pool := cfg.Pool
 	var lvls []levelState
@@ -275,14 +286,12 @@ func (e *Engine) computeLevels(ctx context.Context, start int, cur *graph.Graph,
 		if level >= cfg.maxLevels() {
 			return lvls, stats, cur, ErrMaxLevels
 		}
-		d, err := core.Partition(cur, cfg.betaAt(level, cur), core.Options{
-			Ctx:         ctx,
-			Seed:        xrand.Mix(cfg.Seed, uint64(level)),
-			Workers:     cfg.Workers,
-			Pool:        pool,
-			TieBreak:    cfg.TieBreak,
-			ShiftSource: cfg.ShiftSource,
-			Direction:   cfg.Direction,
+		d, err := core.Partition(cur, cfg.Beta, core.Options{
+			Ctx:       ctx,
+			Seed:      xrand.Mix(cfg.Seed, uint64(level)),
+			Workers:   cfg.Workers,
+			Pool:      pool,
+			Direction: cfg.Direction,
 		})
 		if err != nil {
 			return nil, nil, nil, err
@@ -343,8 +352,8 @@ func (e *Engine) computeLevels(ctx context.Context, start int, cur *graph.Graph,
 }
 
 // computeWeightedLevels is computeLevels for weighted hierarchies: the
-// pure compute phase of RunWeighted and the weighted Update.
-func (e *Engine) computeWeightedLevels(ctx context.Context, start int, cur *graph.WeightedGraph) ([]levelState, []LevelStat, *graph.Graph, *graph.WeightedGraph, error) {
+// pure compute phase of BuildWeightedHierarchy and the weighted update.
+func (e *engine) computeWeightedLevels(ctx context.Context, start int, cur *graph.WeightedGraph) ([]levelState, []LevelStat, *graph.Graph, *graph.WeightedGraph, error) {
 	cfg := e.cfg
 	pool := cfg.Pool
 	var lvls []levelState
@@ -359,24 +368,18 @@ func (e *Engine) computeWeightedLevels(ctx context.Context, start int, cur *grap
 			return lvls, stats, curU, cur, ErrMaxLevels
 		}
 		beta := cfg.wbetaAt(level, cur)
-		delta := cfg.deltaAt(level, cur)
-		if delta <= 0 {
-			// The Meyer–Sanders default (max weight / avg degree) matches the
-			// WEIGHT scale, but shifted distances live on the SHIFT scale
-			// Exp(β) — mean 1/β, range ~ln n/β. On AKPW schedules β shrinks
-			// geometrically, so a weight-scale Δ would make the bucket count
-			// (and the round count) explode exponentially with the level.
-			// Δ = 1/β keeps it at ~ln n buckets per level at every scale.
-			delta = 1 / beta
-		}
-		wd, err := core.PartitionWeightedParallel(cur, beta, delta, core.Options{
-			Ctx:         ctx,
-			Seed:        xrand.Mix(cfg.Seed, uint64(level)),
-			Workers:     cfg.Workers,
-			Pool:        pool,
-			TieBreak:    cfg.TieBreak,
-			ShiftSource: cfg.ShiftSource,
-			Direction:   cfg.Direction,
+		// Δ = 1/β, not the Meyer–Sanders default (max weight / avg degree):
+		// that matches the WEIGHT scale, but shifted distances live on the
+		// SHIFT scale Exp(β) — mean 1/β, range ~ln n/β. On AKPW schedules β
+		// shrinks geometrically, so a weight-scale Δ would make the bucket
+		// count (and the round count) explode exponentially with the level.
+		// Δ = 1/β keeps it at ~ln n buckets per level at every scale.
+		wd, err := core.PartitionWeightedParallel(cur, beta, 1/beta, core.Options{
+			Ctx:       ctx,
+			Seed:      xrand.Mix(cfg.Seed, uint64(level)),
+			Workers:   cfg.Workers,
+			Pool:      pool,
+			Direction: cfg.Direction,
 		})
 		if err != nil {
 			return nil, nil, nil, nil, err
@@ -514,14 +517,16 @@ type dfixG struct {
 	g *graph.Graph
 }
 
-// Update applies b to the hierarchy's base graph and re-derives exactly
+// UpdateCtx applies b to the hierarchy's base graph and re-derives exactly
 // the levels whose inputs changed, walking the damage up through the
-// quotient maps. visit (which may be nil) is invoked, in level order, for
-// every level whose observable state changed — re-derived levels AND
-// refreshed levels — with exactly the Level view a from-scratch build
-// would present; spliced levels are not visited. After Update, the
-// Hierarchy and its Result are bit-identical to a from-scratch build on
-// the updated graph.
+// quotient maps. ctx (nil means never cancelled) is polled at level and
+// partition-round boundaries; each call carries its own, so one
+// persistent hierarchy can serve many requests with their own deadlines.
+// visit (which may be nil) is invoked, in level order, for every level
+// whose observable state changed — re-derived levels AND refreshed levels
+// — with exactly the Level view a from-scratch build would present;
+// spliced levels are not visited. After UpdateCtx, the Hierarchy and its
+// Result are bit-identical to a from-scratch build on the updated graph.
 //
 // The per-level decision is:
 //
@@ -534,25 +539,16 @@ type dfixG struct {
 //   - verified, batch touches cut edges → re-run the contraction, diff
 //     the quotient CSRs, and propagate the diff as the next level's batch.
 //
-// Update is all-or-nothing: the walk stages every change (copied level
+// UpdateCtx is all-or-nothing: the walk stages every change (copied level
 // and stat arrays, deferred pointer fixups) and commits only once the
-// whole derivation has succeeded. On cancellation (Config.Ctx, polled at
-// level and partition-round boundaries), a contained panic
-// (*parallel.PanicError), or any kernel error, Update returns a zero
+// whole derivation has succeeded. On cancellation, a contained panic
+// (*parallel.PanicError), or any kernel error, UpdateCtx returns a zero
 // UpdateStats and the error with the hierarchy, its Result and the engine
 // untouched — retrying the same batch is safe. Visits are replayed only
 // after commit, so an error from a visit callback leaves the hierarchy
 // consistent in its updated state; only the caller's own per-level state
 // is partial and should be rebuilt. ErrMaxLevels likewise commits the
 // (consistent) truncated hierarchy, exactly as BuildHierarchy does.
-func (h *Hierarchy) Update(b graph.Batch, visit func(*Level) error) (UpdateStats, error) {
-	return h.UpdateCtx(h.eng.cfg.Ctx, b, visit)
-}
-
-// UpdateCtx is Update with a per-call cancellation context overriding
-// Config.Ctx (nil means never cancelled) — the shape a long-running
-// service needs, where one persistent hierarchy serves many requests each
-// carrying its own deadline. The all-or-nothing contract is identical.
 func (h *Hierarchy) UpdateCtx(ctx context.Context, b graph.Batch, visit func(*Level) error) (us UpdateStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -759,7 +755,7 @@ func (h *Hierarchy) UpdateCtx(ctx context.Context, b graph.Batch, visit func(*Le
 // updateWeighted is the conservative weighted path: any effective change
 // re-derives the whole hierarchy on the updated weighted graph (bit-
 // identity is then trivial), staged and committed with the same
-// all-or-nothing contract as the unweighted Update. The weighted
+// all-or-nothing contract as the unweighted update. The weighted
 // Δ-stepping fixpoint check is an open ROADMAP item.
 func (h *Hierarchy) updateWeighted(ctx context.Context, b graph.Batch, visit func(*Level) error) (UpdateStats, error) {
 	newWG, ar, err := graph.ApplyBatchWeighted(h.WeightedGraph(), b)

@@ -10,7 +10,7 @@ import (
 
 // FuzzHierUpdate checks the incremental-maintenance contract on arbitrary
 // small instances: build a hierarchy, apply a fuzzer-chosen batch of edge
-// inserts and deletes through Hierarchy.Update, and require the result —
+// inserts and deletes through Hierarchy.UpdateCtx, and require the result —
 // stats, final graph, vertex map, and every retained level — to be
 // bit-identical to a from-scratch build on the updated graph. This is the
 // fuzz companion of TestHierarchyUpdateBitIdentical: the fuzzer explores
@@ -60,7 +60,7 @@ func FuzzHierUpdate(f *testing.F) {
 			}
 		}
 
-		_, uerr := h.Update(b, nil)
+		_, uerr := h.UpdateCtx(nil, b, nil)
 		updated, _, err := graph.ApplyBatch(g, b)
 		if err != nil {
 			t.Fatal(err)

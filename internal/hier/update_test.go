@@ -154,7 +154,7 @@ func randomHierBatch(g *graph.Graph, seed uint64, nIns, nDel int) graph.Batch {
 // TestHierarchyUpdateBitIdentical is the golden incremental determinism
 // suite: over contract and residual configs, workers 1/2/8 and
 // push/pull/auto, a chain of random update batches applied through
-// Hierarchy.Update must leave the hierarchy bit-identical to a
+// Hierarchy.UpdateCtx must leave the hierarchy bit-identical to a
 // from-scratch build on the updated graph at every step.
 func TestHierarchyUpdateBitIdentical(t *testing.T) {
 	dirs := []core.Direction{core.DirectionForcePush, core.DirectionForcePull, core.DirectionAuto}
@@ -179,7 +179,7 @@ func TestHierarchyUpdateBitIdentical(t *testing.T) {
 				cur := base
 				for step := uint64(0); step < 4; step++ {
 					b := randomHierBatch(cur, 0xabc*step+uint64(w)+uint64(dir)<<4, 8, 6)
-					us, err := h.Update(b, nil)
+					us, err := h.UpdateCtx(nil, b, nil)
 					if err != nil {
 						t.Fatalf("%s w=%d dir=%v step %d: update: %v", tc.name, w, dir, step, err)
 					}
@@ -206,7 +206,7 @@ func TestHierarchyUpdateBitIdentical(t *testing.T) {
 }
 
 // TestHierarchyUpdateVisitMatchesFresh checks the visit contract: levels
-// visited during Update present exactly the view a fresh build presents
+// visited during UpdateCtx present exactly the view a fresh build presents
 // (tree edges via OrigEdge, intra lists), and unvisited levels' previously
 // captured views are still the fresh ones.
 func TestHierarchyUpdateVisitMatchesFresh(t *testing.T) {
@@ -243,7 +243,7 @@ func TestHierarchyUpdateVisitMatchesFresh(t *testing.T) {
 	cur := base
 	for step := uint64(0); step < 3; step++ {
 		b := randomHierBatch(cur, 0x5e7+step, 6, 5)
-		if _, err := h.Update(b, func(lv *Level) error {
+		if _, err := h.UpdateCtx(nil, b, func(lv *Level) error {
 			views[lv.Index] = capture(lv)
 			return nil
 		}); err != nil {
@@ -295,7 +295,7 @@ func TestHierarchyUpdateReuseStats(t *testing.T) {
 	}
 
 	// No-op batch: insert an existing edge.
-	us, err := h.Update(graph.Batch{Insert: []graph.Edge{{U: 0, V: 1}}}, nil)
+	us, err := h.UpdateCtx(nil, graph.Batch{Insert: []graph.Edge{{U: 0, V: 1}}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestHierarchyUpdateReuseStats(t *testing.T) {
 	if intraNonTree == nil {
 		t.Fatal("no intra non-tree edge found")
 	}
-	us, err = h.Update(graph.Batch{Delete: []graph.Edge{*intraNonTree}}, nil)
+	us, err = h.UpdateCtx(nil, graph.Batch{Delete: []graph.Edge{*intraNonTree}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestHierarchyUpdateReuseStats(t *testing.T) {
 	if treeEdge == nil {
 		t.Fatal("no tree edge found")
 	}
-	us, err = h.Update(graph.Batch{Delete: []graph.Edge{*treeEdge}}, nil)
+	us, err = h.UpdateCtx(nil, graph.Batch{Delete: []graph.Edge{*treeEdge}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestHierarchyUpdateReuseStats(t *testing.T) {
 
 // TestHierarchyUpdateGrowShrink drives the level count both ways: deleting
 // every edge empties the hierarchy, re-inserting them rebuilds it — both
-// through Update, both bit-identical to fresh builds.
+// through UpdateCtx, both bit-identical to fresh builds.
 func TestHierarchyUpdateGrowShrink(t *testing.T) {
 	base := graph.Grid2D(9, 9)
 	cfg := Config{Beta: 0.3, Seed: 2, Workers: 2, NeedEdgeOrig: true, TrackVertexMap: true}
@@ -359,7 +359,7 @@ func TestHierarchyUpdateGrowShrink(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := base.Edges()
-	us, err := h.Update(graph.Batch{Delete: all}, nil)
+	us, err := h.UpdateCtx(nil, graph.Batch{Delete: all}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestHierarchyUpdateGrowShrink(t *testing.T) {
 	}
 	requireHierIdentical(t, "shrink", h, fresh)
 
-	us, err = h.Update(graph.Batch{Insert: all}, nil)
+	us, err = h.UpdateCtx(nil, graph.Batch{Insert: all}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestHierarchyUpdateWeighted(t *testing.T) {
 		InsertW: []float64{2.5, 7.75},
 		Delete:  []graph.Edge{{U: 11, V: 12}},
 	}
-	us, err := h.Update(b, nil)
+	us, err := h.UpdateCtx(nil, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestHierarchyUpdateWeighted(t *testing.T) {
 
 	// A pure no-op (re-upsert of identical bits) reuses everything.
 	w01, _ := h.WeightedGraph().Weight(0, 1)
-	us, err = h.Update(graph.Batch{Insert: []graph.Edge{{U: 0, V: 1}}, InsertW: []float64{w01}}, nil)
+	us, err = h.UpdateCtx(nil, graph.Batch{Insert: []graph.Edge{{U: 0, V: 1}}, InsertW: []float64{w01}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

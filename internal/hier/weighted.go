@@ -1,7 +1,6 @@
 package hier
 
 import (
-	"errors"
 	"math"
 
 	"mpx/internal/graph"
@@ -15,9 +14,9 @@ import (
 // the per-level rebuild — the layer that runs AKPW end to end on weighted
 // graphs. Contraction SUMS the weights of parallel cut edges into the
 // quotient arc, so total edge weight is conserved level by level, and the
-// per-level β/Δ schedules (Config.WBetaAt / Config.DeltaAt) realize the
-// AKPW weight-class progression: β shrinks geometrically so each level
-// clusters at the next weight scale.
+// per-level β schedule (Config.WBetaAt) realizes the AKPW weight-class
+// progression: β shrinks geometrically so each level clusters at the next
+// weight scale, and each level's Δ-stepping bucket width is 1/β_l.
 //
 // Determinism composes exactly as in the unweighted engine: the weighted
 // partition is bit-identical across workers and push/pull/auto
@@ -34,42 +33,6 @@ func (lv *Level) Center() []uint32 {
 		return lv.WD.Center
 	}
 	return lv.D.Center
-}
-
-// RunWeighted executes a full weighted hierarchy with a fresh engine; see
-// Engine.RunWeighted.
-func RunWeighted(cfg Config, wg *graph.WeightedGraph, visit func(*Level) error) (*Result, error) {
-	return New(cfg).RunWeighted(wg, visit)
-}
-
-// RunWeighted drives the weighted hierarchy over wg, invoking visit (which
-// may be nil) once per level. Per level it runs
-// core.PartitionWeightedParallel with the configured β/Δ schedules, then
-// contracts clusters through graph.ContractWeightedClustersPool (summing
-// parallel edge weights) or rebuilds the weighted residual graph
-// (Config.Residual). Vertex maps, edge annotations and intra-edge
-// collection behave exactly as in Run; Level.G is the unweighted view of
-// Level.WG so OrigEdge works unchanged. Output is bit-identical at every
-// worker count and traversal direction for a fixed (wg, config).
-//
-// Like Run, this is a thin wrapper over the persistent Hierarchy
-// (update.go); BuildWeightedHierarchy retains the per-level state for
-// incremental maintenance. Cancellation and panic containment follow
-// Run's contract: the derivation is staged before any visit is delivered.
-func (e *Engine) RunWeighted(wg *graph.WeightedGraph, visit func(*Level) error) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, parallel.Recovered(r)
-		}
-	}()
-	h := &Hierarchy{eng: e, res: &Result{}, weighted: true}
-	if err := h.buildWeighted(wg, visit); err != nil {
-		if errors.Is(err, ErrMaxLevels) {
-			return h.res, err
-		}
-		return nil, err
-	}
-	return h.res, nil
 }
 
 // TotalWeightOnPool sums the undirected edge weights of wg as a pooled

@@ -42,7 +42,7 @@ func FuzzHierWeighted(f *testing.F) {
 		}
 		run := func(workers int, dir core.Direction) runOut {
 			var out runOut
-			res, err := RunWeighted(Config{
+			h, err := BuildWeightedHierarchy(Config{
 				// Geometric AKPW-style β schedule so the hierarchy converges
 				// on every instance the fuzzer invents.
 				WBetaAt: func(l int, _ *graph.WeightedGraph) float64 {
@@ -68,8 +68,8 @@ func FuzzHierWeighted(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out.levels = res.Levels
-			out.origMap = res.OrigMap
+			out.levels = h.Levels()
+			out.origMap = h.Result().OrigMap
 			return out
 		}
 

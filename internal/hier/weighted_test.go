@@ -28,7 +28,7 @@ func weightedRunFingerprint(t *testing.T, wg *graph.WeightedGraph, beta float64,
 		}
 		h.Write(buf[:8])
 	}
-	res, err := RunWeighted(Config{
+	hr, err := BuildWeightedHierarchy(Config{
 		// Geometric AKPW-style schedule: halving β per level grows the
 		// cluster radius ×2 per level, so the hierarchy always converges.
 		WBetaAt:        func(level int, _ *graph.WeightedGraph) float64 { return beta / float64(uint64(1)<<uint(level)) },
@@ -55,6 +55,7 @@ func weightedRunFingerprint(t *testing.T, wg *graph.WeightedGraph, beta float64,
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := hr.Result()
 	for _, v := range res.OrigMap {
 		put32(v)
 	}
@@ -97,7 +98,7 @@ func TestRunWeightedMatchesSerialHierarchy(t *testing.T) {
 	}
 
 	level := 0
-	_, err := RunWeighted(Config{
+	_, err := BuildWeightedHierarchy(Config{
 		WBetaAt: func(l int, _ *graph.WeightedGraph) float64 { return betaAt(l) },
 		Seed:    seed, Workers: 8,
 	}, wg, func(lv *Level) error {
@@ -177,7 +178,7 @@ func TestRunWeightedResidual(t *testing.T) {
 	g := graph.Grid2D(12, 14)
 	wg := graph.RandomWeights(g, 1, 3, 4)
 	var gotEdges int64
-	res, err := RunWeighted(Config{
+	h, err := BuildWeightedHierarchy(Config{
 		Beta: 0.5, Seed: 3, Workers: 4, Residual: true, NeedIntra: true, MaxLevels: 200,
 	}, wg, func(lv *Level) error {
 		if lv.WG.NumVertices() != g.NumVertices() {
@@ -198,8 +199,8 @@ func TestRunWeightedResidual(t *testing.T) {
 	if gotEdges != wg.NumEdges() {
 		t.Fatalf("intra edges across levels = %d, want all %d edges", gotEdges, wg.NumEdges())
 	}
-	if res.WFinal.NumEdges() != 0 {
-		t.Fatalf("final residual graph still has %d edges", res.WFinal.NumEdges())
+	if wf := h.Result().WFinal; wf.NumEdges() != 0 {
+		t.Fatalf("final residual graph still has %d edges", wf.NumEdges())
 	}
 }
 
@@ -207,13 +208,14 @@ func TestRunWeightedResidual(t *testing.T) {
 // is conserved into the next level and fractions are in range.
 func TestRunWeightedStats(t *testing.T) {
 	wg := graph.RandomWeights(graph.GNM(500, 2000, 1), 1, 5, 8)
-	res, err := RunWeighted(Config{
+	h, err := BuildWeightedHierarchy(Config{
 		WBetaAt: func(l int, _ *graph.WeightedGraph) float64 { return 0.3 / float64(uint64(1)<<uint(l)) },
 		Seed:    2, Workers: 4,
 	}, wg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := h.Result()
 	for i, st := range res.Stats {
 		if !st.Weighted {
 			t.Fatalf("level %d: stats not marked weighted", i)

@@ -59,7 +59,7 @@ func shard(pool *parallel.Pool, workers, n int, body func(lo, hi int)) {
 // graph-distance oracle. Queries are O(1) via the flattened LCA index.
 //
 // The oracle holds the Tree by reference: it is safe for concurrent
-// readers while the tree is not being mutated (no Incremental.Update in
+// readers while the tree is not being mutated (no Incremental.UpdateCtx in
 // flight). Construction allocates nothing beyond the oracle header.
 type DistanceOracle struct {
 	t       *lowstretch.Tree

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mpx/internal/apps/lowstretch"
+	"mpx/internal/core"
 	"mpx/internal/graph"
 	"mpx/internal/hier"
 	"mpx/internal/xrand"
@@ -92,7 +93,7 @@ func treeDijkstra(n int, edges []graph.WeightedEdge, src uint32) []float64 {
 
 func TestDistanceOracleMatchesTreeBFS(t *testing.T) {
 	g := graph.GNM(1500, 5000, 17)
-	tr, err := lowstretch.Build(g, 0.2, 4)
+	tr, err := lowstretch.BuildPoolCtx(nil, nil, g, 0.2, 4, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestDistanceOracleMatchesTreeBFS(t *testing.T) {
 func TestWeightedDistanceOracleMatchesTreeDijkstra(t *testing.T) {
 	g := graph.GNM(900, 3000, 23)
 	wg := graph.RandomWeights(g, 1, 12, 6)
-	tr, err := lowstretch.BuildWeighted(wg, 0.4, 8)
+	tr, err := lowstretch.BuildWeightedPoolCtx(nil, nil, wg, 0.4, 8, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func randomPairs(n, q int, seed uint64) []Pair {
 // grain.
 func TestBatchMatchesScalarAtWorkerCounts(t *testing.T) {
 	g := graph.GNM(2000, 7000, 41)
-	tr, err := lowstretch.Build(g, 0.2, 9)
+	tr, err := lowstretch.BuildPoolCtx(nil, nil, g, 0.2, 9, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestBatchMatchesScalarAtWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg := graph.RandomWeights(g, 1, 5, 1)
-	wtr, err := lowstretch.BuildWeighted(wg, 0.4, 9)
+	wtr, err := lowstretch.BuildWeightedPoolCtx(nil, nil, wg, 0.4, 9, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestBatchMatchesScalarAtWorkerCounts(t *testing.T) {
 // guarantee of docs/queries.md.
 func TestConcurrentReaders(t *testing.T) {
 	g := graph.Grid2D(60, 50)
-	tr, err := lowstretch.Build(g, 0.2, 5)
+	tr, err := lowstretch.BuildPoolCtx(nil, nil, g, 0.2, 5, 0, core.DirectionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestMembershipSnapshotSurvivesUpdate(t *testing.T) {
 			before[l][v] = o.ClusterOf(uint32(v), l)
 		}
 	}
-	if _, err := h.Update(graph.Batch{Insert: []graph.Edge{{U: 0, V: uint32(n - 1)}}}, nil); err != nil {
+	if _, err := h.UpdateCtx(nil, graph.Batch{Insert: []graph.Edge{{U: 0, V: uint32(n - 1)}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for l := range before {

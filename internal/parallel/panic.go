@@ -14,8 +14,8 @@ import (
 // first panic (with its stack), the job drains normally so the pool and
 // its recycled descriptors stay fully usable, and Run re-panics with the
 // *PanicError on the submitter, where ordinary defer/recover applies. The
-// engine entry points (core.Partition, hier.Run/Update, ...) recover it
-// into an error return.
+// engine entry points (core.Partition, hier.BuildHierarchy/UpdateCtx, ...)
+// recover it into an error return.
 type PanicError struct {
 	// Value is the original value passed to panic.
 	Value any

@@ -24,14 +24,11 @@ import (
 //	connectivity — LDD-contraction connected components (stats only).
 //
 // Beta is the per-level decomposition parameter in (0, 1); Seed fixes all
-// randomness; Delta is the Δ-stepping bucket width of weighted builds
-// (0 picks the engine default; Δ shapes scheduling only, never a result
-// bit, but it is part of the cache key because it is part of the request).
+// randomness.
 type buildRequest struct {
 	App      string  `json:"app"`
 	Weighted bool    `json:"weighted,omitempty"`
 	Beta     float64 `json:"beta"`
-	Delta    float64 `json:"delta,omitempty"`
 	Seed     uint64  `json:"seed"`
 }
 
@@ -58,12 +55,6 @@ func (req *buildRequest) validate(e *entry) (int, string, string) {
 			return http.StatusBadRequest, kindBadRequest,
 				"graph " + fpHex(e.fp) + " carries no weights; register a weighted snapshot or DIMACS file for weighted builds"
 		}
-		if !(req.Delta >= 0) || math.IsInf(req.Delta, 0) {
-			return http.StatusBadRequest, kindBadRequest, "delta must be finite and >= 0"
-		}
-	} else if req.Delta != 0 {
-		return http.StatusBadRequest, kindBadRequest,
-			"delta is the Δ-stepping bucket width of weighted builds; drop it or set \"weighted\": true"
 	}
 	return 0, "", ""
 }
@@ -77,7 +68,7 @@ func quoted(s string) string {
 }
 
 func (req *buildRequest) key() buildKey {
-	return newBuildKey(req.App, req.Weighted, req.Seed, req.Beta, req.Delta)
+	return newBuildKey(req.App, req.Weighted, req.Seed, req.Beta)
 }
 
 // built is a retained build: the oracles answering queries against it,
@@ -133,7 +124,6 @@ type buildResponse struct {
 	App         string          `json:"app"`
 	Weighted    bool            `json:"weighted"`
 	Beta        float64         `json:"beta"`
-	Delta       float64         `json:"delta,omitempty"`
 	Seed        uint64          `json:"seed"`
 	Levels      int             `json:"levels"`
 	TreeEdges   int             `json:"treeEdges,omitempty"`   // lowstretch
@@ -202,9 +192,10 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request, fp uint64) 
 // runBuild computes one build. All-or-nothing: on any error (cancellation
 // included) nothing has been retained anywhere — the engines guarantee no
 // partial result and the caller skips both cache and entry insertion. The
-// recover mirrors hier.Engine.Run: a contained worker panic re-raised
-// outside an engine's own recover (oracle construction runs pool kernels
-// after the build proper) still comes back as an error, typed 503.
+// recover mirrors the engine entry points' own (hier.BuildHierarchy and
+// friends): a contained worker panic re-raised outside an engine's recover
+// (oracle construction runs pool kernels after the build proper) still
+// comes back as an error, typed 503.
 func (s *Server) runBuild(ctx context.Context, e *entry, req *buildRequest) (bt *built, resp *buildResponse, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -216,16 +207,13 @@ func (s *Server) runBuild(ctx context.Context, e *entry, req *buildRequest) (bt 
 		App:      req.App,
 		Weighted: req.Weighted,
 		Beta:     req.Beta,
-		Delta:    req.Delta,
 		Seed:     req.Seed,
 	}
 	bt = &built{key: req.key(), n: e.g.NumVertices()}
 	switch {
 	case req.Weighted:
-		// Weighted AKPW forest; Δ forwarding rides the WeightedTree build's
-		// per-level schedule, so only Δ=default is exposed for now — the
-		// request Δ is validated and keyed but the AKPW schedule derives
-		// Δ_l = 1/β_l itself (docs/mpxd.md).
+		// Weighted AKPW forest; the hierarchy derives each level's
+		// Δ-stepping bucket width as 1/β_l.
 		wt, err := lowstretch.BuildWeightedPoolCtx(ctx, s.pool, e.wg, req.Beta, req.Seed, s.workers, core.DirectionAuto)
 		if err != nil {
 			return nil, nil, err

@@ -21,20 +21,18 @@ type cacheKey struct {
 // distinct bits are distinct configurations. Worker count is deliberately
 // absent — it never changes a result bit.
 type buildKey struct {
-	app       string
-	weighted  bool
-	seed      uint64
-	betaBits  uint64
-	deltaBits uint64
+	app      string
+	weighted bool
+	seed     uint64
+	betaBits uint64
 }
 
-func newBuildKey(app string, weighted bool, seed uint64, beta, delta float64) buildKey {
+func newBuildKey(app string, weighted bool, seed uint64, beta float64) buildKey {
 	return buildKey{
-		app:       app,
-		weighted:  weighted,
-		seed:      seed,
-		betaBits:  math.Float64bits(beta),
-		deltaBits: math.Float64bits(delta),
+		app:      app,
+		weighted: weighted,
+		seed:     seed,
+		betaBits: math.Float64bits(beta),
 	}
 }
 
@@ -69,7 +67,6 @@ func (k cacheKey) hash() uint64 {
 	}
 	h = fnvU64(h, k.bk.seed)
 	h = fnvU64(h, k.bk.betaBits)
-	h = fnvU64(h, k.bk.deltaBits)
 	return h
 }
 

@@ -14,6 +14,7 @@ import (
 func TestHostileInputs(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	fp := register(t, ts.URL, gridSnapshotBytes(t, 8, 8, false))
+	wfp := register(t, ts.URL, gridSnapshotBytes(t, 8, 8, true))
 	// One retained build so query-layer validation (not the 404 path) is
 	// what trips.
 	code, _, body := httpBody(t, http.MethodPost, fmtURL(ts.URL, "/v1/graphs/%s/build", fp),
@@ -84,6 +85,8 @@ func TestHostileInputs(t *testing.T) {
 			jsonBody(t, map[string]any{"app": "blocks", "weighted": true, "beta": 0.25, "seed": 1}), 400, kindBadRequest},
 		{"build delta on unweighted", http.MethodPost, "/v1/graphs/" + fp + "/build",
 			jsonBody(t, map[string]any{"app": "lowstretch", "beta": 0.25, "delta": 2.0, "seed": 1}), 400, kindBadRequest},
+		{"build delta on weighted", http.MethodPost, "/v1/graphs/" + wfp + "/build",
+			jsonBody(t, map[string]any{"app": "lowstretch", "weighted": true, "beta": 0.25, "delta": 2.0, "seed": 1}), 400, kindBadRequest},
 		{"query malformed JSON", http.MethodPost, "/v1/graphs/" + fp + "/query",
 			[]byte("null null"), 400, kindBadRequest},
 		{"query wrong app", http.MethodPost, "/v1/graphs/" + fp + "/query",

@@ -8,7 +8,7 @@ import (
 )
 
 // queryRequest is the POST .../query body. The build-configuration fields
-// (app/weighted/beta/delta/seed) select which retained build answers — a
+// (app/weighted/beta/seed) select which retained build answers — a
 // build must have been POSTed first; queries never build implicitly, so
 // their latency is always oracle-lookup latency.
 //
@@ -26,7 +26,6 @@ type queryRequest struct {
 	App      string     `json:"app"`
 	Weighted bool       `json:"weighted,omitempty"`
 	Beta     float64    `json:"beta"`
-	Delta    float64    `json:"delta,omitempty"`
 	Seed     uint64     `json:"seed"`
 	Op       string     `json:"op"`
 	Level    *int       `json:"level,omitempty"`
@@ -75,7 +74,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, fp uint64) 
 			"unknown op %s (valid: dist, cluster, same)", quoted(req.Op))
 		return
 	}
-	bt := e.getBuilt(newBuildKey(req.App, req.Weighted, req.Seed, req.Beta, req.Delta))
+	bt := e.getBuilt(newBuildKey(req.App, req.Weighted, req.Seed, req.Beta))
 	if bt == nil {
 		writeError(w, http.StatusNotFound, kindNotFound,
 			"no built hierarchy for this configuration on graph %s; POST /v1/graphs/%s/build first",
