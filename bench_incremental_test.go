@@ -1,12 +1,15 @@
 package mpx_bench
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
+	"mpx/internal/apps/lowstretch"
 	"mpx/internal/core"
 	"mpx/internal/graph"
 	"mpx/internal/hier"
+	"mpx/internal/oracle"
 	"mpx/internal/xrand"
 )
 
@@ -152,4 +155,98 @@ func BenchmarkE23RebuildBaseline(b *testing.B) {
 		levels = h.Levels()
 	}
 	b.ReportMetric(float64(levels), "levels")
+}
+
+// e23ClearedSlack is what the E23 cleared-update gate allows per op beyond
+// the new CSR: the batch's canonical copies and delta map, the staged
+// level and stat arrays, and the pool closures — O(batch + levels) bytes.
+const e23ClearedSlack = 128 << 10
+
+// BenchmarkE23ClearedUpdate gates the cleared op of perfbench's
+// update-query workload, on the same graph: PA(100k, 4), the
+// preferential-attachment graph, with β = 0.2. The batch is one
+// friend-of-friend edge that passes level 0's UnchangedUnder, inserted and
+// deleted in turn, so no level re-derives. Each op runs
+// Incremental.UpdateCtx plus oracle.NewMembership, the refresh a query
+// server runs after every update. Such an op must cost one copy of the new
+// CSR — 8(n+1) bytes of offsets and 8m of adjacency — and O(batch) more.
+// The run fails if bytes/op exceed that by more than e23ClearedSlack, so
+// an O(n) rebuild of a tree segment or of a cluster map fails it.
+func BenchmarkE23ClearedUpdate(b *testing.B) {
+	const n, k, seed, beta = 100000, 4, 0x5eed, 0.2
+	g := graph.PreferentialAttachment(n, k, seed)
+	inc, err := lowstretch.BuildIncrementalPoolCtx(nil, benchPool, g, beta, seed, 0, core.DirectionAuto)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Level 0's decomposition, derived as the hierarchy derives it.
+	d0, err := core.Partition(g, beta, core.Options{Seed: xrand.Mix(seed, 0), Pool: benchPool})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := clearingFoFEdge(b, g, d0)
+	batches := [2]graph.Batch{{Insert: []graph.Edge{e}}, {Delete: []graph.Edge{e}}}
+	var mo *oracle.MembershipOracle
+	op := func(i int) {
+		us, err := inc.UpdateCtx(nil, batches[i%2])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if us.Rederived != 0 {
+			b.Fatalf("op %d on %v re-derived: %+v", i, e, us)
+		}
+		mo = oracle.NewMembership(inc.Hierarchy(), benchPool, 0)
+	}
+	// One warm-up insert/delete pair: the first NewMembership composes the
+	// cluster maps, once.
+	op(0)
+	op(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if mo.Levels() != inc.Tree().Levels {
+		b.Fatalf("membership oracle has %d levels, tree %d", mo.Levels(), inc.Tree().Levels)
+	}
+	bytesPerOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N)
+	csr := 8*int64(g.NumVertices()+1) + 8*g.NumEdges()
+	b.ReportMetric(bytesPerOp, "bytes/update")
+	b.ReportMetric(float64(csr), "csr-bytes")
+	if bytesPerOp > float64(csr+e23ClearedSlack) {
+		b.Fatalf("a cleared update allocates %.0f bytes (gate: the %d-byte CSR + %d): an O(n) per-op rebuild is back",
+			bytesPerOp, csr, e23ClearedSlack)
+	}
+}
+
+// clearingFoFEdge draws friend-of-friend edges {u, w} of g — u, a
+// neighbour v of u, a neighbour w of v — until one is absent from g and
+// passes d0's UnchangedUnder. Inserting it leaves d0 as it is, so it is
+// not a tree edge and deleting it again passes too.
+func clearingFoFEdge(b *testing.B, g *graph.Graph, d0 *core.Decomposition) graph.Edge {
+	b.Helper()
+	rng := xrand.NewSplitMix64(0xf0f)
+	n := g.NumVertices()
+	for try := 0; try < 1000000; try++ {
+		u := uint32(rng.Intn(n))
+		nu := g.Neighbors(u)
+		if len(nu) == 0 {
+			continue
+		}
+		v := nu[rng.Intn(len(nu))]
+		nv := g.Neighbors(v)
+		w := nv[rng.Intn(len(nv))]
+		if w == u || g.HasEdge(u, w) {
+			continue
+		}
+		if e := (graph.Edge{U: min(u, w), V: max(u, w)}); d0.UnchangedUnder([]graph.Edge{e}, nil) {
+			return e
+		}
+	}
+	b.Fatal("no clearing friend-of-friend edge found")
+	return graph.Edge{}
 }

@@ -45,10 +45,10 @@ func writeBenchJSON(t *testing.T, path string, records []benchRecord) {
 // TestWriteBenchJSON materializes the machine-readable benchmark
 // artifacts: BENCH_E22.json (the per-level allocation gates for the
 // unweighted and weighted hierarchy engines), BENCH_E23.json (the
-// incremental-update-vs-rebuild experiment), BENCH_E24.json (the
-// snapshot-load-vs-text-parse experiment), and BENCH_E25.json (the
-// zero-alloc batched query-serving experiment: queries/sec, allocs/query,
-// p50/p99 latency). Gated behind MPX_BENCH_JSON so ordinary test runs
+// incremental-update-vs-rebuild experiment and the cleared-update bytes
+// gate), BENCH_E24.json (the snapshot-load-vs-text-parse experiment), and
+// BENCH_E25.json (the zero-alloc batched query-serving experiment:
+// queries/sec, allocs/query, p50/p99 latency). Gated behind MPX_BENCH_JSON so ordinary test runs
 // stay fast; CI sets it and uploads the files. Each wrapped benchmark
 // keeps its own hard gate (alloc ceilings, the ≥3× and ≥10× speedup
 // floors, the 0-allocs/query serving gate), so a regression fails this
@@ -64,6 +64,7 @@ func TestWriteBenchJSON(t *testing.T) {
 	writeBenchJSON(t, "BENCH_E23.json", []benchRecord{
 		recordOf("E23IncrementalUpdate", BenchmarkE23IncrementalUpdate),
 		recordOf("E23RebuildBaseline", BenchmarkE23RebuildBaseline),
+		recordOf("E23ClearedUpdate", BenchmarkE23ClearedUpdate),
 	})
 	writeBenchJSON(t, "BENCH_E24.json", []benchRecord{
 		recordOf("E24SnapshotLoad", BenchmarkE24SnapshotLoad),

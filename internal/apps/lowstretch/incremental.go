@@ -99,8 +99,14 @@ func (inc *Incremental) UpdateCtx(ctx context.Context, b graph.Batch) (hier.Upda
 }
 
 // capture recomputes one level's tree-edge segment — the visit callback for
-// both the initial build and every update.
+// both the initial build and every update. A Kept level's segment is a
+// function of its unchanged Parent array and the identity OrigEdge map,
+// so the retained segment is kept as is, without the O(n) rebuild and
+// comparison.
 func (inc *Incremental) capture(lv *hier.Level) error {
+	if lv.Kept && lv.Index < len(inc.segs) {
+		return nil
+	}
 	for len(inc.segs) <= lv.Index {
 		inc.segs = append(inc.segs, nil)
 	}

@@ -133,6 +133,7 @@ func TestIncrementalSkipsIndexRebuild(t *testing.T) {
 	if target == nil {
 		t.Fatal("no intra non-tree edge found")
 	}
+	seg0 := inc.segs[0]
 	us, err = inc.UpdateCtx(nil, graph.Batch{Delete: []graph.Edge{*target}})
 	if err != nil {
 		t.Fatal(err)
@@ -142,6 +143,12 @@ func TestIncrementalSkipsIndexRebuild(t *testing.T) {
 	}
 	if &tr.order[0] != mark {
 		t.Fatal("unchanged forest rebuilt the index")
+	}
+	// Level 0 was refreshed with its partition verified and OrigEdge the
+	// identity, so it is Kept: its segment is the same slice, not a rebuilt
+	// copy.
+	if len(inc.segs[0]) == 0 || &inc.segs[0][0] != &seg0[0] {
+		t.Fatal("Kept level 0 rebuilt its tree segment")
 	}
 	updated, _, err := graph.ApplyBatch(base, graph.Batch{Delete: []graph.Edge{*target}})
 	if err != nil {

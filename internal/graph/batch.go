@@ -158,8 +158,8 @@ func ApplyBatch(g *Graph, b Batch) (*Graph, ApplyResult, error) {
 		delta(e.V).add = append(delta(e.V).add, e.U)
 		res.Inserted = append(res.Inserted, e)
 	}
-	out := rebuildCSR(g.offsets, g.adj, nil, deltas)
 	res.Dirty = dirtyList(deltas)
+	out := rebuildCSR(g.offsets, g.adj, nil, res.Dirty, deltas)
 	return &Graph{offsets: out.offsets, adj: out.adj}, res, nil
 }
 
@@ -247,8 +247,8 @@ func ApplyBatchWeighted(g *WeightedGraph, b Batch) (*WeightedGraph, ApplyResult,
 		dv.addW = append(dv.addW, w)
 		res.Inserted = append(res.Inserted, e)
 	}
-	out := rebuildCSR(g.offsets, g.adj, g.weights, deltas)
 	res.Dirty = dirtyList(deltas)
+	out := rebuildCSR(g.offsets, g.adj, g.weights, res.Dirty, deltas)
 	return &WeightedGraph{offsets: out.offsets, adj: out.adj, weights: out.weights}, res, nil
 }
 
@@ -271,45 +271,59 @@ type csrBuf struct {
 	weights []float64
 }
 
-// rebuildCSR merges the per-vertex deltas into a fresh CSR: untouched
-// vertices copy their (sorted) adjacency verbatim, touched vertices merge
-// their sorted add/del lists into it. weights is nil for unweighted graphs.
-func rebuildCSR(offsets []int64, adj []uint32, weights []float64, deltas map[uint32]*deltaSet) csrBuf {
+// rebuildCSR merges the per-vertex deltas into a fresh CSR. dirty is the
+// sorted key set of deltas; weights is nil for unweighted graphs. The rows
+// between two dirty vertices are untouched, so each such run moves with
+// one copy of adj (and of weights), and its offsets are the old ones
+// shifted by the degree change of the dirty rows before it. Only dirty
+// rows merge their sorted add/del lists: beyond the copies, the work is
+// O(batch).
+func rebuildCSR(offsets []int64, adj []uint32, weights []float64, dirty []uint32, deltas map[uint32]*deltaSet) csrBuf {
 	n := len(offsets) - 1
 	if n < 0 {
-		n = 0
+		n, offsets = 0, []int64{0} // the zero-value graph
 	}
-	for _, d := range deltas {
+	var shift int64
+	for _, v := range dirty {
+		d := deltas[v]
 		sortDelta(d)
+		shift += int64(len(d.add) - len(d.del))
 	}
 	newOffsets := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		deg := offsets[v+1] - offsets[v]
-		if d := deltas[uint32(v)]; d != nil {
-			deg += int64(len(d.add) - len(d.del))
-		}
-		newOffsets[v+1] = newOffsets[v] + deg
-	}
-	newAdj := make([]uint32, newOffsets[n])
+	newAdj := make([]uint32, offsets[n]+shift)
 	var newW []float64
 	if weights != nil {
-		newW = make([]float64, newOffsets[n])
+		newW = make([]float64, len(newAdj))
 	}
-	for v := 0; v < n; v++ {
+	shift = 0
+	lo := 0 // first row of the current untouched run
+	for k := 0; ; k++ {
+		hi := n // the run ends at the next dirty row, or after the last row
+		if k < len(dirty) {
+			hi = int(dirty[k])
+		}
+		a, b := offsets[lo], offsets[hi]
+		copy(newAdj[a+shift:b+shift], adj[a:b])
+		if weights != nil {
+			copy(newW[a+shift:b+shift], weights[a:b])
+		}
+		for v := lo + 1; v <= hi; v++ {
+			newOffsets[v] = offsets[v] + shift
+		}
+		if k == len(dirty) {
+			break
+		}
+		v := hi
+		d := deltas[uint32(v)]
+		shift += int64(len(d.add) - len(d.del))
+		newOffsets[v+1] = offsets[v+1] + shift
+		lo = v + 1
 		src := adj[offsets[v]:offsets[v+1]]
 		dst := newAdj[newOffsets[v]:newOffsets[v+1]]
 		var srcW, dstW []float64
 		if weights != nil {
 			srcW = weights[offsets[v]:offsets[v+1]]
 			dstW = newW[newOffsets[v]:newOffsets[v+1]]
-		}
-		d := deltas[uint32(v)]
-		if d == nil {
-			copy(dst, src)
-			if weights != nil {
-				copy(dstW, srcW)
-			}
-			continue
 		}
 		// Three sorted streams merge into dst: the old adjacency minus the
 		// delete list, interleaved with the add list; weight updates rewrite

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"mpx/internal/xrand"
@@ -77,48 +78,106 @@ func TestApplyBatchMatchesRebuild(t *testing.T) {
 		// Sprinkle in self loops and duplicates, which must be no-ops.
 		b.Insert = append(b.Insert, Edge{U: 5, V: 5}, b.Insert[0], b.Insert[0])
 		b.Delete = append(b.Delete, b.Delete[0])
-		got, res, err := ApplyBatch(g, b)
-		if err != nil {
-			t.Fatalf("trial %d: ApplyBatch: %v", trial, err)
+		checkApplyBatch(t, fmt.Sprintf("trial %d", trial), g, b)
+	}
+	for _, tc := range runBoundaryCases(t) {
+		checkApplyBatch(t, tc.name, tc.g, tc.b)
+	}
+}
+
+// checkApplyBatch applies b to g and requires the CSR to equal the
+// FromEdgesDedup rebuild, the effective changes to reconcile the two edge
+// sets, and Dirty to be exactly their endpoints, sorted.
+func checkApplyBatch(t *testing.T, tag string, g *Graph, b Batch) {
+	t.Helper()
+	got, res, err := ApplyBatch(g, b)
+	if err != nil {
+		t.Fatalf("%s: ApplyBatch: %v", tag, err)
+	}
+	want := applyReference(t, g, b)
+	if !graphsEqual(got, want) {
+		t.Fatalf("%s: ApplyBatch CSR differs from FromEdgesDedup rebuild", tag)
+	}
+	// Effective changes must reconcile the two edge sets exactly.
+	before, after := edgeSet(g), edgeSet(got)
+	for _, e := range res.Inserted {
+		if before[edgeKey(e)] || !after[edgeKey(e)] {
+			t.Fatalf("%s: Inserted edge (%d,%d) inconsistent", tag, e.U, e.V)
 		}
-		want := applyReference(t, g, b)
-		if !graphsEqual(got, want) {
-			t.Fatalf("trial %d: ApplyBatch CSR differs from FromEdgesDedup rebuild", trial)
+	}
+	for _, e := range res.Deleted {
+		if !before[edgeKey(e)] || after[edgeKey(e)] {
+			t.Fatalf("%s: Deleted edge (%d,%d) inconsistent", tag, e.U, e.V)
 		}
-		// Effective changes must reconcile the two edge sets exactly.
-		before, after := edgeSet(g), edgeSet(got)
-		for _, e := range res.Inserted {
-			if before[edgeKey(e)] || !after[edgeKey(e)] {
-				t.Fatalf("trial %d: Inserted edge (%d,%d) inconsistent", trial, e.U, e.V)
-			}
+	}
+	if int64(len(before)+len(res.Inserted)-len(res.Deleted)) != got.NumEdges() {
+		t.Fatalf("%s: effective change counts don't reconcile edge counts", tag)
+	}
+	// Dirty must be exactly the endpoints of the effective changes.
+	wantDirty := make(map[uint32]bool)
+	for _, e := range res.Inserted {
+		wantDirty[e.U], wantDirty[e.V] = true, true
+	}
+	for _, e := range res.Deleted {
+		wantDirty[e.U], wantDirty[e.V] = true, true
+	}
+	if len(wantDirty) != len(res.Dirty) {
+		t.Fatalf("%s: dirty count %d, want %d", tag, len(res.Dirty), len(wantDirty))
+	}
+	for i, v := range res.Dirty {
+		if !wantDirty[v] {
+			t.Fatalf("%s: unexpected dirty vertex %d", tag, v)
 		}
-		for _, e := range res.Deleted {
-			if !before[edgeKey(e)] || after[edgeKey(e)] {
-				t.Fatalf("trial %d: Deleted edge (%d,%d) inconsistent", trial, e.U, e.V)
-			}
+		if i > 0 && res.Dirty[i-1] >= v {
+			t.Fatalf("%s: dirty list not sorted strictly", tag)
 		}
-		if int64(len(before)+len(res.Inserted)-len(res.Deleted)) != got.NumEdges() {
-			t.Fatalf("trial %d: effective change counts don't reconcile edge counts", trial)
-		}
-		// Dirty must be exactly the endpoints of the effective changes.
-		wantDirty := make(map[uint32]bool)
-		for _, e := range res.Inserted {
-			wantDirty[e.U], wantDirty[e.V] = true, true
-		}
-		for _, e := range res.Deleted {
-			wantDirty[e.U], wantDirty[e.V] = true, true
-		}
-		if len(wantDirty) != len(res.Dirty) {
-			t.Fatalf("trial %d: dirty count %d, want %d", trial, len(res.Dirty), len(wantDirty))
-		}
-		for i, v := range res.Dirty {
-			if !wantDirty[v] {
-				t.Fatalf("trial %d: unexpected dirty vertex %d", trial, v)
-			}
-			if i > 0 && res.Dirty[i-1] >= v {
-				t.Fatalf("trial %d: dirty list not sorted strictly", trial)
-			}
-		}
+	}
+}
+
+// runBoundaryCase is a fixed batch pinning one edge of ApplyBatch's run
+// copy: which rows start and end the copied runs of untouched rows, and
+// what those runs hold.
+type runBoundaryCase struct {
+	name string
+	g    *Graph
+	b    Batch
+}
+
+// runBoundaryCases returns the fixed run-boundary batches. The 12-vertex
+// graph is a path 0-1-2-3, a path 7-8-9-10-11, the edges {0,11} and {0,7},
+// and the isolated vertices 4, 5 and 6; the 6-vertex graph is the single
+// edge {2,3} with isolated rows at both ends.
+func runBoundaryCases(t *testing.T) []runBoundaryCase {
+	t.Helper()
+	g12, err := FromEdgesDedup(12, []Edge{{0, 1}, {1, 2}, {2, 3}, {7, 8}, {8, 9}, {9, 10}, {10, 11}, {0, 11}, {0, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g6, err := FromEdgesDedup(6, []Edge{{2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g0, err := FromEdgesDedup(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []runBoundaryCase{
+		{"dirty rows 0 and n-1", g12, Batch{Delete: []Edge{{0, 11}}}},
+		{"insert between rows 0 and n-1", g12, Batch{Insert: []Edge{{11, 1}, {0, 2}}}},
+		{"adjacent dirty rows at the start", g12, Batch{Delete: []Edge{{0, 1}}}},
+		{"adjacent dirty rows at the end", g12, Batch{Delete: []Edge{{10, 11}}}},
+		{"adjacent dirty rows in the middle", g12, Batch{Insert: []Edge{{4, 5}}, Delete: []Edge{{8, 9}}}},
+		{"row deleted to degree 0", g12, Batch{Delete: []Edge{{2, 3}}}},
+		{"middle row deleted to degree 0", g12, Batch{Delete: []Edge{{1, 2}, {2, 3}}}},
+		{"isolated rows inside a copied run", g12, Batch{Insert: []Edge{{3, 8}}}},
+		{"every row dirty", g12, Batch{
+			Insert: []Edge{{3, 4}, {5, 6}, {2, 9}, {1, 3}},
+			Delete: []Edge{{0, 7}, {10, 11}, {7, 8}},
+		}},
+		{"isolated first and last rows gain edges", g6, Batch{Insert: []Edge{{0, 5}}}},
+		{"last edge deleted", g6, Batch{Delete: []Edge{{2, 3}}}},
+		{"n = 0", g0, Batch{}},
+		{"zero-value graph", &Graph{}, Batch{}},
 	}
 }
 
@@ -172,47 +231,71 @@ func TestApplyBatchWeightedMatchesRebuild(t *testing.T) {
 		for i := range b.Insert {
 			b.InsertW = append(b.InsertW, 1+float64(xrand.Mix(trial, uint64(i))%1000)/100)
 		}
-		got, res, err := ApplyBatchWeighted(wg, b)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		checkApplyBatchWeighted(t, fmt.Sprintf("trial %d", trial), wg, b)
+	}
+	// The unweighted run-boundary batches on weighted copies of their
+	// graphs, plus weight-only upserts, which dirty a row without
+	// changing its degree.
+	cases := runBoundaryCases(t)
+	g12 := cases[0].g
+	cases = append(cases,
+		runBoundaryCase{"reweight rows 0 and n-1", g12, Batch{Insert: []Edge{{11, 0}}}},
+		runBoundaryCase{"reweight and insert in one row", g12, Batch{Insert: []Edge{{1, 0}, {0, 5}, {7, 0}}}},
+	)
+	for i, tc := range cases {
+		b := tc.b
+		for j := range b.Insert {
+			b.InsertW = append(b.InsertW, 2+float64(j)/4)
 		}
-		// Reference: updated weighted edge list through FromWeightedEdges.
-		wmap := make(map[uint64]float64)
-		for _, e := range wg.WeightedEdges() {
-			wmap[uint64(e.U)<<32|uint64(e.V)] = e.W
+		checkApplyBatchWeighted(t, tc.name, RandomWeights(tc.g, 1, 10, uint64(i)), b)
+	}
+}
+
+// checkApplyBatchWeighted applies b to wg and requires the CSR to equal
+// the FromWeightedEdges rebuild of the updated weighted edge list, and
+// every reweighted edge to have been present before.
+func checkApplyBatchWeighted(t *testing.T, tag string, wg *WeightedGraph, b Batch) {
+	t.Helper()
+	got, res, err := ApplyBatchWeighted(wg, b)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	// Reference: updated weighted edge list through FromWeightedEdges.
+	wmap := make(map[uint64]float64)
+	for _, e := range wg.WeightedEdges() {
+		wmap[uint64(e.U)<<32|uint64(e.V)] = e.W
+	}
+	for _, e := range b.Delete {
+		a, c := e.U, e.V
+		if a > c {
+			a, c = c, a
 		}
-		for _, e := range b.Delete {
-			a, c := e.U, e.V
-			if a > c {
-				a, c = c, a
-			}
-			delete(wmap, uint64(a)<<32|uint64(c))
+		delete(wmap, uint64(a)<<32|uint64(c))
+	}
+	for i, e := range b.Insert {
+		if e.U == e.V {
+			continue
 		}
-		for i, e := range b.Insert {
-			if e.U == e.V {
-				continue
-			}
-			a, c := e.U, e.V
-			if a > c {
-				a, c = c, a
-			}
-			wmap[uint64(a)<<32|uint64(c)] = b.InsertW[i]
+		a, c := e.U, e.V
+		if a > c {
+			a, c = c, a
 		}
-		wes := make([]WeightedEdge, 0, len(wmap))
-		for k, w := range wmap {
-			wes = append(wes, WeightedEdge{U: uint32(k >> 32), V: uint32(k), W: w})
-		}
-		want, err := FromWeightedEdges(base.NumVertices(), wes)
-		if err != nil {
-			t.Fatalf("trial %d: reference: %v", trial, err)
-		}
-		if !weightedGraphsEqual(got, want) {
-			t.Fatalf("trial %d: weighted CSR differs from FromWeightedEdges rebuild", trial)
-		}
-		for _, e := range res.Reweighted {
-			if _, ok := wg.Weight(e.U, e.V); !ok {
-				t.Fatalf("trial %d: Reweighted edge (%d,%d) was not present before", trial, e.U, e.V)
-			}
+		wmap[uint64(a)<<32|uint64(c)] = b.InsertW[i]
+	}
+	wes := make([]WeightedEdge, 0, len(wmap))
+	for k, w := range wmap {
+		wes = append(wes, WeightedEdge{U: uint32(k >> 32), V: uint32(k), W: w})
+	}
+	want, err := FromWeightedEdges(wg.NumVertices(), wes)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", tag, err)
+	}
+	if !weightedGraphsEqual(got, want) {
+		t.Fatalf("%s: weighted CSR differs from FromWeightedEdges rebuild", tag)
+	}
+	for _, e := range res.Reweighted {
+		if _, ok := wg.Weight(e.U, e.V); !ok {
+			t.Fatalf("%s: Reweighted edge (%d,%d) was not present before", tag, e.U, e.V)
 		}
 	}
 }

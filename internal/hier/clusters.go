@@ -9,12 +9,21 @@ package hier
 // configured pool — O(levels · n) total, after which a membership query is
 // a single array load.
 //
-// The returned arrays are freshly allocated (one flat backing block) and
-// owned by the caller: they stay valid and immutable across subsequent
-// Updates, but describe the hierarchy as of this call — re-export after an
-// update to observe it. Values are pure integer map folds of retained
-// state, hence bit-identical at every worker count.
+// The returned arrays are shared and read-only: the hierarchy caches them
+// (one flat backing block) and returns the same arrays until an UpdateCtx
+// re-derives a level (a weighted update with any effective change
+// re-derives every level). An update that only refreshes levels cannot
+// move a map: a verified partition keeps its centers, and UpdateCtx
+// guards the quotient numbering, so the cached arrays already describe
+// the updated hierarchy. A re-derivation drops the cache, and the next
+// call composes new arrays; the old ones are never written, so an export
+// taken before an update keeps describing the hierarchy as of that call.
+// Values are pure integer map folds of retained state, hence bit-identical
+// at every worker count.
 func (h *Hierarchy) ClusterMaps() [][]uint32 {
+	if h.maps != nil {
+		return h.maps
+	}
 	cfg := h.eng.cfg
 	levels := len(h.levels)
 	if levels == 0 {
@@ -53,5 +62,6 @@ func (h *Hierarchy) ClusterMaps() [][]uint32 {
 			}
 		})
 	}
+	h.maps = out
 	return out
 }

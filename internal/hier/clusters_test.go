@@ -163,3 +163,105 @@ func TestClusterMapsSurviveUpdate(t *testing.T) {
 		t.Fatalf("fresh export has %d levels, from-scratch build %d", len(fresh), len(centers))
 	}
 }
+
+// TestClusterMapsCache pins the sharing contract of the cached export: an
+// update that only refreshes levels returns the same arrays, a re-deriving
+// update (weighted ones included) returns new arrays equal to a
+// from-scratch export, and an earlier export is never written.
+func TestClusterMapsCache(t *testing.T) {
+	g := graph.Grid2D(30, 30)
+	n := g.NumVertices()
+	cfg := Config{Beta: 0.2, Seed: 13}
+	h, _, _ := captureLevels(t, cfg, g)
+	old := h.ClusterMaps()
+	snapshot := copyMaps(old)
+
+	// Deleting an intra-cluster non-tree edge refreshes level 0 only.
+	us, err := h.UpdateCtx(nil, graph.Batch{Delete: []graph.Edge{intraNonTreeEdge(t, g, h.levels[0].d)}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if us.Rederived != 0 {
+		t.Fatalf("intra non-tree delete re-derived: %+v", us)
+	}
+	kept := h.ClusterMaps()
+	if &kept[0][0] != &old[0][0] {
+		t.Fatal("a refreshing update recomposed the cluster maps")
+	}
+	requireMapsEqual(t, "after a refreshing update", kept, freshMaps(t, cfg, h.Graph()))
+
+	us, err = h.UpdateCtx(nil, graph.Batch{Insert: []graph.Edge{{U: 0, V: uint32(n - 1)}}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if us.Rederived == 0 {
+		t.Fatalf("corner-to-corner insert did not re-derive: %+v", us)
+	}
+	fresh := h.ClusterMaps()
+	if &fresh[0][0] == &old[0][0] {
+		t.Fatal("a re-deriving update returned the cached cluster maps")
+	}
+	requireMapsEqual(t, "after a re-deriving update", fresh, freshMaps(t, cfg, h.Graph()))
+	requireMapsEqual(t, "earlier export", old, snapshot)
+
+	// Any effective weighted change re-derives every level.
+	wcfg := Config{
+		WBetaAt: func(l int, _ *graph.WeightedGraph) float64 { return 0.3 / float64(uint64(1)<<uint(l)) },
+		Seed:    9,
+	}
+	wg := graph.RandomWeights(graph.GNM(400, 1300, 5), 1, 8, 2)
+	wh, err := BuildWeightedHierarchy(wcfg, wg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wold := wh.ClusterMaps()
+	wsnap := copyMaps(wold)
+	if _, err := wh.UpdateCtx(nil, graph.Batch{Delete: []graph.Edge{wg.Unweighted().Edges()[0]}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	wfresh := wh.ClusterMaps()
+	if &wfresh[0][0] == &wold[0][0] {
+		t.Fatal("a weighted update returned the cached cluster maps")
+	}
+	want, err := BuildWeightedHierarchy(wcfg, wh.WeightedGraph(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireMapsEqual(t, "after a weighted update", wfresh, want.ClusterMaps())
+	requireMapsEqual(t, "earlier weighted export", wold, wsnap)
+}
+
+// freshMaps returns the cluster maps of a from-scratch build over g.
+func freshMaps(t *testing.T, cfg Config, g *graph.Graph) [][]uint32 {
+	t.Helper()
+	h, err := BuildHierarchy(cfg, g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.ClusterMaps()
+}
+
+func copyMaps(maps [][]uint32) [][]uint32 {
+	out := make([][]uint32, len(maps))
+	for l := range maps {
+		out[l] = append([]uint32(nil), maps[l]...)
+	}
+	return out
+}
+
+func requireMapsEqual(t *testing.T, tag string, got, want [][]uint32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d levels, want %d", tag, len(got), len(want))
+	}
+	for l := range want {
+		if len(got[l]) != len(want[l]) {
+			t.Fatalf("%s: level %d has %d entries, want %d", tag, l, len(got[l]), len(want[l]))
+		}
+		for v := range want[l] {
+			if got[l][v] != want[l][v] {
+				t.Fatalf("%s: level %d vertex %d: %d, want %d", tag, l, v, got[l][v], want[l][v])
+			}
+		}
+	}
+}

@@ -154,6 +154,13 @@ type Level struct {
 	// IntraEdges are this level's intra-cluster edges in original
 	// coordinates (Config.NeedIntra; aliases scratch — copy to retain).
 	IntraEdges []graph.Edge
+	// Kept reports a level that Hierarchy.UpdateCtx refreshed with its
+	// partition verified unchanged and whose OrigEdge map is the identity,
+	// as level 0's always is. Everything a visit derives from D and
+	// OrigEdge alone — a tree segment, for one — then equals what the
+	// previous visit of this level derived, so the caller may keep it.
+	// Builds and re-derived levels leave Kept false.
+	Kept bool
 
 	eng  *engine
 	orig []graph.Edge // annotation per canonical edge rank of G; nil = identity

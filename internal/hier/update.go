@@ -79,6 +79,9 @@ type Hierarchy struct {
 	res      *Result
 	levels   []levelState
 	weighted bool
+	// maps caches ClusterMaps. Only a re-derivation can move a center or
+	// a quotient id, so only a re-derivation drops it.
+	maps [][]uint32
 }
 
 // UpdateStats reports how much of the hierarchy an UpdateCtx reused.
@@ -238,7 +241,7 @@ func (h *Hierarchy) build(g *graph.Graph, visit func(*Level) error) error {
 	h.res.Levels = len(lvls)
 	h.res.Final = final
 	h.recomposeOrigMap()
-	if verr := h.replayVisits(0, len(lvls), visit); verr != nil {
+	if verr := h.replayVisits(0, len(lvls), 0, visit); verr != nil {
 		return verr
 	}
 	return derr
@@ -258,7 +261,7 @@ func (h *Hierarchy) buildWeighted(wg *graph.WeightedGraph, visit func(*Level) er
 	h.res.Final = final
 	h.res.WFinal = wfinal
 	h.recomposeOrigMap()
-	if verr := h.replayVisits(0, len(lvls), visit); verr != nil {
+	if verr := h.replayVisits(0, len(lvls), 0, visit); verr != nil {
 		return verr
 	}
 	return derr
@@ -448,10 +451,12 @@ func (e *engine) computeWeightedLevels(ctx context.Context, start int, cur *grap
 // replayVisits presents levels [from, to) to visit in order, reconstructing
 // exactly the Level view an interleaved build would have shown: the
 // scratch-aliasing pieces (IntraEdges, the OrigEdge rank tables) are
-// recomputed per level from the retained state. Runs strictly after
-// commit, so a visit error (or panic) can no longer leave the hierarchy
-// inconsistent — only the caller's own per-level state is partial.
-func (h *Hierarchy) replayVisits(from, to int, visit func(*Level) error) error {
+// recomputed per level from the retained state. Levels below refreshed
+// were refreshed under a verified partition; those with an identity
+// annotation table are flagged Kept. Runs strictly after commit, so a
+// visit error (or panic) can no longer leave the hierarchy inconsistent —
+// only the caller's own per-level state is partial.
+func (h *Hierarchy) replayVisits(from, to, refreshed int, visit func(*Level) error) error {
 	if visit == nil {
 		return nil
 	}
@@ -463,6 +468,7 @@ func (h *Hierarchy) replayVisits(from, to int, visit func(*Level) error) error {
 		lv := Level{
 			Index: l, G: st.g, D: st.d, WG: st.wg, WD: st.wd,
 			Quot: st.quot, NumQuot: st.numQuot, eng: e, orig: st.orig,
+			Kept: l < refreshed && st.orig == nil,
 		}
 		center := lv.Center()
 		if cfg.NeedIntra {
@@ -744,9 +750,10 @@ func (h *Hierarchy) UpdateCtx(ctx context.Context, b graph.Batch, visit func(*Le
 	h.res.Final = final
 	if rederived {
 		h.recomposeOrigMap()
+		h.maps = nil
 	}
 	us.Levels = h.res.Levels
-	if verr := h.replayVisits(0, visitEnd, visit); verr != nil && derr == nil {
+	if verr := h.replayVisits(0, visitEnd, us.Refreshed, visit); verr != nil && derr == nil {
 		return us, verr
 	}
 	return us, derr
@@ -783,9 +790,10 @@ func (h *Hierarchy) updateWeighted(ctx context.Context, b graph.Batch, visit fun
 	h.res.Final = final
 	h.res.WFinal = wfinal
 	h.recomposeOrigMap()
+	h.maps = nil
 	us.Rederived = h.res.Levels
 	us.Levels = h.res.Levels
-	if verr := h.replayVisits(0, len(lvls), visit); verr != nil && derr == nil {
+	if verr := h.replayVisits(0, len(lvls), 0, visit); verr != nil && derr == nil {
 		return us, verr
 	}
 	return us, derr

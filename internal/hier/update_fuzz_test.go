@@ -12,15 +12,18 @@ import (
 // small instances: build a hierarchy, apply a fuzzer-chosen batch of edge
 // inserts and deletes through Hierarchy.UpdateCtx, and require the result —
 // stats, final graph, vertex map, and every retained level — to be
-// bit-identical to a from-scratch build on the updated graph. This is the
-// fuzz companion of TestHierarchyUpdateBitIdentical: the fuzzer explores
-// batch shapes (no-ops, cut inserts, tree-edge deletes, total teardown)
-// that the golden suite only samples.
+// bit-identical to a from-scratch build on the updated graph. The per-level
+// views the visits capture, maintained as an app maintains them (a Kept
+// level keeps its previous tree view), must equal the fresh build's. This
+// is the fuzz companion of TestHierarchyUpdateBitIdentical: the fuzzer
+// explores batch shapes (no-ops, cut inserts, tree-edge deletes, total
+// teardown) that the golden suite only samples.
 func FuzzHierUpdate(f *testing.F) {
 	f.Add(uint16(40), uint16(80), uint64(1), byte(20), byte(0), uint64(7), byte(6), byte(4))
 	f.Add(uint16(3), uint16(1), uint64(7), byte(90), byte(1), uint64(0), byte(1), byte(1))
 	f.Add(uint16(120), uint16(400), uint64(42), byte(5), byte(2), uint64(99), byte(12), byte(12))
 	f.Add(uint16(64), uint16(0), uint64(3), byte(50), byte(5), uint64(5), byte(8), byte(0)) // edgeless base
+	f.Add(uint16(3), uint16(1), uint64(7), byte(90), byte(1), uint64(26), byte(1), byte(1)) // three levels shrink to none
 	f.Fuzz(func(t *testing.T, nRaw, mRaw uint16, seed uint64, betaRaw, modeRaw byte, batchSeed uint64, nInsRaw, nDelRaw byte) {
 		n := int(nRaw%200) + 2
 		maxM := int64(n) * int64(n-1) / 4
@@ -43,7 +46,13 @@ func FuzzHierUpdate(f *testing.F) {
 			MaxLevels:      64,
 		}
 
-		h, err := BuildHierarchy(cfg, g, nil)
+		// views holds each level's captured view as an app maintains it:
+		// an update visit keeps the previous tree view on a Kept level.
+		views := map[int]levelView{}
+		h, err := BuildHierarchy(cfg, g, func(lv *Level) error {
+			views[lv.Index] = captureView(lv)
+			return nil
+		})
 		if err != nil && err != ErrMaxLevels {
 			t.Fatal(err)
 		}
@@ -60,12 +69,24 @@ func FuzzHierUpdate(f *testing.F) {
 			}
 		}
 
-		_, uerr := h.UpdateCtx(nil, b, nil)
+		_, uerr := h.UpdateCtx(nil, b, func(lv *Level) error {
+			view := captureView(lv)
+			if prev, ok := views[lv.Index]; lv.Kept && ok {
+				view.tree = prev.tree
+			}
+			views[lv.Index] = view
+			return nil
+		})
+		dropViewsAbove(views, h.Levels())
 		updated, _, err := graph.ApplyBatch(g, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, ferr := BuildHierarchy(cfg, updated, nil)
+		freshViews := map[int]levelView{}
+		fresh, ferr := BuildHierarchy(cfg, updated, func(lv *Level) error {
+			freshViews[lv.Index] = captureView(lv)
+			return nil
+		})
 		if (uerr != nil) != (ferr != nil) || (uerr == ErrMaxLevels) != (ferr == ErrMaxLevels) {
 			t.Fatalf("error mismatch: update=%v fresh=%v", uerr, ferr)
 		}
@@ -74,5 +95,13 @@ func FuzzHierUpdate(f *testing.F) {
 		}
 
 		requireHierIdentical(t, "fuzz", h, fresh)
+		if len(views) != len(freshViews) {
+			t.Fatalf("%d levels of views, fresh build has %d", len(views), len(freshViews))
+		}
+		for l, fv := range freshViews {
+			if gv := views[l]; !edgesEqual(gv.tree, fv.tree) || !edgesEqual(gv.intra, fv.intra) {
+				t.Fatalf("level %d: maintained view differs from the fresh build's", l)
+			}
+		}
 	})
 }

@@ -205,60 +205,83 @@ func TestHierarchyUpdateBitIdentical(t *testing.T) {
 	}
 }
 
+// levelView is the per-level app view a visit captures: parent tree edges
+// in original coordinates plus a copy of the intra list.
+type levelView struct {
+	tree  []graph.Edge
+	intra []graph.Edge
+}
+
+// captureView returns lv's levelView.
+func captureView(lv *Level) levelView {
+	var view levelView
+	d := lv.D
+	for v := range d.Parent {
+		p := d.Parent[v]
+		if p != uint32(v) {
+			view.tree = append(view.tree, lv.OrigEdge(uint32(v), p))
+		}
+	}
+	view.intra = append([]graph.Edge(nil), lv.IntraEdges...)
+	return view
+}
+
 // TestHierarchyUpdateVisitMatchesFresh checks the visit contract: levels
 // visited during UpdateCtx present exactly the view a fresh build presents
 // (tree edges via OrigEdge, intra lists), and unvisited levels' previously
-// captured views are still the fresh ones.
+// captured views are still the fresh ones. Views maintained as lowstretch
+// maintains its segments, keeping the previous tree view of a Kept level,
+// must be the fresh ones too.
 func TestHierarchyUpdateVisitMatchesFresh(t *testing.T) {
 	base := graph.Grid2D(14, 15)
 	cfg := Config{Beta: 0.3, Seed: 7, Workers: 4, NeedEdgeOrig: true, NeedIntra: true}
 
-	// capture returns the per-level app view: parent tree edges in original
-	// coordinates plus a copy of the intra list.
-	type levelView struct {
-		tree  []graph.Edge
-		intra []graph.Edge
-	}
-	capture := func(lv *Level) levelView {
-		var view levelView
-		d := lv.D
-		for v := range d.Parent {
-			p := d.Parent[v]
-			if p != uint32(v) {
-				view.tree = append(view.tree, lv.OrigEdge(uint32(v), p))
-			}
-		}
-		view.intra = append([]graph.Edge(nil), lv.IntraEdges...)
-		return view
-	}
-
-	views := map[int]levelView{}
+	// keptViews is maintained as lowstretch maintains its tree segments:
+	// on a Kept level the update visit keeps the previous tree view.
+	views, keptViews := map[int]levelView{}, map[int]levelView{}
+	keptVisits := 0
 	h, err := BuildHierarchy(cfg, base, func(lv *Level) error {
-		views[lv.Index] = capture(lv)
+		if lv.Kept {
+			t.Fatalf("build visit flagged level %d Kept", lv.Index)
+		}
+		views[lv.Index] = captureView(lv)
+		keptViews[lv.Index] = captureView(lv)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cur := base
-	for step := uint64(0); step < 3; step++ {
-		b := randomHierBatch(cur, 0x5e7+step, 6, 5)
+	for step := uint64(0); step < 4; step++ {
+		var b graph.Batch
+		if step < 3 {
+			b = randomHierBatch(cur, 0x5e7+step, 6, 5)
+		} else {
+			// Delete an intra non-tree edge of level 0: the update refreshes
+			// level 0 under a verified partition, so it must be Kept.
+			b = graph.Batch{Delete: []graph.Edge{intraNonTreeEdge(t, cur, h.levels[0].d)}}
+		}
 		if _, err := h.UpdateCtx(nil, b, func(lv *Level) error {
-			views[lv.Index] = capture(lv)
+			view := captureView(lv)
+			views[lv.Index] = view
+			if prev, ok := keptViews[lv.Index]; lv.Kept && ok {
+				keptVisits++
+				view.tree = prev.tree
+			}
+			keptViews[lv.Index] = view
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		for l := h.Levels(); l < len(views); l++ {
-			delete(views, l) // hierarchy shrank; stale views drop
-		}
+		dropViewsAbove(views, h.Levels()) // hierarchy shrank; stale views drop
+		dropViewsAbove(keptViews, h.Levels())
 		cur, _, err = graph.ApplyBatch(cur, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		freshViews := map[int]levelView{}
 		if _, err := BuildHierarchy(cfg, cur, func(lv *Level) error {
-			freshViews[lv.Index] = capture(lv)
+			freshViews[lv.Index] = captureView(lv)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -274,8 +297,40 @@ func TestHierarchyUpdateVisitMatchesFresh(t *testing.T) {
 			if !edgesEqual(gv.intra, fv.intra) {
 				t.Fatalf("step %d level %d: intra edges differ", step, l)
 			}
+			kv := keptViews[l]
+			if !edgesEqual(kv.tree, fv.tree) {
+				t.Fatalf("step %d level %d: tree view kept on a Kept level differs from the fresh build", step, l)
+			}
+			if !edgesEqual(kv.intra, fv.intra) {
+				t.Fatalf("step %d level %d: intra edges differ (kept views)", step, l)
+			}
 		}
 	}
+	if keptVisits == 0 {
+		t.Fatal("no update visit was flagged Kept")
+	}
+}
+
+// dropViewsAbove deletes the views of levels >= levels.
+func dropViewsAbove(views map[int]levelView, levels int) {
+	for l := range views {
+		if l >= levels {
+			delete(views, l)
+		}
+	}
+}
+
+// intraNonTreeEdge returns an edge of g inside one cluster of d that is in
+// no cluster's BFS tree: deleting it passes d's UnchangedUnder.
+func intraNonTreeEdge(t *testing.T, g *graph.Graph, d *core.Decomposition) graph.Edge {
+	t.Helper()
+	for _, e := range g.Edges() {
+		if d.Center[e.U] == d.Center[e.V] && d.Parent[e.U] != e.V && d.Parent[e.V] != e.U {
+			return e
+		}
+	}
+	t.Fatal("no intra non-tree edge")
+	return graph.Edge{}
 }
 
 // TestHierarchyUpdateReuseStats pins the damage-frontier accounting on

@@ -8,9 +8,10 @@
 // so results are bit-deterministic regardless of how batches are sharded
 // (docs/determinism.md). All oracles are safe for any number of concurrent
 // readers as long as nothing mutates the underlying Tree/Hierarchy; the
-// MembershipOracle additionally owns a snapshot of the cluster maps, so it
-// stays valid (answering as-of-construction) even while the source
-// hierarchy is updated.
+// MembershipOracle additionally holds its own reference to the cluster
+// maps, which the hierarchy replaces but never writes, so it stays valid
+// (answering as-of-construction) even while the source hierarchy is
+// updated.
 //
 // Each oracle has a scalar API for point lookups and a batched API that
 // shards the batch across the shared parallel.Pool into a caller-owned
@@ -130,20 +131,24 @@ func (o *WeightedDistanceOracle) DistBatch(pairs []Pair, out []float64) {
 
 // MembershipOracle answers per-level cluster-membership queries over a
 // decompose-and-contract hierarchy: which level-l cluster a base vertex
-// belongs to, and whether two vertices share one. It snapshots the
+// belongs to, and whether two vertices share one. It takes the
 // hierarchy's composed quotient maps (hier.Hierarchy.ClusterMaps) at
 // construction — one flat uint32 array per level — so a query is a single
-// array load and the oracle remains valid, answering as of construction,
-// even while the source hierarchy is updated. Rebuild the oracle to
-// observe an updated hierarchy.
+// array load. The arrays are shared with the hierarchy, read-only: an
+// update that re-derives a level makes the hierarchy compose new arrays
+// and never writes the old ones, so the oracle remains valid, answering as
+// of construction, even while the source hierarchy is updated. Rebuild the
+// oracle to observe an updated hierarchy; until an update re-derives a
+// level, that rebuild reuses the same arrays and costs O(1).
 type MembershipOracle struct {
 	maps    [][]uint32
 	pool    *parallel.Pool
 	workers int
 }
 
-// NewMembership snapshots h's cluster structure into a membership oracle.
-// Batches shard on pool (nil means parallel.Default()) with at most
+// NewMembership wraps h's cluster maps in a membership oracle: O(levels ·
+// n) the first time after a build or a re-deriving update, O(1) after
+// that. Batches shard on pool (nil means parallel.Default()) with at most
 // workers logical workers (<= 0 means GOMAXPROCS).
 func NewMembership(h *hier.Hierarchy, pool *parallel.Pool, workers int) *MembershipOracle {
 	return &MembershipOracle{maps: h.ClusterMaps(), pool: pool, workers: workers}
