@@ -22,12 +22,11 @@ func e23Setup(b *testing.B) (*graph.Graph, hier.Config, *hier.Hierarchy, []graph
 	b.Helper()
 	g := graph.Grid2D(350, 300) // 105000 vertices
 	cfg := hier.Config{
-		Beta:           0.15,
-		Seed:           3,
-		Workers:        8,
-		Pool:           benchPool,
-		NeedEdgeOrig:   true,
-		TrackVertexMap: true,
+		Beta:         0.15,
+		Seed:         3,
+		Workers:      8,
+		Pool:         benchPool,
+		NeedEdgeOrig: true,
 	}
 	// Recover level 0's decomposition exactly as the hierarchy derives it
 	// (seed mixed with the level index) to classify edges.
@@ -138,12 +137,11 @@ func BenchmarkE23IncrementalUpdate(b *testing.B) {
 func BenchmarkE23RebuildBaseline(b *testing.B) {
 	g := graph.Grid2D(350, 300)
 	cfg := hier.Config{
-		Beta:           0.15,
-		Seed:           3,
-		Workers:        8,
-		Pool:           benchPool,
-		NeedEdgeOrig:   true,
-		TrackVertexMap: true,
+		Beta:         0.15,
+		Seed:         3,
+		Workers:      8,
+		Pool:         benchPool,
+		NeedEdgeOrig: true,
 	}
 	b.ReportAllocs()
 	var levels int

@@ -19,6 +19,7 @@ package blocks
 
 import (
 	"context"
+	"fmt"
 
 	"mpx/internal/bfs"
 	"mpx/internal/core"
@@ -64,6 +65,12 @@ func DecomposePoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, 
 		return nil, err
 	}
 	return inc.Decomposition(), nil
+}
+
+// errUndrained reports a residual graph that still had edges after
+// maxIters levels: β was valid, but the iteration cap ran out first.
+func errUndrained(maxIters int) error {
+	return fmt.Errorf("blocks: residual graph did not drain within maxIters=%d levels: %w", maxIters, hier.ErrMaxLevels)
 }
 
 // distinctCenters counts the clusters that contributed an edge to the

@@ -1,11 +1,14 @@
 package blocks
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"mpx/internal/core"
 	"mpx/internal/graph"
+	"mpx/internal/hier"
 )
 
 func TestDecomposePartitionsEdges(t *testing.T) {
@@ -91,6 +94,41 @@ func TestDecomposeRejectsBadBeta(t *testing.T) {
 	if _, err := DecomposePoolCtx(nil, nil, graph.Path(4), 0, 0, 0, 0, core.DirectionAuto); err == nil {
 		t.Error("expected error")
 	}
+}
+
+// TestUndrainedResidualNamesMaxIters checks that a residual still holding
+// edges after maxIters levels fails as hier.ErrMaxLevels naming maxIters —
+// not as core.ErrBeta, since β = 0.2 is valid — in the plain, weighted and
+// incremental builders and in an incremental update.
+func TestUndrainedResidualNamesMaxIters(t *testing.T) {
+	check := func(name string, err error) {
+		t.Helper()
+		if !errors.Is(err, hier.ErrMaxLevels) || errors.Is(err, core.ErrBeta) {
+			t.Fatalf("%s: err = %v, want hier.ErrMaxLevels and not core.ErrBeta", name, err)
+		}
+		if !strings.Contains(err.Error(), "maxIters=1") {
+			t.Fatalf("%s: error %q does not name maxIters", name, err)
+		}
+	}
+	g := graph.Grid2D(30, 30)
+	_, err := DecomposePoolCtx(nil, nil, g, 0.2, 1, 1, 0, core.DirectionAuto)
+	check("DecomposePoolCtx", err)
+	_, err = BuildIncrementalPoolCtx(nil, nil, g, 0.2, 1, 1, 0, core.DirectionAuto)
+	check("BuildIncrementalPoolCtx", err)
+	_, err = DecomposeWeightedPoolCtx(nil, nil, graph.RandomWeights(g, 1, 2, 3), 0.2, 1, 1, 0, core.DirectionAuto)
+	check("DecomposeWeightedPoolCtx", err)
+
+	// An edgeless graph drains at once; inserting the grid's edges does not.
+	empty, err := graph.FromEdges(g.NumVertices(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := BuildIncrementalPoolCtx(nil, nil, empty, 0.2, 1, 1, 0, core.DirectionAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = inc.UpdateCtx(nil, graph.Batch{Insert: g.Edges()})
+	check("Incremental.UpdateCtx", err)
 }
 
 func TestDecomposeEdgelessGraph(t *testing.T) {

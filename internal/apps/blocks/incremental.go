@@ -23,6 +23,7 @@ type Incremental struct {
 	dec        *Decomposition
 	pool       *parallel.Pool
 	workers    int
+	maxIters   int
 	centerSeen *parallel.Bitset
 	// perLevel[l] is level l's block, nil when the level had no intra
 	// edges; Blocks is rebuilt from it after every update.
@@ -46,6 +47,7 @@ func BuildIncrementalPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.
 		dec:        &Decomposition{G: g, Beta: beta},
 		pool:       pool,
 		workers:    workers,
+		maxIters:   maxIters,
 		centerSeen: parallel.NewBitset(g.NumVertices()),
 	}
 	h, err := hier.BuildHierarchy(hier.Config{
@@ -60,7 +62,7 @@ func BuildIncrementalPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.
 		NeedIntra: true,
 	}, g, inc.capture)
 	if err == hier.ErrMaxLevels {
-		return nil, core.ErrBeta // β left edges uncovered within the cap; defensive
+		return nil, errUndrained(maxIters)
 	}
 	if err != nil {
 		return nil, err
@@ -83,7 +85,7 @@ func (inc *Incremental) Decomposition() *Decomposition { return inc.dec }
 func (inc *Incremental) UpdateCtx(ctx context.Context, b graph.Batch) (hier.UpdateStats, error) {
 	us, err := inc.h.UpdateCtx(ctx, b, inc.capture)
 	if err == hier.ErrMaxLevels {
-		return us, core.ErrBeta
+		return us, errUndrained(inc.maxIters)
 	}
 	if err != nil {
 		return us, err

@@ -69,7 +69,7 @@ func DecomposeWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *grap
 	// halfway point the schedule halves β per level, which grows the
 	// cluster radius geometrically and forces the residual to drain.
 	relax := maxIters / 2
-	betaAt := func(level int, _ *graph.WeightedGraph) float64 {
+	betaAt := func(level int) float64 {
 		b := beta
 		if level > relax {
 			b = beta / float64(uint64(1)<<uint(min(level-relax, 60)))
@@ -103,7 +103,7 @@ func DecomposeWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *grap
 		return nil
 	})
 	if err == hier.ErrMaxLevels {
-		return nil, core.ErrBeta // residual failed to drain within the cap; defensive
+		return nil, errUndrained(maxIters)
 	}
 	if err != nil {
 		return nil, err

@@ -54,15 +54,31 @@ func ComponentsPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph,
 	if n == 0 {
 		return res, nil
 	}
+	// cur[v] is original vertex v's super-vertex in the current level's
+	// graph: each visit folds that level's quotient map into it, so after
+	// the last level it names v's vertex in the final graph.
+	cur := make([]uint32, n)
+	pool.ForRange(workers, n, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			cur[v] = uint32(v)
+		}
+	})
 	h, err := hier.BuildHierarchy(hier.Config{
-		Ctx:            ctx,
-		Beta:           beta,
-		Seed:           seed,
-		Workers:        workers,
-		Pool:           pool,
-		Direction:      dir,
-		TrackVertexMap: true,
-	}, g, nil)
+		Ctx:       ctx,
+		Beta:      beta,
+		Seed:      seed,
+		Workers:   workers,
+		Pool:      pool,
+		Direction: dir,
+	}, g, func(lv *hier.Level) error {
+		quot := lv.Quot
+		pool.ForRange(workers, n, func(lo, hi int) {
+			for v := lo; v < hi; v++ {
+				cur[v] = quot[cur[v]]
+			}
+		})
+		return nil
+	})
 	if err == hier.ErrMaxLevels {
 		return nil, errors.New("connectivity: contraction failed to converge")
 	}
@@ -78,7 +94,6 @@ func ComponentsPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph,
 	// Canonicalize: label = smallest original vertex per final super-vertex.
 	// Every final super-vertex is one component, so the relabel table is a
 	// plain slice keyed by quotient id — no map churn on the hot exit path.
-	cur := hres.OrigMap
 	nq := hres.Final.NumVertices()
 	smallest := make([]uint32, nq)
 	for v := n - 1; v >= 0; v-- {

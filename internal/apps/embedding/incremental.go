@@ -2,6 +2,7 @@ package embedding
 
 import (
 	"context"
+	"slices"
 
 	"mpx/internal/core"
 	"mpx/internal/graph"
@@ -125,7 +126,7 @@ func (inc *Incremental) UpdateCtx(ctx context.Context, b graph.Batch) (UpdateSta
 			} else {
 				hier.RefineAssignment(inc.pool, inc.workers, t.assignment[l-1], lp.d.Center, assign, inc.scratch)
 			}
-			if uint32sEqual(assign, t.assignment[l]) {
+			if slices.Equal(assign, t.assignment[l]) {
 				assignChanged = false // converged; stop propagating
 			} else {
 				t.assignment[l] = assign
@@ -149,16 +150,4 @@ func (inc *Incremental) UpdateCtx(ctx context.Context, b graph.Batch) (UpdateSta
 	}
 	t.G = newG
 	return us, nil
-}
-
-func uint32sEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -3,6 +3,7 @@ package lowstretch
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"mpx/internal/core"
 	"mpx/internal/graph"
@@ -118,7 +119,7 @@ func (inc *Incremental) capture(lv *hier.Level) error {
 		}
 		seg = append(seg, lv.OrigEdge(uint32(v), p))
 	}
-	if !segsEqual(seg, inc.segs[lv.Index]) {
+	if !slices.Equal(seg, inc.segs[lv.Index]) {
 		inc.edgesChanged = true
 	}
 	inc.segs[lv.Index] = seg
@@ -149,16 +150,4 @@ func (inc *Incremental) rebuildTree() error {
 		t.Edges = append(t.Edges, seg...)
 	}
 	return t.index()
-}
-
-func segsEqual(a, b []graph.Edge) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -98,7 +98,7 @@ func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.We
 
 	h, err := hier.BuildWeightedHierarchy(hier.Config{
 		Ctx: ctx,
-		WBetaAt: func(level int, _ *graph.WeightedGraph) float64 {
+		WBetaAt: func(level int) float64 {
 			return clampBeta(beta / (wmin * math.Pow(akpwClassGrowth, float64(level))))
 		},
 		Seed:         seed,

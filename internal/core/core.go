@@ -156,13 +156,6 @@ type Options struct {
 	// decomposition; the choice only moves work between cache-friendly
 	// dense scans and sparse expansions. See docs/determinism.md.
 	Direction Direction
-	// MaxRadius, when positive, aborts BFS trees at this distance from
-	// their center; the proof of Theorem 1.2 notes the algorithm may be
-	// stopped once a piece exceeds the O(log n/β) radius bound and retried.
-	// Zero means no cap. Vertices beyond a capped tree start their own
-	// clusters when their own start time arrives, so the output is still a
-	// valid partition — only the shifted-distance optimality is truncated.
-	MaxRadius int32
 }
 
 // Decomposition is the result of a partition of an unweighted graph.
@@ -200,9 +193,6 @@ type Decomposition struct {
 	// disables the incremental check.
 	rank   []uint32
 	bucket []int32
-	// maxRadius records Options.MaxRadius; UnchangedUnder is only sound
-	// for uncapped runs.
-	maxRadius int32
 }
 
 // ErrBeta reports a β outside the supported range (0, 1).
@@ -317,23 +307,4 @@ func (d *Decomposition) SizeHistogram() []int {
 func (d *Decomposition) String() string {
 	return fmt.Sprintf("decomposition{n=%d clusters=%d maxRadius=%d cut=%.4f beta=%g}",
 		d.NumVertices(), d.NumClusters(), d.MaxRadius(), d.CutFraction(), d.Beta)
-}
-
-// CutEdgesParallel is CutEdges computed with a parallel reduction over the
-// CSR arcs; used by the large experiment workloads. Result is identical to
-// CutEdges.
-func (d *Decomposition) CutEdgesParallel(workers int) int64 {
-	offsets := d.G.Offsets()
-	adj := d.G.Adjacency()
-	arcs := parallel.ReduceInt64(workers, d.G.NumVertices(), func(v int) int64 {
-		cv := d.Center[v]
-		var c int64
-		for i := offsets[v]; i < offsets[v+1]; i++ {
-			if d.Center[adj[i]] != cv {
-				c++
-			}
-		}
-		return c
-	})
-	return arcs / 2
 }

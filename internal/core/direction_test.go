@@ -83,13 +83,12 @@ func TestPartitionPullValidOnFamilies(t *testing.T) {
 
 // TestPartitionDirectionsWithOptions checks that the pull engine matches
 // push under every option that feeds the claim resolution: tie-breaking
-// mode, quantile shifts, and the MaxRadius tree cap.
+// mode and quantile shifts.
 func TestPartitionDirectionsWithOptions(t *testing.T) {
 	g := graph.Grid2D(22, 22)
 	variants := []Options{
 		{Seed: 3, TieBreak: TiePermutation},
 		{Seed: 3, ShiftSource: ShiftQuantile},
-		{Seed: 3, MaxRadius: 4},
 	}
 	for _, base := range variants {
 		push := base

@@ -56,11 +56,9 @@ import "mpx/internal/graph"
 
 // HasPlan reports whether this decomposition retained its shift plan and
 // is eligible for UnchangedUnder: built by the unweighted parallel
-// Partition with no radius cap. Capped runs (Options.MaxRadius > 0) break
-// the one-step argument — a capped tree's non-proposals depend on global
-// distances — so they are excluded.
+// Partition.
 func (d *Decomposition) HasPlan() bool {
-	return d.rank != nil && d.bucket != nil && d.maxRadius == 0
+	return d.rank != nil && d.bucket != nil
 }
 
 // claimLevel returns the BFS round at which v was claimed: its distance

@@ -143,20 +143,9 @@ func TestUnchangedUnderAcceptsSafeBatches(t *testing.T) {
 	}
 }
 
-// TestUnchangedUnderRequiresPlan checks the guard rails: no plan or a
-// capped radius disables the check.
+// TestUnchangedUnderRequiresPlan checks the guard rail: no plan disables
+// the check.
 func TestUnchangedUnderRequiresPlan(t *testing.T) {
-	g := graph.Grid2D(8, 8)
-	capped, err := Partition(g, 0.3, Options{Seed: 1, MaxRadius: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped.HasPlan() {
-		t.Fatal("capped run must not offer a plan")
-	}
-	if capped.UnchangedUnder(nil, nil) {
-		t.Fatal("UnchangedUnder must refuse without a plan")
-	}
 	bare := &Decomposition{}
 	if bare.HasPlan() || bare.UnchangedUnder(nil, nil) {
 		t.Fatal("bare decomposition must refuse")

@@ -116,7 +116,6 @@ func Partition(g *graph.Graph, beta float64, opts Options) (d *Decomposition, er
 	d.DeltaMax = plan.deltaMax
 	d.rank = plan.rank
 	d.bucket = plan.bucket
-	d.maxRadius = opts.MaxRadius
 
 	pool := opts.Pool
 	claim := make([]uint64, n)
@@ -195,7 +194,7 @@ func Partition(g *graph.Graph, beta float64, opts Options) (d *Decomposition, er
 				sc.cohortSpare = nil
 			}
 			oldCohort := pullList
-			newly, pullList, newArcs = runRoundPull(g, plan, claim, level, d.Center, d.Dist, t, opts, packed, &relaxed, pullList, sc)
+			newly, pullList, newArcs = runRoundPull(g, plan, claim, level, d.Center, t, opts, packed, &relaxed, pullList, sc)
 			// The dead cohort buffer becomes the next round's compaction
 			// target for the open remainder.
 			sc.cohortSpare = oldCohort[:0]
@@ -207,7 +206,7 @@ func Partition(g *graph.Graph, beta float64, opts Options) (d *Decomposition, er
 				}
 				pullList = nil
 			}
-			newly, newArcs = runRound(g, frontier, bucket, claim, level, d.Center, d.Dist, opts, packed, &relaxed, sc)
+			newly, newArcs = runRound(g, frontier, bucket, claim, level, d.Center, opts, packed, &relaxed, sc)
 		}
 
 		// Resolution: finalize every vertex claimed this round. Claim words
@@ -254,7 +253,7 @@ func Partition(g *graph.Graph, beta float64, opts Options) (d *Decomposition, er
 // per-worker buffers by an offset scan and a parallel copy into the
 // scratch's reused output buffer.
 func runRound(g *graph.Graph, frontier, bucket []uint32, claim []uint64,
-	level []int32, center []uint32, dist []int32, opts Options,
+	level []int32, center []uint32, opts Options,
 	packed func(uint32) uint64, relaxed *int64, sc *partitionScratch) (newly []uint32, newArcs int64) {
 
 	work := len(frontier) + len(bucket)
@@ -285,9 +284,6 @@ func runRound(g *graph.Graph, frontier, bucket []uint32, claim []uint64,
 		// unclaimed neighbors.
 		for i := flo; i < fhi; i++ {
 			v := frontier[i]
-			if opts.MaxRadius > 0 && dist[v] >= opts.MaxRadius {
-				continue // tree capped; stragglers self-start later
-			}
 			p := packed(center[v])
 			for _, u := range g.Neighbors(v) {
 				local++
@@ -325,7 +321,7 @@ func runRound(g *graph.Graph, frontier, bucket []uint32, claim []uint64,
 // cohort's vertex order and are compacted scan-and-copy style into reused
 // buffers.
 func runRoundPull(g *graph.Graph, plan *shiftPlan, claim []uint64,
-	level []int32, center []uint32, dist []int32, t int32, opts Options,
+	level []int32, center []uint32, t int32, opts Options,
 	packed func(uint32) uint64, relaxed *int64, cohort []uint32,
 	sc *partitionScratch) (newly, rest []uint32, newArcs int64) {
 
@@ -362,9 +358,6 @@ func runRoundPull(g *graph.Graph, plan *shiftPlan, claim []uint64,
 					local++
 					if level[v] != prev {
 						continue // not a current-frontier member
-					}
-					if opts.MaxRadius > 0 && dist[v] >= opts.MaxRadius {
-						continue // tree capped; matches the push-side skip
 					}
 					if p := packed(center[v])&^0xffffffff | uint64(v); p < best {
 						best = p

@@ -226,17 +226,6 @@ func TestPartitionDisconnectedGraphClustersStayWithinComponents(t *testing.T) {
 	}
 }
 
-func TestPartitionMaxRadiusCap(t *testing.T) {
-	g := graph.Path(500)
-	d := mustPartition(t, g, 0.01, Options{Seed: 4, MaxRadius: 5})
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if r := d.MaxRadius(); r > 5 {
-		t.Errorf("max radius %d exceeds cap 5", r)
-	}
-}
-
 func TestPartitionQuantileShifts(t *testing.T) {
 	g := graph.Grid2D(25, 25)
 	d := mustPartition(t, g, 0.1, Options{Seed: 6, ShiftSource: ShiftQuantile})

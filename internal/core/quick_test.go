@@ -168,20 +168,3 @@ func TestDecompositionStringer(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
-
-func TestCutEdgesParallelMatchesSerial(t *testing.T) {
-	for _, g := range []*graph.Graph{
-		graph.Grid2D(30, 30),
-		graph.RMAT(10, 5000, 3),
-	} {
-		d, err := Partition(g, 0.2, Options{Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{1, 4} {
-			if got, want := d.CutEdgesParallel(w), d.CutEdges(); got != want {
-				t.Errorf("workers=%d: parallel cut %d != serial %d", w, got, want)
-			}
-		}
-	}
-}

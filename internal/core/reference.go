@@ -77,9 +77,6 @@ func PartitionSequential(g *graph.Graph, beta float64, opts Options) (*Decomposi
 			d.Parent[v] = it.proposer
 			d.Dist[v] = int32(it.key - int64(plan.bucket[c]))
 		}
-		if opts.MaxRadius > 0 && d.Dist[v] >= opts.MaxRadius {
-			continue // capped tree: do not relax out of v
-		}
 		cand := refItem{key: it.key + 1, rank: plan.rank[d.Center[v]], proposer: v}
 		for _, u := range g.Neighbors(v) {
 			lu := &labels[u]

@@ -154,19 +154,3 @@ func (d *Decomposition) StrongDiameters() map[uint32]int32 {
 	}
 	return out
 }
-
-// BoundaryVertices returns the vertices with at least one neighbor in a
-// different piece.
-func (d *Decomposition) BoundaryVertices() []uint32 {
-	var out []uint32
-	for v := 0; v < d.NumVertices(); v++ {
-		c := d.Center[v]
-		for _, u := range d.G.Neighbors(uint32(v)) {
-			if d.Center[u] != c {
-				out = append(out, uint32(v))
-				break
-			}
-		}
-	}
-	return out
-}

@@ -117,49 +117,10 @@ type deltaSet struct {
 // the result is then bit-identical to FromEdgesDedup over the updated edge
 // list. g is not modified.
 func ApplyBatch(g *Graph, b Batch) (*Graph, ApplyResult, error) {
-	ins, _, err := canonBatch(g.NumVertices(), b.Insert, nil)
+	out, res, err := applyBatch(g.NumVertices(), g.offsets, g.adj, nil, b)
 	if err != nil {
 		return nil, ApplyResult{}, err
 	}
-	del, _, err := canonBatch(g.NumVertices(), b.Delete, nil)
-	if err != nil {
-		return nil, ApplyResult{}, err
-	}
-	res := ApplyResult{}
-	deltas := make(map[uint32]*deltaSet)
-	delta := func(v uint32) *deltaSet {
-		d := deltas[v]
-		if d == nil {
-			d = &deltaSet{}
-			deltas[v] = d
-		}
-		return d
-	}
-	inserted := make(map[uint64]bool, len(ins))
-	for _, e := range ins {
-		inserted[edgeKey(e)] = true
-	}
-	for _, e := range del {
-		if inserted[edgeKey(e)] {
-			continue // delete-then-insert of the same edge: net no-op
-		}
-		if _, ok := searchEdge(g.Neighbors(e.U), e.V); !ok {
-			continue // absent: no-op
-		}
-		delta(e.U).del = append(delta(e.U).del, e.V)
-		delta(e.V).del = append(delta(e.V).del, e.U)
-		res.Deleted = append(res.Deleted, e)
-	}
-	for _, e := range ins {
-		if _, ok := searchEdge(g.Neighbors(e.U), e.V); ok {
-			continue // present: no-op (unweighted)
-		}
-		delta(e.U).add = append(delta(e.U).add, e.V)
-		delta(e.V).add = append(delta(e.V).add, e.U)
-		res.Inserted = append(res.Inserted, e)
-	}
-	res.Dirty = dirtyList(deltas)
-	out := rebuildCSR(g.offsets, g.adj, nil, res.Dirty, deltas)
 	return &Graph{offsets: out.offsets, adj: out.adj}, res, nil
 }
 
@@ -192,13 +153,32 @@ func ApplyBatchWeighted(g *WeightedGraph, b Batch) (*WeightedGraph, ApplyResult,
 	if b.InsertW == nil && len(b.Insert) > 0 {
 		return nil, ApplyResult{}, fmt.Errorf("graph: weighted batch requires InsertW weights for its %d inserts", len(b.Insert))
 	}
-	ins, insW, err := canonBatch(g.NumVertices(), b.Insert, b.InsertW)
+	weights := g.weights
+	if weights == nil {
+		weights = []float64{} // an edgeless graph; nil would select the unweighted merge
+	}
+	out, res, err := applyBatch(g.NumVertices(), g.offsets, g.adj, weights, b)
 	if err != nil {
 		return nil, ApplyResult{}, err
 	}
-	del, _, err := canonBatch(g.NumVertices(), b.Delete, nil)
+	return &WeightedGraph{offsets: out.offsets, adj: out.adj, weights: out.weights}, res, nil
+}
+
+// applyBatch is the body of ApplyBatch and ApplyBatchWeighted over the raw
+// CSR arrays of an n-vertex graph; weights is nil for unweighted graphs,
+// which ignore Batch.InsertW and treat inserting a present edge as a no-op.
+func applyBatch(n int, offsets []int64, adj []uint32, weights []float64, b Batch) (csrBuf, ApplyResult, error) {
+	var insW []float64
+	if weights != nil {
+		insW = b.InsertW
+	}
+	ins, insW, err := canonBatch(n, b.Insert, insW)
 	if err != nil {
-		return nil, ApplyResult{}, err
+		return csrBuf{}, ApplyResult{}, err
+	}
+	del, _, err := canonBatch(n, b.Delete, nil)
+	if err != nil {
+		return csrBuf{}, ApplyResult{}, err
 	}
 	res := ApplyResult{}
 	deltas := make(map[uint32]*deltaSet)
@@ -216,10 +196,10 @@ func ApplyBatchWeighted(g *WeightedGraph, b Batch) (*WeightedGraph, ApplyResult,
 	}
 	for _, e := range del {
 		if inserted[edgeKey(e)] {
-			continue
+			continue // delete-then-insert of the same edge: net no-op
 		}
-		if _, ok := searchEdge(g.adjOf(e.U), e.V); !ok {
-			continue
+		if _, ok := searchEdge(adj[offsets[e.U]:offsets[e.U+1]], e.V); !ok {
+			continue // absent: no-op
 		}
 		du, dv := delta(e.U), delta(e.V)
 		du.del = append(du.del, e.V)
@@ -227,33 +207,29 @@ func ApplyBatchWeighted(g *WeightedGraph, b Batch) (*WeightedGraph, ApplyResult,
 		res.Deleted = append(res.Deleted, e)
 	}
 	for i, e := range ins {
-		w := insW[i]
-		if old, ok := g.Weight(e.U, e.V); ok {
-			if math.Float64bits(old) == math.Float64bits(w) {
-				continue // exact no-op
+		if j, ok := searchEdge(adj[offsets[e.U]:offsets[e.U+1]], e.V); ok {
+			if weights == nil || math.Float64bits(weights[offsets[e.U]+int64(j)]) == math.Float64bits(insW[i]) {
+				continue // present (unweighted) or same weight bits: exact no-op
 			}
 			du, dv := delta(e.U), delta(e.V)
 			du.upd = append(du.upd, e.V)
-			du.updW = append(du.updW, w)
+			du.updW = append(du.updW, insW[i])
 			dv.upd = append(dv.upd, e.U)
-			dv.updW = append(dv.updW, w)
+			dv.updW = append(dv.updW, insW[i])
 			res.Reweighted = append(res.Reweighted, e)
 			continue
 		}
 		du, dv := delta(e.U), delta(e.V)
 		du.add = append(du.add, e.V)
-		du.addW = append(du.addW, w)
 		dv.add = append(dv.add, e.U)
-		dv.addW = append(dv.addW, w)
+		if weights != nil {
+			du.addW = append(du.addW, insW[i])
+			dv.addW = append(dv.addW, insW[i])
+		}
 		res.Inserted = append(res.Inserted, e)
 	}
 	res.Dirty = dirtyList(deltas)
-	out := rebuildCSR(g.offsets, g.adj, g.weights, res.Dirty, deltas)
-	return &WeightedGraph{offsets: out.offsets, adj: out.adj, weights: out.weights}, res, nil
-}
-
-func (g *WeightedGraph) adjOf(v uint32) []uint32 {
-	return g.adj[g.offsets[v]:g.offsets[v+1]]
+	return rebuildCSR(offsets, adj, weights, res.Dirty, deltas), res, nil
 }
 
 func dirtyList(deltas map[uint32]*deltaSet) []uint32 {

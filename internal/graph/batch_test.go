@@ -338,6 +338,29 @@ func TestApplyBatchWeightedUpsert(t *testing.T) {
 	}
 }
 
+// TestApplyBatchWeightedNilWeights inserts into an edgeless weighted graph
+// adopted with a nil weight array: the batch must still be validated and
+// carry its weights into the result.
+func TestApplyBatchWeightedNilWeights(t *testing.T) {
+	wg, err := FromWeightedCSR([]int64{0, 0, 0}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ApplyBatchWeighted(wg, Batch{Insert: []Edge{{0, 1}}, InsertW: []float64{-1}}); err == nil {
+		t.Fatal("negative weight accepted")
+	}
+	got, _, err := ApplyBatchWeighted(wg, Batch{Insert: []Edge{{0, 1}}, InsertW: []float64{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Weights()) != len(got.Adjacency()) {
+		t.Fatalf("%d weights for %d arcs", len(got.Weights()), len(got.Adjacency()))
+	}
+	if w, ok := got.Weight(0, 1); !ok || w != 2 {
+		t.Fatalf("insert weight = %v,%v want 2", w, ok)
+	}
+}
+
 func TestDiffCSR(t *testing.T) {
 	g := mustGrid(t, 5, 5)
 	same, err := FromEdgesDedup(g.NumVertices(), g.Edges())

@@ -98,21 +98,13 @@ func ContractClustersPool(pool *parallel.Pool, workers int, g *Graph, label []ui
 		return 0
 	})
 	if bad > 0 {
-		sc.CutArcs = pool.ReduceInt64(workers, n, func(v int) int64 {
-			var c int64
-			for _, u := range g.adj[g.offsets[v]:g.offsets[v+1]] {
-				if label[u] != label[v] {
-					c++
-				}
-			}
-			return c
-		})
+		sc.CutArcs = countCutArcs(pool, workers, g, label)
 		return ContractClusters(g, label)
 	}
 
 	quot, nq := compactLabelsPool(pool, workers, n, label, sc)
 
-	keys := collectCutArcs(pool, workers, g, label, quot, sc)
+	keys := collectCutArcs(pool, workers, g.offsets, g.adj, nil, label, quot, sc)
 	sc.CutArcs = int64(len(keys))
 	sc.arcTmp = parallel.Grow(sc.arcTmp, len(keys))
 	pool.SortUint64(workers, keys, sc.arcTmp)
@@ -162,9 +154,11 @@ func compactLabelsPool(pool *parallel.Pool, workers, n int, label []uint32, sc *
 // CutSubgraphPool returns the graph on the same vertex set containing
 // exactly the edges of g whose endpoints carry different labels — the
 // residual graph the block-decomposition iteration recurses on. The result
-// is bit-identical to FromEdges(n, cutEdges). Unlike contraction, no
-// dedup pass is needed: g is simple, and identity-mapped cut arcs stay
-// distinct.
+// is bit-identical to FromEdges(n, cutEdges). Unlike contraction, neither
+// a sort nor a dedup pass is needed: identity-mapped cut arcs are
+// collected in ascending (v, u) order over sorted adjacency (an invariant
+// every constructor and validateCSR enforce), so the collected arc list is
+// already the canonical CSR.
 func CutSubgraphPool(pool *parallel.Pool, workers int, g *Graph, label []uint32, sc *ContractScratch) (*Graph, error) {
 	n := g.NumVertices()
 	if len(label) != n {
@@ -179,23 +173,22 @@ func CutSubgraphPool(pool *parallel.Pool, workers int, g *Graph, label []uint32,
 	if sc == nil {
 		sc = &ContractScratch{}
 	}
-	keys := collectCutArcs(pool, workers, g, label, nil, sc)
+	keys := collectCutArcs(pool, workers, g.offsets, g.adj, nil, label, nil, sc)
 	sc.CutArcs = int64(len(keys))
-	sc.arcTmp = parallel.Grow(sc.arcTmp, len(keys))
-	pool.SortUint64(workers, keys, sc.arcTmp)
 	return csrFromSortedArcs(pool, workers, n, keys, sc)
 }
 
 // collectCutArcs gathers the packed key (quot[v]<<32 | quot[u]) — or
-// (v<<32 | u) when quot is nil — for every directed arc (v, u) of g whose
-// endpoints carry different class labels, in (v, adjacency) order. The
-// two-pass layout (per-worker-block counts, serial offset scan, in-order
-// fill) makes the output independent of scheduling.
-func collectCutArcs(pool *parallel.Pool, workers int, g *Graph, class, quot []uint32, sc *ContractScratch) []uint64 {
-	n := g.NumVertices()
+// (v<<32 | u) when quot is nil — for every directed arc (v, u) of the CSR
+// (offsets, adj) whose endpoints carry different class labels, in
+// (v, adjacency) order. With non-nil weights (a weighted graph's per-arc
+// array) it also gathers each such arc's weight into sc.arcW, aligned with
+// the keys. The two-pass layout (per-worker-block counts, serial offset
+// scan, in-order fill) makes the output independent of scheduling.
+func collectCutArcs(pool *parallel.Pool, workers int, offsets []int64, adj []uint32, weights []float64, class, quot []uint32, sc *ContractScratch) []uint64 {
+	n := len(offsets) - 1
 	w := parallel.Workers(workers, n)
 	off := sc.ensureOff(w)
-	offsets, adj := g.offsets, g.adj
 	pool.Run(w, func(k int) {
 		lo, hi := k*n/w, (k+1)*n/w
 		cnt := 0
@@ -214,13 +207,17 @@ func collectCutArcs(pool *parallel.Pool, workers int, g *Graph, class, quot []ui
 		off[k] += off[k-1]
 	}
 	sc.arcKeys = parallel.Grow(sc.arcKeys, off[w])
-	keys := sc.arcKeys
+	if weights != nil {
+		sc.arcW = parallel.Grow(sc.arcW, off[w])
+	}
+	keys, arcW := sc.arcKeys, sc.arcW
 	pool.Run(w, func(k int) {
 		lo, hi := k*n/w, (k+1)*n/w
 		pos := off[k]
 		for v := lo; v < hi; v++ {
 			cv := class[v]
-			for _, u := range adj[offsets[v]:offsets[v+1]] {
+			first := offsets[v]
+			for j, u := range adj[first:offsets[v+1]] {
 				if class[u] == cv {
 					continue
 				}
@@ -229,11 +226,30 @@ func collectCutArcs(pool *parallel.Pool, workers int, g *Graph, class, quot []ui
 				} else {
 					keys[pos] = uint64(v)<<32 | uint64(u)
 				}
+				if weights != nil {
+					arcW[pos] = weights[first+int64(j)]
+				}
 				pos++
 			}
 		}
 	})
 	return keys
+}
+
+// countCutArcs counts directed arcs whose endpoints carry different labels
+// (the stats fallback for out-of-range label values).
+func countCutArcs(pool *parallel.Pool, workers int, g *Graph, label []uint32) int64 {
+	offsets, adj := g.offsets, g.adj
+	return pool.ReduceInt64(workers, g.NumVertices(), func(v int) int64 {
+		var c int64
+		lv := label[v]
+		for _, u := range adj[offsets[v]:offsets[v+1]] {
+			if label[u] != lv {
+				c++
+			}
+		}
+		return c
+	})
 }
 
 // dedupSortedUint64 compacts runs of equal keys in the sorted input into

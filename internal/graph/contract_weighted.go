@@ -131,7 +131,7 @@ func ContractWeightedClustersPool(pool *parallel.Pool, workers int, wg *Weighted
 
 	quot, nq := compactLabelsPool(pool, workers, n, label, sc)
 
-	keys := collectCutArcsWeighted(pool, workers, wg, label, quot, sc)
+	keys := collectCutArcs(pool, workers, wg.offsets, wg.adj, wg.weights, label, quot, sc)
 	c := len(keys)
 	sc.CutArcs = int64(c)
 	// Position payloads ride the stable sort so each run's weights can be
@@ -194,7 +194,7 @@ func CutWeightedSubgraphPool(pool *parallel.Pool, workers int, wg *WeightedGraph
 	if sc == nil {
 		sc = &ContractScratch{}
 	}
-	keys := collectCutArcsWeighted(pool, workers, wg, label, nil, sc)
+	keys := collectCutArcs(pool, workers, wg.offsets, wg.adj, wg.weights, label, nil, sc)
 	c := len(keys)
 	sc.CutArcs = int64(c)
 	q, err := csrFromSortedArcs(pool, workers, n, keys, sc)
@@ -207,74 +207,6 @@ func CutWeightedSubgraphPool(pool *parallel.Pool, workers int, wg *WeightedGraph
 		copy(weights[lo:hi], arcW[lo:hi])
 	})
 	return &WeightedGraph{offsets: q.offsets, adj: q.adj, weights: weights}, nil
-}
-
-// countCutArcs counts directed arcs whose endpoints carry different labels
-// (the stats fallback for out-of-range label values).
-func countCutArcs(pool *parallel.Pool, workers int, g *Graph, label []uint32) int64 {
-	offsets, adj := g.offsets, g.adj
-	return pool.ReduceInt64(workers, g.NumVertices(), func(v int) int64 {
-		var c int64
-		lv := label[v]
-		for _, u := range adj[offsets[v]:offsets[v+1]] {
-			if label[u] != lv {
-				c++
-			}
-		}
-		return c
-	})
-}
-
-// collectCutArcsWeighted is collectCutArcs for weighted graphs: it gathers
-// the packed key (quot[v]<<32 | quot[u]) — or (v<<32 | u) when quot is nil
-// — AND the arc's weight into sc.arcW, both in canonical (v, adjacency)
-// collection order, with the same deterministic two-pass layout.
-func collectCutArcsWeighted(pool *parallel.Pool, workers int, wg *WeightedGraph, class, quot []uint32, sc *ContractScratch) []uint64 {
-	n := wg.NumVertices()
-	w := parallel.Workers(workers, n)
-	off := sc.ensureOff(w)
-	offsets, adj, ws := wg.offsets, wg.adj, wg.weights
-	pool.Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
-		cnt := 0
-		for v := lo; v < hi; v++ {
-			cv := class[v]
-			for _, u := range adj[offsets[v]:offsets[v+1]] {
-				if class[u] != cv {
-					cnt++
-				}
-			}
-		}
-		off[k+1] = cnt
-	})
-	off[0] = 0
-	for k := 1; k <= w; k++ {
-		off[k] += off[k-1]
-	}
-	sc.arcKeys = parallel.Grow(sc.arcKeys, off[w])
-	sc.arcW = parallel.Grow(sc.arcW, off[w])
-	keys, arcW := sc.arcKeys, sc.arcW
-	pool.Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
-		pos := off[k]
-		for v := lo; v < hi; v++ {
-			cv := class[v]
-			for i := offsets[v]; i < offsets[v+1]; i++ {
-				u := adj[i]
-				if class[u] == cv {
-					continue
-				}
-				if quot != nil {
-					keys[pos] = uint64(quot[v])<<32 | uint64(quot[u])
-				} else {
-					keys[pos] = uint64(v)<<32 | uint64(u)
-				}
-				arcW[pos] = ws[i]
-				pos++
-			}
-		}
-	})
-	return keys
 }
 
 // dedupSumSortedArcs compacts runs of equal keys in the sorted input into

@@ -43,12 +43,7 @@ func (h *Hierarchy) ClusterMaps() [][]uint32 {
 	})
 	for l := 0; l < levels; l++ {
 		st := &h.levels[l]
-		var center []uint32
-		if st.wd != nil {
-			center = st.wd.Center
-		} else {
-			center = st.d.Center
-		}
+		center := st.center()
 		row := flat[l*n0 : (l+1)*n0 : (l+1)*n0]
 		out[l] = row
 		quot := st.quot

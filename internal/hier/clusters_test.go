@@ -78,7 +78,7 @@ func TestClusterMapsWeighted(t *testing.T) {
 	n := g.NumVertices()
 	var centers, quots [][]uint32
 	h, err := BuildWeightedHierarchy(Config{
-		WBetaAt: func(l int, _ *graph.WeightedGraph) float64 { return 0.3 / float64(uint64(1)<<uint(l)) },
+		WBetaAt: func(l int) float64 { return 0.3 / float64(uint64(1)<<uint(l)) },
 		Seed:    9,
 	}, wg, func(lv *Level) error {
 		centers = append(centers, append([]uint32(nil), lv.Center()...))
@@ -206,7 +206,7 @@ func TestClusterMapsCache(t *testing.T) {
 
 	// Any effective weighted change re-derives every level.
 	wcfg := Config{
-		WBetaAt: func(l int, _ *graph.WeightedGraph) float64 { return 0.3 / float64(uint64(1)<<uint(l)) },
+		WBetaAt: func(l int) float64 { return 0.3 / float64(uint64(1)<<uint(l)) },
 		Seed:    9,
 	}
 	wg := graph.RandomWeights(graph.GNM(400, 1300, 5), 1, 8, 2)

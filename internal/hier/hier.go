@@ -3,16 +3,19 @@
 // Partition (AKPW-style low-stretch trees, Linial–Saks blocks, LDD
 // connectivity, tree-metric embeddings, separators).
 //
-// Each level runs core.Partition on the shared parallel.Pool, classifies
-// edges intra/cut with pooled kernels, and either contracts clusters into
-// super-vertices (graph.ContractClustersPool — slice-based label
-// compaction plus a pool radix sort on packed (qu, qv) keys) or keeps the
-// vertex set and recurses on the residual cut subgraph
-// (graph.CutSubgraphPool — the Linial–Saks iteration). The engine
-// maintains original↔quotient vertex and edge mappings across levels and
-// reuses every piece of scratch, so a steady-state level allocates a small
-// constant number of objects sized O(cut edges) — never the O(m) per-level
-// map rebuilds the serial app loops paid.
+// Both graph kinds run through one level loop. Each level runs
+// core.Partition (core.PartitionWeightedParallel on weighted graphs) on the
+// shared parallel.Pool, classifies edges intra/cut with pooled kernels,
+// and either contracts clusters into super-vertices
+// (graph.ContractClustersPool — slice-based label compaction plus a pool
+// radix sort on packed (qu, qv) keys) or keeps the vertex set and recurses
+// on the residual cut subgraph (graph.CutSubgraphPool — the Linial–Saks
+// iteration); one function picks among those kernels and their weighted
+// twins. The engine maintains original-edge annotations across levels —
+// callers that need the original→final vertex map fold each visit's
+// Level.Quot — and reuses every piece of scratch, so a steady-state level
+// allocates a small constant number of objects sized O(cut edges) — never
+// the O(m) per-level map rebuilds the serial app loops paid.
 //
 // Output is deterministic: Partition is bit-identical across worker counts
 // and traversal directions, contraction and classification are
@@ -59,10 +62,9 @@ type Config struct {
 	// nil).
 	Beta float64
 	// WBetaAt, when non-nil, supplies the per-level β schedule of a
-	// weighted build (BuildWeightedHierarchy); β is in units of inverse
-	// weighted distance there, so weighted schedules see the weighted
-	// graph. Nil means the flat Beta.
-	WBetaAt func(level int, wg *graph.WeightedGraph) float64
+	// weighted build (BuildWeightedHierarchy), in units of inverse
+	// weighted distance. Nil means the flat Beta.
+	WBetaAt func(level int) float64
 	// Seed fixes all randomness; level l decomposes with
 	// xrand.Mix(Seed, l).
 	Seed uint64
@@ -79,9 +81,6 @@ type Config struct {
 	// Residual keeps the vertex set fixed and recurses on the cut-edge
 	// subgraph (Linial–Saks blocks) instead of contracting clusters.
 	Residual bool
-	// TrackVertexMap maintains Result.OrigMap, the composition of the
-	// per-level quotient maps (original vertex → final super-vertex).
-	TrackVertexMap bool
 	// NeedEdgeOrig maintains per-level original-edge annotations so
 	// Level.OrigEdge can map any current edge back to an original edge
 	// (low-stretch trees emit tree edges in original coordinates).
@@ -99,9 +98,9 @@ func (c Config) maxLevels() int {
 	return 64
 }
 
-func (c Config) wbetaAt(level int, wg *graph.WeightedGraph) float64 {
+func (c Config) wbetaAt(level int) float64 {
 	if c.WBetaAt != nil {
-		return c.WBetaAt(level, wg)
+		return c.WBetaAt(level)
 	}
 	return c.Beta
 }
@@ -192,9 +191,6 @@ type Result struct {
 	// WFinal is the weighted final graph of a weighted hierarchy (its
 	// unweighted view is Final).
 	WFinal *graph.WeightedGraph
-	// OrigMap maps each original vertex to its vertex in Final
-	// (Config.TrackVertexMap, contract mode).
-	OrigMap []uint32
 }
 
 // engine owns the reusable scratch of a hierarchy: one per Hierarchy,
@@ -220,10 +216,8 @@ type engine struct {
 }
 
 // CutEdgesOnPool counts the undirected edges of g whose endpoints carry
-// different labels, reducing on the given pool (Decomposition.
-// CutEdgesParallel reduces on the default pool, which would bypass an
-// explicit pool). Shared by the engine's per-level stats and the
-// single-level applications (separator, embedding).
+// different labels, reducing on the given pool. Shared by the single-level
+// applications (separator, embedding).
 func CutEdgesOnPool(pool *parallel.Pool, workers int, g *graph.Graph, center []uint32) int64 {
 	offsets := g.Offsets()
 	adj := g.Adjacency()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mpx/internal/core"
 	"mpx/internal/graph"
@@ -43,10 +44,11 @@ import (
 //     numbering is stable because the label-compaction order depends only
 //     on the (unchanged) center array.
 //
-// Weighted hierarchies take the conservative path: any effective weighted
-// change re-derives every level (a weight change can move Δ-stepping
-// distances anywhere). Bit-identity holds trivially; making the weighted
-// fixpoint check incremental is an open ROADMAP item.
+// Weighted hierarchies run the same walk, but a weighted level has no
+// fixpoint check yet (a weight change can move Δ-stepping distances
+// anywhere), so any effective weighted change re-derives from level 0.
+// Bit-identity holds trivially; a weighted UnchangedUnder is an open
+// ROADMAP item.
 //
 // Every derivation runs in two phases (docs/robustness.md): a pure compute
 // phase (computeLevels / the staged UpdateCtx walk) that reads the live
@@ -57,13 +59,19 @@ import (
 // therefore abort before commit: the hierarchy, its Result and the engine
 // stay exactly as they were, and the same UpdateCtx can simply be retried.
 
+// levelInput is the graph entering a level: g, plus its weighted form wg
+// in weighted hierarchies (g is then wg.Unweighted(), sharing its CSR).
+type levelInput struct {
+	g  *graph.Graph
+	wg *graph.WeightedGraph
+}
+
 // levelState is everything the Hierarchy retains per level: the level's
-// input graph (weighted view when applicable), its decomposition, the
-// quotient map, and the annotation table that maps the input graph's
-// canonical edges to original edges (nil = identity).
+// input graph, its decomposition (wd in weighted hierarchies, d
+// otherwise), the quotient map, and the annotation table that maps the
+// input graph's canonical edges to original edges (nil = identity).
 type levelState struct {
-	g       *graph.Graph
-	wg      *graph.WeightedGraph
+	levelInput
 	d       *core.Decomposition
 	wd      *core.WeightedDecomposition
 	quot    []uint32
@@ -71,14 +79,21 @@ type levelState struct {
 	orig    []graph.Edge
 }
 
+// center returns the level's per-vertex center assignment.
+func (st *levelState) center() []uint32 {
+	if st.wd != nil {
+		return st.wd.Center
+	}
+	return st.d.Center
+}
+
 // Hierarchy is a persistent decompose-and-contract hierarchy: the result
 // of a build plus everything needed to maintain it under edge updates.
 // It is not safe for concurrent use.
 type Hierarchy struct {
-	eng      *engine
-	res      *Result
-	levels   []levelState
-	weighted bool
+	eng    *engine
+	res    *Result
+	levels []levelState
 	// maps caches ClusterMaps. Only a re-derivation can move a center or
 	// a quotient id, so only a re-derivation drops it.
 	maps [][]uint32
@@ -120,20 +135,8 @@ func (s UpdateStats) String() string {
 // (the cap was hit first) the hierarchy is returned alongside the error;
 // its partial levels are consistent. Callers that only want the Result
 // read h.Result() and drop h; keep h to call UpdateCtx.
-func BuildHierarchy(cfg Config, g *graph.Graph, visit func(*Level) error) (h *Hierarchy, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			h, err = nil, parallel.Recovered(r)
-		}
-	}()
-	h = &Hierarchy{eng: &engine{cfg: cfg}, res: &Result{}}
-	if err := h.build(g, visit); err != nil {
-		if errors.Is(err, ErrMaxLevels) {
-			return h, err
-		}
-		return nil, err
-	}
-	return h, nil
+func BuildHierarchy(cfg Config, g *graph.Graph, visit func(*Level) error) (*Hierarchy, error) {
+	return build(cfg, levelInput{g: g}, visit)
 }
 
 // BuildWeightedHierarchy is BuildHierarchy for weighted graphs. Per level
@@ -141,24 +144,39 @@ func BuildHierarchy(cfg Config, g *graph.Graph, visit func(*Level) error) (h *Hi
 // the flat Beta) and Δ-stepping bucket width 1/β, then contracts clusters
 // through graph.ContractWeightedClustersPool (summing parallel edge
 // weights) or rebuilds the weighted residual graph (Config.Residual).
-// Vertex maps, edge annotations and intra-edge collection behave exactly
-// as in BuildHierarchy; Level.G is the unweighted view of Level.WG, so
-// OrigEdge works unchanged. Output is bit-identical at every worker count
-// and traversal direction for a fixed (wg, config).
-func BuildWeightedHierarchy(cfg Config, wg *graph.WeightedGraph, visit func(*Level) error) (h *Hierarchy, err error) {
+// Edge annotations and intra-edge collection behave exactly as in
+// BuildHierarchy; Level.G is the unweighted view of Level.WG, so OrigEdge
+// works unchanged. Output is bit-identical at every worker count and
+// traversal direction for a fixed (wg, config).
+func BuildWeightedHierarchy(cfg Config, wg *graph.WeightedGraph, visit func(*Level) error) (*Hierarchy, error) {
+	return build(cfg, levelInput{wg: wg}, visit)
+}
+
+// build is the one body of both builders: it derives every level over in
+// (a weighted input arrives as wg alone), installs them, and replays the
+// visits.
+func build(cfg Config, in levelInput, visit func(*Level) error) (h *Hierarchy, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			h, err = nil, parallel.Recovered(r)
 		}
 	}()
-	h = &Hierarchy{eng: &engine{cfg: cfg}, res: &Result{}, weighted: true}
-	if err := h.buildWeighted(wg, visit); err != nil {
-		if errors.Is(err, ErrMaxLevels) {
-			return h, err
-		}
+	if in.wg != nil {
+		in.g = in.wg.Unweighted()
+	}
+	h = &Hierarchy{eng: &engine{cfg: cfg}, res: &Result{}}
+	lvls, stats, final, err := h.eng.computeLevels(cfg.Ctx, 0, in, nil)
+	if err != nil && !errors.Is(err, ErrMaxLevels) {
 		return nil, err
 	}
-	return h, nil
+	h.install(lvls, stats, final)
+	if verr := h.replayVisits(0, len(lvls), 0, visit); verr != nil {
+		err = verr
+	}
+	if err != nil && !errors.Is(err, ErrMaxLevels) {
+		return nil, err
+	}
+	return h, err
 }
 
 // Result returns the hierarchy's current result. The same pointer stays
@@ -169,170 +187,89 @@ func (h *Hierarchy) Result() *Result { return h.res }
 func (h *Hierarchy) Levels() int { return h.res.Levels }
 
 // Graph returns the current base graph (the updated one after UpdateCtx).
-func (h *Hierarchy) Graph() *graph.Graph {
-	if len(h.levels) > 0 {
-		return h.levels[0].g
-	}
-	return h.res.Final
-}
+func (h *Hierarchy) Graph() *graph.Graph { return h.graphEntering(0).g }
 
 // WeightedGraph returns the current weighted base graph (weighted
 // hierarchies only; nil otherwise).
-func (h *Hierarchy) WeightedGraph() *graph.WeightedGraph {
-	if !h.weighted {
-		return nil
-	}
-	if len(h.levels) > 0 {
-		return h.levels[0].wg
-	}
-	return h.res.WFinal
-}
+func (h *Hierarchy) WeightedGraph() *graph.WeightedGraph { return h.graphEntering(0).wg }
 
-func (h *Hierarchy) initOrigMap(n0 int) {
-	cfg := h.eng.cfg
-	if !cfg.TrackVertexMap {
-		return
-	}
-	h.res.OrigMap = make([]uint32, n0)
-	cfg.Pool.ForRange(cfg.Workers, n0, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			h.res.OrigMap[v] = uint32(v)
-		}
-	})
-}
-
-// recomposeOrigMap rebuilds Result.OrigMap as the composition of every
-// level's quotient map. Pure integer map folding in a fixed order — the
-// values are identical to composing the maps level by level during the
-// build.
-func (h *Hierarchy) recomposeOrigMap() {
-	cfg := h.eng.cfg
-	if !cfg.TrackVertexMap || cfg.Residual || h.res.OrigMap == nil {
-		return
-	}
-	om := h.res.OrigMap
-	n0 := len(om)
-	cfg.Pool.ForRange(cfg.Workers, n0, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			om[v] = uint32(v)
-		}
-	})
-	for i := range h.levels {
-		quot := h.levels[i].quot
-		cfg.Pool.ForRange(cfg.Workers, n0, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				om[v] = quot[om[v]]
-			}
-		})
-	}
-}
-
-// build derives the full unweighted hierarchy over g, installs it, and
-// replays the visits.
-func (h *Hierarchy) build(g *graph.Graph, visit func(*Level) error) error {
-	cfg := h.eng.cfg
-	h.initOrigMap(g.NumVertices())
-	lvls, stats, final, derr := h.eng.computeLevels(cfg.Ctx, 0, g, nil)
-	if derr != nil && !errors.Is(derr, ErrMaxLevels) {
-		return derr
-	}
+// install commits a derivation: its levels, their stats and the graph the
+// last level produced.
+func (h *Hierarchy) install(lvls []levelState, stats []LevelStat, final levelInput) {
 	h.levels = lvls
 	h.res.Stats = stats
 	h.res.Levels = len(lvls)
-	h.res.Final = final
-	h.recomposeOrigMap()
-	if verr := h.replayVisits(0, len(lvls), 0, visit); verr != nil {
-		return verr
-	}
-	return derr
-}
-
-// buildWeighted is build for weighted hierarchies.
-func (h *Hierarchy) buildWeighted(wg *graph.WeightedGraph, visit func(*Level) error) error {
-	cfg := h.eng.cfg
-	h.initOrigMap(wg.NumVertices())
-	lvls, stats, final, wfinal, derr := h.eng.computeWeightedLevels(cfg.Ctx, 0, wg)
-	if derr != nil && !errors.Is(derr, ErrMaxLevels) {
-		return derr
-	}
-	h.levels = lvls
-	h.res.Stats = stats
-	h.res.Levels = len(lvls)
-	h.res.Final = final
-	h.res.WFinal = wfinal
-	h.recomposeOrigMap()
-	if verr := h.replayVisits(0, len(lvls), 0, visit); verr != nil {
-		return verr
-	}
-	return derr
+	h.res.Final, h.res.WFinal = final.g, final.wg
 }
 
 // computeLevels derives levels start, start+1, ... for the graph cur
 // entering level start (orig its annotation table; nil = identity). It is
-// the pure compute phase of every unweighted build and update: it reads
-// only the engine's configuration and scratch, never touches a Hierarchy,
-// and delivers no visits — staged levels are installed and presented to
-// the caller only after the whole derivation succeeds. ctx is polled at
-// every level boundary and forwarded into each level's Partition (which
-// polls it between rounds). On ErrMaxLevels the levels computed so far are
-// returned alongside the error (they are consistent and installable); any
-// other error returns nothing.
-func (e *engine) computeLevels(ctx context.Context, start int, cur *graph.Graph, orig []graph.Edge) ([]levelState, []LevelStat, *graph.Graph, error) {
+// the pure compute phase of every build and update: it reads only the
+// engine's configuration and scratch, never touches a Hierarchy, and
+// delivers no visits — staged levels are installed and presented to the
+// caller only after the whole derivation succeeds. ctx is polled at every
+// level boundary and forwarded into each level's partition (which polls it
+// between rounds). On ErrMaxLevels the levels computed so far are returned
+// alongside the error (they are consistent and installable); any other
+// error returns nothing.
+//
+// A weighted level differs from an unweighted one in its partition call,
+// its rebuild kernel and its weighted LevelStat fields only.
+func (e *engine) computeLevels(ctx context.Context, start int, cur levelInput, orig []graph.Edge) ([]levelState, []LevelStat, levelInput, error) {
 	cfg := e.cfg
 	pool := cfg.Pool
 	var lvls []levelState
 	var stats []LevelStat
-	for level := start; cur.NumEdges() > 0; level++ {
+	for level := start; cur.g.NumEdges() > 0; level++ {
 		if cerr := ctxErr(ctx); cerr != nil {
-			return nil, nil, nil, cerr
+			return nil, nil, levelInput{}, cerr
 		}
 		if level >= cfg.maxLevels() {
 			return lvls, stats, cur, ErrMaxLevels
 		}
-		d, err := core.Partition(cur, cfg.Beta, core.Options{
+		opts := core.Options{
 			Ctx:       ctx,
 			Seed:      xrand.Mix(cfg.Seed, uint64(level)),
 			Workers:   cfg.Workers,
 			Pool:      pool,
 			Direction: cfg.Direction,
-		})
-		if err != nil {
-			return nil, nil, nil, err
 		}
-		n := cur.NumVertices()
-		center := d.Center
-		st := levelState{g: cur, d: d, orig: orig}
-
-		// Classification + next level. Contract mode renumbers through the
-		// quotient map; residual mode keeps vertex ids and drops intra
-		// edges.
-		var next *graph.Graph
-		var nextOrig []graph.Edge
-		if cfg.Residual {
-			next, err = graph.CutSubgraphPool(pool, cfg.Workers, cur, center, &e.sc)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			st.numQuot = n
+		st := levelState{levelInput: cur, orig: orig}
+		var err error
+		if cur.wg == nil {
+			st.d, err = core.Partition(cur.g, cfg.Beta, opts)
 		} else {
-			var quot []uint32
-			next, quot, err = graph.ContractClustersPool(pool, cfg.Workers, cur, center, &e.sc)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			st.quot = quot
-			st.numQuot = next.NumVertices()
-			if cfg.NeedEdgeOrig {
-				nextOrig = e.annotateContraction(cur, orig, center, quot, next)
-			}
+			beta := cfg.wbetaAt(level)
+			// Δ = 1/β, not the Meyer–Sanders default (max weight / avg degree):
+			// that matches the WEIGHT scale, but shifted distances live on the
+			// SHIFT scale Exp(β) — mean 1/β, range ~ln n/β. On AKPW schedules β
+			// shrinks geometrically, so a weight-scale Δ would make the bucket
+			// count (and the round count) explode exponentially with the level.
+			// Δ = 1/β keeps it at ~ln n buckets per level at every scale.
+			st.wd, err = core.PartitionWeightedParallel(cur.wg, beta, 1/beta, opts)
+		}
+		if err != nil {
+			return nil, nil, levelInput{}, err
+		}
+		center := st.center()
+		next, quot, err := e.rebuild(cur, center)
+		if err != nil {
+			return nil, nil, levelInput{}, err
+		}
+		st.quot = quot
+		st.numQuot = next.g.NumVertices()
+		var nextOrig []graph.Edge
+		if quot != nil && cfg.NeedEdgeOrig {
+			nextOrig = e.annotateContraction(cur.g, orig, center, quot, next.g)
 		}
 
-		// The contraction/residual rebuild already walked every arc and
-		// recorded the cut-arc count; no second O(m) stats sweep.
+		// The rebuild already walked every arc and recorded the cut-arc
+		// count; no second O(m) stats sweep.
+		n := cur.g.NumVertices()
 		stat := LevelStat{
 			Level:     level,
 			N:         n,
-			M:         cur.NumEdges(),
+			M:         cur.g.NumEdges(),
 			CutEdges:  e.sc.CutArcs / 2,
 			QuotientN: st.numQuot,
 		}
@@ -345,6 +282,19 @@ func (e *engine) computeLevels(ctx context.Context, start int, cur *graph.Graph,
 		if stat.M > 0 {
 			stat.CutFraction = float64(stat.CutEdges) / float64(stat.M)
 		}
+		if wd := st.wd; wd != nil {
+			stat.Weighted = true
+			stat.TotalWeight = TotalWeightOnPool(pool, cfg.Workers, cur.wg)
+			// Weighted contraction conserves cut weight exactly (parallel
+			// edges sum), so the next graph's total IS this level's cut
+			// weight.
+			stat.CutWeight = TotalWeightOnPool(pool, cfg.Workers, next.wg)
+			stat.WMaxRadius, _ = pool.MaxFloat64(cfg.Workers, n, func(i int) float64 { return wd.Dist[i] })
+			stat.Rounds = wd.Rounds
+			if stat.TotalWeight > 0 {
+				stat.CutWeightFraction = stat.CutWeight / stat.TotalWeight
+			}
+		}
 
 		lvls = append(lvls, st)
 		stats = append(stats, stat)
@@ -354,98 +304,28 @@ func (e *engine) computeLevels(ctx context.Context, start int, cur *graph.Graph,
 	return lvls, stats, cur, nil
 }
 
-// computeWeightedLevels is computeLevels for weighted hierarchies: the
-// pure compute phase of BuildWeightedHierarchy and the weighted update.
-func (e *engine) computeWeightedLevels(ctx context.Context, start int, cur *graph.WeightedGraph) ([]levelState, []LevelStat, *graph.Graph, *graph.WeightedGraph, error) {
-	cfg := e.cfg
-	pool := cfg.Pool
-	var lvls []levelState
-	var stats []LevelStat
-	curU := cur.Unweighted()
-	var orig []graph.Edge
-	for level := start; cur.NumEdges() > 0; level++ {
-		if cerr := ctxErr(ctx); cerr != nil {
-			return nil, nil, nil, nil, cerr
-		}
-		if level >= cfg.maxLevels() {
-			return lvls, stats, curU, cur, ErrMaxLevels
-		}
-		beta := cfg.wbetaAt(level, cur)
-		// Δ = 1/β, not the Meyer–Sanders default (max weight / avg degree):
-		// that matches the WEIGHT scale, but shifted distances live on the
-		// SHIFT scale Exp(β) — mean 1/β, range ~ln n/β. On AKPW schedules β
-		// shrinks geometrically, so a weight-scale Δ would make the bucket
-		// count (and the round count) explode exponentially with the level.
-		// Δ = 1/β keeps it at ~ln n buckets per level at every scale.
-		wd, err := core.PartitionWeightedParallel(cur, beta, 1/beta, core.Options{
-			Ctx:       ctx,
-			Seed:      xrand.Mix(cfg.Seed, uint64(level)),
-			Workers:   cfg.Workers,
-			Pool:      pool,
-			Direction: cfg.Direction,
-		})
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		n := cur.NumVertices()
-		center := wd.Center
-		st := levelState{g: curU, wg: cur, wd: wd, orig: orig}
-
-		var next *graph.WeightedGraph
-		var nextOrig []graph.Edge
-		if cfg.Residual {
-			next, err = graph.CutWeightedSubgraphPool(pool, cfg.Workers, cur, center, &e.sc)
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			st.numQuot = n
-		} else {
-			var quot []uint32
-			next, quot, err = graph.ContractWeightedClustersPool(pool, cfg.Workers, cur, center, &e.sc)
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			st.quot = quot
-			st.numQuot = next.NumVertices()
-			if cfg.NeedEdgeOrig {
-				nextOrig = e.annotateContraction(curU, orig, center, quot, next.Unweighted())
-			}
-		}
-
-		stat := LevelStat{
-			Level:       level,
-			N:           n,
-			M:           cur.NumEdges(),
-			CutEdges:    e.sc.CutArcs / 2,
-			QuotientN:   st.numQuot,
-			Weighted:    true,
-			TotalWeight: TotalWeightOnPool(pool, cfg.Workers, cur),
-			Rounds:      wd.Rounds,
-		}
-		// Weighted contraction conserves cut weight exactly (parallel edges
-		// sum), so the next graph's total IS this level's cut weight.
-		stat.CutWeight = TotalWeightOnPool(pool, cfg.Workers, next)
-		stat.WMaxRadius, _ = pool.MaxFloat64(cfg.Workers, n, func(i int) float64 { return wd.Dist[i] })
-		stat.Clusters = int(pool.ReduceInt64(cfg.Workers, n, func(v int) int64 {
-			if center[v] == uint32(v) {
-				return 1
-			}
-			return 0
-		}))
-		if stat.M > 0 {
-			stat.CutFraction = float64(stat.CutEdges) / float64(stat.M)
-		}
-		if stat.TotalWeight > 0 {
-			stat.CutWeightFraction = stat.CutWeight / stat.TotalWeight
-		}
-
-		lvls = append(lvls, st)
-		stats = append(stats, stat)
-		cur = next
-		curU = next.Unweighted()
-		orig = nextOrig
+// rebuild builds the graph entering the next level from a level's input
+// and its centers, returning it with the quotient map (nil in residual
+// mode). It holds the only switch over graph kind × mode: contract mode
+// merges each cluster into one super-vertex (summing parallel edge weights
+// in weighted hierarchies), and residual mode — the Linial–Saks blocks
+// iteration — keeps the vertex set and recurses on the cut edges.
+func (e *engine) rebuild(in levelInput, center []uint32) (next levelInput, quot []uint32, err error) {
+	pool, workers, residual := e.cfg.Pool, e.cfg.Workers, e.cfg.Residual
+	switch {
+	case in.wg == nil && residual:
+		next.g, err = graph.CutSubgraphPool(pool, workers, in.g, center, &e.sc)
+	case in.wg == nil:
+		next.g, quot, err = graph.ContractClustersPool(pool, workers, in.g, center, &e.sc)
+	case residual:
+		next.wg, err = graph.CutWeightedSubgraphPool(pool, workers, in.wg, center, &e.sc)
+	default:
+		next.wg, quot, err = graph.ContractWeightedClustersPool(pool, workers, in.wg, center, &e.sc)
 	}
-	return lvls, stats, curU, cur, nil
+	if next.wg != nil {
+		next.g = next.wg.Unweighted()
+	}
+	return next, quot, err
 }
 
 // replayVisits presents levels [from, to) to visit in order, reconstructing
@@ -470,7 +350,7 @@ func (h *Hierarchy) replayVisits(from, to, refreshed int, visit func(*Level) err
 			Quot: st.quot, NumQuot: st.numQuot, eng: e, orig: st.orig,
 			Kept: l < refreshed && st.orig == nil,
 		}
-		center := lv.Center()
+		center := st.center()
 		if cfg.NeedIntra {
 			lv.IntraEdges = e.collectIntra(st.g, st.orig, center)
 		}
@@ -486,11 +366,11 @@ func (h *Hierarchy) replayVisits(from, to, refreshed int, visit func(*Level) err
 
 // graphEntering returns the graph entering level l: the retained input
 // graph for existing levels, the final graph past the top.
-func (h *Hierarchy) graphEntering(l int) *graph.Graph {
+func (h *Hierarchy) graphEntering(l int) levelInput {
 	if l < len(h.levels) {
-		return h.levels[l].g
+		return h.levels[l].levelInput
 	}
-	return h.res.Final
+	return levelInput{g: h.res.Final, wg: h.res.WFinal}
 }
 
 // origEntering returns the annotation table entering level l (nil =
@@ -502,18 +382,6 @@ func (h *Hierarchy) origEntering(l int) []graph.Edge {
 	return nil
 }
 
-func edgesEqual(a, b []graph.Edge) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // dfixG is a deferred d.G pointer swing for a refreshed level: the
 // Decomposition object is shared between the live and the staged level
 // state, so pointing it at the updated input graph may only happen at
@@ -523,7 +391,8 @@ type dfixG struct {
 	g *graph.Graph
 }
 
-// UpdateCtx applies b to the hierarchy's base graph and re-derives exactly
+// UpdateCtx applies b to the hierarchy's base graph (graph.ApplyBatch, or
+// graph.ApplyBatchWeighted on a weighted hierarchy) and re-derives exactly
 // the levels whose inputs changed, walking the damage up through the
 // quotient maps. ctx (nil means never cancelled) is polled at level and
 // partition-round boundaries; each call carries its own, so one
@@ -539,7 +408,8 @@ type dfixG struct {
 //   - effective batch empty and annotations unchanged → splice the level
 //     and everything above it (reused verbatim);
 //   - core's UnchangedUnder rejects the batch (or the level's graph ran
-//     out of edges) → re-derive this level and everything above it;
+//     out of edges, or the level is weighted and so has no check yet) →
+//     re-derive this level and everything above it;
 //   - verified, batch all intra-cluster → refresh stats/intra in place,
 //     next level unchanged;
 //   - verified, batch touches cut edges → re-run the contraction, diff
@@ -561,17 +431,25 @@ func (h *Hierarchy) UpdateCtx(ctx context.Context, b graph.Batch, visit func(*Le
 			us, err = UpdateStats{}, parallel.Recovered(r)
 		}
 	}()
-	if h.weighted {
-		return h.updateWeighted(ctx, b, visit)
+	base := h.graphEntering(0)
+	var cur levelInput
+	var ar graph.ApplyResult
+	if base.wg != nil {
+		cur.wg, ar, err = graph.ApplyBatchWeighted(base.wg, b)
+	} else {
+		cur.g, ar, err = graph.ApplyBatch(base.g, b)
 	}
-	newG, ar, err := graph.ApplyBatch(h.Graph(), b)
 	if err != nil {
 		return UpdateStats{}, err
 	}
+	if cur.wg != nil {
+		cur.g = cur.wg.Unweighted()
+	}
 	us = UpdateStats{
-		DirtyVertices: len(ar.Dirty),
-		InsEdges:      len(ar.Inserted),
-		DelEdges:      len(ar.Deleted),
+		DirtyVertices:   len(ar.Dirty),
+		InsEdges:        len(ar.Inserted),
+		DelEdges:        len(ar.Deleted),
+		ReweightedEdges: len(ar.Reweighted),
 	}
 	if ar.Unchanged() {
 		us.Levels = h.res.Levels
@@ -581,7 +459,6 @@ func (h *Hierarchy) UpdateCtx(ctx context.Context, b graph.Batch, visit func(*Le
 
 	e := h.eng
 	cfg := e.cfg
-	pool := cfg.Pool
 
 	// Staged state: struct copies of the level and stat arrays. The walk
 	// below mutates only these copies (plus the deferred d.G fixups); the
@@ -589,12 +466,11 @@ func (h *Hierarchy) UpdateCtx(ctx context.Context, b graph.Batch, visit func(*Le
 	nlv := append([]levelState(nil), h.levels...)
 	nst := append([]LevelStat(nil), h.res.Stats...)
 	var dfix []dfixG
-	final := h.res.Final
+	final := h.graphEntering(len(h.levels))
 	rederived := false
 	visitEnd := 0
 	var derr error // nil or ErrMaxLevels once staged
 
-	cur := newG
 	ins, del := ar.Inserted, ar.Deleted
 	var origIn []graph.Edge
 	annotChanged := false
@@ -603,14 +479,13 @@ func (h *Hierarchy) UpdateCtx(ctx context.Context, b graph.Batch, visit func(*Le
 		if cerr := ctxErr(ctx); cerr != nil {
 			return UpdateStats{}, cerr
 		}
-		rederive := l >= len(h.levels) || len(ins)+len(del) > 0 && cur.NumEdges() == 0
-		if !rederive && len(ins)+len(del) > 0 && !h.levels[l].d.UnchangedUnder(ins, del) {
-			rederive = true
-		}
-		if rederive {
+		graphChanged := len(ins)+len(del) > 0
+		if l >= len(h.levels) || graphChanged && cur.g.NumEdges() == 0 || cur.wg != nil ||
+			graphChanged && !h.levels[l].d.UnchangedUnder(ins, del) {
 			// Past the old top (new levels to grow), this level's graph lost
-			// its last edge (levels above it disappear), or the partition
-			// fixpoint did not survive: full re-derivation from here.
+			// its last edge (levels above it disappear), the level is
+			// weighted (no fixpoint check yet), or the partition fixpoint did
+			// not survive: full re-derivation from here.
 			lvls, stats, fin, cerr := e.computeLevels(ctx, l, cur, origIn)
 			if cerr != nil && !errors.Is(cerr, ErrMaxLevels) {
 				return UpdateStats{}, cerr
@@ -627,10 +502,9 @@ func (h *Hierarchy) UpdateCtx(ctx context.Context, b graph.Batch, visit func(*Le
 
 		// Partition verified unchanged (or the batch is annotation-only).
 		us.Refreshed++
-		graphChanged := len(ins)+len(del) > 0
-		nlv[l].g = cur
+		nlv[l].levelInput = cur
 		nlv[l].orig = origIn
-		dfix = append(dfix, dfixG{d: nlv[l].d, g: cur})
+		dfix = append(dfix, dfixG{d: nlv[l].d, g: cur.g})
 		center := nlv[l].d.Center
 		stat := &nst[l]
 
@@ -650,50 +524,38 @@ func (h *Hierarchy) UpdateCtx(ctx context.Context, b graph.Batch, visit func(*Le
 			}
 		}
 
-		var next *graph.Graph
+		var next levelInput
 		var nextOrig []graph.Edge
 		var nextIns, nextDel []graph.Edge
 		nextAnnotChanged := false
 		if graphChanged && !allIntra {
 			// Cut structure changed: re-run the contraction (no partition!)
-			// and diff the quotient graphs to get the next level's batch.
-			if cfg.Residual {
-				next, err = graph.CutSubgraphPool(pool, cfg.Workers, cur, center, &e.sc)
-				if err != nil {
-					return UpdateStats{}, err
-				}
-			} else {
-				var quot []uint32
-				next, quot, err = graph.ContractClustersPool(pool, cfg.Workers, cur, center, &e.sc)
-				if err != nil {
-					return UpdateStats{}, err
-				}
-				// The compaction order depends only on the center array, so
-				// the numbering is stable; guard the invariant the splice
-				// logic stands on.
-				if next.NumVertices() != nlv[l].numQuot {
-					return UpdateStats{}, fmt.Errorf("hier: quotient numbering shifted under a verified partition (level %d: %d -> %d vertices)",
-						l, nlv[l].numQuot, next.NumVertices())
-				}
-				nlv[l].quot = quot
-				if cfg.NeedEdgeOrig {
-					nextOrig = e.annotateContraction(cur, origIn, center, quot, next)
-				}
+			// and diff the next-level graphs to get the next level's batch.
+			var quot []uint32
+			next, quot, err = e.rebuild(cur, center)
+			if err != nil {
+				return UpdateStats{}, err
 			}
-			stat.M = cur.NumEdges()
+			// The compaction order depends only on the center array, so
+			// the numbering is stable; guard the invariant the splice
+			// logic stands on.
+			if next.g.NumVertices() != nlv[l].numQuot {
+				return UpdateStats{}, fmt.Errorf("hier: quotient numbering shifted under a verified partition (level %d: %d -> %d vertices)",
+					l, nlv[l].numQuot, next.g.NumVertices())
+			}
+			nlv[l].quot = quot
+			if quot != nil && cfg.NeedEdgeOrig {
+				nextOrig = e.annotateContraction(cur.g, origIn, center, quot, next.g)
+			}
 			stat.CutEdges = e.sc.CutArcs / 2
-			stat.CutFraction = 0
-			if stat.M > 0 {
-				stat.CutFraction = float64(stat.CutEdges) / float64(stat.M)
-			}
 			oldNext := h.graphEntering(l + 1)
 			var equal bool
-			nextIns, nextDel, equal = graph.DiffCSR(oldNext, next)
+			nextIns, nextDel, equal = graph.DiffCSR(oldNext.g, next.g)
 			if equal {
 				next = oldNext // bit-identical; keep the retained pointer
 			}
 			if cfg.NeedEdgeOrig {
-				if old := h.origEntering(l + 1); edgesEqual(nextOrig, old) {
+				if old := h.origEntering(l + 1); slices.Equal(nextOrig, old) {
 					nextOrig = old
 				} else {
 					nextAnnotChanged = true
@@ -702,28 +564,26 @@ func (h *Hierarchy) UpdateCtx(ctx context.Context, b graph.Batch, visit func(*Le
 		} else {
 			// Intra-only (or annotation-only) change: the cut-edge set is
 			// untouched, so the next graph and the annotation
-			// representatives are provably identical; only M-dependent
-			// stats move.
-			if graphChanged {
-				stat.M = cur.NumEdges()
-				stat.CutFraction = 0
-				if stat.M > 0 {
-					stat.CutFraction = float64(stat.CutEdges) / float64(stat.M)
-				}
-			}
+			// representatives are provably identical.
 			next = h.graphEntering(l + 1)
 			nextOrig = h.origEntering(l + 1)
 			if cfg.NeedEdgeOrig && annotChanged && !cfg.Residual {
 				// The table entering this level changed, so the values its
 				// cut-edge representatives carry may change even though the
 				// representatives themselves are fixed.
-				fresh := e.annotateContraction(cur, origIn, center, nlv[l].quot, next)
-				if edgesEqual(fresh, nextOrig) {
-					// converged; keep the old table
-				} else {
+				if fresh := e.annotateContraction(cur.g, origIn, center, nlv[l].quot, next.g); !slices.Equal(fresh, nextOrig) {
 					nextOrig = fresh
 					nextAnnotChanged = true
 				}
+			}
+		}
+		if graphChanged {
+			// The M-dependent stats move (with CutEdges, when the rebuild
+			// above re-counted a changed cut set).
+			stat.M = cur.g.NumEdges()
+			stat.CutFraction = 0
+			if stat.M > 0 {
+				stat.CutFraction = float64(stat.CutEdges) / float64(stat.M)
 			}
 		}
 
@@ -744,56 +604,12 @@ func (h *Hierarchy) UpdateCtx(ctx context.Context, b graph.Batch, visit func(*Le
 	for _, f := range dfix {
 		f.d.G = f.g
 	}
-	h.levels = nlv
-	h.res.Stats = nst
-	h.res.Levels = len(nlv)
-	h.res.Final = final
+	h.install(nlv, nst, final)
 	if rederived {
-		h.recomposeOrigMap()
 		h.maps = nil
 	}
 	us.Levels = h.res.Levels
 	if verr := h.replayVisits(0, visitEnd, us.Refreshed, visit); verr != nil && derr == nil {
-		return us, verr
-	}
-	return us, derr
-}
-
-// updateWeighted is the conservative weighted path: any effective change
-// re-derives the whole hierarchy on the updated weighted graph (bit-
-// identity is then trivial), staged and committed with the same
-// all-or-nothing contract as the unweighted update. The weighted
-// Δ-stepping fixpoint check is an open ROADMAP item.
-func (h *Hierarchy) updateWeighted(ctx context.Context, b graph.Batch, visit func(*Level) error) (UpdateStats, error) {
-	newWG, ar, err := graph.ApplyBatchWeighted(h.WeightedGraph(), b)
-	if err != nil {
-		return UpdateStats{}, err
-	}
-	us := UpdateStats{
-		DirtyVertices:   len(ar.Dirty),
-		InsEdges:        len(ar.Inserted),
-		DelEdges:        len(ar.Deleted),
-		ReweightedEdges: len(ar.Reweighted),
-	}
-	if ar.Unchanged() {
-		us.Levels = h.res.Levels
-		us.Reused = h.res.Levels
-		return us, nil
-	}
-	lvls, stats, final, wfinal, derr := h.eng.computeWeightedLevels(ctx, 0, newWG)
-	if derr != nil && !errors.Is(derr, ErrMaxLevels) {
-		return UpdateStats{}, derr
-	}
-	h.levels = lvls
-	h.res.Stats = stats
-	h.res.Levels = len(lvls)
-	h.res.Final = final
-	h.res.WFinal = wfinal
-	h.recomposeOrigMap()
-	h.maps = nil
-	us.Rederived = h.res.Levels
-	us.Levels = h.res.Levels
-	if verr := h.replayVisits(0, len(lvls), 0, visit); verr != nil && derr == nil {
 		return us, verr
 	}
 	return us, derr

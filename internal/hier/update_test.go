@@ -2,6 +2,7 @@ package hier
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"mpx/internal/core"
@@ -77,7 +78,7 @@ func sameWeightedGraph(a, b *graph.WeightedGraph) bool {
 
 // requireHierIdentical compares an updated hierarchy against a freshly
 // built one on the same (updated) graph: Result scalars, per-level stats,
-// final graph, OrigMap, and every retained level (input graph,
+// final graph (weighted too), and every retained level (input graph,
 // decomposition, quotient map, annotation table) must be bit-identical.
 func requireHierIdentical(t *testing.T, tag string, got, want *Hierarchy) {
 	t.Helper()
@@ -93,13 +94,8 @@ func requireHierIdentical(t *testing.T, tag string, got, want *Hierarchy) {
 	if !sameGraph(gr.Final, wr.Final) {
 		t.Fatalf("%s: Final graph differs", tag)
 	}
-	if (gr.OrigMap == nil) != (wr.OrigMap == nil) {
-		t.Fatalf("%s: OrigMap presence differs", tag)
-	}
-	for v := range wr.OrigMap {
-		if gr.OrigMap[v] != wr.OrigMap[v] {
-			t.Fatalf("%s: OrigMap[%d] = %d, want %d", tag, v, gr.OrigMap[v], wr.OrigMap[v])
-		}
+	if (gr.WFinal == nil) != (wr.WFinal == nil) || gr.WFinal != nil && !sameWeightedGraph(gr.WFinal, wr.WFinal) {
+		t.Fatalf("%s: WFinal graph differs", tag)
 	}
 	if len(got.levels) != len(want.levels) {
 		t.Fatalf("%s: retained %d levels, want %d", tag, len(got.levels), len(want.levels))
@@ -130,7 +126,7 @@ func requireHierIdentical(t *testing.T, tag string, got, want *Hierarchy) {
 				t.Fatalf("%s: level %d quot[%d] differs", tag, l, v)
 			}
 		}
-		if !edgesEqual(gs.orig, ws.orig) {
+		if !slices.Equal(gs.orig, ws.orig) {
 			t.Fatalf("%s: level %d annotation table differs (len %d vs %d)", tag, l, len(gs.orig), len(ws.orig))
 		}
 	}
@@ -162,7 +158,7 @@ func TestHierarchyUpdateBitIdentical(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"contract", Config{Beta: 0.22, Seed: 41, NeedEdgeOrig: true, NeedIntra: true, TrackVertexMap: true}},
+		{"contract", Config{Beta: 0.22, Seed: 41, NeedEdgeOrig: true, NeedIntra: true}},
 		{"residual", Config{Beta: 0.45, Seed: 17, Residual: true, NeedIntra: true, MaxLevels: 24}},
 	}
 	base := graph.Grid2D(19, 16)
@@ -215,9 +211,13 @@ type levelView struct {
 // captureView returns lv's levelView.
 func captureView(lv *Level) levelView {
 	var view levelView
-	d := lv.D
-	for v := range d.Parent {
-		p := d.Parent[v]
+	var parent []uint32
+	if lv.WD != nil {
+		parent = lv.WD.Parent
+	} else {
+		parent = lv.D.Parent
+	}
+	for v, p := range parent {
 		if p != uint32(v) {
 			view.tree = append(view.tree, lv.OrigEdge(uint32(v), p))
 		}
@@ -291,17 +291,17 @@ func TestHierarchyUpdateVisitMatchesFresh(t *testing.T) {
 		}
 		for l, fv := range freshViews {
 			gv := views[l]
-			if !edgesEqual(gv.tree, fv.tree) {
+			if !slices.Equal(gv.tree, fv.tree) {
 				t.Fatalf("step %d level %d: tree edges differ", step, l)
 			}
-			if !edgesEqual(gv.intra, fv.intra) {
+			if !slices.Equal(gv.intra, fv.intra) {
 				t.Fatalf("step %d level %d: intra edges differ", step, l)
 			}
 			kv := keptViews[l]
-			if !edgesEqual(kv.tree, fv.tree) {
+			if !slices.Equal(kv.tree, fv.tree) {
 				t.Fatalf("step %d level %d: tree view kept on a Kept level differs from the fresh build", step, l)
 			}
-			if !edgesEqual(kv.intra, fv.intra) {
+			if !slices.Equal(kv.intra, fv.intra) {
 				t.Fatalf("step %d level %d: intra edges differ (kept views)", step, l)
 			}
 		}
@@ -339,7 +339,7 @@ func intraNonTreeEdge(t *testing.T, g *graph.Graph, d *core.Decomposition) graph
 // fixpoint check re-derives from level 0.
 func TestHierarchyUpdateReuseStats(t *testing.T) {
 	base := graph.Grid2D(40, 40)
-	cfg := Config{Beta: 0.12, Seed: 5, Workers: 4, NeedEdgeOrig: true, TrackVertexMap: true}
+	cfg := Config{Beta: 0.12, Seed: 5, Workers: 4, NeedEdgeOrig: true}
 	h, err := BuildHierarchy(cfg, base, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +408,7 @@ func TestHierarchyUpdateReuseStats(t *testing.T) {
 // through UpdateCtx, both bit-identical to fresh builds.
 func TestHierarchyUpdateGrowShrink(t *testing.T) {
 	base := graph.Grid2D(9, 9)
-	cfg := Config{Beta: 0.3, Seed: 2, Workers: 2, NeedEdgeOrig: true, TrackVertexMap: true}
+	cfg := Config{Beta: 0.3, Seed: 2, Workers: 2, NeedEdgeOrig: true}
 	h, err := BuildHierarchy(cfg, base, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -452,11 +452,10 @@ func TestHierarchyUpdateWeighted(t *testing.T) {
 	base := graph.RandomWeights(graph.Grid2D(12, 11), 1, 8, 3)
 	cfg := Config{
 		// Geometric AKPW-style schedule so the weighted hierarchy converges.
-		WBetaAt:        func(level int, _ *graph.WeightedGraph) float64 { return 0.3 / float64(uint64(1)<<uint(level)) },
-		Seed:           6,
-		Workers:        4,
-		NeedEdgeOrig:   true,
-		TrackVertexMap: true,
+		WBetaAt:      func(level int) float64 { return 0.3 / float64(uint64(1)<<uint(level)) },
+		Seed:         6,
+		Workers:      4,
+		NeedEdgeOrig: true,
 	}
 	h, err := BuildWeightedHierarchy(cfg, base, nil)
 	if err != nil {

@@ -7,16 +7,18 @@ import (
 	"mpx/internal/parallel"
 )
 
-// This file is the weighted mode of the hierarchy engine: the same
-// decompose-and-contract driver with core.PartitionWeightedParallel as the
-// per-level decomposition and the weighted contraction/residual kernels
-// (graph.ContractWeightedClustersPool, graph.CutWeightedSubgraphPool) as
-// the per-level rebuild — the layer that runs AKPW end to end on weighted
-// graphs. Contraction SUMS the weights of parallel cut edges into the
-// quotient arc, so total edge weight is conserved level by level, and the
-// per-level β schedule (Config.WBetaAt) realizes the AKPW weight-class
-// progression: β shrinks geometrically so each level clusters at the next
-// weight scale, and each level's Δ-stepping bucket width is 1/β_l.
+// This file holds the weighted helpers of the hierarchy engine. Weighted
+// hierarchies run the same level loop and update walk as unweighted ones
+// (update.go) — the layer that runs AKPW end to end on weighted graphs. A
+// weighted level differs in three places only: its partition
+// (core.PartitionWeightedParallel), its rebuild kernel
+// (graph.ContractWeightedClustersPool, graph.CutWeightedSubgraphPool) and
+// its weighted LevelStat fields. Contraction SUMS the weights of parallel
+// cut edges into the quotient arc, so total edge weight is conserved level
+// by level, and the per-level β schedule (Config.WBetaAt) realizes the
+// AKPW weight-class progression: β shrinks geometrically so each level
+// clusters at the next weight scale, and each level's Δ-stepping bucket
+// width is 1/β_l.
 //
 // Determinism composes exactly as in the unweighted engine: the weighted
 // partition is bit-identical across workers and push/pull/auto

@@ -41,23 +41,30 @@ func FuzzHierWeighted(f *testing.F) {
 			maxLv   bool
 		}
 		run := func(workers int, dir core.Direction) runOut {
-			var out runOut
+			// origMap folds every visited level's quotient map: original
+			// vertex -> its vertex in the final graph.
+			out := runOut{origMap: make([]uint32, n)}
+			for v := range out.origMap {
+				out.origMap[v] = uint32(v)
+			}
 			h, err := BuildWeightedHierarchy(Config{
 				// Geometric AKPW-style β schedule so the hierarchy converges
 				// on every instance the fuzzer invents.
-				WBetaAt: func(l int, _ *graph.WeightedGraph) float64 {
+				WBetaAt: func(l int) float64 {
 					return beta / float64(uint64(1)<<uint(l%60))
 				},
-				Seed:           seed,
-				Workers:        workers,
-				Direction:      dir,
-				NeedEdgeOrig:   true,
-				TrackVertexMap: true,
+				Seed:         seed,
+				Workers:      workers,
+				Direction:    dir,
+				NeedEdgeOrig: true,
 			}, wg, func(lv *Level) error {
 				for v := 0; v < lv.G.NumVertices(); v++ {
 					if p := lv.WD.Parent[v]; p != uint32(v) {
 						out.edges = append(out.edges, lv.OrigEdge(uint32(v), p))
 					}
+				}
+				for v, q := range out.origMap {
+					out.origMap[v] = lv.Quot[q]
 				}
 				return nil
 			})
@@ -69,7 +76,6 @@ func FuzzHierWeighted(f *testing.F) {
 				t.Fatal(err)
 			}
 			out.levels = h.Levels()
-			out.origMap = h.Result().OrigMap
 			return out
 		}
 

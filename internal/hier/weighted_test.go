@@ -31,12 +31,11 @@ func weightedRunFingerprint(t *testing.T, wg *graph.WeightedGraph, beta float64,
 	hr, err := BuildWeightedHierarchy(Config{
 		// Geometric AKPW-style schedule: halving β per level grows the
 		// cluster radius ×2 per level, so the hierarchy always converges.
-		WBetaAt:        func(level int, _ *graph.WeightedGraph) float64 { return beta / float64(uint64(1)<<uint(level)) },
-		Seed:           seed,
-		Workers:        workers,
-		Direction:      dir,
-		NeedEdgeOrig:   true,
-		TrackVertexMap: true,
+		WBetaAt:      func(level int) float64 { return beta / float64(uint64(1)<<uint(level)) },
+		Seed:         seed,
+		Workers:      workers,
+		Direction:    dir,
+		NeedEdgeOrig: true,
 	}, wg, func(lv *Level) error {
 		for _, q := range lv.Quot {
 			put32(q)
@@ -56,9 +55,6 @@ func weightedRunFingerprint(t *testing.T, wg *graph.WeightedGraph, beta float64,
 		t.Fatal(err)
 	}
 	res := hr.Result()
-	for _, v := range res.OrigMap {
-		put32(v)
-	}
 	put32(uint32(res.Levels))
 	return h.Sum64(), res.Levels
 }
@@ -99,7 +95,7 @@ func TestRunWeightedMatchesSerialHierarchy(t *testing.T) {
 
 	level := 0
 	_, err := BuildWeightedHierarchy(Config{
-		WBetaAt: func(l int, _ *graph.WeightedGraph) float64 { return betaAt(l) },
+		WBetaAt: func(l int) float64 { return betaAt(l) },
 		Seed:    seed, Workers: 8,
 	}, wg, func(lv *Level) error {
 		if level >= len(want) {
@@ -209,7 +205,7 @@ func TestRunWeightedResidual(t *testing.T) {
 func TestRunWeightedStats(t *testing.T) {
 	wg := graph.RandomWeights(graph.GNM(500, 2000, 1), 1, 5, 8)
 	h, err := BuildWeightedHierarchy(Config{
-		WBetaAt: func(l int, _ *graph.WeightedGraph) float64 { return 0.3 / float64(uint64(1)<<uint(l)) },
+		WBetaAt: func(l int) float64 { return 0.3 / float64(uint64(1)<<uint(l)) },
 		Seed:    2, Workers: 4,
 	}, wg, nil)
 	if err != nil {

@@ -89,9 +89,23 @@ func fpWeightedDecomp(d *core.WeightedDecomposition) uint64 {
 	return h.Sum64()
 }
 
+// quotFold retains each visited level's quotient map, as an app keeps its
+// per-level state, so fpHier can fold them into the vertex map.
+type quotFold [][]uint32
+
+func (q *quotFold) visit(lv *hier.Level) error {
+	for len(*q) <= lv.Index {
+		*q = append(*q, nil)
+	}
+	(*q)[lv.Index] = lv.Quot
+	return nil
+}
+
 // fpHier fingerprints a hierarchy's observable state: level count,
-// per-level stats, the base graph, the final graph, and the vertex map.
-func fpHier(hr *hier.Hierarchy) uint64 {
+// per-level stats, the base graph, the final graph, and the vertex map
+// (original vertex -> final vertex) folded from the quotient maps its
+// visits delivered to q.
+func fpHier(hr *hier.Hierarchy, q quotFold) uint64 {
 	h := fnv.New64a()
 	res := hr.Result()
 	fmt.Fprintf(h, "levels=%d;", res.Levels)
@@ -100,7 +114,16 @@ func fpHier(hr *hier.Hierarchy) uint64 {
 	}
 	hashGraph(h, hr.Graph())
 	hashGraph(h, res.Final)
-	hashU32s(h, res.OrigMap)
+	origMap := make([]uint32, hr.Graph().NumVertices())
+	for v := range origMap {
+		origMap[v] = uint32(v)
+	}
+	for _, quot := range q[:res.Levels] {
+		for v, x := range origMap {
+			origMap[v] = quot[x]
+		}
+	}
+	hashU32s(h, origMap)
 	return h.Sum64()
 }
 
@@ -334,13 +357,12 @@ func TestDelayInjectionDeterminism(t *testing.T) {
 
 func hierConfig(pool *parallel.Pool, workers int, ctx context.Context) hier.Config {
 	return hier.Config{
-		Ctx:            ctx,
-		Beta:           0.3,
-		Seed:           11,
-		Workers:        workers,
-		Pool:           pool,
-		TrackVertexMap: true,
-		NeedEdgeOrig:   true,
+		Ctx:          ctx,
+		Beta:         0.3,
+		Seed:         11,
+		Workers:      workers,
+		Pool:         pool,
+		NeedEdgeOrig: true,
 	}
 }
 
@@ -355,11 +377,12 @@ func TestHierarchyBuildCancel(t *testing.T) {
 			pool := parallel.NewPool(w)
 			defer pool.Close()
 
-			h0, err := hier.BuildHierarchy(hierConfig(pool, w, nil), g, nil)
+			var q0 quotFold
+			h0, err := hier.BuildHierarchy(hierConfig(pool, w, nil), g, q0.visit)
 			if err != nil {
 				t.Fatalf("clean build: %v", err)
 			}
-			golden := fpHier(h0)
+			golden := fpHier(h0, q0)
 
 			probe := faultpool.CancelAtCheck(1 << 40)
 			if _, err := hier.BuildHierarchy(hierConfig(pool, w, probe), g, nil); err != nil {
@@ -385,11 +408,12 @@ func TestHierarchyBuildCancel(t *testing.T) {
 				}
 			}
 
-			h1, err := hier.BuildHierarchy(hierConfig(pool, w, nil), g, nil)
+			var q1 quotFold
+			h1, err := hier.BuildHierarchy(hierConfig(pool, w, nil), g, q1.visit)
 			if err != nil {
 				t.Fatalf("retry build: %v", err)
 			}
-			if fp := fpHier(h1); fp != golden {
+			if fp := fpHier(h1, q1); fp != golden {
 				t.Fatalf("retry after cancellations: fingerprint %#x != golden %#x", fp, golden)
 			}
 		})
@@ -432,11 +456,12 @@ func TestHierarchyUpdateCancelUntouched(t *testing.T) {
 			pool := parallel.NewPool(w)
 			defer pool.Close()
 
-			h, err := hier.BuildHierarchy(hierConfig(pool, w, nil), g, nil)
+			var q quotFold
+			h, err := hier.BuildHierarchy(hierConfig(pool, w, nil), g, q.visit)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			before := fpHier(h)
+			before := fpHier(h, q)
 
 			// Probe the boundary count of this exact update on a scratch
 			// copy of the hierarchy.
@@ -459,32 +484,33 @@ func TestHierarchyUpdateCancelUntouched(t *testing.T) {
 			}
 			for n := 1; n <= polls; n += step {
 				ctx := faultpool.CancelAtCheck(n)
-				us, err := h.UpdateCtx(ctx, b, nil)
+				us, err := h.UpdateCtx(ctx, b, q.visit)
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("cancel at poll %d: err = %v, want context.Canceled", n, err)
 				}
 				if us != (hier.UpdateStats{}) {
 					t.Fatalf("cancel at poll %d: non-zero UpdateStats %+v", n, us)
 				}
-				if fp := fpHier(h); fp != before {
+				if fp := fpHier(h, q); fp != before {
 					t.Fatalf("cancel at poll %d: hierarchy mutated (%#x != %#x)", n, fp, before)
 				}
 			}
 
 			// Clean retry commits; it must equal a from-scratch build on the
 			// updated graph.
-			if _, err := h.UpdateCtx(nil, b, nil); err != nil {
+			if _, err := h.UpdateCtx(nil, b, q.visit); err != nil {
 				t.Fatalf("retry update: %v", err)
 			}
 			newG, _, err := graph.ApplyBatch(g, b)
 			if err != nil {
 				t.Fatalf("ApplyBatch: %v", err)
 			}
-			fresh, err := hier.BuildHierarchy(hierConfig(pool, w, nil), newG, nil)
+			var qf quotFold
+			fresh, err := hier.BuildHierarchy(hierConfig(pool, w, nil), newG, qf.visit)
 			if err != nil {
 				t.Fatalf("fresh build: %v", err)
 			}
-			if got, want := fpHier(h), fpHier(fresh); got != want {
+			if got, want := fpHier(h, q), fpHier(fresh, qf); got != want {
 				t.Fatalf("post-retry hierarchy %#x != from-scratch build %#x", got, want)
 			}
 		})
@@ -503,14 +529,15 @@ func TestHierarchyUpdatePanicUntouched(t *testing.T) {
 			pool := parallel.NewPool(w)
 			defer pool.Close()
 
-			h, err := hier.BuildHierarchy(hierConfig(pool, w, nil), g, nil)
+			var q quotFold
+			h, err := hier.BuildHierarchy(hierConfig(pool, w, nil), g, q.visit)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			before := fpHier(h)
+			before := fpHier(h, q)
 
 			// Context-poll panic at a level boundary.
-			us, err := h.UpdateCtx(faultpool.PanicAtCheck(2), b, nil)
+			us, err := h.UpdateCtx(faultpool.PanicAtCheck(2), b, q.visit)
 			var pe *parallel.PanicError
 			if !errors.As(err, &pe) || !errors.Is(err, faultpool.ErrInjected) {
 				t.Fatalf("boundary panic: err = %v, want injected *parallel.PanicError", err)
@@ -518,13 +545,13 @@ func TestHierarchyUpdatePanicUntouched(t *testing.T) {
 			if us != (hier.UpdateStats{}) {
 				t.Fatalf("boundary panic: non-zero UpdateStats %+v", us)
 			}
-			if fp := fpHier(h); fp != before {
+			if fp := fpHier(h, q); fp != before {
 				t.Fatalf("boundary panic: hierarchy mutated")
 			}
 
 			// Pool slot panic inside one of the update's kernels.
 			faultpool.PanicAtSlot(pool, 2, 0)
-			us, err = h.UpdateCtx(nil, b, nil)
+			us, err = h.UpdateCtx(nil, b, q.visit)
 			faultpool.Clear(pool)
 			if !errors.As(err, &pe) || !errors.Is(err, faultpool.ErrInjected) {
 				t.Fatalf("slot panic: err = %v, want injected *parallel.PanicError", err)
@@ -532,23 +559,24 @@ func TestHierarchyUpdatePanicUntouched(t *testing.T) {
 			if us != (hier.UpdateStats{}) {
 				t.Fatalf("slot panic: non-zero UpdateStats %+v", us)
 			}
-			if fp := fpHier(h); fp != before {
+			if fp := fpHier(h, q); fp != before {
 				t.Fatalf("slot panic: hierarchy mutated")
 			}
 
 			// Clean retry on the same pool and hierarchy.
-			if _, err := h.UpdateCtx(nil, b, nil); err != nil {
+			if _, err := h.UpdateCtx(nil, b, q.visit); err != nil {
 				t.Fatalf("retry update: %v", err)
 			}
 			newG, _, err := graph.ApplyBatch(g, b)
 			if err != nil {
 				t.Fatalf("ApplyBatch: %v", err)
 			}
-			fresh, err := hier.BuildHierarchy(hierConfig(pool, w, nil), newG, nil)
+			var qf quotFold
+			fresh, err := hier.BuildHierarchy(hierConfig(pool, w, nil), newG, qf.visit)
 			if err != nil {
 				t.Fatalf("fresh build: %v", err)
 			}
-			if got, want := fpHier(h), fpHier(fresh); got != want {
+			if got, want := fpHier(h, q), fpHier(fresh, qf); got != want {
 				t.Fatalf("post-retry hierarchy %#x != from-scratch build %#x", got, want)
 			}
 		})
@@ -570,12 +598,13 @@ func TestWeightedHierarchyCancel(t *testing.T) {
 			cfg.NeedEdgeOrig = false // weighted annotations follow the same path; keep the workload lean
 			// Weighted β is in units of inverse weighted distance; a flat β
 			// does not converge — use the AKPW halving schedule.
-			cfg.WBetaAt = func(l int, _ *graph.WeightedGraph) float64 { return 0.3 / float64(uint64(1)<<uint(l)) }
-			h, err := hier.BuildWeightedHierarchy(cfg, wgr, nil)
+			cfg.WBetaAt = func(l int) float64 { return 0.3 / float64(uint64(1)<<uint(l)) }
+			var q quotFold
+			h, err := hier.BuildWeightedHierarchy(cfg, wgr, q.visit)
 			if err != nil {
 				t.Fatalf("weighted build: %v", err)
 			}
-			before := fpHier(h)
+			before := fpHier(h, q)
 
 			// Cancelled build returns nothing.
 			ccfg := cfg
@@ -586,14 +615,14 @@ func TestWeightedHierarchyCancel(t *testing.T) {
 
 			// Cancelled update leaves the hierarchy untouched.
 			b := graph.Batch{Insert: []graph.Edge{{U: 1, V: 238}}, InsertW: []float64{0.5}}
-			us, err := h.UpdateCtx(faultpool.CancelAtCheck(2), b, nil)
+			us, err := h.UpdateCtx(faultpool.CancelAtCheck(2), b, q.visit)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled weighted update: err = %v", err)
 			}
 			if us != (hier.UpdateStats{}) {
 				t.Fatalf("cancelled weighted update: non-zero UpdateStats %+v", us)
 			}
-			if fp := fpHier(h); fp != before {
+			if fp := fpHier(h, q); fp != before {
 				t.Fatalf("cancelled weighted update: hierarchy mutated")
 			}
 
