@@ -130,7 +130,7 @@ func BenchmarkE5DepthWork(b *testing.B) {
 // share benchPool, so the sweep isolates the logical worker count from
 // pool construction. The gnm-smallbeta case runs β=0.01, where the
 // shift-plan radix sort dominates the serial fraction — it is the workload
-// the pool-parallel sortByFrac passes are gated on.
+// the pool-parallel tie-break radix passes are gated on.
 func BenchmarkE6Workers(b *testing.B) {
 	gnm := graph.GNM(40000, 160000, 1)
 	families := []struct {

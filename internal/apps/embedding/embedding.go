@@ -29,11 +29,18 @@ import (
 type Tree struct {
 	// G is the embedded graph.
 	G *graph.Graph
+	pieceTree
+}
+
+// pieceTree is the decomposition tree Tree and WeightedTree share, grown
+// by one level loop for both graph kinds.
+type pieceTree struct {
 	// Levels is the depth of the hierarchy.
 	Levels int
-	// Stats summarizes each decomposition level (sizes, clusters, cut).
+	// Stats summarizes each decomposition level (sizes, clusters, cut;
+	// weighted trees add the weighted per-level fields).
 	Stats []hier.LevelStat
-	// parent[l][v] is the piece id (center, in level-l numbering of the
+	// assignment[l][v] is the piece id (center, in level-l numbering of the
 	// original ids) containing v at level l; level 0 is the coarsest.
 	assignment [][]uint32
 	// length[l] is the tree edge length between level l and l+1 nodes.
@@ -84,7 +91,7 @@ func resolveDiam0(g *graph.Graph, diam0 float64) float64 {
 	return diam0
 }
 
-// buildTree is the shared level loop behind BuildPoolCtx and
+// buildTree is the unweighted builder behind BuildPoolCtx and
 // BuildIncrementalPoolCtx; retain additionally returns the per-level
 // decompositions for incremental maintenance.
 func buildTree(ctx context.Context, pool *parallel.Pool, g *graph.Graph, diam0 float64, seed uint64, workers int, dir core.Direction, retain bool) (*Tree, []levelPartition, error) {
@@ -93,44 +100,17 @@ func buildTree(ctx context.Context, pool *parallel.Pool, g *graph.Graph, diam0 f
 	if n == 0 {
 		return t, nil, nil
 	}
-	diam0 = resolveDiam0(g, diam0)
-	logn := math.Log(float64(n) + 1)
-
-	// current[v] = piece id of v at the previous level; coarsest level is a
-	// single pseudo-piece per connected component, realized by decomposing
-	// the whole graph with the full diameter target.
 	var parts []levelPartition
-	refineScratch := &hier.RefineScratch{}
-	target := diam0
-	level := 0
-	for target >= 1 {
-		if err := ctxErr(ctx); err != nil {
-			return nil, nil, err
-		}
-		beta := math.Min(0.9, 2*logn/target)
-		d, err := core.Partition(g, beta, core.Options{
-			Ctx:       ctx,
-			Seed:      xrand.Mix(seed, uint64(level)),
-			Workers:   workers,
-			Pool:      pool,
-			Direction: dir,
-		})
+	base := core.Options{Ctx: ctx, Seed: seed, Workers: workers, Pool: pool, Direction: dir}
+	err := t.grow(base, n, resolveDiam0(g, diam0), 1, 60, func(level int, beta float64, opts core.Options) ([]uint32, hier.LevelStat, error) {
+		d, err := core.Partition(g, beta, opts)
 		if err != nil {
-			return nil, nil, err
+			return nil, hier.LevelStat{}, err
 		}
-		// Refine against the previous level: a piece may not span two
-		// parent pieces, so the effective piece id is the composite key
-		// (parent piece, new center) canonicalized to its smallest member
-		// vertex so ids stay stable.
-		assign := make([]uint32, n)
-		if level == 0 {
-			pool.ForRange(workers, n, func(lo, hi int) {
-				copy(assign[lo:hi], d.Center[lo:hi])
-			})
-		} else {
-			hier.RefineAssignment(pool, workers, t.assignment[level-1], d.Center, assign, refineScratch)
+		if retain {
+			parts = append(parts, levelPartition{d: d, beta: beta})
 		}
-		cut := hier.CutEdgesOnPool(pool, workers, g, d.Center)
+		cut := graph.CutEdgesPool(pool, workers, g, d.Center)
 		st := hier.LevelStat{
 			Level: level, N: n, M: g.NumEdges(),
 			Clusters: d.NumClusters(), CutEdges: cut, QuotientN: n,
@@ -138,36 +118,83 @@ func buildTree(ctx context.Context, pool *parallel.Pool, g *graph.Graph, diam0 f
 		if st.M > 0 {
 			st.CutFraction = float64(cut) / float64(st.M)
 		}
-		t.Stats = append(t.Stats, st)
-		t.assignment = append(t.assignment, assign)
-		t.length = append(t.length, target)
-		if retain {
-			parts = append(parts, levelPartition{d: d, beta: beta})
+		return d.Center, st, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, parts, nil
+}
+
+// grow is the level loop both graph kinds share. While the diameter
+// target, starting at diam0, is at least unit (the edge-length unit: 1,
+// or the lightest weight), it partitions the whole graph at β =
+// min(0.9, 2·ln(n+1)/target), refines the centers against the previous
+// level and halves the target; it stops after level maxLevel. partition
+// runs one level's decomposition with opts, whose seed it mixes with the
+// level, and returns the centers with the level's stats.
+func (t *pieceTree) grow(opts core.Options, n int, diam0, unit float64, maxLevel int,
+	partition func(level int, beta float64, opts core.Options) ([]uint32, hier.LevelStat, error)) error {
+	logn := math.Log(float64(n) + 1)
+	seed := opts.Seed
+	scratch := &hier.RefineScratch{}
+	target := diam0
+	level := 0
+	for target >= unit {
+		if err := ctxErr(opts.Ctx); err != nil {
+			return err
 		}
+		beta := math.Min(0.9, 2*logn/target)
+		opts.Seed = xrand.Mix(seed, uint64(level))
+		center, st, err := partition(level, beta, opts)
+		if err != nil {
+			return err
+		}
+		t.Stats = append(t.Stats, st)
+		t.assignment = append(t.assignment, t.refine(opts.Pool, opts.Workers, level, center, scratch))
+		t.length = append(t.length, target)
 		level++
 		target /= 2
-		if level > 60 {
+		if level > maxLevel {
 			break
 		}
 	}
-	// Final level: every vertex its own leaf. Pieces at the last Partition
-	// level still have radius up to ~δ_max(β=0.9) ≈ ln n, so the leaf edge
-	// carries length ln(n)+1 to keep the tree metric dominating for pairs
-	// that only separate here (the O(log n) bottom term every tree
-	// embedding of an unweighted graph pays).
+	// Final level: every vertex its own leaf. Pieces at the last partition
+	// level still have radius up to ~δ_max(β=0.9) ≈ ln n units, so the leaf
+	// edge carries length (ln(n+1)+1)·unit to keep the tree metric
+	// dominating for pairs that only separate here (the O(log n) bottom
+	// term every tree embedding of an unweighted graph pays).
 	leaf := make([]uint32, n)
 	for v := range leaf {
 		leaf[v] = uint32(v)
 	}
 	t.assignment = append(t.assignment, leaf)
-	t.length = append(t.length, logn+1)
+	t.length = append(t.length, (logn+1)*unit)
 	t.Levels = len(t.assignment)
-	return t, parts, nil
+	return nil
+}
+
+// refine returns level l's piece assignment: the centers themselves at
+// level 0, otherwise their refinement of level l-1's pieces. A piece may
+// not span two parent pieces, so the effective piece id is the composite
+// key (parent piece, new center) canonicalized to its smallest member
+// vertex so ids stay stable.
+func (t *pieceTree) refine(pool *parallel.Pool, workers, l int, center []uint32, sc *hier.RefineScratch) []uint32 {
+	n := len(center)
+	assign := make([]uint32, n)
+	if l == 0 {
+		pool.ForRange(workers, n, func(lo, hi int) {
+			copy(assign[lo:hi], center[lo:hi])
+		})
+	} else {
+		hier.RefineAssignment(pool, workers, t.assignment[l-1], center, assign, sc)
+	}
+	return assign
 }
 
 // Dist returns the tree-metric distance between u and v: twice the sum of
 // level lengths below their lowest common level of agreement.
-func (t *Tree) Dist(u, v uint32) float64 {
+func (t *pieceTree) Dist(u, v uint32) float64 {
 	if u == v {
 		return 0
 	}

@@ -92,7 +92,6 @@ func (inc *Incremental) UpdateCtx(ctx context.Context, b graph.Batch) (UpdateSta
 		us.Reused = len(inc.parts)
 		return us, nil
 	}
-	n := newG.NumVertices()
 	ins, del := ar.Inserted, ar.Deleted
 	assignChanged := false
 	for l := range inc.parts {
@@ -118,14 +117,7 @@ func (inc *Incremental) UpdateCtx(ctx context.Context, b graph.Batch) (UpdateSta
 			us.Repartitioned++
 		}
 		if !verified || assignChanged {
-			assign := make([]uint32, n)
-			if l == 0 {
-				inc.pool.ForRange(inc.workers, n, func(lo, hi int) {
-					copy(assign[lo:hi], lp.d.Center[lo:hi])
-				})
-			} else {
-				hier.RefineAssignment(inc.pool, inc.workers, t.assignment[l-1], lp.d.Center, assign, inc.scratch)
-			}
+			assign := t.refine(inc.pool, inc.workers, l, lp.d.Center, inc.scratch)
 			if slices.Equal(assign, t.assignment[l]) {
 				assignChanged = false // converged; stop propagating
 			} else {
@@ -142,7 +134,7 @@ func (inc *Incremental) UpdateCtx(ctx context.Context, b graph.Batch) (UpdateSta
 		st := &t.Stats[l]
 		st.M = newG.NumEdges()
 		st.Clusters = lp.d.NumClusters()
-		st.CutEdges = hier.CutEdgesOnPool(inc.pool, inc.workers, newG, lp.d.Center)
+		st.CutEdges = graph.CutEdgesPool(inc.pool, inc.workers, newG, lp.d.Center)
 		st.CutFraction = 0
 		if st.M > 0 {
 			st.CutFraction = float64(st.CutEdges) / float64(st.M)

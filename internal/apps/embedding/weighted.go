@@ -1,11 +1,12 @@
 package embedding
 
 // Weighted tree-metric embeddings: the Bartal/FRT-style recursive
-// decomposition on weighted graphs. Level i decomposes the whole graph
-// with a WEIGHTED diameter target Δ/2^i (β = Θ(log n / target), in units
-// of inverse weighted distance, driving core.PartitionWeightedParallel),
-// refines against the previous level with the same sort-based
-// hier.RefineAssignment kernel, and the decomposition tree with edge
+// decomposition on weighted graphs, grown by the same level loop as the
+// unweighted Tree. Level i decomposes the whole graph with a WEIGHTED
+// diameter target Δ/2^i (β = Θ(log n / target), in units of inverse
+// weighted distance, driving core.PartitionWeightedParallel); the loop
+// stops once the target drops under the lightest edge weight, which is
+// also the unit of the leaf length. The decomposition tree with edge
 // length proportional to the level target is a dominating tree metric for
 // the weighted shortest-path metric.
 
@@ -26,16 +27,7 @@ import (
 type WeightedTree struct {
 	// G is the embedded weighted graph.
 	G *graph.WeightedGraph
-	// Levels is the depth of the hierarchy.
-	Levels int
-	// Stats summarizes each decomposition level, including the weighted
-	// per-level fields.
-	Stats []hier.LevelStat
-	// assignment[l][v] is the piece id containing v at level l; level 0 is
-	// the coarsest.
-	assignment [][]uint32
-	// length[l] is the tree edge length between level l and l+1 nodes.
-	length []float64
+	pieceTree
 }
 
 // BuildWeightedPoolCtx constructs the weighted hierarchy with initial
@@ -64,36 +56,14 @@ func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.We
 			diam0 = wmin
 		}
 	}
-	logn := math.Log(float64(n) + 1)
 	totalW := hier.TotalWeightOnPool(pool, workers, wg) // the graph is fixed across levels
-
-	refineScratch := &hier.RefineScratch{}
-	target := diam0
-	level := 0
-	for target >= wmin {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		beta := math.Min(0.9, 2*logn/target)
-		d, err := core.PartitionWeightedParallel(wg, beta, 1/beta, core.Options{
-			Ctx:       ctx,
-			Seed:      xrand.Mix(seed, uint64(level)),
-			Workers:   workers,
-			Pool:      pool,
-			Direction: dir,
-		})
+	base := core.Options{Ctx: ctx, Seed: seed, Workers: workers, Pool: pool, Direction: dir}
+	err := t.grow(base, n, diam0, wmin, 80, func(level int, beta float64, opts core.Options) ([]uint32, hier.LevelStat, error) {
+		d, err := core.PartitionWeightedParallel(wg, beta, 1/beta, opts)
 		if err != nil {
-			return nil, err
+			return nil, hier.LevelStat{}, err
 		}
-		assign := make([]uint32, n)
-		if level == 0 {
-			pool.ForRange(workers, n, func(lo, hi int) {
-				copy(assign[lo:hi], d.Center[lo:hi])
-			})
-		} else {
-			hier.RefineAssignment(pool, workers, t.assignment[level-1], d.Center, assign, refineScratch)
-		}
-		cut := hier.CutEdgesOnPool(pool, workers, wg.Unweighted(), d.Center)
+		cut := graph.CutEdgesPool(pool, workers, wg.Unweighted(), d.Center)
 		st := hier.LevelStat{
 			Level: level, N: n, M: wg.NumEdges(),
 			Clusters: d.NumClusters(), CutEdges: cut, QuotientN: n,
@@ -109,50 +79,12 @@ func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.We
 		if totalW > 0 {
 			st.CutWeightFraction = st.CutWeight / totalW
 		}
-		t.Stats = append(t.Stats, st)
-		t.assignment = append(t.assignment, assign)
-		t.length = append(t.length, target)
-		level++
-		target /= 2
-		if level > 80 {
-			break
-		}
+		return d.Center, st, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Final level: every vertex its own leaf. The last Partition level's
-	// pieces still have weighted radius up to ~ln n / 0.9 · (scale wmin),
-	// so the leaf edge carries length (ln n + 1)·wmin to keep the tree
-	// metric dominating for pairs that only separate here.
-	leaf := make([]uint32, n)
-	for v := range leaf {
-		leaf[v] = uint32(v)
-	}
-	t.assignment = append(t.assignment, leaf)
-	t.length = append(t.length, (logn+1)*wmin)
-	t.Levels = len(t.assignment)
 	return t, nil
-}
-
-// Dist returns the tree-metric distance between u and v: twice the sum of
-// level lengths below their lowest common level of agreement.
-func (t *WeightedTree) Dist(u, v uint32) float64 {
-	if u == v {
-		return 0
-	}
-	sep := -1
-	for l := 0; l < t.Levels; l++ {
-		if t.assignment[l][u] != t.assignment[l][v] {
-			sep = l
-			break
-		}
-	}
-	if sep == -1 {
-		return 0
-	}
-	var sum float64
-	for l := sep; l < t.Levels; l++ {
-		sum += t.length[l]
-	}
-	return 2 * sum
 }
 
 // MeasureDistortion samples vertex pairs within one component and compares

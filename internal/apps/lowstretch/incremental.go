@@ -111,14 +111,7 @@ func (inc *Incremental) capture(lv *hier.Level) error {
 	for len(inc.segs) <= lv.Index {
 		inc.segs = append(inc.segs, nil)
 	}
-	var seg []graph.Edge
-	for v := 0; v < lv.G.NumVertices(); v++ {
-		p := lv.D.Parent[v]
-		if p == uint32(v) {
-			continue
-		}
-		seg = append(seg, lv.OrigEdge(uint32(v), p))
-	}
+	seg := appendTreeEdges(nil, lv, lv.D.Parent)
 	if !slices.Equal(seg, inc.segs[lv.Index]) {
 		inc.edgesChanged = true
 	}

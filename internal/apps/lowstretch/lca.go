@@ -3,6 +3,7 @@ package lowstretch
 import (
 	"math/bits"
 
+	"mpx/internal/graph"
 	"mpx/internal/parallel"
 )
 
@@ -30,16 +31,42 @@ type lcaIndex struct {
 	workers int
 }
 
-// build indexes the forest whose adjacency is the CSR (offs, flat) and
-// returns its component count. An iterative DFS from every still-unvisited
+// build indexes the forest on n vertices with the given edges and returns
+// its component count. It lays the edges out as a CSR adjacency — two flat
+// allocations instead of O(n) per-vertex append churn (the E22 alloc gate
+// watches this path) — then an iterative DFS from every still-unvisited
 // vertex, in ascending order, emits the Euler tour and fills depth, order
-// and comp; then the sparse table is rebuilt. flatW, when non-nil, holds
-// the weight of each adjacency entry, and wdepth (length n) receives each
-// vertex's weighted depth from its component root. The DFS reaches every
-// vertex by construction, so a caller checks the forest invariant by edge
-// count alone: acyclic and spanning means n - components edges.
-func (x *lcaIndex) build(offs []int64, flat []uint32, flatW, wdepth []float64) int {
-	n := len(offs) - 1
+// and comp, and the sparse table is rebuilt. w, when non-nil, holds each
+// edge's weight, and wdepth (length n) receives each vertex's weighted
+// depth from its component root. The DFS reaches every vertex by
+// construction, so a caller checks the forest invariant by edge count
+// alone: acyclic and spanning means n - components edges.
+func (x *lcaIndex) build(n int, edges []graph.Edge, w, wdepth []float64) int {
+	offs := make([]int64, n+1)
+	for _, e := range edges {
+		offs[e.U+1]++
+		offs[e.V+1]++
+	}
+	for i := 0; i < n; i++ {
+		offs[i+1] += offs[i]
+	}
+	flat := make([]uint32, offs[n])
+	var flatW []float64
+	if w != nil {
+		flatW = make([]float64, offs[n])
+	}
+	cursor := make([]int64, n)
+	for i, e := range edges {
+		a := offs[e.U] + cursor[e.U]
+		cursor[e.U]++
+		b := offs[e.V] + cursor[e.V]
+		cursor[e.V]++
+		flat[a], flat[b] = e.V, e.U
+		if w != nil {
+			flatW[a], flatW[b] = w[i], w[i]
+		}
+	}
+
 	x.depth = make([]int32, n)
 	x.order = make([]int32, n)
 	x.comp = make([]int32, n)

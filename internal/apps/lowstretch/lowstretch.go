@@ -105,28 +105,22 @@ func (t *Tree) index() error {
 	if n == 0 {
 		return nil
 	}
-	// CSR-style forest adjacency: two flat allocations instead of O(n)
-	// per-vertex append churn (the E22 alloc gate watches this path).
-	offs := make([]int64, n+1)
-	for _, e := range t.Edges {
-		offs[e.U+1]++
-		offs[e.V+1]++
-	}
-	for i := 0; i < n; i++ {
-		offs[i+1] += offs[i]
-	}
-	flat := make([]uint32, offs[n])
-	cursor := make([]int64, n)
-	for _, e := range t.Edges {
-		flat[offs[e.U]+cursor[e.U]] = e.V
-		cursor[e.U]++
-		flat[offs[e.V]+cursor[e.V]] = e.U
-		cursor[e.V]++
-	}
-	if comps := t.build(offs, flat, nil, nil); len(t.Edges) != n-comps {
+	if comps := t.build(n, t.Edges, nil, nil); len(t.Edges) != n-comps {
 		return errors.New("lowstretch: edge set is not a spanning forest")
 	}
 	return nil
+}
+
+// appendTreeEdges appends the edge from every vertex of lv to its parent
+// (its cluster tree's edges) to dst in original coordinates, in vertex
+// order.
+func appendTreeEdges(dst []graph.Edge, lv *hier.Level, parent []uint32) []graph.Edge {
+	for v, p := range parent {
+		if p != uint32(v) {
+			dst = append(dst, lv.OrigEdge(uint32(v), p))
+		}
+	}
+	return dst
 }
 
 // Dist returns the tree distance between u and v, or -1 if they lie in

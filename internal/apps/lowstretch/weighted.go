@@ -12,12 +12,16 @@ package lowstretch
 // inverse weighted distance), and the Δ-stepping bucket width rides the
 // same schedule. Every level runs core.PartitionWeightedParallel; each
 // cluster's shortest-path tree lands in the forest mapped back to original
-// edges through the engine's annotations; clusters contract with summed
-// edge weights (graph.ContractWeightedClustersPool).
+// edges through the engine's annotations, by the capture helper the
+// unweighted tree uses; clusters contract with summed edge weights
+// (graph.ContractWeightedClustersPool). Once the hierarchy returns, the
+// tree edges take their original weights and index into the LCA index
+// both trees share.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 
 	"mpx/internal/core"
@@ -74,13 +78,18 @@ func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.We
 		return t, nil
 	}
 	if wg.NumEdges() == 0 {
-		return t, t.index()
+		return t, t.index(nil, nil)
 	}
 
 	// Weight-class bucketing: per-vertex min/max reduce, then a pooled
 	// per-class histogram over the upper arcs. The histogram pins the class
 	// count, which bounds the level count the schedule needs.
 	wmin, wmax := hier.WeightRangeOnPool(pool, workers, wg)
+	if math.IsInf(wmax/wmin, 1) {
+		// Finite weights whose ratio overflows would give a negative class
+		// count below.
+		return nil, fmt.Errorf("lowstretch: weight range [%g, %g] overflows the weight-class scale", wmin, wmax)
+	}
 	t.MinWeight = wmin
 	numClasses := 1
 	if wmax > wmin {
@@ -96,6 +105,7 @@ func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.We
 	}
 	maxLevels += 16
 
+	var edges []graph.Edge
 	h, err := hier.BuildWeightedHierarchy(hier.Config{
 		Ctx: ctx,
 		WBetaAt: func(level int) float64 {
@@ -109,18 +119,7 @@ func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.We
 		NeedEdgeOrig: true,
 	}, wg, func(lv *hier.Level) error {
 		// Per-cluster shortest-path-tree edges -> original tree edges.
-		for v := 0; v < lv.G.NumVertices(); v++ {
-			p := lv.WD.Parent[v]
-			if p == uint32(v) {
-				continue
-			}
-			e := lv.OrigEdge(uint32(v), p)
-			w, ok := wg.Weight(e.U, e.V)
-			if !ok {
-				return errors.New("lowstretch: annotation produced a non-edge")
-			}
-			t.Edges = append(t.Edges, graph.WeightedEdge{U: e.U, V: e.V, W: w})
-		}
+		edges = appendTreeEdges(edges, lv, lv.WD.Parent)
 		return nil
 	})
 	if err == hier.ErrMaxLevels {
@@ -131,7 +130,18 @@ func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.We
 	}
 	t.Levels = h.Levels()
 	t.Stats = h.Result().Stats
-	return t, t.index()
+	// The tree edges carry their original weights, looked up once the edge
+	// set is final.
+	w := make([]float64, len(edges))
+	t.Edges = make([]graph.WeightedEdge, len(edges))
+	for i, e := range edges {
+		var ok bool
+		if w[i], ok = wg.Weight(e.U, e.V); !ok {
+			return nil, errors.New("lowstretch: annotation produced a non-edge")
+		}
+		t.Edges[i] = graph.WeightedEdge{U: e.U, V: e.V, W: w[i]}
+	}
+	return t, t.index(edges, w)
 }
 
 // clampBeta forces a schedule value into PartitionWeightedParallel's valid
@@ -186,35 +196,12 @@ func classHistogramOnPool(pool *parallel.Pool, workers int, wg *graph.WeightedGr
 	return hist
 }
 
-// index builds the LCA index and the weighted depths over the tree edges
-// and verifies the edge set is a spanning forest.
-func (t *WeightedTree) index() error {
+// index builds the LCA index and the weighted depths over the tree edges,
+// whose weights w holds, and verifies the edge set is a spanning forest.
+func (t *WeightedTree) index(edges []graph.Edge, w []float64) error {
 	n := t.G.NumVertices()
-	if n == 0 {
-		return nil
-	}
-	// CSR-style forest adjacency with aligned weights.
-	offs := make([]int64, n+1)
-	for _, e := range t.Edges {
-		offs[e.U+1]++
-		offs[e.V+1]++
-	}
-	for i := 0; i < n; i++ {
-		offs[i+1] += offs[i]
-	}
-	flat := make([]uint32, offs[n])
-	flatW := make([]float64, offs[n])
-	cursor := make([]int64, n)
-	for _, e := range t.Edges {
-		flat[offs[e.U]+cursor[e.U]] = e.V
-		flatW[offs[e.U]+cursor[e.U]] = e.W
-		cursor[e.U]++
-		flat[offs[e.V]+cursor[e.V]] = e.U
-		flatW[offs[e.V]+cursor[e.V]] = e.W
-		cursor[e.V]++
-	}
 	t.wdepth = make([]float64, n)
-	if comps := t.build(offs, flat, flatW, t.wdepth); len(t.Edges) != n-comps {
+	if comps := t.build(n, edges, w, t.wdepth); len(edges) != n-comps {
 		return errors.New("lowstretch: weighted edge set is not a spanning forest")
 	}
 	return nil

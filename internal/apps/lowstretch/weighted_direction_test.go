@@ -3,6 +3,7 @@ package lowstretch
 import (
 	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 
 	"mpx/internal/core"
@@ -173,5 +174,20 @@ func TestBuildWeightedClassHistogram(t *testing.T) {
 	}
 	if len(tr.ClassHistogram) < 2 {
 		t.Fatalf("a 60x weight range must span multiple classes, got %d", len(tr.ClassHistogram))
+	}
+}
+
+// TestBuildWeightedRejectsOverflowingWeightRange: finite weights whose
+// ratio overflows float64 have no weight-class scale. The build must
+// report that as an error naming the range instead of bucketing into a
+// negative class count, which panicked inside a pool job.
+func TestBuildWeightedRejectsOverflowingWeightRange(t *testing.T) {
+	wg, err := graph.ReadDIMACSWeighted(strings.NewReader("p sp 4 3\na 1 2 1e-300\na 2 3 1e300\na 3 4 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0.2, 1, 2, core.DirectionAuto)
+	if err == nil || !strings.Contains(err.Error(), "weight range [1e-300, 1e+300]") {
+		t.Fatalf("BuildWeightedPoolCtx = (%v, %v), want a weight-range error", tr, err)
 	}
 }

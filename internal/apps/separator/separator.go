@@ -105,7 +105,7 @@ func FindPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, beta,
 			continue // pieces too large at this beta; try finer
 		}
 		res.Beta = b
-		cut := hier.CutEdgesOnPool(pool, workers, g, d.Center)
+		cut := graph.CutEdgesPool(pool, workers, g, d.Center)
 		st := hier.LevelStat{
 			Level: 0, N: n, M: g.NumEdges(),
 			Clusters: res.Pieces, CutEdges: cut, QuotientN: res.Pieces,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"mpx/internal/graph"
@@ -53,21 +54,17 @@ func BenchmarkSortByFrac(b *testing.B) {
 	const n = 1 << 19
 	pool := parallel.NewPool(0)
 	defer pool.Close()
-	frac := make([]float64, n)
-	for i := range frac {
-		frac[i] = xrand.Uniform01(7, uint64(i))
-	}
-	base := make([]uint32, n)
+	base := make([]uint64, n)
 	for i := range base {
-		base[i] = uint32(i)
+		base[i] = math.Float64bits(xrand.Uniform01(7, uint64(i)))
 	}
-	order := make([]uint32, n)
+	fracBits := make([]uint64, n)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				copy(order, base)
-				sortByFrac(pool, w, order, frac)
+				copy(fracBits, base)
+				fracOrder(pool, w, fracBits)
 			}
 		})
 	}

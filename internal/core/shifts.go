@@ -59,13 +59,15 @@ func newShiftPlan(n int, beta float64, opts Options) *shiftPlan {
 	pool := opts.Pool
 	p.deltaMax, _ = pool.MaxFloat64(opts.Workers, n, func(i int) float64 { return p.shifts[i] })
 
-	fracs := make([]float64, n)
+	// The IEEE bits of each start time's fractional part: order-preserving
+	// for these non-negative values, so they rank as radix-sort keys.
+	fracBits := make([]uint64, n)
 	pool.For(opts.Workers, n, func(v int) {
 		s := p.deltaMax - p.shifts[v]
 		p.start[v] = s
 		b := math.Floor(s)
 		p.bucket[v] = int32(b)
-		fracs[v] = s - b
+		fracBits[v] = math.Float64bits(s - b)
 	})
 
 	switch opts.TieBreak {
@@ -73,12 +75,7 @@ func newShiftPlan(n int, beta float64, opts Options) *shiftPlan {
 		// Rank vertices by the fractional part of their start time; distinct
 		// with probability 1, residual float ties broken by vertex id (the
 		// paper's lexicographic rule for the zero-probability event).
-		order := make([]uint32, n)
-		for i := range order {
-			order[i] = uint32(i)
-		}
-		sortByFrac(pool, opts.Workers, order, fracs)
-		for r, v := range order {
+		for r, v := range fracOrder(pool, opts.Workers, fracBits) {
 			p.rank[v] = uint32(r)
 		}
 	case TiePermutation:
@@ -100,126 +97,18 @@ func newShiftPlan(n int, beta float64, opts Options) *shiftPlan {
 	return p
 }
 
-// sortByFrac sorts vertex ids by (frac, id) ascending with a stable LSD
-// radix sort on the IEEE bit patterns (order-preserving for the
-// non-negative fracs). Stability plus the ascending initial id order
-// realizes the lexicographic tie-break without any comparisons, and the
-// byte-at-a-time passes stream sequentially instead of the random frac[]
-// lookups a merge sort pays; passes whose byte is constant across all keys
-// (the high exponent bytes, for fracs in [0,1)) are skipped outright.
-//
-// Large inputs run the passes on the pool: each pass counts bytes with one
-// histogram per worker block, turns the histograms into per-(byte, worker)
-// start offsets with an exclusive scan in (byte, worker) order, and
-// scatters each block in order. Keys with equal bytes land ordered by
-// (worker block, position within block) — exactly their pre-pass order —
-// so every pass is the same stable counting sort the serial loop performs
-// and the resulting ranks are identical at every worker count, including 1.
-func sortByFrac(pool *parallel.Pool, workers int, order []uint32, frac []float64) {
-	n := len(order)
-	if n < 2 {
-		return
+// fracOrder returns the vertex ids sorted by (frac, id) ascending, where
+// fracBits[v] holds the IEEE bits of vertex v's fractional part; it
+// permutes fracBits. The ids enter SortPairs in ascending order, so its
+// stability realizes the lexicographic tie-break without a comparison,
+// and its output, being unique, is the same at every worker count.
+func fracOrder(pool *parallel.Pool, workers int, fracBits []uint64) []uint32 {
+	order := make([]uint32, len(fracBits))
+	for i := range order {
+		order[i] = uint32(i)
 	}
-	keysA := make([]uint64, n)
-	pool.ForRange(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keysA[i] = math.Float64bits(frac[order[i]])
-		}
-	})
-	keysB := make([]uint64, n)
-	idsB := make([]uint32, n)
-	srcK, srcI := keysA, order
-	dstK, dstI := keysB, idsB
-	w := parallel.Workers(workers, n)
-	if w == 1 || n < parallel.CompactCutoff {
-		var count [256]int
-		for shift := uint(0); shift < 64; shift += 8 {
-			for b := range count {
-				count[b] = 0
-			}
-			for _, k := range srcK {
-				count[(k>>shift)&0xff]++
-			}
-			if count[(srcK[0]>>shift)&0xff] == n {
-				continue // every key shares this byte; the pass is a no-op
-			}
-			pos := 0
-			for b := 0; b < 256; b++ {
-				c := count[b]
-				count[b] = pos
-				pos += c
-			}
-			for i, k := range srcK {
-				b := (k >> shift) & 0xff
-				j := count[b]
-				count[b]++
-				dstK[j] = k
-				dstI[j] = srcI[i]
-			}
-			srcK, dstK = dstK, srcK
-			srcI, dstI = dstI, srcI
-		}
-	} else {
-		counts := make([]int, w*256)
-		totals := make([]int, 256)
-		for shift := uint(0); shift < 64; shift += 8 {
-			sk := srcK
-			pool.Run(w, func(k int) {
-				lo, hi := k*n/w, (k+1)*n/w
-				c := counts[k*256 : (k+1)*256]
-				for b := range c {
-					c[b] = 0
-				}
-				for _, key := range sk[lo:hi] {
-					c[(key>>shift)&0xff]++
-				}
-			})
-			for b := range totals {
-				totals[b] = 0
-			}
-			for k := 0; k < w; k++ {
-				c := counts[k*256 : (k+1)*256]
-				for b := 0; b < 256; b++ {
-					totals[b] += c[b]
-				}
-			}
-			if totals[(sk[0]>>shift)&0xff] == n {
-				continue // same skip rule as the serial passes
-			}
-			// Exclusive scan in (byte, worker) order: counts[k*256+b]
-			// becomes the destination offset of worker k's first key
-			// carrying byte b. The scan touches w*256 cells serially —
-			// negligible next to the O(n) scatter.
-			pos := 0
-			for b := 0; b < 256; b++ {
-				for k := 0; k < w; k++ {
-					c := counts[k*256+b]
-					counts[k*256+b] = pos
-					pos += c
-				}
-			}
-			si, dk, di := srcI, dstK, dstI
-			pool.Run(w, func(k int) {
-				lo, hi := k*n/w, (k+1)*n/w
-				c := counts[k*256 : (k+1)*256]
-				for i := lo; i < hi; i++ {
-					key := sk[i]
-					b := (key >> shift) & 0xff
-					j := c[b]
-					c[b]++
-					dk[j] = key
-					di[j] = si[i]
-				}
-			})
-			srcK, dstK = dstK, srcK
-			srcI, dstI = dstI, srcI
-		}
-	}
-	if &srcI[0] != &order[0] {
-		pool.ForRange(workers, n, func(lo, hi int) {
-			copy(order[lo:hi], srcI[lo:hi])
-		})
-	}
+	pool.SortPairs(workers, fracBits, order, nil, nil)
+	return order
 }
 
 // HarmonicNumber returns H_n = sum_{i=1..n} 1/i, the quantity Lemma 4.2

@@ -100,11 +100,11 @@ func TestSortByFracMatchesSliceStable(t *testing.T) {
 				return frac[want[a]] < frac[want[b]]
 			})
 			for _, w := range []int{1, 2, 8} {
-				order := make([]uint32, n)
-				for i := range order {
-					order[i] = uint32(i)
+				fracBits := make([]uint64, n)
+				for i := range fracBits {
+					fracBits[i] = math.Float64bits(frac[i])
 				}
-				sortByFrac(pool, w, order, frac)
+				order := fracOrder(pool, w, fracBits)
 				for i := range order {
 					if order[i] != want[i] {
 						t.Fatalf("%s n=%d workers=%d: order[%d]=%d want %d",

@@ -98,7 +98,7 @@ func ContractClustersPool(pool *parallel.Pool, workers int, g *Graph, label []ui
 		return 0
 	})
 	if bad > 0 {
-		sc.CutArcs = countCutArcs(pool, workers, g, label)
+		sc.CutArcs = 2 * CutEdgesPool(pool, workers, g, label)
 		return ContractClusters(g, label)
 	}
 
@@ -236,11 +236,14 @@ func collectCutArcs(pool *parallel.Pool, workers int, offsets []int64, adj []uin
 	return keys
 }
 
-// countCutArcs counts directed arcs whose endpoints carry different labels
-// (the stats fallback for out-of-range label values).
-func countCutArcs(pool *parallel.Pool, workers int, g *Graph, label []uint32) int64 {
+// CutEdgesPool counts the undirected edges of g whose endpoints carry
+// different labels, reducing on pool (nil means parallel.Default()). The
+// contraction kernels' out-of-range-label fallbacks report twice this
+// count as their cut arcs; the single-level applications (separator,
+// embedding) report it as their level's cut.
+func CutEdgesPool(pool *parallel.Pool, workers int, g *Graph, label []uint32) int64 {
 	offsets, adj := g.offsets, g.adj
-	return pool.ReduceInt64(workers, g.NumVertices(), func(v int) int64 {
+	arcs := pool.ReduceInt64(workers, g.NumVertices(), func(v int) int64 {
 		var c int64
 		lv := label[v]
 		for _, u := range adj[offsets[v]:offsets[v+1]] {
@@ -250,6 +253,7 @@ func countCutArcs(pool *parallel.Pool, workers int, g *Graph, label []uint32) in
 		}
 		return c
 	})
+	return arcs / 2
 }
 
 // dedupSortedUint64 compacts runs of equal keys in the sorted input into

@@ -125,7 +125,7 @@ func ContractWeightedClustersPool(pool *parallel.Pool, workers int, wg *Weighted
 		return 0
 	})
 	if bad > 0 {
-		sc.CutArcs = countCutArcs(pool, workers, wg.Unweighted(), label)
+		sc.CutArcs = 2 * CutEdgesPool(pool, workers, wg.Unweighted(), label)
 		return ContractWeightedClusters(wg, label)
 	}
 

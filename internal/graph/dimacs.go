@@ -25,13 +25,30 @@ const maxEdgeCapHint = 1 << 24
 // 2^28 vertices (~2 GiB of offsets) is far beyond any real DIMACS text file.
 const maxDimacsVertices = 1 << 28
 
-// ReadDIMACS parses a DIMACS .col/.edge graph.
+// ReadDIMACS parses a DIMACS .col/.edge graph. Fields after an edge
+// record's endpoints are ignored.
 func ReadDIMACS(r io.Reader) (*Graph, error) {
+	n, edges, err := scanDIMACS(r, func(u, v uint32, _ []string, _ int) (Edge, error) {
+		return Edge{u, v}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// DIMACS files sometimes list each edge twice ("a" arcs); dedup.
+	return FromEdgesDedup(n, edges)
+}
+
+// scanDIMACS is the DIMACS scanner both readers share. It owns the problem
+// line with its n and m limits, the clamped capacity hint, record
+// dispatch, the 1-based range checks and the line numbers on scanner
+// errors; edge turns each edge record — its 0-based endpoints and the
+// fields after them — into the reader's edge type. It returns the
+// header's vertex count and the edges in file order.
+func scanDIMACS[E any](r io.Reader, edge func(u, v uint32, extra []string, lineNo int) (E, error)) (int, []E, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var n int
-	var m int64
-	var edges []Edge
+	var edges []E
 	header := false
 	lineNo := 0
 	for sc.Scan() {
@@ -44,67 +61,66 @@ func ReadDIMACS(r io.Reader) (*Graph, error) {
 		switch fields[0] {
 		case "p":
 			if header {
-				return nil, fmt.Errorf("graph: line %d: duplicate problem line", lineNo)
+				return 0, nil, fmt.Errorf("graph: line %d: duplicate problem line", lineNo)
 			}
 			if len(fields) != 4 || (fields[1] != "edge" && fields[1] != "col" && fields[1] != "sp") {
-				return nil, fmt.Errorf("graph: line %d: malformed problem line", lineNo)
+				return 0, nil, fmt.Errorf("graph: line %d: malformed problem line", lineNo)
 			}
 			nv, err := strconv.Atoi(fields[2])
 			if err != nil || nv < 0 {
-				return nil, fmt.Errorf("graph: line %d: bad n %q", lineNo, fields[2])
+				return 0, nil, fmt.Errorf("graph: line %d: bad n %q", lineNo, fields[2])
 			}
 			if nv > maxDimacsVertices {
-				return nil, fmt.Errorf("graph: line %d: n %d exceeds limit %d", lineNo, nv, maxDimacsVertices)
+				return 0, nil, fmt.Errorf("graph: line %d: n %d exceeds limit %d", lineNo, nv, maxDimacsVertices)
 			}
-			me, err := strconv.ParseInt(fields[3], 10, 64)
-			if err != nil || me < 0 {
-				return nil, fmt.Errorf("graph: line %d: bad m %q", lineNo, fields[3])
+			m, err := strconv.ParseInt(fields[3], 10, 64)
+			if err != nil || m < 0 {
+				return 0, nil, fmt.Errorf("graph: line %d: bad m %q", lineNo, fields[3])
 			}
-			n, m = nv, me
+			n = nv
 			// The header's edge count is a hint, not a contract: a corrupt or
 			// hostile header (e.g. "p edge 10 999999999999") must not OOM the
 			// reader before a single edge line is parsed. Clamp the initial
 			// capacity and let the slice grow to whatever the file holds.
-			capHint := m
-			if capHint > maxEdgeCapHint {
-				capHint = maxEdgeCapHint
-			}
-			edges = make([]Edge, 0, capHint)
+			edges = make([]E, 0, min(m, maxEdgeCapHint))
 			header = true
 		case "e", "a":
 			if !header {
-				return nil, fmt.Errorf("graph: line %d: edge before problem line", lineNo)
+				return 0, nil, fmt.Errorf("graph: line %d: edge before problem line", lineNo)
 			}
 			if len(fields) < 3 {
-				return nil, fmt.Errorf("graph: line %d: malformed edge", lineNo)
+				return 0, nil, fmt.Errorf("graph: line %d: malformed edge", lineNo)
 			}
 			u, err := strconv.ParseUint(fields[1], 10, 32)
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad u: %v", lineNo, err)
+				return 0, nil, fmt.Errorf("graph: line %d: bad u: %v", lineNo, err)
 			}
 			v, err := strconv.ParseUint(fields[2], 10, 32)
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad v: %v", lineNo, err)
+				return 0, nil, fmt.Errorf("graph: line %d: bad v: %v", lineNo, err)
 			}
 			if u < 1 || v < 1 || int(u) > n || int(v) > n {
-				return nil, fmt.Errorf("graph: line %d: vertex out of 1..%d", lineNo, n)
+				return 0, nil, fmt.Errorf("graph: line %d: vertex out of 1..%d", lineNo, n)
 			}
-			edges = append(edges, Edge{uint32(u - 1), uint32(v - 1)})
+			e, err := edge(uint32(u-1), uint32(v-1), fields[3:], lineNo)
+			if err != nil {
+				return 0, nil, err
+			}
+			edges = append(edges, e)
 		default:
-			return nil, fmt.Errorf("graph: line %d: unknown record %q", lineNo, fields[0])
+			return 0, nil, fmt.Errorf("graph: line %d: unknown record %q", lineNo, fields[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
 		// The scanner fails while reading the line *after* the last one it
 		// delivered; without the position a "token too long" on a multi-GB
 		// instance is undebuggable.
-		return nil, fmt.Errorf("graph: line %d: %w", lineNo+1, err)
+		return 0, nil, fmt.Errorf("graph: line %d: %w", lineNo+1, err)
 	}
 	if !header {
-		return nil, fmt.Errorf("graph: missing DIMACS problem line")
+		return 0, nil, fmt.Errorf("graph: missing DIMACS problem line")
 	}
-	// DIMACS files sometimes list each edge twice ("a" arcs); dedup.
-	return FromEdgesDedup(n, edges)
+	return n, edges, nil
 }
 
 // ReadDIMACSWeighted parses a DIMACS graph whose edge lines carry an
@@ -115,87 +131,24 @@ func ReadDIMACS(r io.Reader) (*Graph, error) {
 // twice) collapse to one edge, last weight winning — the FromWeightedEdges
 // convention.
 func ReadDIMACSWeighted(r io.Reader) (*WeightedGraph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var n int
-	var m int64
-	var edges []WeightedEdge
-	header := false
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == 'c' {
-			continue
+	n, edges, err := scanDIMACS(r, func(u, v uint32, extra []string, lineNo int) (WeightedEdge, error) {
+		if len(extra) == 0 {
+			return WeightedEdge{U: u, V: v, W: 1}, nil
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "p":
-			if header {
-				return nil, fmt.Errorf("graph: line %d: duplicate problem line", lineNo)
-			}
-			if len(fields) != 4 || (fields[1] != "edge" && fields[1] != "col" && fields[1] != "sp") {
-				return nil, fmt.Errorf("graph: line %d: malformed problem line", lineNo)
-			}
-			nv, err := strconv.Atoi(fields[2])
-			if err != nil || nv < 0 {
-				return nil, fmt.Errorf("graph: line %d: bad n %q", lineNo, fields[2])
-			}
-			if nv > maxDimacsVertices {
-				return nil, fmt.Errorf("graph: line %d: n %d exceeds limit %d", lineNo, nv, maxDimacsVertices)
-			}
-			me, err := strconv.ParseInt(fields[3], 10, 64)
-			if err != nil || me < 0 {
-				return nil, fmt.Errorf("graph: line %d: bad m %q", lineNo, fields[3])
-			}
-			n, m = nv, me
-			capHint := m
-			if capHint > maxEdgeCapHint {
-				capHint = maxEdgeCapHint
-			}
-			edges = make([]WeightedEdge, 0, capHint)
-			header = true
-		case "e", "a":
-			if !header {
-				return nil, fmt.Errorf("graph: line %d: edge before problem line", lineNo)
-			}
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("graph: line %d: malformed edge", lineNo)
-			}
-			u, err := strconv.ParseUint(fields[1], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad u: %v", lineNo, err)
-			}
-			v, err := strconv.ParseUint(fields[2], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad v: %v", lineNo, err)
-			}
-			if u < 1 || v < 1 || int(u) > n || int(v) > n {
-				return nil, fmt.Errorf("graph: line %d: vertex out of 1..%d", lineNo, n)
-			}
-			w := 1.0
-			if len(fields) >= 4 {
-				w, err = strconv.ParseFloat(fields[3], 64)
-				if err != nil {
-					return nil, fmt.Errorf("graph: line %d: bad weight: %v", lineNo, err)
-				}
-				// NaN fails every ordered comparison and +Inf passes w > 0,
-				// so the positivity check alone lets both through — and a
-				// single non-finite weight poisons every downstream distance.
-				if math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
-					return nil, fmt.Errorf("graph: line %d: weight %q is not a finite positive number", lineNo, fields[3])
-				}
-			}
-			edges = append(edges, WeightedEdge{U: uint32(u - 1), V: uint32(v - 1), W: w})
-		default:
-			return nil, fmt.Errorf("graph: line %d: unknown record %q", lineNo, fields[0])
+		w, err := strconv.ParseFloat(extra[0], 64)
+		if err != nil {
+			return WeightedEdge{}, fmt.Errorf("graph: line %d: bad weight: %v", lineNo, err)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: line %d: %w", lineNo+1, err)
-	}
-	if !header {
-		return nil, fmt.Errorf("graph: missing DIMACS problem line")
+		// NaN fails every ordered comparison and +Inf passes w > 0, so the
+		// positivity check alone lets both through — and a single
+		// non-finite weight poisons every downstream distance.
+		if math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
+			return WeightedEdge{}, fmt.Errorf("graph: line %d: weight %q is not a finite positive number", lineNo, extra[0])
+		}
+		return WeightedEdge{U: u, V: v, W: w}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Collapse duplicate records before the strict CSR build, keeping each
 	// pair's last weight (matching the FromWeightedEdges alignment rule).

@@ -68,6 +68,9 @@ func FuzzReadDIMACSWeighted(f *testing.F) {
 	f.Add("p sp 2 1\na 1 2 +Inf\n")
 	f.Add("p sp 2 1\na 1 2 -0\n")
 	f.Add("c x\np sp 1 0\n")
+	f.Add("p sp 4 5\na 1 2 3\na 2 1 3\na 3 2 0.5\na 2 3 7\ne 4 4 2\n")
+	f.Add("p edge 5 6\ne 1 2\ne 2 1\ne 3 4\ne 2 3\ne 4 5\ne 3 4\n")
+	f.Add("p col 3 2\ne 2 1 1.5 junk\ne 3 2 2\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		wg, err := ReadDIMACSWeighted(strings.NewReader(in))
 		if err != nil {
@@ -82,6 +85,17 @@ func FuzzReadDIMACSWeighted(f *testing.F) {
 					t.Fatalf("parse accepted weight %v", w)
 				}
 			}
+		}
+		// Cross-reader arm: OpenAny parses every DIMACS file with the
+		// weighted reader and promises its unweighted view equals
+		// ReadDIMACS's graph, so ReadDIMACS must accept the same input and
+		// build the same graph.
+		g, err := ReadDIMACS(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("weighted reader accepted what ReadDIMACS rejects: %v", err)
+		}
+		if got, want := g.Fingerprint(), wg.Unweighted().Fingerprint(); got != want {
+			t.Fatalf("ReadDIMACS fingerprint %016x != weighted reader's unweighted view %016x", got, want)
 		}
 	})
 }

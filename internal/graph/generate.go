@@ -58,35 +58,6 @@ func Torus2D(rows, cols int) *Graph {
 	return g
 }
 
-// Grid3D returns the x*y*z 6-neighbor mesh.
-func Grid3D(x, y, z int) *Graph {
-	if x <= 0 || y <= 0 || z <= 0 {
-		panic("graph: Grid3D dimensions must be positive")
-	}
-	id := func(i, j, k int) uint32 { return uint32((i*y+j)*z + k) }
-	var edges []Edge
-	for i := 0; i < x; i++ {
-		for j := 0; j < y; j++ {
-			for k := 0; k < z; k++ {
-				if i+1 < x {
-					edges = append(edges, Edge{id(i, j, k), id(i+1, j, k)})
-				}
-				if j+1 < y {
-					edges = append(edges, Edge{id(i, j, k), id(i, j+1, k)})
-				}
-				if k+1 < z {
-					edges = append(edges, Edge{id(i, j, k), id(i, j, k+1)})
-				}
-			}
-		}
-	}
-	g, err := FromEdges(x*y*z, edges)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Path returns the path graph on n vertices (the paper's worst case for the
 // number of pieces: a (β, d) decomposition of a path needs ~βn pieces).
 func Path(n int) *Graph {
@@ -222,62 +193,6 @@ func GNM(n int, m int64, seed uint64) *Graph {
 		panic(err)
 	}
 	return g
-}
-
-// RandomRegular samples a d-regular graph on n vertices (n*d even) with the
-// configuration model, resampling until the pairing is simple. Practical
-// for the small d used in experiments.
-func RandomRegular(n, d int, seed uint64) *Graph {
-	if n*d%2 != 0 {
-		panic("graph: RandomRegular needs n*d even")
-	}
-	if d >= n {
-		panic("graph: RandomRegular needs d < n")
-	}
-	rng := xrand.NewSplitMix64(seed)
-	stubs := make([]uint32, n*d)
-	for attempt := 0; ; attempt++ {
-		if attempt > 1000 {
-			panic("graph: RandomRegular failed to find a simple pairing")
-		}
-		for i := range stubs {
-			stubs[i] = uint32(i / d)
-		}
-		// Shuffle stubs and pair them up consecutively.
-		for i := len(stubs) - 1; i > 0; i-- {
-			j := rng.Intn(i + 1)
-			stubs[i], stubs[j] = stubs[j], stubs[i]
-		}
-		edges := make([]Edge, 0, n*d/2)
-		seen := make(map[uint64]struct{}, n*d/2)
-		ok := true
-		for i := 0; i < len(stubs); i += 2 {
-			u, v := stubs[i], stubs[i+1]
-			if u == v {
-				ok = false
-				break
-			}
-			a, b := u, v
-			if a > b {
-				a, b = b, a
-			}
-			key := uint64(a)<<32 | uint64(b)
-			if _, dup := seen[key]; dup {
-				ok = false
-				break
-			}
-			seen[key] = struct{}{}
-			edges = append(edges, Edge{u, v})
-		}
-		if !ok {
-			continue
-		}
-		g, err := FromEdges(n, edges)
-		if err != nil {
-			panic(err)
-		}
-		return g
-	}
 }
 
 // PreferentialAttachment returns a Barabási–Albert style graph: vertices

@@ -225,12 +225,3 @@ func (g *Graph) InducedSubgraph(vertices []uint32) (*Graph, []uint32, error) {
 	copy(orig, vertices)
 	return sub, orig, nil
 }
-
-// DegreeHistogram returns counts[d] = number of vertices with degree d.
-func (g *Graph) DegreeHistogram() []int64 {
-	counts := make([]int64, g.MaxDegree()+1)
-	for v := 0; v < g.NumVertices(); v++ {
-		counts[g.Degree(uint32(v))]++
-	}
-	return counts
-}

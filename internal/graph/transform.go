@@ -37,48 +37,6 @@ func RandomPermutation(n int, seed uint64) []uint32 {
 	return xrand.NewSplitMix64(seed).Perm32(n)
 }
 
-// Union returns the graph on max(n1, n2) vertices whose edge set is the
-// union of the two inputs (deduplicated).
-func Union(a, b *Graph) *Graph {
-	n := a.NumVertices()
-	if b.NumVertices() > n {
-		n = b.NumVertices()
-	}
-	edges := append(a.Edges(), b.Edges()...)
-	g, err := FromEdgesDedup(n, edges)
-	if err != nil {
-		panic(err) // inputs are valid graphs
-	}
-	return g
-}
-
-// AddRandomMatching adds k random non-adjacent edges to g (a cheap way to
-// build small-world variants of structured graphs). Fewer than k edges may
-// be added if rejection sampling runs out of attempts.
-func AddRandomMatching(g *Graph, k int, seed uint64) *Graph {
-	n := g.NumVertices()
-	if n < 2 {
-		return g
-	}
-	rng := xrand.NewSplitMix64(seed)
-	edges := g.Edges()
-	added := 0
-	for attempt := 0; attempt < 20*k && added < k; attempt++ {
-		u := uint32(rng.Intn(n))
-		v := uint32(rng.Intn(n))
-		if u == v || g.HasEdge(u, v) {
-			continue
-		}
-		edges = append(edges, Edge{u, v})
-		added++
-	}
-	out, err := FromEdgesDedup(n, edges)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // ContractClusters returns the quotient graph whose vertices are the
 // distinct values of label (densely renumbered in first-appearance order)
 // and whose edges connect clusters joined by at least one original edge.
@@ -115,31 +73,4 @@ func ContractClusters(g *Graph, label []uint32) (*Graph, []uint32, error) {
 		return nil, nil, err
 	}
 	return out, quot, nil
-}
-
-// Subdivide returns the graph where every edge is split into a path of k
-// unit edges (k >= 1; k == 1 returns a copy). Used to manufacture
-// high-diameter variants of dense graphs.
-func Subdivide(g *Graph, k int) *Graph {
-	if k < 1 {
-		panic("graph: Subdivide needs k >= 1")
-	}
-	n := g.NumVertices()
-	edges := g.Edges()
-	out := make([]Edge, 0, len(edges)*k)
-	next := uint32(n)
-	for _, e := range edges {
-		prev := e.U
-		for i := 1; i < k; i++ {
-			out = append(out, Edge{prev, next})
-			prev = next
-			next++
-		}
-		out = append(out, Edge{prev, e.V})
-	}
-	res, err := FromEdges(n+(k-1)*len(edges), out)
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

@@ -42,33 +42,6 @@ func TestPermuteRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	a := Path(4)                                 // 0-1-2-3
-	b, _ := FromEdges(5, []Edge{{0, 2}, {3, 4}}) // extra chords
-	u := Union(a, b)
-	if u.NumVertices() != 5 {
-		t.Errorf("n=%d", u.NumVertices())
-	}
-	if u.NumEdges() != 5 {
-		t.Errorf("m=%d want 5", u.NumEdges())
-	}
-	if !u.HasEdge(0, 2) || !u.HasEdge(1, 2) || !u.HasEdge(3, 4) {
-		t.Error("missing union edges")
-	}
-}
-
-func TestAddRandomMatching(t *testing.T) {
-	g := Path(100)
-	h := AddRandomMatching(g, 10, 7)
-	if h.NumEdges() != g.NumEdges()+10 {
-		t.Errorf("added %d edges, want 10", h.NumEdges()-g.NumEdges())
-	}
-	tiny, _ := FromEdges(1, nil)
-	if AddRandomMatching(tiny, 5, 0).NumEdges() != 0 {
-		t.Error("single vertex cannot gain edges")
-	}
-}
-
 func TestContractClusters(t *testing.T) {
 	g := Grid2D(2, 4) // vertices 0..7
 	// Two clusters: left half {0,1,4,5} label 9, right half {2,3,6,7} label 4.
@@ -88,22 +61,6 @@ func TestContractClusters(t *testing.T) {
 	}
 	if _, _, err := ContractClusters(g, []uint32{1}); err == nil {
 		t.Error("expected length error")
-	}
-}
-
-func TestSubdivide(t *testing.T) {
-	g := Cycle(4)
-	s := Subdivide(g, 3)
-	if s.NumVertices() != 4+2*4 || s.NumEdges() != 12 {
-		t.Errorf("n=%d m=%d", s.NumVertices(), s.NumEdges())
-	}
-	if !IsConnected(s) {
-		t.Error("subdivision disconnected")
-	}
-	// k=1 copies the graph.
-	c := Subdivide(g, 1)
-	if c.NumEdges() != g.NumEdges() || c.NumVertices() != g.NumVertices() {
-		t.Error("k=1 should copy")
 	}
 }
 

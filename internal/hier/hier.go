@@ -215,25 +215,6 @@ type engine struct {
 	rankFor    *graph.Graph
 }
 
-// CutEdgesOnPool counts the undirected edges of g whose endpoints carry
-// different labels, reducing on the given pool. Shared by the single-level
-// applications (separator, embedding).
-func CutEdgesOnPool(pool *parallel.Pool, workers int, g *graph.Graph, center []uint32) int64 {
-	offsets := g.Offsets()
-	adj := g.Adjacency()
-	arcs := pool.ReduceInt64(workers, g.NumVertices(), func(v int) int64 {
-		cv := center[v]
-		var c int64
-		for i := offsets[v]; i < offsets[v+1]; i++ {
-			if center[adj[i]] != cv {
-				c++
-			}
-		}
-		return c
-	})
-	return arcs / 2
-}
-
 // annotateContraction computes the next level's original-edge annotations:
 // for every edge of the quotient graph (in canonical (U, V) order), the
 // annotation of the first cut edge of cur — in cur's canonical edge order
@@ -244,42 +225,14 @@ func (e *engine) annotateContraction(cur *graph.Graph, orig []graph.Edge, center
 	pool := e.cfg.Pool
 	workers := e.cfg.Workers
 	n := cur.NumVertices()
-	w := parallel.Workers(workers, n)
-	e.rankBase = parallel.Grow(e.rankBase, w+1)
-	e.cutBase = parallel.Grow(e.cutBase, w+1)
-	rankBase, cutBase := e.rankBase, e.cutBase
+	w, rankBase, cutBase := e.countUpper(cur, center)
 	offsets, adjacency := cur.Offsets(), cur.Adjacency()
-	// Pass 1: per block, count upper arcs (canonical edge ranks) and cut
-	// edges among them.
-	pool.Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
-		upper, cut := 0, 0
-		for v := lo; v < hi; v++ {
-			cv := center[v]
-			for _, u := range adjacency[offsets[v]:offsets[v+1]] {
-				if u <= uint32(v) {
-					continue
-				}
-				upper++
-				if center[u] != cv {
-					cut++
-				}
-			}
-		}
-		rankBase[k+1] = upper
-		cutBase[k+1] = cut
-	})
-	rankBase[0], cutBase[0] = 0, 0
-	for k := 1; k <= w; k++ {
-		rankBase[k] += rankBase[k-1]
-		cutBase[k] += cutBase[k-1]
-	}
 	c := cutBase[w]
 	e.cutKeys = parallel.Grow(e.cutKeys, c)
 	e.cutVals = parallel.Grow(e.cutVals, c)
 	e.cutOrig = parallel.Grow(e.cutOrig, c)
 	cutKeys, cutVals, cutOrig := e.cutKeys, e.cutVals, e.cutOrig
-	// Pass 2: emit each cut edge's quotient-pair key and its original-edge
+	// Second pass: emit each cut edge's quotient-pair key and its original-edge
 	// annotation; the running upper-arc counter is exactly cur's canonical
 	// edge rank, which indexes the current annotation table.
 	pool.Run(w, func(k int) {
@@ -353,20 +306,21 @@ func (e *engine) annotateContraction(cur *graph.Graph, orig []graph.Edge, center
 	return nextOrig
 }
 
-// collectIntra gathers the intra-cluster edges of cur in canonical order,
-// mapped to original coordinates through the current annotation table.
-func (e *engine) collectIntra(cur *graph.Graph, orig []graph.Edge, center []uint32) []graph.Edge {
-	pool := e.cfg.Pool
-	workers := e.cfg.Workers
+// countUpper is the first pass annotateContraction and collectIntra
+// share. It splits cur's vertices into w contiguous blocks and counts, per
+// block, the upper arcs (canonical edge ranks) and the cut edges among
+// them: rankBase[k] and cutBase[k] hold the counts before block k, and
+// index w holds the totals. Both slices alias engine scratch.
+func (e *engine) countUpper(cur *graph.Graph, center []uint32) (int, []int, []int) {
 	n := cur.NumVertices()
-	w := parallel.Workers(workers, n)
+	w := parallel.Workers(e.cfg.Workers, n)
 	e.rankBase = parallel.Grow(e.rankBase, w+1)
 	e.cutBase = parallel.Grow(e.cutBase, w+1)
-	rankBase, intraBase := e.rankBase, e.cutBase
+	rankBase, cutBase := e.rankBase, e.cutBase
 	offsets, adjacency := cur.Offsets(), cur.Adjacency()
-	pool.Run(w, func(k int) {
+	e.cfg.Pool.Run(w, func(k int) {
 		lo, hi := k*n/w, (k+1)*n/w
-		upper, intra := 0, 0
+		upper, cut := 0, 0
 		for v := lo; v < hi; v++ {
 			cv := center[v]
 			for _, u := range adjacency[offsets[v]:offsets[v+1]] {
@@ -374,25 +328,36 @@ func (e *engine) collectIntra(cur *graph.Graph, orig []graph.Edge, center []uint
 					continue
 				}
 				upper++
-				if center[u] == cv {
-					intra++
+				if center[u] != cv {
+					cut++
 				}
 			}
 		}
 		rankBase[k+1] = upper
-		intraBase[k+1] = intra
+		cutBase[k+1] = cut
 	})
-	rankBase[0], intraBase[0] = 0, 0
+	rankBase[0], cutBase[0] = 0, 0
 	for k := 1; k <= w; k++ {
 		rankBase[k] += rankBase[k-1]
-		intraBase[k] += intraBase[k-1]
+		cutBase[k] += cutBase[k-1]
 	}
-	e.intra = parallel.Grow(e.intra, intraBase[w])
+	return w, rankBase, cutBase
+}
+
+// collectIntra gathers the intra-cluster edges of cur in canonical order,
+// mapped to original coordinates through the current annotation table.
+// Each block's intra edges start at its upper arcs before it minus its
+// cut edges before it.
+func (e *engine) collectIntra(cur *graph.Graph, orig []graph.Edge, center []uint32) []graph.Edge {
+	n := cur.NumVertices()
+	w, rankBase, cutBase := e.countUpper(cur, center)
+	offsets, adjacency := cur.Offsets(), cur.Adjacency()
+	e.intra = parallel.Grow(e.intra, rankBase[w]-cutBase[w])
 	intra := e.intra
-	pool.Run(w, func(k int) {
+	e.cfg.Pool.Run(w, func(k int) {
 		lo, hi := k*n/w, (k+1)*n/w
 		rank := rankBase[k]
-		pos := intraBase[k]
+		pos := rankBase[k] - cutBase[k]
 		for v := lo; v < hi; v++ {
 			cv := center[v]
 			for _, u := range adjacency[offsets[v]:offsets[v+1]] {

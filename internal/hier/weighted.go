@@ -83,7 +83,7 @@ func WeightRangeOnPool(pool *parallel.Pool, workers int, wg *graph.WeightedGraph
 
 // CutWeightOnPool sums the weight of the edges of wg whose endpoints carry
 // different labels, reducing on the given pool — the weighted analogue of
-// CutEdgesOnPool, shared by the single-level weighted applications. Stats
+// graph.CutEdgesPool, for the weighted embedding's level stats. Stats
 // only: block-reduction float order depends on the worker count.
 func CutWeightOnPool(pool *parallel.Pool, workers int, wg *graph.WeightedGraph, center []uint32) float64 {
 	return pool.ReduceFloat64(workers, wg.NumVertices(), func(v int) float64 {

@@ -1,12 +1,11 @@
 package parallel
 
-// Pool-parallel LSD radix sorts on uint64 keys. These are the sorting
-// substrate of the hierarchy engine: quotient-edge keys are packed into 64
-// bits ((qu << 32) | qv), so deduplicating and ordering contracted edges is
-// a byte-at-a-time radix sort instead of a comparison sort — the same
-// shift-plan discipline core.sortByFrac established for the tie-break
-// ranks, generalized to raw integer keys and to stable (key, payload)
-// record sorts.
+// Pool-parallel LSD radix sorts on uint64 keys, the one sorting substrate
+// of the stack. The hierarchy engine packs quotient-edge keys into 64 bits
+// ((qu << 32) | qv), so deduplicating and ordering contracted edges is a
+// byte-at-a-time radix sort instead of a comparison sort, and core's
+// tie-break ranks are one SortPairs over the IEEE bits of the shifts'
+// fractional parts with the vertex ids as payloads.
 //
 // Both sorts are deterministic at every worker count: each pass counts
 // bytes with one histogram per contiguous worker block, turns the
