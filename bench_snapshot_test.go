@@ -86,7 +86,7 @@ func BenchmarkE24SnapshotLoad(b *testing.B) {
 		return s.Close()
 	})
 	parseTime := best(func() error {
-		o, err := graph.OpenAny(dimacsPath)
+		o, err := snapshot.OpenAny(dimacsPath)
 		if err != nil {
 			return err
 		}
@@ -127,7 +127,7 @@ func BenchmarkE24TextParseBaseline(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		o, err := graph.OpenAny(dimacsPath)
+		o, err := snapshot.OpenAny(dimacsPath)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -98,7 +98,7 @@ func BenchmarkE4MaxShift(b *testing.B) {
 	const n = 1 << 17
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		shifts := core.GenerateShifts(n, 0.1, uint64(i), core.ShiftExponential)
+		shifts := core.GenerateShifts(n, 0.1, core.Options{Seed: uint64(i), ShiftSource: core.ShiftExponential})
 		_ = shifts[n-1]
 	}
 }

@@ -355,7 +355,7 @@ func fail(err error, timeout time.Duration) {
 	os.Exit(1)
 }
 
-// buildGraph loads (-in, any supported format via graph.OpenAny) or
+// buildGraph loads (-in, any supported format via snapshot.OpenAny) or
 // generates the input graph. The io.Closer, when non-nil, owns resources
 // backing the graph — a snapshot's memory mapping — and must outlive
 // every use of it.
@@ -370,7 +370,7 @@ func buildGraph(in string, dimacs bool, gen string, rows, cols, n int, m int64, 
 			g, err := graph.ReadDIMACS(f)
 			return g, 0, 0, nil, err
 		}
-		o, err := graph.OpenAny(in)
+		o, err := snapshot.OpenAny(in)
 		if err != nil {
 			return nil, 0, 0, nil, err
 		}
@@ -424,7 +424,7 @@ func loadWeightedGraph(in string, dimacs bool, gen string, rows, cols, n int, m 
 			wg, err := graph.ReadDIMACSWeighted(f)
 			return wg, nil, true, err
 		}
-		o, err := graph.OpenAny(in)
+		o, err := snapshot.OpenAny(in)
 		if err != nil {
 			return nil, nil, false, err
 		}

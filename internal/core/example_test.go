@@ -72,7 +72,7 @@ func ExamplePartitionWeighted() {
 // ExampleGenerateShifts draws the exponential shifts in isolation
 // (Lemma 4.2 studies their maximum).
 func ExampleGenerateShifts() {
-	shifts := core.GenerateShifts(5, 0.5, 42, core.ShiftExponential)
+	shifts := core.GenerateShifts(5, 0.5, core.Options{Seed: 42, ShiftSource: core.ShiftExponential})
 	allPositive := true
 	for _, s := range shifts {
 		if s < 0 {

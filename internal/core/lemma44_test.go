@@ -141,7 +141,7 @@ func TestOrderStatisticGapsSumToMax(t *testing.T) {
 		}
 		sum += g
 	}
-	shifts := GenerateShifts(100, 0.2, 42, ShiftExponential)
+	shifts := GenerateShifts(100, 0.2, Options{Seed: 42, ShiftSource: ShiftExponential})
 	var max float64
 	for _, s := range shifts {
 		if s > max {

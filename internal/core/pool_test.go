@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mpx/internal/graph"
@@ -71,5 +72,36 @@ func TestPartitionPoolReuseAcrossRuns(t *testing.T) {
 		if err := got.Validate(); err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}
+	}
+}
+
+// TestPartitionStaysOnCallerPool checks that every parallel pass of a
+// partition — shift generation and δ_max included — runs on Options.Pool:
+// with a private pool, the shared Default() pool sees no submission.
+func TestPartitionStaysOnCallerPool(t *testing.T) {
+	// Two or more procs so a pass on the wrong pool would submit rather
+	// than run inline.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g := graph.Grid2D(64, 64)
+	wg := graph.RandomWeights(g, 1, 4, 3)
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	def := parallel.Default()
+	def.SetFaultHook(&parallel.FaultHook{})
+	defer def.SetFaultHook(nil)
+	before := def.SubmitCount()
+
+	opts := Options{Seed: 5, Workers: 2, Pool: pool}
+	if _, err := Partition(g, 0.1, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PartitionWeightedParallel(wg, 0.1, 0, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PartitionWeighted(wg, 0.1, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := def.SubmitCount() - before; got != 0 {
+		t.Fatalf("partitions on a private pool submitted %d jobs to the default pool", got)
 	}
 }

@@ -19,20 +19,22 @@ type shiftPlan struct {
 	buckets  [][]uint32
 }
 
-// GenerateShifts draws the per-vertex shifts for (seed, source, β) exactly
-// as Partition does; exposed so experiments (E4: Lemma 4.2) can study the
-// shift distribution in isolation.
-func GenerateShifts(n int, beta float64, seed uint64, source ShiftSource) []float64 {
+// GenerateShifts draws the per-vertex shifts for (opts.Seed,
+// opts.ShiftSource, β) exactly as Partition does, on opts.Pool with
+// opts.Workers; exposed so experiments (E4: Lemma 4.2) can study the shift
+// distribution in isolation. The values depend on neither the pool nor
+// the worker count.
+func GenerateShifts(n int, beta float64, opts Options) []float64 {
 	shifts := make([]float64, n)
-	switch source {
+	switch opts.ShiftSource {
 	case ShiftExponential:
-		parallel.For(0, n, func(v int) {
-			shifts[v] = xrand.Exp(seed, uint64(v), beta)
+		opts.Pool.For(opts.Workers, n, func(v int) {
+			shifts[v] = xrand.Exp(opts.Seed, uint64(v), beta)
 		})
 	case ShiftQuantile:
 		// Section 5: derive shifts from positions in a random permutation.
 		// Position k of n receives the (k+½)/n quantile of Exp(β).
-		rng := xrand.NewSplitMix64(seed)
+		rng := xrand.NewSplitMix64(opts.Seed)
 		perm := rng.Perm32(n)
 		for v := 0; v < n; v++ {
 			q := (float64(perm[v]) + 0.5) / float64(n)
@@ -48,7 +50,7 @@ func GenerateShifts(n int, beta float64, seed uint64, source ShiftSource) []floa
 // the tie-break radix sort execute on the caller's pool.
 func newShiftPlan(n int, beta float64, opts Options) *shiftPlan {
 	p := &shiftPlan{
-		shifts: GenerateShifts(n, beta, opts.Seed, opts.ShiftSource),
+		shifts: GenerateShifts(n, beta, opts),
 		start:  make([]float64, n),
 		bucket: make([]int32, n),
 		rank:   make([]uint32, n),

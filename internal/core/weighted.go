@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mpx/internal/graph"
-	"mpx/internal/parallel"
 )
 
 // WeightedDecomposition is the result of PartitionWeighted.
@@ -48,8 +47,8 @@ func PartitionWeighted(wg *graph.WeightedGraph, beta float64, opts Options) (*We
 	if n == 0 {
 		return d, nil
 	}
-	d.Shifts = GenerateShifts(n, beta, opts.Seed, opts.ShiftSource)
-	d.DeltaMax, _ = parallel.MaxFloat64(opts.Workers, n, func(i int) float64 { return d.Shifts[i] })
+	d.Shifts = GenerateShifts(n, beta, opts)
+	d.DeltaMax, _ = opts.Pool.MaxFloat64(opts.Workers, n, func(i int) float64 { return d.Shifts[i] })
 
 	type wlabel struct {
 		f       float64

@@ -53,7 +53,7 @@ func PartitionWeightedParallel(wg *graph.WeightedGraph, beta float64, delta floa
 		return d, nil
 	}
 	pool := opts.Pool
-	d.Shifts = GenerateShifts(n, beta, opts.Seed, opts.ShiftSource)
+	d.Shifts = GenerateShifts(n, beta, opts)
 	d.DeltaMax, _ = pool.MaxFloat64(opts.Workers, n, func(i int) float64 { return d.Shifts[i] })
 
 	init := make([]float64, n)

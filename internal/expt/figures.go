@@ -179,7 +179,7 @@ func runE4MaxShift(cfg Config) (*Result, error) {
 		// vertex, so Pr[δ_max > 2 ln n / β] <= 1/n.
 		tailAt := 2 * math.Log(float64(n)) / beta
 		for trial := 0; trial < trials; trial++ {
-			shifts := core.GenerateShifts(n, beta, xrand.Mix2(cfg.Seed, uint64(trial), uint64(n)), core.ShiftExponential)
+			shifts := core.GenerateShifts(n, beta, core.Options{Seed: xrand.Mix2(cfg.Seed, uint64(trial), uint64(n)), ShiftSource: core.ShiftExponential})
 			var dm float64
 			for _, s := range shifts {
 				if s > dm {

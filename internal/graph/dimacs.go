@@ -15,16 +15,6 @@ import (
 // "c" comment lines). Having it here lets the CLI consume published
 // instances directly.
 
-// maxEdgeCapHint bounds how many edge slots the header's declared count may
-// pre-allocate (16 Mi edges = 128 MiB); larger files grow normally.
-const maxEdgeCapHint = 1 << 24
-
-// maxDimacsVertices bounds the header's declared vertex count. Unlike the
-// edge count, n cannot be clamped lazily — the CSR build allocates O(n)
-// arrays — so an absurd n in a tiny hostile file must be rejected outright.
-// 2^28 vertices (~2 GiB of offsets) is far beyond any real DIMACS text file.
-const maxDimacsVertices = 1 << 28
-
 // ReadDIMACS parses a DIMACS .col/.edge graph. Fields after an edge
 // record's endpoints are ignored.
 func ReadDIMACS(r io.Reader) (*Graph, error) {
@@ -70,8 +60,8 @@ func scanDIMACS[E any](r io.Reader, edge func(u, v uint32, extra []string, lineN
 			if err != nil || nv < 0 {
 				return 0, nil, fmt.Errorf("graph: line %d: bad n %q", lineNo, fields[2])
 			}
-			if nv > maxDimacsVertices {
-				return 0, nil, fmt.Errorf("graph: line %d: n %d exceeds limit %d", lineNo, nv, maxDimacsVertices)
+			if nv > maxFileVertices {
+				return 0, nil, fmt.Errorf("graph: line %d: n %d exceeds limit %d", lineNo, nv, maxFileVertices)
 			}
 			m, err := strconv.ParseInt(fields[3], 10, 64)
 			if err != nil || m < 0 {

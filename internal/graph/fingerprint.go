@@ -12,15 +12,16 @@ import (
 // built from any edge ordering of the same edge set hash equal, and any
 // single-bit difference in shape or weights hashes different with
 // overwhelming probability. The snapshot format (internal/graph/snapshot)
-// stores it in the header, and it is the registry/cache key for the
-// planned mpxd service.
+// stores it in the header, and it is mpxd's registry and cache key.
 //
 // The fingerprint is an FNV-1a fold over three per-section sums rather
 // than one long chain, so a snapshot loader that has already checksummed
 // its sections verifies the fingerprint in O(1) and the payload is hashed
-// exactly once. Each section sum is itself a fold over 1 MiB chunks —
-// FNV-1a is a serial dependency chain, so chunking is what lets the
-// loader hash an 8 MB adjacency section on all cores instead of one:
+// exactly once. Each section sum is itself a fold over 1 MiB chunks. The
+// chunking buys no speed — the loader hashes each section serially,
+// beside its CSR validation — but it is part of snapshot format version
+// 1: every recorded checksum and fingerprint, and so every mpxd registry
+// key, depends on it. The definition:
 //
 //	chunkSum(chunk) = FNV-1a at 64-bit granularity: h starts at the FNV
 //	    offset basis and absorbs each little-endian 64-bit word w of the
@@ -43,7 +44,8 @@ import (
 // otherwise. The three section streams are exactly the section bytes of
 // the snapshot format (1 MiB is a whole number of 8- and 4-byte values,
 // so chunk boundaries agree between typed arrays and raw bytes), and the
-// section sums are exactly the snapshot's per-section checksums.
+// section sums are exactly the snapshot's per-section checksums: the
+// snapshot writer and loader both compute them with SectionSum*.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -173,7 +175,7 @@ func SectionSumFloat64s(xs []float64) uint64 {
 
 // FoldFingerprint combines the shape and the per-section FNV-1a sums into
 // the content fingerprint. The snapshot loader calls this with the sums
-// it computed from the raw file sections; FingerprintCSR calls it with
+// recorded in a file header it has verified; FingerprintCSR calls it with
 // sums over the typed arrays. Both spell the identical value because the
 // section byte streams match.
 func FoldFingerprint(n, arcs uint64, weighted bool, offsetsSum, adjSum, weightsSum uint64) uint64 {

@@ -19,6 +19,9 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("5 0\n")
 	f.Add("1 1\n0 0\n")
 	f.Add("2 1\n0 999999999999\n")
+	f.Add("1 9000000000000000000\n")
+	f.Add("1 -1\n")
+	f.Add("1000000000 0\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		g, err := ReadEdgeList(strings.NewReader(in))
 		if err != nil {
@@ -106,6 +109,9 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("MPXG"))
 	f.Add([]byte{})
+	f.Add(binaryHeader(1, 1<<62))
+	f.Add(binaryHeader(2, 1<<27))
+	f.Add(binaryHeader(1<<29, 0))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		g, err := ReadBinary(bytes.NewReader(in))
 		if err != nil {

@@ -164,7 +164,7 @@ func fromEdges(n int, edges []Edge, dedupe bool) (*Graph, error) {
 // keeps every downstream algorithm deterministic.
 func (g *Graph) sortAdjacency() {
 	n := g.NumVertices()
-	parallel.For(0, n, func(v int) {
+	parallel.Default().For(0, n, func(v int) {
 		nb := g.adj[g.offsets[v]:g.offsets[v+1]]
 		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
 	})

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -300,6 +301,11 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"2 1\nx y",              // bad numbers
 		"2 1\n0 9",              // out of range
 		"not a header at all x", // malformed
+		// Hostile headers: each must fail before allocating by the header.
+		"1 9000000000000000000\n", // huge m, no edges
+		"1 -1\n",                  // negative m
+		"-1 0\n",                  // negative n
+		"1000000000 0\n",          // n over the limit
 	}
 	for i, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
@@ -326,6 +332,20 @@ func TestReadBinaryErrors(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
 		t.Error("expected EOF error")
 	}
+	// Hostile headers: a 20-byte file must fail before allocating by the
+	// header's n or m.
+	for _, h := range [][2]uint64{{1, 1 << 62}, {2, 1 << 27}, {1 << 29, 0}} {
+		if _, err := ReadBinary(bytes.NewReader(binaryHeader(h[0], h[1]))); err == nil {
+			t.Errorf("header n=%d m=%d: expected error", h[0], h[1])
+		}
+	}
+}
+
+// binaryHeader returns an MPXG header declaring n vertices and m edges,
+// with no edges after it.
+func binaryHeader(n, m uint64) []byte {
+	b := binary.LittleEndian.AppendUint64(BinaryMagic[:], n)
+	return binary.LittleEndian.AppendUint64(b, m)
 }
 
 func TestWeightedGraph(t *testing.T) {

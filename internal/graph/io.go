@@ -14,6 +14,19 @@ import (
 // format: magic "MPXG", little-endian uint64 n, uint64 m, then 2m uint32
 // endpoint pairs.
 
+// maxEdgeCapHint bounds how many edge slots a header's declared edge count
+// may pre-allocate (16 Mi edges = 128 MiB); larger files grow normally.
+// Every reader in this package treats the count as a hint, so a corrupt or
+// hostile header cannot allocate before a single edge is read.
+const maxEdgeCapHint = 1 << 24
+
+// maxFileVertices bounds a header's declared vertex count in every reader
+// of this package. Unlike the edge count, n cannot be clamped lazily — the
+// CSR build allocates O(n) arrays — so an absurd n in a tiny hostile file
+// must be rejected outright. 2^28 vertices (~2 GiB of offsets) is far
+// beyond any real graph file.
+const maxFileVertices = 1 << 28
+
 // WriteEdgeList writes g in the text edge-list format.
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
@@ -53,16 +66,19 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: header must be \"n m\"", lineNo)
 			}
 			nv, err := strconv.Atoi(fields[0])
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad n: %v", lineNo, err)
+			if err != nil || nv < 0 {
+				return nil, fmt.Errorf("graph: line %d: bad n %q", lineNo, fields[0])
+			}
+			if nv > maxFileVertices {
+				return nil, fmt.Errorf("graph: line %d: n %d exceeds limit %d", lineNo, nv, maxFileVertices)
 			}
 			me, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad m: %v", lineNo, err)
+			if err != nil || me < 0 {
+				return nil, fmt.Errorf("graph: line %d: bad m %q", lineNo, fields[1])
 			}
 			n, m = nv, me
 			header = true
-			edges = make([]Edge, 0, m)
+			edges = make([]Edge, 0, min(m, maxEdgeCapHint))
 			continue
 		}
 		if len(fields) != 2 {
@@ -92,12 +108,13 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	return FromEdges(n, edges)
 }
 
-var binaryMagic = [4]byte{'M', 'P', 'X', 'G'}
+// BinaryMagic opens every file in the compact binary format.
+var BinaryMagic = [4]byte{'M', 'P', 'X', 'G'}
 
 // WriteBinary writes g in the compact binary format.
 func WriteBinary(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
+	if _, err := bw.Write(BinaryMagic[:]); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint64(g.NumVertices())); err != nil {
@@ -125,7 +142,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("graph: reading magic: %w", err)
 	}
-	if magic != binaryMagic {
+	if magic != BinaryMagic {
 		return nil, fmt.Errorf("graph: bad magic %q", magic)
 	}
 	var n, m uint64
@@ -135,16 +152,17 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
 		return nil, err
 	}
-	if n > 1<<31 {
-		return nil, fmt.Errorf("graph: vertex count %d too large", n)
+	if n > maxFileVertices {
+		return nil, fmt.Errorf("graph: vertex count %d exceeds limit %d", n, maxFileVertices)
 	}
-	edges := make([]Edge, m)
-	for i := range edges {
+	// Edges are appended as they arrive: m sizes nothing beyond the hint.
+	edges := make([]Edge, 0, min(m, maxEdgeCapHint))
+	for i := uint64(0); i < m; i++ {
 		var pair [2]uint32
 		if err := binary.Read(br, binary.LittleEndian, &pair); err != nil {
 			return nil, fmt.Errorf("graph: reading edge %d: %w", i, err)
 		}
-		edges[i] = Edge{pair[0], pair[1]}
+		edges = append(edges, Edge{pair[0], pair[1]})
 	}
 	return FromEdges(int(n), edges)
 }

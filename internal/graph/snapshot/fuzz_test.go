@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mpx/internal/graph"
@@ -58,6 +60,44 @@ func FuzzLoadSnapshot(f *testing.F) {
 		}
 		if s.Graph().NumVertices() == 0 && len(data) != headerSize+8 {
 			t.Fatalf("empty graph from %d-byte input", len(data))
+		}
+	})
+}
+
+// FuzzOpenAny feeds arbitrary file contents to the format dispatcher. The
+// contract under fuzzing: OpenAny returns an error, or an Opened whose
+// Fingerprint equals a fresh hash of the graph it returned — whichever
+// format the leading bytes selected.
+func FuzzOpenAny(f *testing.F) {
+	g := graph.Grid2D(3, 4)
+	encode := func(write func(*bytes.Buffer) error) []byte {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Add(encode(func(b *bytes.Buffer) error { return Write(b, g) }))
+	f.Add(encode(func(b *bytes.Buffer) error { return WriteWeighted(b, graph.RandomWeights(g, 1, 3, 2)) }))
+	f.Add(encode(func(b *bytes.Buffer) error { return graph.WriteBinary(b, g) }))
+	f.Add(encode(func(b *bytes.Buffer) error { return graph.WriteDIMACS(b, g) }))
+	f.Add(encode(func(b *bytes.Buffer) error { return graph.WriteEdgeList(b, g) }))
+	f.Add([]byte{})
+
+	// Inputs run one at a time per process, so one file serves them all
+	// (a directory per input would cost more than the open itself).
+	path := filepath.Join(f.TempDir(), "g")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		o, err := OpenAny(path)
+		if err != nil {
+			return
+		}
+		defer o.Close()
+		if want := openedFingerprint(o); o.Fingerprint != want {
+			t.Fatalf("%s: Opened.Fingerprint %016x, graph hashes %016x", o.Format, o.Fingerprint, want)
 		}
 	})
 }

@@ -1,4 +1,4 @@
-package graph
+package snapshot
 
 import (
 	"bytes"
@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mpx/internal/graph"
 )
 
 func writeTempFile(t *testing.T, name string, data []byte) string {
@@ -17,22 +19,22 @@ func writeTempFile(t *testing.T, name string, data []byte) string {
 	return path
 }
 
-// TestOpenAnySniffing drives format auto-detection over every builtin
-// format. (The snapshot format registers from its own package; its
-// OpenAny dispatch is tested there to keep the import direction clean.)
+// TestOpenAnySniffing drives format auto-detection over every text and
+// MPXG format (TestOpenAnyDispatch covers snapshots), and checks the
+// fingerprint OpenAny reports against a fresh hash of what it returned.
 func TestOpenAnySniffing(t *testing.T) {
-	g := Grid2D(4, 4)
+	g := graph.Grid2D(4, 4)
 
 	var bin bytes.Buffer
-	if err := WriteBinary(&bin, g); err != nil {
+	if err := graph.WriteBinary(&bin, g); err != nil {
 		t.Fatal(err)
 	}
 	var dimacs bytes.Buffer
-	if err := WriteDIMACS(&dimacs, g); err != nil {
+	if err := graph.WriteDIMACS(&dimacs, g); err != nil {
 		t.Fatal(err)
 	}
 	var edgelist bytes.Buffer
-	if err := WriteEdgeList(&edgelist, g); err != nil {
+	if err := graph.WriteEdgeList(&edgelist, g); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,6 +66,9 @@ func TestOpenAnySniffing(t *testing.T) {
 		if o.Graph.Fingerprint() != g.Fingerprint() {
 			t.Errorf("%s: graph fingerprint changed through OpenAny", tc.name)
 		}
+		if want := openedFingerprint(o); o.Fingerprint != want {
+			t.Errorf("%s: Opened.Fingerprint %016x, graph hashes %016x", tc.name, o.Fingerprint, want)
+		}
 		if err := o.Close(); err != nil {
 			t.Errorf("%s: Close: %v", tc.name, err)
 		}
@@ -81,7 +86,7 @@ func TestOpenAnyDIMACSMatchesReadDIMACS(t *testing.T) {
 	in := "c dup-heavy instance\n" +
 		"p edge 5 6\n" +
 		"e 1 2\ne 2 1\ne 3 4\ne 2 3\ne 4 5\ne 3 4\n"
-	direct, err := ReadDIMACS(strings.NewReader(in))
+	direct, err := graph.ReadDIMACS(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +117,11 @@ func TestOpenAnyErrors(t *testing.T) {
 	}
 }
 
-// TestRegisterFormatValidation pins the registration contract.
-func TestRegisterFormatValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("RegisterFormat accepted an empty magic")
-		}
-	}()
-	RegisterFormat("bad", nil, func(string) (*Opened, error) { return nil, nil })
+// openedFingerprint recomputes the fingerprint Opened.Fingerprint promises:
+// the weighted graph's when there is one, else the graph's.
+func openedFingerprint(o *Opened) uint64 {
+	if o.Weighted != nil {
+		return o.Weighted.Fingerprint()
+	}
+	return o.Graph.Fingerprint()
 }

@@ -6,6 +6,10 @@
 // format specification and the E24 benchmark family for the speedup gate
 // against text DIMACS parsing.
 //
+// The package also owns graph-file format detection: OpenAny opens a
+// snapshot, a legacy MPXG binary edge list, a DIMACS file or a text edge
+// list, whichever the file's leading bytes identify.
+//
 // Layout (all integers little-endian):
 //
 //	offset size  field
@@ -36,14 +40,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
 
 	"mpx/internal/graph"
+	"mpx/internal/parallel"
 )
 
 // Magic identifies a snapshot file; OpenAny dispatches on it.
@@ -81,19 +85,11 @@ var (
 	ErrHeader    = errors.New("snapshot: malformed header")
 )
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnv64a hashes raw bytes with FNV-1a 64, continuing from h (pass
-// fnvOffset64 to start).
-func fnv64a(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
+// headerSum is the header checksum: FNV-1a 64 over header bytes [0, 64).
+func headerSum(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b[:offHeaderSum]) // a hash.Hash Write never returns an error
+	return h.Sum64()
 }
 
 // header is the decoded fixed-size prelude.
@@ -132,7 +128,7 @@ func encodeHeader(h *header) [headerSize]byte {
 	binary.LittleEndian.PutUint64(buf[40:], h.offsetsSum)
 	binary.LittleEndian.PutUint64(buf[48:], h.adjSum)
 	binary.LittleEndian.PutUint64(buf[56:], h.weightsSum)
-	binary.LittleEndian.PutUint64(buf[offHeaderSum:], fnv64a(fnvOffset64, buf[:offHeaderSum]))
+	binary.LittleEndian.PutUint64(buf[offHeaderSum:], headerSum(buf[:]))
 	return buf
 }
 
@@ -145,7 +141,7 @@ func decodeHeader(data []byte) (*header, error) {
 		return nil, fmt.Errorf("%w: %q", ErrBadMagic, data[0:8])
 	}
 	wantSum := binary.LittleEndian.Uint64(data[offHeaderSum:headerSize])
-	if gotSum := fnv64a(fnvOffset64, data[:offHeaderSum]); gotSum != wantSum {
+	if gotSum := headerSum(data); gotSum != wantSum {
 		return nil, fmt.Errorf("%w: header hashes %#016x, recorded %#016x", ErrChecksum, gotSum, wantSum)
 	}
 	h := &header{
@@ -185,6 +181,7 @@ func decodeHeader(data []byte) (*header, error) {
 type Snapshot struct {
 	g      *graph.Graph
 	wg     *graph.WeightedGraph // nil when the file has no weights
+	fp     uint64               // the header fingerprint decode verified
 	data   []byte
 	mapped bool
 }
@@ -197,13 +194,9 @@ func (s *Snapshot) Graph() *graph.Graph { return s.g }
 func (s *Snapshot) Weighted() *graph.WeightedGraph { return s.wg }
 
 // Fingerprint returns the content fingerprint recorded in (and verified
-// against) the file.
-func (s *Snapshot) Fingerprint() uint64 {
-	if s.wg != nil {
-		return s.wg.Fingerprint()
-	}
-	return s.g.Fingerprint()
-}
+// against) the file: the weighted fingerprint for a weighted snapshot. It
+// costs O(1); the payload was hashed once, by the load.
+func (s *Snapshot) Fingerprint() uint64 { return s.fp }
 
 // Mapped reports whether the snapshot is backed by a memory mapping (vs a
 // heap copy from the read fallback).
@@ -244,46 +237,38 @@ func decode(data []byte, mapped bool) (*Snapshot, error) {
 	adjBytes := data[headerSize+offsetsLen : headerSize+offsetsLen+adjLen]
 	weightsBytes := data[headerSize+offsetsLen+adjLen:]
 
-	offsets := int64View(offsetsBytes)
-	adj := uint32View(adjBytes)
+	offsets := view[int64](offsetsBytes)
+	adj := view[uint32](adjBytes)
 	var weights []float64
 	if h.weighted() {
-		weights = float64View(weightsBytes)
+		weights = view[float64](weightsBytes)
 	}
 
-	// The section hashes (chunk-parallel) and the structural CSR
-	// validation are independent read-only passes over the mapping; for a
-	// large snapshot each costs milliseconds, so overlap them too.
-	s := &Snapshot{data: data, mapped: mapped}
+	// The section hashes and the structural CSR validation are independent
+	// read-only passes over the mapping; for a large snapshot each costs
+	// milliseconds, so they run as the two slots of one pool job and the
+	// hash hides behind the validation. The typed views hash to the same
+	// sums as the raw section bytes (see graph/fingerprint.go).
+	s := &Snapshot{data: data, mapped: mapped, fp: h.fingerprint}
+	var offsetsSum, adjSum, weightsSum uint64
 	var structErr error
-	var wait sync.WaitGroup
-	wait.Add(1)
-	go func() {
-		defer wait.Done()
-		if h.weighted() {
-			wg, err := graph.FromWeightedCSR(offsets, adj, weights)
-			if err != nil {
-				structErr = err
-				return
+	parallel.Default().Run(2, func(k int) {
+		if k == 0 {
+			offsetsSum = graph.SectionSumInt64s(offsets)
+			adjSum = graph.SectionSumUint32s(adj)
+			if h.weighted() {
+				weightsSum = graph.SectionSumFloat64s(weights)
 			}
-			s.wg = wg
-			s.g = wg.Unweighted()
-		} else {
-			g, err := graph.FromCSR(offsets, adj)
-			if err != nil {
-				structErr = err
-				return
-			}
-			s.g = g
+			return
 		}
-	}()
-	offsetsSum := chunkedSum(offsetsBytes)
-	adjSum := chunkedSum(adjBytes)
-	var weightsSum uint64
-	if h.weighted() {
-		weightsSum = chunkedSum(weightsBytes)
-	}
-	wait.Wait()
+		if h.weighted() {
+			if s.wg, structErr = graph.FromWeightedCSR(offsets, adj, weights); structErr == nil {
+				s.g = s.wg.Unweighted()
+			}
+		} else {
+			s.g, structErr = graph.FromCSR(offsets, adj)
+		}
+	})
 
 	// Report checksum mismatches before structural ones: a corrupted bit
 	// usually breaks both, and "checksum mismatch" is the actionable
@@ -365,114 +350,22 @@ func Load(path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// fnvWords is the chunk hash: FNV-1a absorbing little-endian 64-bit
-// words (a trailing partial word zero-padded — unreachable for real
-// sections, which are whole numbers of words). Identical to the typed
-// hashing behind graph.SectionSum*.
-func fnvWords(h uint64, b []byte) uint64 {
-	for ; len(b) >= 8; b = b[8:] {
-		w := binary.LittleEndian.Uint64(b)
-		h ^= w
-		h *= fnvPrime64
-	}
-	if len(b) > 0 {
-		var tail [8]byte
-		copy(tail[:], b)
-		h ^= binary.LittleEndian.Uint64(tail[:])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// chunkedSum computes the chunked section checksum over raw section
-// bytes, hashing chunks concurrently when the section is large and cores
-// are available — the decode-side counterpart of graph.SectionSum*.
-func chunkedSum(b []byte) uint64 {
-	nChunks := (len(b) + graph.SectionChunkBytes - 1) / graph.SectionChunkBytes
-	sums := make([]uint64, nChunks)
-	hashRange := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			start := i * graph.SectionChunkBytes
-			end := min(start+graph.SectionChunkBytes, len(b))
-			sums[i] = fnvWords(fnvOffset64, b[start:end])
-		}
-	}
-	if workers := min(nChunks, runtime.GOMAXPROCS(0), 8); workers > 1 {
-		var wait sync.WaitGroup
-		per := (nChunks + workers - 1) / workers
-		for lo := 0; lo < nChunks; lo += per {
-			wait.Add(1)
-			go func(lo int) {
-				defer wait.Done()
-				hashRange(lo, min(lo+per, nChunks))
-			}(lo)
-		}
-		wait.Wait()
-	} else {
-		hashRange(0, nChunks)
-	}
-	fold := uint64(fnvOffset64)
-	var le [8]byte
-	for _, s := range sums {
-		binary.LittleEndian.PutUint64(le[:], s)
-		fold = fnv64a(fold, le[:])
-	}
-	return fold
-}
-
-// sectionWriter streams a numeric slice as little-endian bytes in chunks,
-// hashing as it goes; encode fills buf with up to len(xs)-done values and
-// returns how many bytes it produced.
+// writeChunk is the size of the buffer writeSection encodes through.
 const writeChunk = 1 << 16
 
-// writeInt64s streams xs little-endian.
-func writeInt64s(w io.Writer, xs []int64) error {
-	var buf [writeChunk]byte
+// writeSection streams xs as little-endian values, encoding through one
+// reused writeChunk-byte buffer.
+func writeSection[T int64 | uint32 | float64](w io.Writer, xs []T) error {
+	var zero T
+	per := writeChunk / binary.Size(zero)
+	buf := make([]byte, 0, writeChunk)
 	for len(xs) > 0 {
-		k := len(buf) / 8
-		if k > len(xs) {
-			k = len(xs)
-		}
-		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], uint64(xs[i]))
-		}
-		if _, err := w.Write(buf[:8*k]); err != nil {
+		k := min(per, len(xs))
+		var err error
+		if buf, err = binary.Append(buf[:0], binary.LittleEndian, xs[:k]); err != nil {
 			return err
 		}
-		xs = xs[k:]
-	}
-	return nil
-}
-
-func writeUint32s(w io.Writer, xs []uint32) error {
-	var buf [writeChunk]byte
-	for len(xs) > 0 {
-		k := len(buf) / 4
-		if k > len(xs) {
-			k = len(xs)
-		}
-		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint32(buf[4*i:], xs[i])
-		}
-		if _, err := w.Write(buf[:4*k]); err != nil {
-			return err
-		}
-		xs = xs[k:]
-	}
-	return nil
-}
-
-func writeFloat64s(w io.Writer, xs []float64) error {
-	var buf [writeChunk]byte
-	for len(xs) > 0 {
-		k := len(buf) / 8
-		if k > len(xs) {
-			k = len(xs)
-		}
-		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(xs[i]))
-		}
-		if _, err := w.Write(buf[:8*k]); err != nil {
+		if _, err = w.Write(buf); err != nil {
 			return err
 		}
 		xs = xs[k:]
@@ -505,16 +398,14 @@ func writeCSR(w io.Writer, offsets []int64, adj []uint32, weights []float64) err
 	if _, err := w.Write(buf[:]); err != nil {
 		return err
 	}
-	if err := writeInt64s(w, offsets); err != nil {
+	if err := writeSection(w, offsets); err != nil {
 		return err
 	}
-	if err := writeUint32s(w, adj); err != nil {
+	if err := writeSection(w, adj); err != nil {
 		return err
 	}
 	if weights != nil {
-		if err := writeFloat64s(w, weights); err != nil {
-			return err
-		}
+		return writeSection(w, weights)
 	}
 	return nil
 }
@@ -558,15 +449,4 @@ func WriteFile(path string, g *graph.Graph, wg *graph.WeightedGraph) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-// init registers the format with graph.OpenAny.
-func init() {
-	graph.RegisterFormat("snapshot", Magic[:], func(path string) (*graph.Opened, error) {
-		s, err := Load(path)
-		if err != nil {
-			return nil, err
-		}
-		return graph.NewOpened(s.Graph(), s.Weighted(), "snapshot", s), nil
-	})
 }

@@ -32,6 +32,18 @@ func encodeWeighted(t *testing.T, wg *graph.WeightedGraph) []byte {
 	return buf.Bytes()
 }
 
+// fnvOffset64 and fnv64a are the tests' own byte-wise FNV-1a 64,
+// independent of the package's hash/fnv header checksum.
+const fnvOffset64 = 14695981039346656037
+
+func fnv64a(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}
+
 // reseal recomputes every checksum and the fingerprint of a (possibly
 // mutated) snapshot byte image from its actual content, using an
 // implementation independent of the decoder: per-section FNV-1a sums over
@@ -393,9 +405,9 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
-// TestOpenAnyDispatch checks the graph.OpenAny integration this package
-// registers in init: snapshots dispatch by magic, and the update-trace /
-// CLI loading path gets the same graph as a direct Load.
+// TestOpenAnyDispatch checks OpenAny's snapshot arm: snapshots dispatch
+// by magic, the update-trace / CLI loading path gets the same graph as a
+// direct Load, and the reported fingerprint is the verified header value.
 func TestOpenAnyDispatch(t *testing.T) {
 	dir := t.TempDir()
 	g := graph.Grid2D(8, 6)
@@ -403,7 +415,7 @@ func TestOpenAnyDispatch(t *testing.T) {
 	if err := WriteFile(upath, g, nil); err != nil {
 		t.Fatal(err)
 	}
-	o, err := graph.OpenAny(upath)
+	o, err := OpenAny(upath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,13 +427,16 @@ func TestOpenAnyDispatch(t *testing.T) {
 		t.Fatal("unweighted snapshot opened weighted")
 	}
 	assertGraphEqual(t, g, o.Graph)
+	if o.Fingerprint != g.Fingerprint() {
+		t.Fatalf("Opened.Fingerprint %016x, want %016x", o.Fingerprint, g.Fingerprint())
+	}
 
 	wg := graph.RandomWeights(g, 1, 4, 9)
 	wpath := filepath.Join(dir, "w.mpxsnap")
 	if err := WriteFile(wpath, nil, wg); err != nil {
 		t.Fatal(err)
 	}
-	ow, err := graph.OpenAny(wpath)
+	ow, err := OpenAny(wpath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,5 +446,33 @@ func TestOpenAnyDispatch(t *testing.T) {
 	}
 	if ow.Weighted.Fingerprint() != wg.Fingerprint() {
 		t.Fatal("weighted fingerprint changed through OpenAny")
+	}
+	if ow.Fingerprint != wg.Fingerprint() {
+		t.Fatalf("weighted Opened.Fingerprint %016x, want %016x", ow.Fingerprint, wg.Fingerprint())
+	}
+}
+
+// TestDecodeUnaligned drives the copying view fallback: a snapshot
+// decoded from a buffer that is not 8-byte aligned must serve the
+// identical graph, weight bits and fingerprint.
+func TestDecodeUnaligned(t *testing.T) {
+	wg := graph.RandomWeights(graph.Grid2D(6, 7), 1, 4, 5)
+	data := encodeWeighted(t, wg)
+	odd := make([]byte, len(data)+1)[1:]
+	copy(odd, data)
+	s, err := Decode(odd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	assertGraphEqual(t, wg.Unweighted(), s.Graph())
+	aw, bw := wg.Weights(), s.Weighted().Weights()
+	for i := range aw {
+		if math.Float64bits(aw[i]) != math.Float64bits(bw[i]) {
+			t.Fatalf("weight bits differ at arc %d", i)
+		}
+	}
+	if s.Fingerprint() != wg.Fingerprint() {
+		t.Fatalf("fingerprint %016x != %016x", s.Fingerprint(), wg.Fingerprint())
 	}
 }

@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"encoding/binary"
-	"math"
 	"unsafe"
 )
 
@@ -22,58 +21,18 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-func aligned(b []byte, align uintptr) bool {
-	if len(b) == 0 {
-		return true
-	}
-	return uintptr(unsafe.Pointer(&b[0]))%align == 0
-}
-
-// int64View reinterprets b (length a multiple of 8) as []int64,
-// zero-copy when possible.
-func int64View(b []byte) []int64 {
-	n := len(b) / 8
+// view reinterprets b (length a multiple of T's size) as []T, zero-copy
+// when possible.
+func view[T int64 | uint32 | float64](b []byte) []T {
+	size := int(unsafe.Sizeof(*new(T)))
+	n := len(b) / size
 	if n == 0 {
 		return nil
 	}
-	if hostLittleEndian && aligned(b, 8) {
-		return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n)
+	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%uintptr(size) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-// uint32View reinterprets b (length a multiple of 4) as []uint32.
-func uint32View(b []byte) []uint32 {
-	n := len(b) / 4
-	if n == 0 {
-		return nil
-	}
-	if hostLittleEndian && aligned(b, 4) {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return out
-}
-
-// float64View reinterprets b (length a multiple of 8) as []float64.
-func float64View(b []byte) []float64 {
-	n := len(b) / 8
-	if n == 0 {
-		return nil
-	}
-	if hostLittleEndian && aligned(b, 8) {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
+	out := make([]T, n)
+	_, _ = binary.Decode(b, binary.LittleEndian, out) // cannot fail: b holds n values
 	return out
 }

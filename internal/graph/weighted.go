@@ -112,21 +112,6 @@ func (g *WeightedGraph) Weight(u, v uint32) (float64, bool) {
 	return g.weights[lo+int64(i)], true
 }
 
-// TotalWeight returns the sum of all undirected edge weights (each edge
-// counted once, accumulated in canonical (v, adjacency) order).
-func (g *WeightedGraph) TotalWeight() float64 {
-	var total float64
-	for v := 0; v < g.NumVertices(); v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		for i := lo; i < hi; i++ {
-			if uint32(v) < g.adj[i] {
-				total += g.weights[i]
-			}
-		}
-	}
-	return total
-}
-
 // WeightedEdges returns the undirected weighted edge list in canonical
 // (U, V) order.
 func (g *WeightedGraph) WeightedEdges() []WeightedEdge {

@@ -12,7 +12,7 @@ func benchFor(b *testing.B, workers int) {
 	data := make([]int64, benchN)
 	b.SetBytes(benchN * 8)
 	for i := 0; i < b.N; i++ {
-		ForRange(workers, benchN, func(lo, hi int) {
+		Default().ForRange(workers, benchN, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				data[j]++
 			}
@@ -28,7 +28,7 @@ func BenchmarkReduceInt64(b *testing.B) {
 	b.SetBytes(benchN * 8)
 	var sink int64
 	for i := 0; i < b.N; i++ {
-		sink = ReduceInt64(4, benchN, func(j int) int64 { return data[j] })
+		sink = Default().ReduceInt64(4, benchN, func(j int) int64 { return data[j] })
 	}
 	_ = sink
 }
@@ -40,7 +40,7 @@ func BenchmarkExclusiveScan(b *testing.B) {
 		for j := range data {
 			data[j] = 1
 		}
-		ExclusiveScan(4, data)
+		Default().ExclusiveScan(4, data)
 	}
 }
 

@@ -25,7 +25,7 @@ func TestForCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 5000} {
 		for _, w := range []int{1, 2, 7} {
 			hits := make([]int32, n)
-			For(w, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			Default().For(w, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("n=%d w=%d: index %d hit %d times", n, w, i, h)
@@ -38,7 +38,7 @@ func TestForCoversAllIndices(t *testing.T) {
 func TestForRangeBlocksPartition(t *testing.T) {
 	n := 10000
 	var total int64
-	ForRange(4, n, func(lo, hi int) {
+	Default().ForRange(4, n, func(lo, hi int) {
 		atomic.AddInt64(&total, int64(hi-lo))
 	})
 	if total != int64(n) {
@@ -52,7 +52,7 @@ func TestReduceInt64MatchesSerial(t *testing.T) {
 		for _, v := range vals {
 			want += v
 		}
-		got := ReduceInt64(3, len(vals), func(i int) int64 { return vals[i] })
+		got := Default().ReduceInt64(3, len(vals), func(i int) int64 { return vals[i] })
 		return got == want
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -70,7 +70,7 @@ func TestReduceFloat64Small(t *testing.T) {
 
 func TestReduceLargeParallelPath(t *testing.T) {
 	n := 100000
-	got := ReduceInt64(8, n, func(i int) int64 { return int64(i) })
+	got := Default().ReduceInt64(8, n, func(i int) int64 { return int64(i) })
 	want := int64(n) * int64(n-1) / 2
 	if got != want {
 		t.Errorf("got %d want %d", got, want)
@@ -79,7 +79,7 @@ func TestReduceLargeParallelPath(t *testing.T) {
 
 func TestMaxFloat64(t *testing.T) {
 	vals := []float64{3, 1, 9, 2, 9, 4}
-	max, arg := MaxFloat64(2, len(vals), func(i int) float64 { return vals[i] })
+	max, arg := Default().MaxFloat64(2, len(vals), func(i int) float64 { return vals[i] })
 	if max != 9 || arg != 2 {
 		t.Errorf("got (%g,%d), want (9,2)", max, arg)
 	}
@@ -91,7 +91,7 @@ func TestMaxFloat64LargeParallel(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64((i * 7919) % n)
 	}
-	max, arg := MaxFloat64(4, n, func(i int) float64 { return vals[i] })
+	max, arg := Default().MaxFloat64(4, n, func(i int) float64 { return vals[i] })
 	if max != float64(n-1) {
 		t.Errorf("max=%g want %d", max, n-1)
 	}
@@ -106,7 +106,7 @@ func TestMaxFloat64PanicsOnEmpty(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	MaxFloat64(1, 0, func(int) float64 { return 0 })
+	Default().MaxFloat64(1, 0, func(int) float64 { return 0 })
 }
 
 func TestExclusiveScanMatchesSerial(t *testing.T) {
@@ -121,7 +121,7 @@ func TestExclusiveScanMatchesSerial(t *testing.T) {
 			a[i] = run
 			run += v
 		}
-		total := ExclusiveScan(4, b)
+		total := Default().ExclusiveScan(4, b)
 		if total != run {
 			return false
 		}
@@ -143,7 +143,7 @@ func TestExclusiveScanLarge(t *testing.T) {
 	for i := range data {
 		data[i] = 1
 	}
-	total := ExclusiveScan(8, data)
+	total := Default().ExclusiveScan(8, data)
 	if total != int64(n) {
 		t.Errorf("total %d want %d", total, n)
 	}

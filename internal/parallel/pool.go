@@ -93,9 +93,9 @@ var (
 )
 
 // Default returns the process-wide shared pool (GOMAXPROCS workers),
-// creating it on first use. The package-level primitives (For, ReduceInt64, ...)
-// and every method invoked on a nil *Pool run on it, so one pool instance
-// serves an entire run unless a caller explicitly constructs its own.
+// creating it on first use. Every method invoked on a nil *Pool runs on
+// it, so one pool instance serves an entire run unless a caller explicitly
+// constructs its own.
 func Default() *Pool {
 	defaultPoolOnce.Do(func() { defaultPool = NewPool(0) })
 	return defaultPool

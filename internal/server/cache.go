@@ -74,24 +74,19 @@ func (k cacheKey) hash() uint64 {
 // lock per shard, exact response bytes as values. Entries live until
 // their graph is evicted.
 type resultCache struct {
-	shards []cacheShard
-	mask   uint64
+	shards [cacheShards]cacheShard
 }
+
+// cacheShards is the result cache's shard count.
+const cacheShards = 16
 
 type cacheShard struct {
 	mu sync.RWMutex
 	m  map[cacheKey][]byte
 }
 
-func newResultCache(shards int) *resultCache {
-	if shards <= 0 {
-		shards = 16
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	c := &resultCache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
+func newResultCache() *resultCache {
+	c := &resultCache{}
 	for i := range c.shards {
 		c.shards[i].m = make(map[cacheKey][]byte)
 	}
@@ -99,7 +94,7 @@ func newResultCache(shards int) *resultCache {
 }
 
 func (c *resultCache) shard(k cacheKey) *cacheShard {
-	return &c.shards[k.hash()&c.mask]
+	return &c.shards[k.hash()%cacheShards]
 }
 
 func (c *resultCache) get(k cacheKey) ([]byte, bool) {

@@ -2,19 +2,38 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
+
+	"mpx/internal/graph"
 )
 
 // TestHostileInputs drives the router and request decoders with every
 // malformed shape we could think of. The contract: each one is a typed
 // 4xx with a machine-readable kind — never a panic, never an untyped
-// body (the fuzz target extends this table with generated inputs).
+// body, never a spool file left behind (the fuzz target extends this
+// table with generated inputs).
 func TestHostileInputs(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	fp := register(t, ts.URL, gridSnapshotBytes(t, 8, 8, false))
 	wfp := register(t, ts.URL, gridSnapshotBytes(t, 8, 8, true))
+	spooled := func() int {
+		entries, err := os.ReadDir(s.spool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(entries)
+	}
+	registered := spooled()
+	// mpxgHeader is a 20-byte legacy binary upload declaring n vertices
+	// and m edges, with no edges after it.
+	mpxgHeader := func(n, m uint64) []byte {
+		b := binary.LittleEndian.AppendUint64(graph.BinaryMagic[:], n)
+		return binary.LittleEndian.AppendUint64(b, m)
+	}
 	// One retained build so query-layer validation (not the 404 path) is
 	// what trips.
 	code, _, body := httpBody(t, http.MethodPost, fmtURL(ts.URL, "/v1/graphs/%s/build", fp),
@@ -59,6 +78,12 @@ func TestHostileInputs(t *testing.T) {
 		{"graph entry wrong method", http.MethodPost, "/v1/graphs/" + fp, nil, 405, kindMethod},
 		{"register garbage bytes", http.MethodPost, "/v1/graphs", []byte("\x00\x01not a graph\xff"), 400, kindBadRequest},
 		{"register empty body", http.MethodPost, "/v1/graphs", nil, 400, kindBadRequest},
+		{"register edge list with huge m", http.MethodPost, "/v1/graphs", []byte("1 9000000000000000000\n"), 400, kindBadRequest},
+		{"register edge list with negative m", http.MethodPost, "/v1/graphs", []byte("1 -1\n"), 400, kindBadRequest},
+		{"register edge list with huge n", http.MethodPost, "/v1/graphs", []byte("1000000000 0\n"), 400, kindBadRequest},
+		{"register MPXG with huge m", http.MethodPost, "/v1/graphs", mpxgHeader(1, 1<<62), 400, kindBadRequest},
+		{"register MPXG with large m", http.MethodPost, "/v1/graphs", mpxgHeader(2, 1<<27), 400, kindBadRequest},
+		{"register MPXG with huge n", http.MethodPost, "/v1/graphs", mpxgHeader(1<<40, 0), 400, kindBadRequest},
 		{"build on unregistered graph", http.MethodPost, "/v1/graphs/00000000000000aa/build",
 			jsonBody(t, q), 404, kindNotFound},
 		{"build malformed JSON", http.MethodPost, "/v1/graphs/" + fp + "/build",
@@ -132,6 +157,12 @@ func TestHostileInputs(t *testing.T) {
 			}
 			if code == http.StatusMethodNotAllowed && hdr.Get("Allow") == "" {
 				t.Fatal("405 without an Allow header")
+			}
+			if n := s.Panics(); n != 0 {
+				t.Fatalf("server recovered %d handler panics", n)
+			}
+			if n := spooled(); n != registered {
+				t.Fatalf("spool holds %d files, want %d (the registered graphs)", n, registered)
 			}
 		})
 	}

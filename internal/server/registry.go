@@ -9,9 +9,7 @@ import (
 	"sync"
 
 	"mpx/internal/graph"
-	// Register the .mpxsnap format with graph.OpenAny, so snapshot uploads
-	// are recognized no matter which binary links the server in.
-	_ "mpx/internal/graph/snapshot"
+	"mpx/internal/graph/snapshot"
 )
 
 // entry is one registered graph plus everything derived from it: the
@@ -213,10 +211,12 @@ func infoOf(e *entry) graphInfo {
 }
 
 // handleRegister spools the upload body to disk and opens it through
-// graph.OpenAny, so every on-disk format the CLI accepts — .mpxsnap
+// snapshot.OpenAny, so every on-disk format the CLI accepts — .mpxsnap
 // snapshots (memory-mapped straight from the spool file), legacy binary,
 // DIMACS, edge lists — is accepted over the wire too. The graph is keyed
-// by its content fingerprint; re-registering identical content is
+// by the content fingerprint OpenAny reports — the weighted one for
+// weighted content, so two uploads with the same structure but different
+// weights are different graphs; re-registering identical content is
 // idempotent (created=false) and the duplicate upload is discarded.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	tmp, err := os.CreateTemp(s.spool, "upload-*.graph")
@@ -242,21 +242,14 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, kindInternal, "spooling upload: %v", err)
 		return
 	}
-	o, err := graph.OpenAny(path)
+	o, err := snapshot.OpenAny(path)
 	if err != nil {
 		os.Remove(path)
 		writeError(w, http.StatusBadRequest, kindBadRequest, "parsing uploaded graph: %v", err)
 		return
 	}
-	fp := o.Graph.Fingerprint()
-	if o.Weighted != nil {
-		// Weighted content is keyed by the weighted fingerprint: two
-		// uploads with the same structure but different weights are
-		// different graphs.
-		fp = o.Weighted.Fingerprint()
-	}
 	e := &entry{
-		fp:     fp,
+		fp:     o.Fingerprint,
 		g:      o.Graph,
 		wg:     o.Weighted,
 		format: o.Format,

@@ -61,9 +61,6 @@ type Config struct {
 	MaxJSONBytes int64
 	// MaxBatch caps the number of queries in one batch. <= 0 means 1<<20.
 	MaxBatch int
-	// CacheShards is the result cache's shard count, rounded up to a power
-	// of two. <= 0 means 16.
-	CacheShards int
 	// SpoolDir is where uploaded graph bodies are spooled so snapshot
 	// uploads can be memory-mapped. "" means a fresh temp dir owned (and
 	// removed on Close) by the server.
@@ -137,7 +134,7 @@ func New(cfg Config) (*Server, error) {
 		maxJSON:  maxJSON,
 		maxBatch: maxBatch,
 		reg:      newRegistry(),
-		cache:    newResultCache(cfg.CacheShards),
+		cache:    newResultCache(),
 		buildSem: make(chan struct{}, maxBuilds),
 		spool:    spool,
 		ownSpool: ownSpool,

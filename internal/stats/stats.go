@@ -112,40 +112,6 @@ func LinearFit(x, y []float64) (a, b, r2 float64) {
 	return a, b, r2
 }
 
-// Histogram bins xs into nBins equal-width bins over [min, max] and returns
-// counts plus the bin edges (len nBins+1).
-func Histogram(xs []float64, nBins int) (counts []int, edges []float64) {
-	if nBins < 1 || len(xs) == 0 {
-		return nil, nil
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	counts = make([]int, nBins)
-	edges = make([]float64, nBins+1)
-	width := (hi - lo) / float64(nBins)
-	for i := range edges {
-		edges[i] = lo + float64(i)*width
-	}
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b >= nBins {
-			b = nBins - 1
-		}
-		counts[b]++
-	}
-	return counts, edges
-}
-
 // Table accumulates rows and renders them with aligned columns, markdown
 // style; it is the output format of every experiment.
 type Table struct {

@@ -83,34 +83,6 @@ func TestLinearFitDegenerate(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts, edges := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if len(counts) != 5 || len(edges) != 6 {
-		t.Fatalf("shape: %v %v", counts, edges)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Errorf("histogram total %d", total)
-	}
-	if c, _ := Histogram(nil, 3); c != nil {
-		t.Error("empty histogram should be nil")
-	}
-}
-
-func TestHistogramConstantInput(t *testing.T) {
-	counts, _ := Histogram([]float64{5, 5, 5}, 4)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 3 {
-		t.Errorf("constant input mishandled: %v", counts)
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("empty mean")

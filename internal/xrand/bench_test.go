@@ -43,12 +43,3 @@ func BenchmarkPerm1024(b *testing.B) {
 		_ = s.Perm32(1024)
 	}
 }
-
-func BenchmarkPCG32(b *testing.B) {
-	p := NewPCG32(1, 1)
-	var sink uint32
-	for i := 0; i < b.N; i++ {
-		sink = p.Uint32()
-	}
-	_ = sink
-}

@@ -112,15 +112,6 @@ func Exp(seed, key uint64, rate float64) float64 {
 	return -math.Log(1-u) / rate
 }
 
-// ExpSeq returns an Exp(rate) draw from a sequential generator.
-func (s *SplitMix64) ExpSeq(rate float64) float64 {
-	if rate <= 0 {
-		panic("xrand: ExpSeq with non-positive rate")
-	}
-	u := s.Float64()
-	return -math.Log(1-u) / rate
-}
-
 // Perm returns a uniform random permutation of [0, n) generated by
 // Fisher-Yates from this generator.
 func (s *SplitMix64) Perm(n int) []int {
@@ -147,41 +138,4 @@ func (s *SplitMix64) Perm32(n int) []uint32 {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// PCG32 is a PCG-XSH-RR 64/32 generator (O'Neill 2014); it is kept alongside
-// SplitMix64 so statistical tests can cross-check one generator against an
-// unrelated family.
-type PCG32 struct {
-	state uint64
-	inc   uint64
-}
-
-// NewPCG32 seeds a PCG32 with the given state and stream id.
-func NewPCG32(seed, stream uint64) *PCG32 {
-	p := &PCG32{inc: stream<<1 | 1}
-	p.state = 0
-	p.Uint32()
-	p.state += seed
-	p.Uint32()
-	return p
-}
-
-// Uint32 returns the next 32-bit value.
-func (p *PCG32) Uint32() uint32 {
-	old := p.state
-	p.state = old*6364136223846793005 + p.inc
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
-}
-
-// Uint64 returns the next 64-bit value (two 32-bit draws).
-func (p *PCG32) Uint64() uint64 {
-	return uint64(p.Uint32())<<32 | uint64(p.Uint32())
-}
-
-// Float64 returns the next float in [0, 1).
-func (p *PCG32) Float64() float64 {
-	return toFloat(p.Uint64())
 }
