@@ -53,10 +53,12 @@ type Decomposition struct {
 // the classical guarantee) and the given seed, on pool (nil means
 // parallel.Default()) with workers logical workers (<= 0 means GOMAXPROCS)
 // and traversal direction dir. maxIters caps the iteration count
-// defensively; 0 means 4·log2(m)+8. For a fixed (g, beta, seed) the blocks
-// are bit-identical at every worker count and direction. ctx (nil means
-// never cancelled) is polled at level and partition-round boundaries; a
-// cancelled run returns (nil, ctx.Err()) with no partial decomposition.
+// defensively; 0 means 8 + 4·bitlen(m), where bitlen(m) is the bit length
+// of m (⌊log2 m⌋ + 1, or 0 for m = 0). For a fixed (g, beta, seed) the
+// blocks are bit-identical at every worker count and direction. ctx (nil
+// means never cancelled) is polled at level and partition-round
+// boundaries; a cancelled run returns (nil, ctx.Err()) with no partial
+// decomposition.
 //
 // It is BuildIncrementalPoolCtx with the retained hierarchy dropped.
 func DecomposePoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, maxIters, workers int, dir core.Direction) (*Decomposition, error) {

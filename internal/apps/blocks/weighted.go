@@ -46,7 +46,8 @@ type WeightedDecomposition struct {
 // (nil means parallel.Default()) with workers logical workers (<= 0 means
 // GOMAXPROCS) and traversal direction dir. β is in units of inverse
 // weighted distance: pass beta/wtypical to cluster at scale wtypical.
-// maxIters caps the iteration count defensively; 0 means 4·log2(m)+8,
+// maxIters caps the iteration count defensively; 0 means 8 + 4·bitlen(m),
+// where bitlen(m) is the bit length of m (⌊log2 m⌋ + 1, or 0 for m = 0),
 // and each iteration's β shrinks geometrically once the default cap is
 // half exhausted, so heavy residual edges are always eventually absorbed.
 // For a fixed (wg, beta, seed) the blocks are bit-identical at every

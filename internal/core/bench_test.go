@@ -40,7 +40,7 @@ func BenchmarkPartitionBetaSweep(b *testing.B) {
 func BenchmarkShiftPlan(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = newShiftPlan(1<<17, 0.1, Options{Seed: uint64(i)})
+		_ = newShiftPlan(1<<17, 0.1, Options{Seed: uint64(i)}, everyVertex)
 	}
 }
 

@@ -178,21 +178,31 @@ type Decomposition struct {
 	Shifts []float64
 	// DeltaMax is max_u δ_u.
 	DeltaMax float64
-	// Rounds is the number of synchronous BFS rounds executed — the PRAM
-	// depth proxy reported by experiment E5.
+	// Rounds is the number of synchronous BFS rounds — the PRAM depth
+	// proxy reported by experiment E5. For Partition it is the count of
+	// the round loop over every vertex, |{b(v)} ∪ {ℓ(v)+1}| over all v,
+	// where b(v) = ⌊δ_max − δ_v⌋ is v's start round and ℓ(v) = Dist[v] +
+	// b(Center[v]) its claim round: a round runs when some vertex may start
+	// in it or some vertex was claimed in the round before. Isolated
+	// vertices count although they are filled in without a round.
 	Rounds int
 	// Relaxed is the number of directed edges examined — the work proxy.
+	// Under DirectionForcePull it counts only the rounds vertices with
+	// edges need, so it can be lower than the count of a loop over every
+	// vertex, which re-scans the unclaimed cohort in rounds that only
+	// isolated vertices start or end.
 	Relaxed int64
 
-	// rank and bucket retain the shift plan's derived arrays (tie-break
-	// ranks and start buckets). They are edge-independent — functions of
-	// (n, β, seed, TieBreak, ShiftSource) only — and let UnchangedUnder
-	// re-evaluate claim keys in O(1) per edge without re-deriving the plan.
-	// Unweighted Partition always sets them (they alias plan storage that
-	// is allocated regardless); other constructors leave them nil, which
+	// bucket and perm retain the shift plan's edge-independent parts —
+	// functions of (n, β, seed, TieBreak, ShiftSource) only — so
+	// UnchangedUnder can re-evaluate claim keys in O(1) per edge without
+	// re-deriving the plan. bucket is every vertex's start round. perm is
+	// the TiePermutation rank of every vertex; under TieFractional it is
+	// nil and ranks are recomputed from Shifts and DeltaMax. Unweighted
+	// Partition sets them; other constructors leave bucket nil, which
 	// disables the incremental check.
-	rank   []uint32
 	bucket []int32
+	perm   []uint32
 }
 
 // ErrBeta reports a β outside the supported range (0, 1).

@@ -10,9 +10,12 @@ import "mpx/internal/graph"
 // Soundness rests on three facts (docs/determinism.md §"Incremental
 // re-derivation"):
 //
-//  1. The shift plan — shifts, δ_max, start buckets, tie-break ranks — is
-//     a function of (n, β, seed, TieBreak, ShiftSource) ONLY. Edges never
-//     enter its derivation, so a batch cannot change it.
+//  1. The shift plan — shifts, δ_max, start buckets, and the tie-break
+//     rank order — is a function of (n, β, seed, TieBreak, ShiftSource)
+//     ONLY. Edges never enter its derivation, so a batch cannot change it.
+//     (Partition stores ranks for vertices with edges only, but the order
+//     among them is the order over all vertices, and rankLess recomputes
+//     it for any pair.)
 //
 //  2. The output (Center, Dist, Parent) is the unique fixpoint of the
 //     round-synchronous claim recurrence: vertex w is claimed at round
@@ -56,9 +59,9 @@ import "mpx/internal/graph"
 
 // HasPlan reports whether this decomposition retained its shift plan and
 // is eligible for UnchangedUnder: built by the unweighted parallel
-// Partition.
+// Partition, with Shifts still in place.
 func (d *Decomposition) HasPlan() bool {
-	return d.rank != nil && d.bucket != nil
+	return d.bucket != nil && d.Shifts != nil
 }
 
 // claimLevel returns the BFS round at which v was claimed: its distance
@@ -67,10 +70,18 @@ func (d *Decomposition) claimLevel(v uint32) int32 {
 	return d.Dist[v] + d.bucket[d.Center[v]]
 }
 
-// winnerKey returns the packed (rank, proposer) key that won v's claim
-// round. For centers Parent[v] == v, so the key is the self-proposal.
-func (d *Decomposition) winnerKey(v uint32) uint64 {
-	return uint64(d.rank[d.Center[v]])<<32 | uint64(d.Parent[v])
+// rankLess reports whether center a's tie-break rank is below center b's.
+// Under TieFractional the rank order is the (fractional-part bits, id)
+// order, recomputed here from the retained shifts through startRound:
+// Partition ranks only vertices with edges, and an insert may touch a
+// vertex that had none.
+func (d *Decomposition) rankLess(a, b uint32) bool {
+	if d.perm != nil {
+		return d.perm[a] < d.perm[b]
+	}
+	_, fa := startRound(d.DeltaMax, d.Shifts[a])
+	_, fb := startRound(d.DeltaMax, d.Shifts[b])
+	return fa < fb || fa == fb && a < b
 }
 
 // UnchangedUnder reports whether applying the given effective edge
@@ -112,9 +123,11 @@ func (d *Decomposition) UnchangedUnder(ins, del []graph.Edge) bool {
 			return false // v would be claimed earlier through the new edge
 		}
 		if lv-lu == 1 {
-			// u proposes to v at v's claim round; unchanged only if the
-			// incumbent winner still holds the minimum key.
-			if uint64(d.rank[d.Center[u]])<<32|uint64(u) < d.winnerKey(v) {
+			// u proposes (rank[Center[u]], u) at v's claim round; unchanged
+			// only if the incumbent winner (rank[Center[v]], Parent[v]) —
+			// for a center, its self-proposal — still holds the minimum key.
+			cu, cv := d.Center[u], d.Center[v]
+			if cu == cv && u < d.Parent[v] || cu != cv && d.rankLess(cu, cv) {
 				return false
 			}
 		}

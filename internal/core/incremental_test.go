@@ -35,6 +35,7 @@ func TestUnchangedUnderSoundness(t *testing.T) {
 		{"grid", graph.Grid2D(20, 17)},
 		{"gnm", graph.GNM(300, 900, 11)},
 		{"ws", graph.WattsStrogatz(260, 6, 0.1, 5)},
+		{"sparse", graph.GNM(400, 80, 13)},
 	}
 	for _, wl := range workloads {
 		for _, beta := range []float64{0.1, 0.4} {
@@ -149,5 +150,40 @@ func TestUnchangedUnderRequiresPlan(t *testing.T) {
 	bare := &Decomposition{}
 	if bare.HasPlan() || bare.UnchangedUnder(nil, nil) {
 		t.Fatal("bare decomposition must refuse")
+	}
+}
+
+// TestUnchangedUnderIsolatedEndpoints checks single-edge inserts with an
+// isolated endpoint against a rebuild, under both tie-breaks. Partition
+// ranks only vertices with edges, so these are the inserts whose key
+// comparison must recompute the rank of a center that has none.
+func TestUnchangedUnderIsolatedEndpoints(t *testing.T) {
+	g := graph.GNM(400, 80, 13)
+	n := uint64(g.NumVertices())
+	for _, tie := range []TieBreak{TieFractional, TiePermutation} {
+		opts := Options{Seed: 21, TieBreak: tie}
+		d := mustPartition(t, g, 0.4, opts)
+		verified := 0
+		for i := uint64(0); i < 2000; i++ {
+			u, v := uint32(xrand.Mix(i, 1)%n), uint32(xrand.Mix(i, 2)%n)
+			if u == v || g.HasEdge(u, v) || g.Degree(u) > 0 && g.Degree(v) > 0 {
+				continue
+			}
+			updated, res, err := graph.ApplyBatch(g, graph.Batch{Insert: []graph.Edge{{U: u, V: v}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !d.UnchangedUnder(res.Inserted, nil) {
+				continue
+			}
+			verified++
+			if !decompsIdentical(d, mustPartition(t, updated, 0.4, opts)) {
+				t.Fatalf("tie=%v: UnchangedUnder accepted inserting {%d,%d}, which changed the partition", tie, u, v)
+			}
+		}
+		if verified == 0 {
+			t.Fatalf("tie=%v: no insert at an isolated vertex verified; the check is vacuous", tie)
+		}
+		t.Logf("tie=%v: verified %d inserts", tie, verified)
 	}
 }

@@ -23,8 +23,10 @@ const (
 	pullEnter = 2 // enter pull when frontierArcs*pullEnter > remainingArcs
 	pullKeep  = 4 // stay pulling while frontierArcs*pullKeep > remainingArcs
 	// pullMinFrac gates entry on frontierArcs > n/pullMinFrac: building the
-	// unclaimed cohort costs a fixed O(n) pack, which a thin frontier (the
-	// slow wavefront of a high-diameter grid) can never pay back.
+	// unclaimed cohort costs a fixed pack over the vertices with edges,
+	// which a thin frontier (the slow wavefront of a high-diameter grid)
+	// can never pay back. n counts isolated vertices too, so the schedule
+	// is a function of the graph, not of how many vertices the rounds skip.
 	pullMinFrac = 8
 )
 
@@ -81,6 +83,17 @@ func (sc *partitionScratch) ensure(w int) {
 // kernel, so steady-state rounds perform no O(n) allocation and no extra
 // frontier pass.
 //
+// Only vertices with edges take part in rounds. The plan packs them once,
+// and the tie-break sort, the start buckets, the round loop and the pull
+// cohort run over that list. An isolated vertex always ends up as its own
+// one-vertex cluster (Center = Parent = v, Dist = 0), so one O(n) pass
+// writes it directly. Rounds includes the rounds isolated vertices make a
+// loop over every vertex run (see Decomposition.Rounds), and Shifts,
+// DeltaMax and the start rounds cover every vertex. The cost linear in n
+// is a handful of flat passes (shift generation, δ_max, start rounds, the
+// pack, the fill), so a near-empty graph — a late Linial–Saks residual
+// level — costs those passes plus the rounds of its few edges.
+//
 // Expected cost matches Theorem 1.2: O(m) work and O(log²n/β) depth — here
 // realized as O((log n/β) · rounds) with each round a constant number of
 // parallel primitives.
@@ -111,22 +124,39 @@ func Partition(g *graph.Graph, beta float64, opts Options) (d *Decomposition, er
 		return d, nil
 	}
 
-	plan := newShiftPlan(n, beta, opts)
+	offsets := g.Offsets()
+	plan := newShiftPlan(n, beta, opts, func(v int) bool { return offsets[v+1] > offsets[v] })
 	d.Shifts = plan.shifts
 	d.DeltaMax = plan.deltaMax
-	d.rank = plan.rank
 	d.bucket = plan.bucket
+	if opts.TieBreak == TiePermutation {
+		d.perm = plan.rank
+	}
 
 	pool := opts.Pool
 	claim := make([]uint64, n)
 	level := make([]int32, n)
+	// Rounds counts the rounds of a loop over every vertex, which runs
+	// round b and round b+1 for the start round b of each isolated vertex:
+	// its self-claim, then its one-vertex frontier. isoRound[r] marks those
+	// rounds until the loop below runs one itself, so each counts once.
+	isoRound := make([]uint32, len(plan.buckets)+1)
 	pool.ForRange(opts.Workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			claim[i] = unclaimed
-			level[i] = -1
-			d.Parent[i] = uint32(i)
+		for v := lo; v < hi; v++ {
+			if offsets[v+1] > offsets[v] {
+				claim[v] = unclaimed
+				level[v] = -1
+				continue
+			}
+			d.Center[v], d.Parent[v] = uint32(v), uint32(v)
+			if b := plan.bucket[v]; atomic.LoadUint32(&isoRound[b]) == 0 {
+				atomic.StoreUint32(&isoRound[b], 1)
+			}
 		}
 	})
+	for r := len(isoRound) - 1; r > 0; r-- {
+		isoRound[r] |= isoRound[r-1]
+	}
 
 	packed := func(v uint32) uint64 {
 		return uint64(plan.rank[v])<<32 | uint64(v)
@@ -188,8 +218,8 @@ func Partition(g *graph.Graph, beta float64, opts Options) (d *Decomposition, er
 			// O(|unclaimed| + arcs(unclaimed)), not O(n). Push rounds claim
 			// vertices without maintaining it, so it is rebuilt on re-entry.
 			if pullList == nil {
-				pullList = pool.PackInto(opts.Workers, n, func(i int) bool {
-					return level[i] == -1
+				pullList = pool.FilterUint32(opts.Workers, plan.verts, func(v uint32) bool {
+					return level[v] == -1
 				}, sc.cohortSpare)
 				sc.cohortSpare = nil
 			}
@@ -238,7 +268,13 @@ func Partition(g *graph.Graph, beta float64, opts Options) (d *Decomposition, er
 		sc.frontSpare = frontier[:0]
 		frontier = newly
 		d.Rounds++
+		if int(t) < len(isoRound) {
+			isoRound[t] = 0
+		}
 		t++
+	}
+	for _, r := range isoRound {
+		d.Rounds += int(r)
 	}
 	d.Relaxed = relaxed
 	return d, nil

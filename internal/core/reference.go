@@ -27,7 +27,7 @@ func PartitionSequential(g *graph.Graph, beta float64, opts Options) (*Decomposi
 	if n == 0 {
 		return d, nil
 	}
-	plan := newShiftPlan(n, beta, opts)
+	plan := newShiftPlan(n, beta, opts, everyVertex)
 	d.Shifts = plan.shifts
 	d.DeltaMax = plan.deltaMax
 
@@ -153,7 +153,7 @@ func PartitionExact(g *graph.Graph, beta float64, opts Options) (*Decomposition,
 	if n == 0 {
 		return d, nil
 	}
-	plan := newShiftPlan(n, beta, opts)
+	plan := newShiftPlan(n, beta, opts, everyVertex)
 	d.Shifts = plan.shifts
 	d.DeltaMax = plan.deltaMax
 
@@ -168,8 +168,9 @@ func PartitionExact(g *graph.Graph, beta float64, opts Options) (*Decomposition,
 	}
 	h := &floatRefHeap{}
 	for v := 0; v < n; v++ {
-		labels[v] = flabel{f: plan.start[v], center: uint32(v)}
-		heap.Push(h, floatRefItem{f: plan.start[v], center: uint32(v), proposer: uint32(v), target: uint32(v)})
+		start := plan.deltaMax - plan.shifts[v]
+		labels[v] = flabel{f: start, center: uint32(v)}
+		heap.Push(h, floatRefItem{f: start, center: uint32(v), proposer: uint32(v), target: uint32(v)})
 	}
 	settled := 0
 	for h.Len() > 0 {
