@@ -173,6 +173,88 @@ func TestBuildBodyDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
+// Golden FNV fingerprints of the exact query-response bytes on two
+// disjoint 8×8 grids (so some answers are -1), built at beta=0.25
+// seed=42, pinned at workers 1, 2 and 8. The 300-item batches run
+// sharded on the pool; "dist small" runs inline.
+var goldenQueryBodyFNV = map[string]uint64{
+	"dist":       0x535f8671d1bae617,
+	"dist small": 0xc71110d8bb637ba5,
+	"cluster":    0x408a7f2ea301c620,
+	"same":       0x51e0993e4cdc2371,
+	"wdist":      0xa6ab95899c6b2877,
+}
+
+func TestQueryBodyDeterminismAcrossWorkers(t *testing.T) {
+	snap := twoGridsSnapshotBytes(t, 8, 8, false)
+	wsnap := twoGridsSnapshotBytes(t, 8, 8, true)
+	pairs := make([][]uint32, 300)
+	for i := range pairs {
+		// Every fourth pair crosses between the copies.
+		u := uint32(i*37) % 128
+		v := uint32(i*91)%64 + u&^63
+		if i%4 == 0 {
+			v = (u + 64) % 128
+		}
+		pairs[i] = []uint32{u, v}
+	}
+	verts := make([]uint32, 128)
+	for i := range verts {
+		verts[i] = uint32(127 - i)
+	}
+	cfg := map[string]any{"app": "lowstretch", "beta": 0.25, "seed": 42}
+	wcfg := map[string]any{"app": "lowstretch", "weighted": true, "beta": 0.25, "seed": 42}
+	with := func(base, kv map[string]any) []byte {
+		m := map[string]any{}
+		for k, v := range base {
+			m[k] = v
+		}
+		for k, v := range kv {
+			m[k] = v
+		}
+		return jsonBody(t, m)
+	}
+	queries := []struct {
+		name     string
+		weighted bool
+		body     []byte
+	}{
+		{"dist", false, with(cfg, map[string]any{"op": "dist", "pairs": pairs})},
+		{"dist small", false, with(cfg, map[string]any{"op": "dist", "pairs": [][]uint32{{0, 127}, {5, 5}, {0, 63}}})},
+		{"cluster", false, with(cfg, map[string]any{"op": "cluster", "level": 0, "verts": verts})},
+		{"same", false, with(cfg, map[string]any{"op": "same", "level": 1, "pairs": pairs})},
+		{"wdist", true, with(wcfg, map[string]any{"op": "dist", "pairs": pairs})},
+	}
+	bodies := map[string][][]byte{}
+	for _, workers := range []int{1, 2, 8} {
+		s, _ := newTestServer(t, Config{Workers: workers})
+		fps := map[bool]string{false: registerDirect(t, s, snap), true: registerDirect(t, s, wsnap)}
+		for weighted, body := range map[bool][]byte{false: jsonBody(t, cfg), true: jsonBody(t, wcfg)} {
+			if code, _, resp := serveDirect(s, nil, http.MethodPost, "/v1/graphs/"+fps[weighted]+"/build", body); code != http.StatusOK {
+				t.Fatalf("workers=%d weighted=%v build: status %d, body %s", workers, weighted, code, resp)
+			}
+		}
+		for _, q := range queries {
+			code, _, resp := serveDirect(s, nil, http.MethodPost, "/v1/graphs/"+fps[q.weighted]+"/query", q.body)
+			if code != http.StatusOK {
+				t.Fatalf("workers=%d %s: status %d, body %s", workers, q.name, code, resp)
+			}
+			bodies[q.name] = append(bodies[q.name], resp)
+		}
+	}
+	for _, q := range queries {
+		bs := bodies[q.name]
+		for i := 1; i < len(bs); i++ {
+			if !bytes.Equal(bs[0], bs[i]) {
+				t.Errorf("%s: body differs between worker counts:\n%s\n%s", q.name, bs[0], bs[i])
+			}
+		}
+		if got := bodyFNV(bs[0]); got != goldenQueryBodyFNV[q.name] {
+			t.Errorf("%s: golden body FNV = %#x, want %#x (body %s)", q.name, got, goldenQueryBodyFNV[q.name], bs[0])
+		}
+	}
+}
+
 // TestRestartByteIdentity restarts the service (fresh server, fresh pool,
 // fresh cache) and replays the same requests: every response body —
 // build and query — must be byte-identical to the first server's.

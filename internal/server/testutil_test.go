@@ -49,7 +49,33 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // weighted is set).
 func gridSnapshotBytes(t *testing.T, rows, cols int, weighted bool) []byte {
 	t.Helper()
-	g := graph.Grid2D(rows, cols)
+	return snapshotBytes(t, graph.Grid2D(rows, cols), weighted)
+}
+
+// twoGridsSnapshotBytes is gridSnapshotBytes over two disjoint copies of
+// the rows×cols grid: vertex v of the second copy is v + rows·cols, and
+// a tree distance between the copies is -1.
+func twoGridsSnapshotBytes(t *testing.T, rows, cols int, weighted bool) []byte {
+	t.Helper()
+	grid := graph.Grid2D(rows, cols)
+	n := uint32(grid.NumVertices())
+	var edges []graph.Edge
+	for v := uint32(0); v < n; v++ {
+		for _, u := range grid.Neighbors(v) {
+			if v < u {
+				edges = append(edges, graph.Edge{U: v, V: u}, graph.Edge{U: v + n, V: u + n})
+			}
+		}
+	}
+	g, err := graph.FromEdges(int(2*n), edges)
+	if err != nil {
+		t.Fatalf("graph.FromEdges: %v", err)
+	}
+	return snapshotBytes(t, g, weighted)
+}
+
+func snapshotBytes(t *testing.T, g *graph.Graph, weighted bool) []byte {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.mpxsnap")
 	var err error
 	if weighted {
