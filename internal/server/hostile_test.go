@@ -94,6 +94,10 @@ func TestHostileInputs(t *testing.T) {
 			withQ(map[string]any{"workers": 8}), 400, kindBadRequest},
 		{"build trailing content", http.MethodPost, "/v1/graphs/" + fp + "/build",
 			[]byte(`{"app":"lowstretch","beta":0.25,"seed":1} trailing`), 400, kindBadRequest},
+		{"build trailing close brace", http.MethodPost, "/v1/graphs/" + fp + "/build",
+			[]byte(`{"app":"lowstretch","beta":0.25,"seed":1}}`), 400, kindBadRequest},
+		{"build trailing close brackets", http.MethodPost, "/v1/graphs/" + fp + "/build",
+			[]byte(`{"app":"lowstretch","beta":0.25,"seed":1} ]]]`), 400, kindBadRequest},
 		{"build unknown app", http.MethodPost, "/v1/graphs/" + fp + "/build",
 			jsonBody(t, map[string]any{"app": "mincut", "beta": 0.25, "seed": 1}), 400, kindBadRequest},
 		{"build empty app", http.MethodPost, "/v1/graphs/" + fp + "/build",
@@ -114,6 +118,10 @@ func TestHostileInputs(t *testing.T) {
 			jsonBody(t, map[string]any{"app": "lowstretch", "weighted": true, "beta": 0.25, "delta": 2.0, "seed": 1}), 400, kindBadRequest},
 		{"query malformed JSON", http.MethodPost, "/v1/graphs/" + fp + "/query",
 			[]byte("null null"), 400, kindBadRequest},
+		{"query trailing close brace", http.MethodPost, "/v1/graphs/" + fp + "/query",
+			[]byte(`{"app":"lowstretch","beta":0.25,"seed":1,"op":"dist","pairs":[[0,1]]}}`), 400, kindBadRequest},
+		{"query trailing close brackets", http.MethodPost, "/v1/graphs/" + fp + "/query",
+			[]byte(`{"app":"lowstretch","beta":0.25,"seed":1,"op":"dist","pairs":[[0,1]]} ]]]`), 400, kindBadRequest},
 		{"query wrong app", http.MethodPost, "/v1/graphs/" + fp + "/query",
 			jsonBody(t, map[string]any{"app": "blocks", "beta": 0.25, "seed": 1, "op": "dist", "pairs": [][]uint32{{0, 1}}}), 400, kindBadRequest},
 		{"query unknown op", http.MethodPost, "/v1/graphs/" + fp + "/query",

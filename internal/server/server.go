@@ -23,6 +23,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -413,14 +414,27 @@ func (s *Server) handleStats(w http.ResponseWriter) {
 	}))
 }
 
-// decodeJSONBody decodes a request body strictly: size-capped, unknown
-// fields rejected, trailing content rejected. Errors are phrased for the
-// client; the (code, kind) pair is 413 for the size cap and 400 otherwise.
+// decodeJSONBody reads a build or query body and decodes it with
+// decodeStrict. Errors are phrased for the client; the (code, kind) pair
+// is 413 for the size cap and 400 otherwise.
 func (s *Server) decodeJSONBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.maxJSON)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	var body bytes.Buffer
+	if !s.readBody(w, r, &body) {
+		return false
+	}
+	if err := decodeStrict(body.Bytes(), dst); err != nil {
+		writeError(w, http.StatusBadRequest, kindBadRequest, "%v", err)
+		return false
+	}
+	return true
+}
+
+// readBody reads a whole build or query body into buf, capped at
+// maxJSON bytes. A body over the cap is a 413 whatever it holds. A false
+// return means the error response has been written.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) bool {
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxJSON)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, kindTooLarge,
@@ -430,9 +444,25 @@ func (s *Server) decodeJSONBody(w http.ResponseWriter, r *http.Request, dst any)
 		writeError(w, http.StatusBadRequest, kindBadRequest, "decoding request body: %v", err)
 		return false
 	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, kindBadRequest, "request body has trailing content after the JSON object")
-		return false
-	}
 	return true
 }
+
+var errTrailing = errors.New("request body has trailing content after the JSON object")
+
+// decodeStrict is the strict decoder of build and query bodies: unknown
+// fields are rejected, and only JSON whitespace may follow the object.
+// Its error is the client's 400 message.
+func decodeStrict(body []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return fmt.Errorf("decoding request body: %w", err)
+	}
+	if len(bytes.TrimLeft(body[dec.InputOffset():], jsonSpace)) > 0 {
+		return errTrailing
+	}
+	return nil
+}
+
+// jsonSpace is the whitespace JSON allows between tokens.
+const jsonSpace = " \t\r\n"
