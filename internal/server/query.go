@@ -1,16 +1,20 @@
 package server
 
 import (
+	"bytes"
 	"math"
 	"net/http"
+	"sync"
 
 	"mpx/internal/oracle"
 )
 
-// queryRequest is the POST .../query body. The build-configuration fields
-// (app/weighted/beta/seed) select which retained build answers — a
-// build must have been POSTed first; queries never build implicitly, so
-// their latency is always oracle-lookup latency.
+// queryRequest is the POST .../query body as encoding/json reads it: the
+// target of decodeStrict, and the reference decodeFast must match. The
+// build-configuration fields (app/weighted/beta/seed) select which
+// retained build answers — a build must have been POSTed first; queries
+// never build implicitly, so their latency is always oracle-lookup
+// latency.
 //
 // Op selects the oracle:
 //
@@ -35,7 +39,8 @@ type queryRequest struct {
 
 // queryResponse carries exactly one result array (matching op) plus an
 // FNV-1a checksum over the result bits, so two servers (or one server
-// across a restart) can be compared on the body bytes alone.
+// across a restart) can be compared on the body bytes alone. Its
+// json.Marshal bytes are the reference appendQueryResponse must match.
 type queryResponse struct {
 	Graph    string    `json:"graph"`
 	Op       string    `json:"op"`
@@ -48,9 +53,36 @@ type queryResponse struct {
 	Checksum string    `json:"checksum"`
 }
 
+// queryScratch is the memory a query request reuses from an earlier
+// one: the body, the decoded query, the answers and the response bytes.
+type queryScratch struct {
+	body     bytes.Buffer
+	q        query
+	dists    []int32
+	wdists   []float64
+	clusters []uint32
+	same     []bool
+	out      []byte
+}
+
+var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
+
+// grow returns s resized to n, reusing its memory when it fits.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // handleQuery serves POST /v1/graphs/{fp}/query against a previously
 // built hierarchy. Queries are pure reads on immutable oracles — no
 // admission slot, safe under unbounded concurrency (docs/queries.md).
+//
+// The body is decoded by decodeFast when it has the one well-formed
+// shape, and by decodeStrict otherwise; the response is written by
+// appendQueryResponse. Both fast halves are byte-identical to the
+// encoding/json path they replace, which FuzzQueryCodec checks.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, fp uint64) {
 	e := s.reg.acquire(fp)
 	if e == nil {
@@ -58,9 +90,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, fp uint64) 
 		return
 	}
 	defer s.reg.release(e)
-	var req queryRequest
-	if !s.decodeJSONBody(w, r, &req) {
+	sc := queryScratchPool.Get().(*queryScratch)
+	defer queryScratchPool.Put(sc)
+	if !s.readBody(w, r, &sc.body) {
 		return
+	}
+	req := &sc.q
+	if !req.decodeFast(sc.body.Bytes()) {
+		var wire queryRequest
+		if err := decodeStrict(sc.body.Bytes(), &wire); err != nil {
+			writeError(w, http.StatusBadRequest, kindBadRequest, "%v", err)
+			return
+		}
+		req.fromWire(&wire)
 	}
 	if req.App != "lowstretch" {
 		writeError(w, http.StatusBadRequest, kindBadRequest,
@@ -89,13 +131,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, fp uint64) 
 			writeError(w, http.StatusBadRequest, kindBadRequest, "dist queries take no level; drop it")
 			return
 		}
-		pairs, ok := s.takePairs(w, &req, n)
+		pairs, ok := s.takePairs(w, req, n)
 		if !ok {
 			return
 		}
 		resp.Count = len(pairs)
 		if bt.wdist != nil {
-			out := make([]float64, len(pairs))
+			out := grow(sc.wdists, len(pairs))
+			sc.wdists = out
 			bt.wdist.DistBatch(pairs, out)
 			h := fnvOffset
 			for _, d := range out {
@@ -104,7 +147,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, fp uint64) 
 			resp.WDists = out
 			resp.Checksum = fpHex(h)
 		} else {
-			out := make([]int32, len(pairs))
+			out := grow(sc.dists, len(pairs))
+			sc.dists = out
 			bt.dist.DistBatch(pairs, out)
 			h := fnvOffset
 			for _, d := range out {
@@ -114,11 +158,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, fp uint64) 
 			resp.Checksum = fpHex(h)
 		}
 	case "cluster":
-		level, ok := s.takeLevel(w, &req, bt)
+		level, ok := s.takeLevel(w, req, bt)
 		if !ok {
 			return
 		}
-		if req.Pairs != nil {
+		if req.hasPairs {
 			writeError(w, http.StatusBadRequest, kindBadRequest, "cluster queries take verts, not pairs")
 			return
 		}
@@ -134,7 +178,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, fp uint64) 
 				return
 			}
 		}
-		out := make([]uint32, len(req.Verts))
+		out := grow(sc.clusters, len(req.Verts))
+		sc.clusters = out
 		bt.member.ClusterBatch(level, req.Verts, out)
 		h := fnvOffset
 		for _, c := range out {
@@ -144,15 +189,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, fp uint64) 
 		resp.Clusters = out
 		resp.Checksum = fpHex(h)
 	case "same":
-		level, ok := s.takeLevel(w, &req, bt)
+		level, ok := s.takeLevel(w, req, bt)
 		if !ok {
 			return
 		}
-		pairs, ok := s.takePairs(w, &req, n)
+		pairs, ok := s.takePairs(w, req, n)
 		if !ok {
 			return
 		}
-		out := make([]bool, len(pairs))
+		out := grow(sc.same, len(pairs))
+		sc.same = out
 		bt.member.SameClusterBatch(level, pairs, out)
 		h := fnvOffset
 		for _, b := range out {
@@ -166,13 +212,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, fp uint64) 
 		resp.Same = out
 		resp.Checksum = fpHex(h)
 	}
-	writeJSON(w, http.StatusOK, marshalBody(resp))
+	body, ok := appendQueryResponse(sc.out[:0], resp)
+	if !ok {
+		body = marshalBody(resp)
+	}
+	sc.out = body
+	writeJSON(w, http.StatusOK, body)
 }
 
-// takePairs validates and converts the request's pairs array; a false
-// return means the error response has been written.
-func (s *Server) takePairs(w http.ResponseWriter, req *queryRequest, n int) ([]oracle.Pair, bool) {
-	if req.Verts != nil {
+// takePairs validates the query's pairs; a false return means the error
+// response has been written. Per index, a pair that is not [u, v] is
+// reported before a vertex out of range.
+func (s *Server) takePairs(w http.ResponseWriter, req *query, n int) ([]oracle.Pair, bool) {
+	if req.hasVerts {
 		writeError(w, http.StatusBadRequest, kindBadRequest, "%s queries take pairs, not verts", req.Op)
 		return nil, false
 	}
@@ -181,26 +233,24 @@ func (s *Server) takePairs(w http.ResponseWriter, req *queryRequest, n int) ([]o
 			"pairs must hold between 1 and %d pairs, got %d", s.maxBatch, len(req.Pairs))
 		return nil, false
 	}
-	pairs := make([]oracle.Pair, len(req.Pairs))
 	for i, p := range req.Pairs {
-		if len(p) != 2 {
+		if i == req.badPair {
 			writeError(w, http.StatusBadRequest, kindBadRequest,
-				"pairs[%d] must be [u, v], got %d elements", i, len(p))
+				"pairs[%d] must be [u, v], got %d elements", i, req.badArity)
 			return nil, false
 		}
-		if int(p[0]) >= n || int(p[1]) >= n {
+		if int(p.U) >= n || int(p.V) >= n {
 			writeError(w, http.StatusBadRequest, kindBadRequest,
-				"pairs[%d] = [%d, %d] out of range (n=%d)", i, p[0], p[1], n)
+				"pairs[%d] = [%d, %d] out of range (n=%d)", i, p.U, p.V, n)
 			return nil, false
 		}
-		pairs[i] = oracle.Pair{U: p[0], V: p[1]}
 	}
-	return pairs, true
+	return req.Pairs, true
 }
 
 // takeLevel validates the membership level of a cluster/same query
 // against the retained hierarchy's level count.
-func (s *Server) takeLevel(w http.ResponseWriter, req *queryRequest, bt *built) (int, bool) {
+func (s *Server) takeLevel(w http.ResponseWriter, req *query, bt *built) (int, bool) {
 	if bt.member == nil {
 		writeError(w, http.StatusBadRequest, kindBadRequest,
 			"%s queries need an unweighted lowstretch build (weighted builds retain no hierarchy)", req.Op)
