@@ -414,9 +414,10 @@ func (s *Server) handleStats(w http.ResponseWriter) {
 	}))
 }
 
-// decodeJSONBody reads a build or query body and decodes it with
-// decodeStrict. Errors are phrased for the client; the (code, kind) pair
-// is 413 for the size cap and 400 otherwise.
+// decodeJSONBody reads a build body and decodes it with decodeStrict;
+// the query route reads with readBody and tries decodeFast first. Errors
+// are phrased for the client; the (code, kind) pair is 413 for the size
+// cap and 400 otherwise.
 func (s *Server) decodeJSONBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	var body bytes.Buffer
 	if !s.readBody(w, r, &body) {
