@@ -81,8 +81,9 @@ func grow[T any](s []T, n int) []T {
 //
 // The body is decoded by decodeFast when it has the one well-formed
 // shape, and by decodeStrict otherwise; the response is written by
-// appendQueryResponse. Both fast halves are byte-identical to the
-// encoding/json path they replace, which FuzzQueryCodec checks.
+// appendQueryResponse. decodeFast decodes what it accepts as
+// encoding/json does, and appendQueryResponse writes json.Marshal's
+// bytes; FuzzQueryCodec checks both.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, fp uint64) {
 	e := s.reg.acquire(fp)
 	if e == nil {
