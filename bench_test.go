@@ -391,8 +391,9 @@ func BenchmarkE20RoundOverhead(b *testing.B) {
 // amortize over its hundreds of buckets/rounds; the per-round remainder is
 // the submitted closures plus that amortized setup. An O(n) buffer
 // allocated per bucket round (the regression this guards against — e.g.
-// the pull cohort or frontier bitmap losing its reuse) costs ~100 KB/round
-// on this workload and blows the bytes gate by an order of magnitude.
+// the start-of-round distance copy or the improved-vertex lists losing
+// their reuse) costs ~100 KB/round on this workload and blows the bytes
+// gate by an order of magnitude.
 const (
 	maxWeightedAllocsPerRound = 12
 	maxWeightedBytesPerRound  = 24576
@@ -400,9 +401,8 @@ const (
 
 // BenchmarkE20WeightedRoundOverhead is the weighted companion of E20: it
 // measures allocations per Δ-stepping bucket round across whole
-// PartitionWeightedParallel calls (auto direction, so push and pull rounds
-// both execute) and fails the run when a per-round O(n) allocation sneaks
-// back into the relaxation/pull/cohort machinery.
+// PartitionWeightedParallel calls and fails the run when a per-round O(n)
+// allocation sneaks back into the relaxation machinery.
 func BenchmarkE20WeightedRoundOverhead(b *testing.B) {
 	wg := graph.RandomWeights(graph.Grid2D(120, 120), 1, 10, 3)
 	opts := core.Options{Seed: 1, Workers: 8, Pool: benchPool}
@@ -420,44 +420,6 @@ func BenchmarkE20WeightedRoundOverhead(b *testing.B) {
 	if bytes > maxWeightedBytesPerRound {
 		b.Fatalf("weighted rounds allocate %.0f B/round (gate %d): an O(n) per-round buffer is back",
 			bytes, maxWeightedBytesPerRound)
-	}
-}
-
-// BenchmarkE21WeightedDirection is the weighted analogue of the E19
-// sweep: push-only against the Beamer-switching hybrid (and pull-only for
-// reference) on the high-diameter grid (where the hybrid must not lose)
-// and the low-diameter gnm family (where dense buckets favor pull).
-func BenchmarkE21WeightedDirection(b *testing.B) {
-	families := []struct {
-		name string
-		wg   *graph.WeightedGraph
-	}{
-		{"grid", graph.RandomWeights(graph.Grid2D(150, 150), 1, 10, 5)},
-		{"gnm", graph.RandomWeights(graph.GNM(40000, 160000, 1), 1, 10, 5)},
-	}
-	modes := []struct {
-		name string
-		dir  core.Direction
-	}{
-		{"push", core.DirectionForcePush},
-		{"hybrid", core.DirectionAuto},
-		{"pull", core.DirectionForcePull},
-	}
-	for _, fam := range families {
-		for _, mode := range modes {
-			b.Run(fam.name+"/"+mode.name, func(b *testing.B) {
-				var rounds int
-				for i := 0; i < b.N; i++ {
-					d, err := core.PartitionWeightedParallel(fam.wg, 0.1, 0,
-						core.Options{Seed: 1, Workers: 8, Pool: benchPool, Direction: mode.dir})
-					if err != nil {
-						b.Fatal(err)
-					}
-					rounds = d.Rounds
-				}
-				b.ReportMetric(float64(rounds), "rounds")
-			})
-		}
 	}
 }
 
@@ -627,7 +589,7 @@ func BenchmarkE22WeightedApps(b *testing.B) {
 				b.ReportAllocs()
 				var nblocks int
 				for i := 0; i < b.N; i++ {
-					bd, err := blocks.DecomposeWeightedPoolCtx(nil, benchPool, fam.wg, 0.5, 1, 0, w, core.DirectionAuto)
+					bd, err := blocks.DecomposeWeightedPoolCtx(nil, benchPool, fam.wg, 0.5, 1, 0, w)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -57,8 +57,8 @@ func main() {
 		algo      = flag.String("algo", "mpx", "algorithm: mpx|seq|exact|ballgrow|iterative|weighted|weighted-par (partition app only)")
 		wmax      = flag.Float64("wmax", 4, "max edge weight for weighted algorithms (U(1,wmax))")
 		weighted  = flag.Bool("weighted", false, "run the hierarchy app on a weighted graph: U(1,wmax) random weights, or the file's arc weights with -in -dimacs (lowstretch|blocks|embedding)")
-		tie       = flag.String("tie", "fractional", "tie-break: fractional|permutation")
-		direction = flag.String("direction", "auto", "partition traversal: auto|push|pull (mpx and weighted-par algorithms)")
+		tie       = flag.String("tie", "fractional", "tie-break: fractional|permutation (-algo mpx|seq|exact and -app spanner)")
+		direction = flag.String("direction", "auto", "partition traversal: auto|push|pull (-algo mpx and the unweighted apps)")
 		pngPath   = flag.String("png", "", "write cluster coloring PNG (grid generators only)")
 		validate  = flag.Bool("validate", false, "run full O(m) decomposition validation")
 		updates   = flag.String("updates", "", "replay a batched edge-update trace against an incrementally maintained app (lowstretch|blocks|embedding); see cmd/mpx/updates.go for the format")
@@ -127,6 +127,25 @@ func main() {
 	}
 	if explicit["algo"] && *app != "partition" {
 		fmt.Fprintf(os.Stderr, "mpx: -algo applies only to -app partition (got -app %s)\n", *app)
+		os.Exit(2)
+	}
+	// -direction is read only by core.Partition, and -tie only by the shift
+	// plan of -algo mpx, seq and exact and by the spanner; the hierarchy
+	// apps, the baselines and the weighted partitions have neither knob.
+	mode := "-app " + *app
+	if *app == "partition" {
+		mode = "-algo " + *algo
+	} else if *weighted {
+		mode += " -weighted"
+	}
+	if explicit["direction"] && (*weighted || *app == "partition" && *algo != "mpx") {
+		fmt.Fprintf(os.Stderr, "mpx: -direction applies only to -algo mpx and the unweighted apps (got %s)\n", mode)
+		os.Exit(2)
+	}
+	readsTie := *app == "spanner" && !*weighted ||
+		*app == "partition" && (*algo == "mpx" || *algo == "seq" || *algo == "exact")
+	if explicit["tie"] && !readsTie {
+		fmt.Fprintf(os.Stderr, "mpx: -tie applies only to -algo mpx, seq and exact and to -app spanner (got %s)\n", mode)
 		os.Exit(2)
 	}
 	if *pngPath != "" && *app != "partition" {
@@ -276,12 +295,7 @@ func main() {
 			fail(err, *timeout)
 		}
 		fmt.Printf("graph: n=%d m=%d (weights U(1,%g))\n", g.NumVertices(), g.NumEdges(), *wmax)
-		if *algo == "weighted-par" {
-			fmt.Printf("decomposition: beta=%g clusters=%d rounds=%d direction=%s\n",
-				*beta, wd.NumClusters(), wd.Rounds, dir)
-		} else {
-			fmt.Printf("decomposition: beta=%g clusters=%d rounds=%d\n", *beta, wd.NumClusters(), wd.Rounds)
-		}
+		fmt.Printf("decomposition: beta=%g clusters=%d rounds=%d\n", *beta, wd.NumClusters(), wd.Rounds)
 		fmt.Printf("radius: max=%.2f (deltaMax=%.2f)\n", wd.MaxRadius(), wd.DeltaMax)
 		fmt.Printf("cut: weightFraction=%.4f edgeFraction=%.4f\n",
 			wd.CutWeightFraction(), wd.CutEdgeFraction())
@@ -469,7 +483,7 @@ func writeSnapshotOut(path string, g *graph.Graph, wg *graph.WeightedGraph) {
 // weighted tree-metric embedding — printing the per-level weighted
 // hierarchy statistics.
 func runWeightedApp(app string, wg *graph.WeightedGraph, beta, wmax float64, fromFile bool, opts core.Options) error {
-	ctx, pool, seed, workers, dir := opts.Ctx, opts.Pool, opts.Seed, opts.Workers, opts.Direction
+	ctx, pool, seed, workers := opts.Ctx, opts.Pool, opts.Seed, opts.Workers
 	if fromFile {
 		fmt.Printf("graph: n=%d m=%d (weighted input)\n", wg.NumVertices(), wg.NumEdges())
 	} else {
@@ -477,29 +491,29 @@ func runWeightedApp(app string, wg *graph.WeightedGraph, beta, wmax float64, fro
 	}
 	switch app {
 	case "lowstretch":
-		tr, err := lowstretch.BuildWeightedPoolCtx(ctx, pool, wg, beta, seed, workers, dir)
+		tr, err := lowstretch.BuildWeightedPoolCtx(ctx, pool, wg, beta, seed, workers, core.DirectionAuto)
 		if err != nil {
 			return err
 		}
 		st := tr.Stretch()
-		fmt.Printf("lowstretch: levels=%d classes=%d treeEdges=%d meanStretch=%.2f maxStretch=%.2f direction=%s\n",
-			tr.Levels, len(tr.ClassHistogram), len(tr.Edges), st.Mean, st.Max, dir)
+		fmt.Printf("lowstretch: levels=%d classes=%d treeEdges=%d meanStretch=%.2f maxStretch=%.2f\n",
+			tr.Levels, len(tr.ClassHistogram), len(tr.Edges), st.Mean, st.Max)
 		printHierStats(tr.Stats)
 	case "blocks":
-		bd, err := blocks.DecomposeWeightedPoolCtx(ctx, pool, wg, beta, seed, 0, workers, dir)
+		bd, err := blocks.DecomposeWeightedPoolCtx(ctx, pool, wg, beta, seed, 0, workers)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("blocks: blocks=%d edges=%d direction=%s\n", bd.NumBlocks(), bd.EdgeCount(), dir)
+		fmt.Printf("blocks: blocks=%d edges=%d\n", bd.NumBlocks(), bd.EdgeCount())
 		printHierStats(bd.Stats)
 	case "embedding":
-		tr, err := embedding.BuildWeightedPoolCtx(ctx, pool, wg, 0, seed, workers, dir)
+		tr, err := embedding.BuildWeightedPoolCtx(ctx, pool, wg, 0, seed, workers)
 		if err != nil {
 			return err
 		}
 		dist := tr.MeasureDistortion(200, seed)
-		fmt.Printf("embedding: levels=%d meanDistortion=%.2f maxDistortion=%.2f dominatedFrac=%.3f direction=%s\n",
-			tr.Levels, dist.MeanDistortion, dist.MaxDistortion, dist.DominatedFrac, dir)
+		fmt.Printf("embedding: levels=%d meanDistortion=%.2f maxDistortion=%.2f dominatedFrac=%.3f\n",
+			tr.Levels, dist.MeanDistortion, dist.MaxDistortion, dist.DominatedFrac)
 		printHierStats(tr.Stats)
 	default:
 		return fmt.Errorf("-weighted supports apps lowstretch, blocks and embedding (got %q)", app)

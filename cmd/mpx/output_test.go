@@ -37,8 +37,8 @@ func captureStdout(t *testing.T, run func() error) string {
 
 // TestRunOutput pins the exact stdout of runApp, runWeightedApp and
 // runUpdates for every app each one serves, on a small grid at workers 1:
-// weighted levels print rounds= and float aggregates, which depend on the
-// worker count.
+// weighted levels print float aggregates, which depend on the worker
+// count.
 func TestRunOutput(t *testing.T) {
 	g := graph.Grid2D(6, 6)
 	wg := graph.RandomWeights(g, 1, 4, 3)
@@ -87,13 +87,13 @@ level 2: n=36 m=60 clusters=1 cut=0 cutFrac=0.0000 -> n'=36
 level 3: n=36 m=60 clusters=10 cut=27 cutFrac=0.4500 -> n'=36
 `},
 		{"weighted/lowstretch", func() error { return runWeightedApp("lowstretch", wg, beta, 4, false, opts) }, `graph: n=36 m=60 (weights U(1,4))
-lowstretch: levels=3 classes=1 treeEdges=35 meanStretch=3.56 maxStretch=25.21 direction=auto
+lowstretch: levels=3 classes=1 treeEdges=35 meanStretch=3.56 maxStretch=25.21
 level 0: n=36 m=60 clusters=14 cut=35 cutFrac=0.5833 totalW=155 cutW=94.6 cutWFrac=0.6117 maxR=6.69 rounds=7 -> n'=14
 level 1: n=14 m=25 clusters=2 cut=3 cutFrac=0.1200 totalW=94.6 cutW=10.9 cutWFrac=0.1150 maxR=10.43 rounds=6 -> n'=2
 level 2: n=2 m=1 clusters=1 cut=0 cutFrac=0.0000 totalW=10.9 cutW=0 cutWFrac=0.0000 maxR=10.88 rounds=3 -> n'=1
 `},
 		{"weighted/blocks", func() error { return runWeightedApp("blocks", wg, beta, 4, false, opts) }, `graph: n=36 m=60 (weights U(1,4))
-blocks: blocks=6 edges=60 direction=auto
+blocks: blocks=6 edges=60
 level 0: n=36 m=60 clusters=14 cut=35 cutFrac=0.5833 totalW=155 cutW=94.6 cutWFrac=0.6117 maxR=6.69 rounds=7 -> n'=36
 level 1: n=36 m=35 clusters=27 cut=26 cutFrac=0.7429 totalW=94.6 cutW=71.3 cutWFrac=0.7530 maxR=4.28 rounds=8 -> n'=36
 level 2: n=36 m=26 clusters=17 cut=4 cutFrac=0.1538 totalW=71.3 cutW=13.1 cutWFrac=0.1833 maxR=16.94 rounds=11 -> n'=36
@@ -104,7 +104,7 @@ level 6: n=36 m=1 clusters=36 cut=1 cutFrac=1.0000 totalW=3.45 cutW=3.45 cutWFra
 level 7: n=36 m=1 clusters=35 cut=0 cutFrac=0.0000 totalW=3.45 cutW=0 cutWFrac=0.0000 maxR=3.45 rounds=5 -> n'=36
 `},
 		{"weighted/embedding", func() error { return runWeightedApp("embedding", wg, beta, 4, false, opts) }, `graph: n=36 m=60 (weights U(1,4))
-embedding: levels=7 meanDistortion=18.60 maxDistortion=120.40 dominatedFrac=1.000 direction=auto
+embedding: levels=7 meanDistortion=18.60 maxDistortion=120.40 dominatedFrac=1.000
 level 0: n=36 m=60 clusters=5 cut=18 cutFrac=0.3000 totalW=155 cutW=48.1 cutWFrac=0.3110 maxR=15.47 rounds=11 -> n'=36
 level 1: n=36 m=60 clusters=6 cut=21 cutFrac=0.3500 totalW=155 cutW=58.1 cutWFrac=0.3758 maxR=9.93 rounds=8 -> n'=36
 level 2: n=36 m=60 clusters=2 cut=4 cutFrac=0.0667 totalW=155 cutW=11.6 cutWFrac=0.0752 maxR=13.80 rounds=11 -> n'=36

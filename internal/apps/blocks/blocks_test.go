@@ -115,7 +115,7 @@ func TestUndrainedResidualNamesMaxIters(t *testing.T) {
 	check("DecomposePoolCtx", err)
 	_, err = BuildIncrementalPoolCtx(nil, nil, g, 0.2, 1, 1, 0, core.DirectionAuto)
 	check("BuildIncrementalPoolCtx", err)
-	_, err = DecomposeWeightedPoolCtx(nil, nil, graph.RandomWeights(g, 1, 2, 3), 0.2, 1, 1, 0, core.DirectionAuto)
+	_, err = DecomposeWeightedPoolCtx(nil, nil, graph.RandomWeights(g, 1, 2, 3), 0.2, 1, 1, 0)
 	check("DecomposeWeightedPoolCtx", err)
 
 	// An edgeless graph drains at once; inserting the grid's edges does not.

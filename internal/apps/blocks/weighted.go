@@ -44,17 +44,17 @@ type WeightedDecomposition struct {
 
 // DecomposeWeightedPoolCtx is the weighted block decomposition on pool
 // (nil means parallel.Default()) with workers logical workers (<= 0 means
-// GOMAXPROCS) and traversal direction dir. β is in units of inverse
+// GOMAXPROCS). β is in units of inverse
 // weighted distance: pass beta/wtypical to cluster at scale wtypical.
 // maxIters caps the iteration count defensively; 0 means 8 + 4·bitlen(m),
 // where bitlen(m) is the bit length of m (⌊log2 m⌋ + 1, or 0 for m = 0),
 // and each iteration's β shrinks geometrically once the default cap is
 // half exhausted, so heavy residual edges are always eventually absorbed.
 // For a fixed (wg, beta, seed) the blocks are bit-identical at every
-// worker count and direction. ctx (nil means never cancelled) is polled at
+// worker count. ctx (nil means never cancelled) is polled at
 // level and Δ-stepping round boundaries; a cancelled run returns
 // (nil, ctx.Err()) with no partial decomposition.
-func DecomposeWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.WeightedGraph, beta float64, seed uint64, maxIters, workers int, dir core.Direction) (*WeightedDecomposition, error) {
+func DecomposeWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.WeightedGraph, beta float64, seed uint64, maxIters, workers int) (*WeightedDecomposition, error) {
 	if beta <= 0 || beta >= 1 {
 		return nil, core.ErrBeta
 	}
@@ -87,7 +87,6 @@ func DecomposeWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *grap
 		Seed:      seed,
 		Workers:   workers,
 		Pool:      pool,
-		Direction: dir,
 		MaxLevels: maxIters,
 		Residual:  true,
 		NeedIntra: true,

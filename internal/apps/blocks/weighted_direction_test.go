@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"mpx/internal/core"
 	"mpx/internal/graph"
 )
 
@@ -38,7 +37,7 @@ func wfingerprint(bd *WeightedDecomposition) uint64 {
 	return h.Sum64()
 }
 
-func weightedDirectionGraphs() map[string]*graph.WeightedGraph {
+func weightedDeterminismGraphs() map[string]*graph.WeightedGraph {
 	return map[string]*graph.WeightedGraph{
 		"grid": graph.RandomWeights(graph.Grid2D(18, 22), 1, 4, 13),
 		"gnm":  graph.RandomWeights(graph.GNM(500, 2000, 11), 0.5, 6, 7),
@@ -46,26 +45,23 @@ func weightedDirectionGraphs() map[string]*graph.WeightedGraph {
 }
 
 // TestDecomposeWeightedPoolDirectionsBitIdentical: the weighted block
-// structure must be bit-identical at workers 1/2/8 × push/pull/auto.
+// structure must be bit-identical at workers 1/2/8.
 func TestDecomposeWeightedPoolDirectionsBitIdentical(t *testing.T) {
-	dirs := []core.Direction{core.DirectionForcePush, core.DirectionForcePull, core.DirectionAuto}
-	for name, wg := range weightedDirectionGraphs() {
+	for name, wg := range weightedDeterminismGraphs() {
 		for _, seed := range []uint64{1, 42} {
-			base, err := DecomposeWeightedPoolCtx(nil, nil, wg, 0.5, seed, 0, 1, core.DirectionForcePush)
+			base, err := DecomposeWeightedPoolCtx(nil, nil, wg, 0.5, seed, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := wfingerprint(base)
-			for _, dir := range dirs {
-				for _, w := range []int{1, 2, 8} {
-					bd, err := DecomposeWeightedPoolCtx(nil, nil, wg, 0.5, seed, 0, w, dir)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := wfingerprint(bd); got != want {
-						t.Fatalf("%s seed=%d dir=%v workers=%d: fingerprint %#x want %#x",
-							name, seed, dir, w, got, want)
-					}
+			for _, w := range []int{2, 8} {
+				bd, err := DecomposeWeightedPoolCtx(nil, nil, wg, 0.5, seed, 0, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := wfingerprint(bd); got != want {
+					t.Fatalf("%s seed=%d workers=%d: fingerprint %#x want %#x",
+						name, seed, w, got, want)
 				}
 			}
 		}
@@ -79,7 +75,7 @@ func TestDecomposeWeightedGolden(t *testing.T) {
 	const golden = uint64(0x0889c292b8140c9e)
 	wg := graph.RandomWeights(graph.Grid2D(13, 17), 1, 3, 3)
 	for _, w := range []int{1, 2, 8} {
-		bd, err := DecomposeWeightedPoolCtx(nil, nil, wg, 0.5, 5, 0, w, core.DirectionAuto)
+		bd, err := DecomposeWeightedPoolCtx(nil, nil, wg, 0.5, 5, 0, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +89,7 @@ func TestDecomposeWeightedGolden(t *testing.T) {
 // every original edge lands in exactly one block.
 func TestDecomposeWeightedCoversEdges(t *testing.T) {
 	wg := graph.RandomWeights(graph.GNM(400, 1500, 3), 1, 8, 9)
-	bd, err := DecomposeWeightedPoolCtx(nil, nil, wg, 0.5, 2, 0, 4, core.DirectionAuto)
+	bd, err := DecomposeWeightedPoolCtx(nil, nil, wg, 0.5, 2, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

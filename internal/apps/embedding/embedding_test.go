@@ -148,7 +148,7 @@ func TestDefaultDiameterCoversEveryComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wtr, err := BuildWeightedPoolCtx(nil, nil, wg, 0, 1, 0, core.DirectionAuto)
+	wtr, err := BuildWeightedPoolCtx(nil, nil, wg, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

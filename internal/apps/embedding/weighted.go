@@ -35,12 +35,12 @@ type WeightedTree struct {
 // times the maximum edge weight, a cheap upper bound) halving per level
 // until it drops under the lightest edge weight, on pool (nil means
 // parallel.Default()) with workers logical workers (<= 0 means
-// GOMAXPROCS) and traversal direction dir. For a fixed (wg, diam0, seed)
-// the embedding is bit-identical at every worker count and direction. ctx
+// GOMAXPROCS). For a fixed (wg, diam0, seed) the embedding is
+// bit-identical at every worker count. ctx
 // (nil means never cancelled) is polled at every level and Δ-stepping
 // round boundary; a cancelled build returns (nil, ctx.Err()) with no
 // partial tree.
-func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.WeightedGraph, diam0 float64, seed uint64, workers int, dir core.Direction) (*WeightedTree, error) {
+func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.WeightedGraph, diam0 float64, seed uint64, workers int) (*WeightedTree, error) {
 	n := wg.NumVertices()
 	t := &WeightedTree{G: wg}
 	if n == 0 {
@@ -57,7 +57,7 @@ func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.We
 		}
 	}
 	totalW := hier.TotalWeightOnPool(pool, workers, wg) // the graph is fixed across levels
-	base := core.Options{Ctx: ctx, Seed: seed, Workers: workers, Pool: pool, Direction: dir}
+	base := core.Options{Ctx: ctx, Seed: seed, Workers: workers, Pool: pool}
 	err := t.grow(base, n, diam0, wmin, 80, func(level int, beta float64, opts core.Options) ([]uint32, hier.LevelStat, error) {
 		d, err := core.PartitionWeightedParallel(wg, beta, 1/beta, opts)
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"mpx/internal/core"
 	"mpx/internal/graph"
 )
 
@@ -34,7 +33,7 @@ func wfingerprint(t *WeightedTree) uint64 {
 	return h.Sum64()
 }
 
-func weightedDirectionGraphs() map[string]*graph.WeightedGraph {
+func weightedDeterminismGraphs() map[string]*graph.WeightedGraph {
 	return map[string]*graph.WeightedGraph{
 		"grid": graph.RandomWeights(graph.Grid2D(15, 18), 1, 4, 13),
 		"gnm":  graph.RandomWeights(graph.GNM(400, 1600, 11), 0.5, 6, 7),
@@ -42,26 +41,23 @@ func weightedDirectionGraphs() map[string]*graph.WeightedGraph {
 }
 
 // TestBuildWeightedPoolDirectionsBitIdentical: the weighted embedding must
-// be bit-identical at workers 1/2/8 × push/pull/auto.
+// be bit-identical at workers 1/2/8.
 func TestBuildWeightedPoolDirectionsBitIdentical(t *testing.T) {
-	dirs := []core.Direction{core.DirectionForcePush, core.DirectionForcePull, core.DirectionAuto}
-	for name, wg := range weightedDirectionGraphs() {
+	for name, wg := range weightedDeterminismGraphs() {
 		for _, seed := range []uint64{1, 42} {
-			base, err := BuildWeightedPoolCtx(nil, nil, wg, 0, seed, 1, core.DirectionForcePush)
+			base, err := BuildWeightedPoolCtx(nil, nil, wg, 0, seed, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := wfingerprint(base)
-			for _, dir := range dirs {
-				for _, w := range []int{1, 2, 8} {
-					tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0, seed, w, dir)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := wfingerprint(tr); got != want {
-						t.Fatalf("%s seed=%d dir=%v workers=%d: fingerprint %#x want %#x",
-							name, seed, dir, w, got, want)
-					}
+			for _, w := range []int{2, 8} {
+				tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0, seed, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := wfingerprint(tr); got != want {
+					t.Fatalf("%s seed=%d workers=%d: fingerprint %#x want %#x",
+						name, seed, w, got, want)
 				}
 			}
 		}
@@ -75,7 +71,7 @@ func TestBuildWeightedGolden(t *testing.T) {
 	const golden = uint64(0xa12329a3fbbfe948)
 	wg := graph.RandomWeights(graph.Grid2D(12, 13), 1, 3, 3)
 	for _, w := range []int{1, 2, 8} {
-		tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0, 5, w, core.DirectionAuto)
+		tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0, 5, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +86,7 @@ func TestBuildWeightedGolden(t *testing.T) {
 // weighted distances, and refinement is monotone (pieces only split).
 func TestBuildWeightedDominates(t *testing.T) {
 	wg := graph.RandomWeights(graph.Grid2D(14, 14), 1, 5, 9)
-	tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0, 4, 4, core.DirectionAuto)
+	tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,12 +60,13 @@ type WeightedTree struct {
 // BuildWeightedPoolCtx constructs an AKPW low-stretch spanning forest of
 // wg with base decomposition parameter beta, on pool (nil means
 // parallel.Default()) with workers logical workers (<= 0 means
-// GOMAXPROCS) and traversal direction dir. beta is interpreted at the
-// lightest weight class: level l decomposes with β_l = beta/(wmin·y^l)
-// (clamped into the valid (0, 1) range), so cluster radii grow by the
-// class factor y per level — the AKPW progression. For a fixed
-// (wg, beta, seed) the forest is bit-identical at every worker count and
-// direction. ctx (nil means never cancelled) is polled at level and
+// GOMAXPROCS). dir is ignored: the weighted partition has one round
+// kernel, and the parameter stays only for existing callers. beta is
+// interpreted at the lightest weight class: level l decomposes with
+// β_l = beta/(wmin·y^l) (clamped into the valid (0, 1) range), so cluster
+// radii grow by the class factor y per level — the AKPW progression. For
+// a fixed (wg, beta, seed) the forest is bit-identical at every worker
+// count. ctx (nil means never cancelled) is polled at level and
 // Δ-stepping round boundaries; a cancelled build returns (nil, ctx.Err())
 // with no partial forest.
 func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.WeightedGraph, beta float64, seed uint64, workers int, dir core.Direction) (*WeightedTree, error) {
@@ -114,7 +115,6 @@ func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.We
 		Seed:         seed,
 		Workers:      workers,
 		Pool:         pool,
-		Direction:    dir,
 		MaxLevels:    maxLevels,
 		NeedEdgeOrig: true,
 	}, wg, func(lv *hier.Level) error {

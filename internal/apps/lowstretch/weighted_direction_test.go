@@ -34,7 +34,7 @@ func wfingerprint(t *WeightedTree) uint64 {
 	return h.Sum64()
 }
 
-func weightedDirectionGraphs() map[string]*graph.WeightedGraph {
+func weightedDeterminismGraphs() map[string]*graph.WeightedGraph {
 	return map[string]*graph.WeightedGraph{
 		"grid": graph.RandomWeights(graph.Grid2D(18, 22), 1, 6, 13),
 		"gnm":  graph.RandomWeights(graph.GNM(500, 2000, 11), 0.5, 8, 7),
@@ -43,28 +43,26 @@ func weightedDirectionGraphs() map[string]*graph.WeightedGraph {
 
 // TestBuildWeightedPoolDirectionsBitIdentical is the hierarchy determinism
 // proof for the AKPW weighted tree: the forest must be bit-identical at
-// workers 1/2/8 and under push/pull/auto, because the weighted partition
-// is, the weighted contraction is bit-identical to its serial reference
-// (including summed weight bits), and the annotation kernels are shared
-// with the unweighted engine.
+// workers 1/2/8, because the weighted partition is, the weighted
+// contraction is bit-identical to its serial reference (including summed
+// weight bits), and the annotation kernels are shared with the unweighted
+// engine.
 func TestBuildWeightedPoolDirectionsBitIdentical(t *testing.T) {
-	for name, wg := range weightedDirectionGraphs() {
+	for name, wg := range weightedDeterminismGraphs() {
 		for _, seed := range []uint64{1, 42} {
-			base, err := BuildWeightedPoolCtx(nil, nil, wg, 0.25, seed, 1, core.DirectionForcePush)
+			base, err := BuildWeightedPoolCtx(nil, nil, wg, 0.25, seed, 1, core.DirectionAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := wfingerprint(base)
-			for _, dir := range allDirections {
-				for _, w := range []int{1, 2, 8} {
-					tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0.25, seed, w, dir)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := wfingerprint(tr); got != want {
-						t.Fatalf("%s seed=%d dir=%v workers=%d: fingerprint %#x want %#x",
-							name, seed, dir, w, got, want)
-					}
+			for _, w := range []int{2, 8} {
+				tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0.25, seed, w, core.DirectionAuto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := wfingerprint(tr); got != want {
+					t.Fatalf("%s seed=%d workers=%d: fingerprint %#x want %#x",
+						name, seed, w, got, want)
 				}
 			}
 		}
@@ -79,15 +77,13 @@ func TestBuildWeightedPoolDirectionsBitIdentical(t *testing.T) {
 func TestBuildWeightedGolden(t *testing.T) {
 	const golden = uint64(0x9518ea417ee2f264)
 	wg := graph.RandomWeights(graph.Grid2D(13, 17), 1, 4, 3)
-	for _, dir := range allDirections {
-		for _, w := range []int{1, 2, 8} {
-			tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0.3, 5, w, dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := wfingerprint(tr); got != golden {
-				t.Fatalf("dir=%v workers=%d: fingerprint %#x want %#x", dir, w, got, golden)
-			}
+	for _, w := range []int{1, 2, 8} {
+		tr, err := BuildWeightedPoolCtx(nil, nil, wg, 0.3, 5, w, core.DirectionAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := wfingerprint(tr); got != golden {
+			t.Fatalf("workers=%d: fingerprint %#x want %#x", w, got, golden)
 		}
 	}
 }

@@ -148,13 +148,12 @@ type Options struct {
 	TieBreak TieBreak
 	// ShiftSource selects the shift distribution.
 	ShiftSource ShiftSource
-	// Direction selects the per-round traversal mode, for both the
-	// unweighted Partition and the weighted PartitionWeightedParallel.
-	// Push and pull rounds resolve claims to the same minimum packed key
-	// ((rank, proposer) for the unweighted BFS, (distance bits, proposer)
-	// for the weighted Δ-stepping), so every mode produces the identical
-	// decomposition; the choice only moves work between cache-friendly
-	// dense scans and sparse expansions. See docs/determinism.md.
+	// Direction selects the per-round traversal mode of the unweighted
+	// Partition; the weighted partitions ignore it. Push and pull rounds
+	// resolve claims to the same minimum packed (rank, proposer) key, so
+	// every mode produces the identical decomposition; the choice only
+	// moves work between cache-friendly dense scans and sparse expansions.
+	// See docs/determinism.md.
 	Direction Direction
 }
 

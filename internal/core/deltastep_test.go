@@ -33,11 +33,11 @@ func singleSource(n int, s uint32) []float64 {
 }
 
 // runDelta runs deltaStep into fresh dist and parent buffers.
-func runDelta(t *testing.T, pool *parallel.Pool, wg *graph.WeightedGraph, init []float64, delta float64, workers int, dir Direction) (dist []float64, parent []uint32, rounds int) {
+func runDelta(t *testing.T, pool *parallel.Pool, wg *graph.WeightedGraph, init []float64, delta float64, workers int) (dist []float64, parent []uint32, rounds int) {
 	t.Helper()
 	n := wg.NumVertices()
 	dist, parent = make([]float64, n), make([]uint32, n)
-	rounds, err := deltaStep(nil, pool, wg, init, delta, workers, dir, dist, parent)
+	rounds, err := deltaStep(nil, pool, wg, init, delta, workers, dist, parent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func runDelta(t *testing.T, pool *parallel.Pool, wg *graph.WeightedGraph, init [
 // deltaFrom runs deltaStep from one source on the default pool.
 func deltaFrom(t *testing.T, wg *graph.WeightedGraph, s uint32, delta float64, workers int) (dist []float64, parent []uint32, rounds int) {
 	t.Helper()
-	return runDelta(t, nil, wg, singleSource(wg.NumVertices(), s), delta, workers, DirectionAuto)
+	return runDelta(t, nil, wg, singleSource(wg.NumVertices(), s), delta, workers)
 }
 
 func TestDeltaSteppingMatchesDijkstra(t *testing.T) {
@@ -75,19 +75,17 @@ func TestDeltaSteppingMatchesDijkstra(t *testing.T) {
 }
 
 // TestDeltaSteppingPoolMatchesDijkstra checks the bucket relaxation on an
-// explicit pool, in every direction, against the Dijkstra oracle.
+// explicit pool against the Dijkstra oracle.
 func TestDeltaSteppingPoolMatchesDijkstra(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
 	wg := graph.RandomWeights(graph.Grid2D(25, 25), 1, 8, 21)
 	want := bfs.DijkstraWeighted(wg, 0)
-	for _, dir := range []Direction{DirectionForcePush, DirectionForcePull, DirectionAuto} {
-		for _, w := range []int{1, 2, 8} {
-			dist, _, _ := runDelta(t, pool, wg, singleSource(wg.NumVertices(), 0), 0.5, w, dir)
-			for v, d := range want {
-				if diff := dist[v] - d; diff > 1e-9 || diff < -1e-9 {
-					t.Fatalf("dir=%v workers=%d: dist[%d]=%g want %g", dir, w, v, dist[v], d)
-				}
+	for _, w := range []int{1, 2, 8} {
+		dist, _, _ := runDelta(t, pool, wg, singleSource(wg.NumVertices(), 0), 0.5, w)
+		for v, d := range want {
+			if diff := dist[v] - d; diff > 1e-9 || diff < -1e-9 {
+				t.Fatalf("workers=%d: dist[%d]=%g want %g", w, v, dist[v], d)
 			}
 		}
 	}
@@ -135,7 +133,7 @@ func TestDeltaSteppingMultiSource(t *testing.T) {
 	wg := unitWeighted(graph.Path(10))
 	init := singleSource(10, 9)
 	init[0] = 0.5
-	dist, _, _ := runDelta(t, nil, wg, init, 1, 2, DirectionAuto)
+	dist, _, _ := runDelta(t, nil, wg, init, 1, 2)
 	for v := 0; v < 10; v++ {
 		want := math.Min(0.5+float64(v), float64(9-v))
 		if math.Abs(dist[v]-want) > 1e-9 {
@@ -149,7 +147,7 @@ func TestDeltaSteppingEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, rounds := runDelta(t, nil, wg, nil, 0, 1, DirectionAuto); rounds != 0 {
+	if _, _, rounds := runDelta(t, nil, wg, nil, 0, 1); rounds != 0 {
 		t.Errorf("empty graph ran %d rounds, want 0", rounds)
 	}
 }
@@ -160,7 +158,7 @@ func TestDeltaSteppingNoSources(t *testing.T) {
 	for i := range init {
 		init[i] = math.Inf(1)
 	}
-	dist, parent, _ := runDelta(t, nil, wg, init, 1, 1, DirectionAuto)
+	dist, parent, _ := runDelta(t, nil, wg, init, 1, 1)
 	for v, d := range dist {
 		if !math.IsInf(d, 1) {
 			t.Errorf("vertex %d reached without sources", v)
@@ -219,31 +217,29 @@ func TestDeltaSteppingSubUlpWeightsAcyclic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dir := range []Direction{DirectionForcePush, DirectionForcePull, DirectionAuto} {
-		dist, parent, _ := runDelta(t, nil, wg, singleSource(4, 0), 0, 2, dir)
-		// Walk every parent chain; it must reach a self-parent within n steps.
-		for v := range parent {
-			x, steps := uint32(v), 0
-			for parent[x] != x {
-				x = parent[x]
-				if steps++; steps > len(parent) {
-					t.Fatalf("dir=%v: parent chain from %d cycles (parents=%v)", dir, v, parent)
-				}
+	dist, parent, _ := runDelta(t, nil, wg, singleSource(4, 0), 0, 2)
+	// Walk every parent chain; it must reach a self-parent within n steps.
+	for v := range parent {
+		x, steps := uint32(v), 0
+		for parent[x] != x {
+			x = parent[x]
+			if steps++; steps > len(parent) {
+				t.Fatalf("parent chain from %d cycles (parents=%v)", v, parent)
 			}
 		}
-		// Every non-source parent must be a neighbour that explains its
-		// child's distance bit-exactly.
-		for v, p := range parent {
-			if uint32(v) == p {
-				continue
-			}
-			w, ok := wg.Weight(p, uint32(v))
-			if !ok {
-				t.Fatalf("dir=%v: parent %d of %d is not a neighbour", dir, p, v)
-			}
-			if math.Float64bits(dist[v]) != math.Float64bits(dist[p]+w) {
-				t.Fatalf("dir=%v: parent %d does not explain dist of %d", dir, p, v)
-			}
+	}
+	// Every non-source parent must be a neighbour that explains its
+	// child's distance bit-exactly.
+	for v, p := range parent {
+		if uint32(v) == p {
+			continue
+		}
+		w, ok := wg.Weight(p, uint32(v))
+		if !ok {
+			t.Fatalf("parent %d of %d is not a neighbour", p, v)
+		}
+		if math.Float64bits(dist[v]) != math.Float64bits(dist[p]+w) {
+			t.Fatalf("parent %d does not explain dist of %d", p, v)
 		}
 	}
 }

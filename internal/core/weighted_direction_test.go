@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -18,10 +19,12 @@ func mustPartitionWeighted(t *testing.T, wg *graph.WeightedGraph, beta float64, 
 	return d
 }
 
-// weightedDirectionGraphs are the cross-path determinism workloads: the
-// high-diameter grid, the low-diameter gnm family, and a power-law graph
-// (mirroring direction_test.go's unweighted trio).
-func weightedDirectionGraphs() []struct {
+// weightedDeterminismGraphs are the cross-worker determinism workloads:
+// the high-diameter grid, the low-diameter gnm family, and a power-law
+// graph (mirroring direction_test.go's unweighted trio), plus the
+// preferential-attachment and road families, whose wide buckets at small
+// β once let a racing round count differ between runs.
+func weightedDeterminismGraphs() []struct {
 	name string
 	wg   *graph.WeightedGraph
 } {
@@ -32,47 +35,71 @@ func weightedDirectionGraphs() []struct {
 		{"grid", graph.RandomWeights(graph.Grid2D(18, 22), 1, 6, 3)},
 		{"gnm", graph.RandomWeights(graph.GNM(400, 1600, 11), 0.5, 4, 7)},
 		{"powerlaw", graph.RandomWeights(graph.RMAT(9, 2600, 13), 1, 9, 5)},
+		{"pa", graph.RandomWeights(graph.PreferentialAttachment(800, 3, 5), 1, 4, 2)},
+		{"road", graph.RandomWeights(graph.RoadNetwork(25, 25, 0.85, 25, 9), 1, 8, 4)},
 	}
 }
 
-// TestWeightedDirectionsBitIdentical is the weighted tentpole determinism
-// proof, mirroring TestPartitionDirectionsBitIdentical: push-only,
-// pull-only and auto-switching weighted partitions must produce
-// byte-identical Center/Parent arrays and bit-identical Dist arrays for
-// fixed (graph, β, seed) at every worker count, because the shifted
-// distances converge to one min-plus fixpoint in every mode and parents
-// are resolved as the minimum packed (distance bits, proposer) key over
-// those distances.
+// TestWeightedDirectionsBitIdentical is the weighted determinism proof,
+// mirroring TestPartitionDirectionsBitIdentical: weighted partitions must
+// produce byte-identical Center/Parent arrays, bit-identical Dist arrays
+// and the same Rounds for fixed (graph, β, Δ, seed) at every worker count,
+// because each round relaxes from start-of-round distances, the shifted
+// distances converge to one min-plus fixpoint, and parents are resolved
+// as the minimum packed (distance bits, proposer) key over those
+// distances. Each graph runs at the default Δ and at small β with the
+// hierarchies' Δ = 1/β, where buckets are wide and rounds race most.
 func TestWeightedDirectionsBitIdentical(t *testing.T) {
-	workerCounts := []int{1, 2, 8}
 	seeds := []uint64{1, 42}
-	for _, tc := range weightedDirectionGraphs() {
+	configs := []struct{ beta, delta float64 }{{0.15, 0}, {0.05, 20}}
+	for _, tc := range weightedDeterminismGraphs() {
 		for _, seed := range seeds {
-			base := mustPartitionWeighted(t, tc.wg, 0.15,
-				Options{Seed: seed, Workers: 1, Direction: DirectionForcePush})
-			for _, dir := range []Direction{DirectionForcePush, DirectionForcePull, DirectionAuto} {
-				for _, w := range workerCounts {
-					d := mustPartitionWeighted(t, tc.wg, 0.15,
-						Options{Seed: seed, Workers: w, Direction: dir})
+			for _, c := range configs {
+				run := func(w int) *WeightedDecomposition {
+					d, err := PartitionWeightedParallel(tc.wg, c.beta, c.delta, Options{Seed: seed, Workers: w})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return d
+				}
+				base := run(1)
+				for _, w := range []int{2, 8} {
+					d := run(w)
+					tag := fmt.Sprintf("%s seed=%d beta=%g delta=%g workers=%d", tc.name, seed, c.beta, c.delta, w)
+					if d.Rounds != base.Rounds {
+						t.Fatalf("%s: Rounds=%d want %d", tag, d.Rounds, base.Rounds)
+					}
 					for v := range base.Center {
 						if base.Center[v] != d.Center[v] {
-							t.Fatalf("%s seed=%d dir=%v workers=%d: Center[%d]=%d want %d",
-								tc.name, seed, dir, w, v, d.Center[v], base.Center[v])
+							t.Fatalf("%s: Center[%d]=%d want %d", tag, v, d.Center[v], base.Center[v])
 						}
 						if math.Float64bits(base.Dist[v]) != math.Float64bits(d.Dist[v]) {
-							t.Fatalf("%s seed=%d dir=%v workers=%d: Dist[%d]=%x want %x",
-								tc.name, seed, dir, w, v,
+							t.Fatalf("%s: Dist[%d]=%x want %x", tag, v,
 								math.Float64bits(d.Dist[v]), math.Float64bits(base.Dist[v]))
 						}
 						if base.Parent[v] != d.Parent[v] {
-							t.Fatalf("%s seed=%d dir=%v workers=%d: Parent[%d]=%d want %d",
-								tc.name, seed, dir, w, v, d.Parent[v], base.Parent[v])
+							t.Fatalf("%s: Parent[%d]=%d want %d", tag, v, d.Parent[v], base.Parent[v])
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// sameWeighted reports whether a and b agree on Center, Parent, the Dist
+// bits and Rounds.
+func sameWeighted(a, b *WeightedDecomposition) bool {
+	if a.Rounds != b.Rounds {
+		return false
+	}
+	for v := range a.Center {
+		if a.Center[v] != b.Center[v] || a.Parent[v] != b.Parent[v] ||
+			math.Float64bits(a.Dist[v]) != math.Float64bits(b.Dist[v]) {
+			return false
+		}
+	}
+	return true
 }
 
 // weightedGolden hashes the full decomposition output (center, parent and
@@ -102,62 +129,16 @@ func weightedGolden(d *WeightedDecomposition) uint64 {
 // TestWeightedGoldenOutput pins one fixed (graph, β, seed) decomposition
 // to a golden fingerprint, so silent cross-version drift of the weighted
 // path (a changed float expression, a different tie rule) fails loudly
-// even when the run stays internally consistent across workers and
-// directions. Update the constant only with an intentional, documented
-// change to the weighted claim resolution.
+// even when the run stays internally consistent across workers. Update
+// the constant only with an intentional, documented change to the
+// weighted claim resolution.
 func TestWeightedGoldenOutput(t *testing.T) {
 	const goldenWeighted = uint64(0x3f4c50e4eccdf7dd)
 	wg := graph.RandomWeights(graph.Grid2D(12, 13), 1, 5, 9)
-	for _, dir := range []Direction{DirectionForcePush, DirectionForcePull, DirectionAuto} {
-		for _, w := range []int{1, 2, 8} {
-			d := mustPartitionWeighted(t, wg, 0.2, Options{Seed: 5, Workers: w, Direction: dir})
-			if got := weightedGolden(d); got != goldenWeighted {
-				t.Fatalf("dir=%v workers=%d: golden fingerprint %#x, want %#x", dir, w, got, goldenWeighted)
-			}
-		}
-	}
-}
-
-// TestWeightedPullValidates runs the pull engine through the structural
-// validator across graph families and β values.
-func TestWeightedPullValidates(t *testing.T) {
-	cases := []struct {
-		name string
-		wg   *graph.WeightedGraph
-	}{
-		{"path", graph.RandomWeights(graph.Path(200), 1, 3, 1)},
-		{"cycle", graph.RandomWeights(graph.Cycle(100), 0.5, 2, 2)},
-		{"grid", graph.RandomWeights(graph.Grid2D(15, 20), 1, 8, 3)},
-		{"complete", graph.RandomWeights(graph.Complete(40), 1, 2, 4)},
-		{"star", graph.RandomWeights(graph.Star(100), 1, 4, 5)},
-	}
-	for _, tc := range cases {
-		for _, beta := range []float64{0.05, 0.2, 0.5} {
-			d := mustPartitionWeighted(t, tc.wg, beta,
-				Options{Seed: 42, Workers: 4, Direction: DirectionForcePull})
-			if err := d.Validate(); err != nil {
-				t.Errorf("%s beta=%g: %v", tc.name, beta, err)
-			}
-		}
-	}
-}
-
-// TestWeightedPullMatchesSequential anchors the pull engine to the
-// heap-based shifted-Dijkstra reference, not just to the push engine.
-func TestWeightedPullMatchesSequential(t *testing.T) {
-	wg := graph.RandomWeights(graph.Grid2D(25, 25), 1, 5, 11)
-	opts := Options{Seed: 21, Workers: 4, Direction: DirectionForcePull}
-	seq, err := PartitionWeighted(wg, 0.1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := mustPartitionWeighted(t, wg, 0.1, opts)
-	for v := range seq.Center {
-		if seq.Center[v] != par.Center[v] {
-			t.Fatalf("pull vs sequential: Center[%d]=%d want %d", v, par.Center[v], seq.Center[v])
-		}
-		if math.Abs(seq.Dist[v]-par.Dist[v]) > 1e-9 {
-			t.Fatalf("pull vs sequential: Dist[%d]=%g want %g", v, par.Dist[v], seq.Dist[v])
+	for _, w := range []int{1, 2, 8} {
+		d := mustPartitionWeighted(t, wg, 0.2, Options{Seed: 5, Workers: w})
+		if got := weightedGolden(d); got != goldenWeighted {
+			t.Fatalf("workers=%d: golden fingerprint %#x, want %#x", w, got, goldenWeighted)
 		}
 	}
 }
@@ -169,18 +150,11 @@ func TestWeightedDirectionsSharedPool(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
 	wg := graph.RandomWeights(graph.GNM(500, 2500, 17), 1, 6, 19)
-	base := mustPartitionWeighted(t, wg, 0.1,
-		Options{Seed: 2, Workers: 1, Direction: DirectionForcePush, Pool: pool})
-	for _, dir := range []Direction{DirectionForcePull, DirectionAuto} {
-		for _, w := range []int{2, 8} {
-			d := mustPartitionWeighted(t, wg, 0.1,
-				Options{Seed: 2, Workers: w, Direction: dir, Pool: pool})
-			for v := range base.Center {
-				if base.Center[v] != d.Center[v] || base.Parent[v] != d.Parent[v] ||
-					math.Float64bits(base.Dist[v]) != math.Float64bits(d.Dist[v]) {
-					t.Fatalf("dir=%v workers=%d: mismatch at vertex %d", dir, w, v)
-				}
-			}
+	base := mustPartitionWeighted(t, wg, 0.1, Options{Seed: 2, Workers: 1, Pool: pool})
+	for _, w := range []int{2, 8, 2} {
+		d := mustPartitionWeighted(t, wg, 0.1, Options{Seed: 2, Workers: w, Pool: pool})
+		if !sameWeighted(base, d) {
+			t.Fatalf("workers=%d: output differs from workers=1", w)
 		}
 	}
 }
@@ -189,7 +163,7 @@ func TestWeightedDirectionsSharedPool(t *testing.T) {
 // the full weighted partition: edges far below one ulp of the path length
 // produce bit-equal neighbor distances, and the parent resolution must
 // stay acyclic (chaseRoot panics on a cycle) and bit-identical across
-// directions and worker counts.
+// worker counts.
 func TestWeightedSubUlpWeightsNoCycle(t *testing.T) {
 	var edges []graph.WeightedEdge
 	for i := uint32(0); i < 49; i++ {
@@ -203,17 +177,11 @@ func TestWeightedSubUlpWeightsNoCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := mustPartitionWeighted(t, wg, 0.2,
-		Options{Seed: 4, Workers: 1, Direction: DirectionForcePush})
-	for _, dir := range []Direction{DirectionForcePush, DirectionForcePull, DirectionAuto} {
-		for _, w := range []int{1, 2, 8} {
-			d := mustPartitionWeighted(t, wg, 0.2, Options{Seed: 4, Workers: w, Direction: dir})
-			for v := range base.Center {
-				if base.Center[v] != d.Center[v] || base.Parent[v] != d.Parent[v] ||
-					math.Float64bits(base.Dist[v]) != math.Float64bits(d.Dist[v]) {
-					t.Fatalf("dir=%v workers=%d: mismatch at vertex %d", dir, w, v)
-				}
-			}
+	base := mustPartitionWeighted(t, wg, 0.2, Options{Seed: 4, Workers: 1})
+	for _, w := range []int{2, 8} {
+		d := mustPartitionWeighted(t, wg, 0.2, Options{Seed: 4, Workers: w})
+		if !sameWeighted(base, d) {
+			t.Fatalf("workers=%d: output differs from workers=1", w)
 		}
 	}
 }

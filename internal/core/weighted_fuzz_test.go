@@ -8,12 +8,12 @@ import (
 )
 
 // FuzzPartitionWeighted checks the structural invariants of the weighted
-// parallel partition on arbitrary weighted graphs, traversal directions
-// and worker counts: every vertex is claimed exactly once (Center is a
-// total function into self-claiming centers), centers claim themselves,
-// every cluster radius respects its center's shift bound, distances are
-// never NaN/Inf, and the output is bit-identical to the workers=1 push
-// run of the same instance.
+// parallel partition on arbitrary weighted graphs and worker counts: every
+// vertex is claimed exactly once (Center is a total function into
+// self-claiming centers), centers claim themselves, every cluster radius
+// respects its center's shift bound, distances are never NaN/Inf, and the
+// output and Rounds are bit-identical to the workers=1 run of the same
+// instance.
 func FuzzPartitionWeighted(f *testing.F) {
 	f.Add(uint16(40), uint16(80), uint64(1), byte(20), byte(0))
 	f.Add(uint16(3), uint16(1), uint64(7), byte(90), byte(1))
@@ -29,9 +29,8 @@ func FuzzPartitionWeighted(f *testing.F) {
 		g := graph.GNM(n, m, seed)
 		wg := graph.RandomWeights(g, 0.25, 8, seed^0x9e3779b97f4a7c15)
 		beta := 0.02 + float64(betaRaw%96)/100
-		dir := []Direction{DirectionAuto, DirectionForcePush, DirectionForcePull}[modeRaw%3]
 		workers := 1 + int(modeRaw%8)
-		d, err := PartitionWeightedParallel(wg, beta, 0, Options{Seed: seed, Workers: workers, Direction: dir})
+		d, err := PartitionWeightedParallel(wg, beta, 0, Options{Seed: seed, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,18 +64,14 @@ func FuzzPartitionWeighted(f *testing.F) {
 		if err := d.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		// Cross-path determinism: the same instance at workers=1 push must
-		// reproduce the output bit for bit.
-		ref, err := PartitionWeightedParallel(wg, beta, 0,
-			Options{Seed: seed, Workers: 1, Direction: DirectionForcePush})
+		// Cross-worker determinism: the same instance at workers=1 must
+		// reproduce the output and the round count bit for bit.
+		ref, err := PartitionWeightedParallel(wg, beta, 0, Options{Seed: seed, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v := 0; v < n; v++ {
-			if ref.Center[v] != d.Center[v] || ref.Parent[v] != d.Parent[v] ||
-				math.Float64bits(ref.Dist[v]) != math.Float64bits(d.Dist[v]) {
-				t.Fatalf("workers=%d dir=%v diverges from workers=1 push at vertex %d", workers, dir, v)
-			}
+		if !sameWeighted(ref, d) {
+			t.Fatalf("workers=%d diverges from workers=1 (Rounds %d vs %d)", workers, d.Rounds, ref.Rounds)
 		}
 	})
 }

@@ -14,20 +14,19 @@ import (
 // shifted shortest paths as a multi-source Δ-stepping (Meyer–Sanders) from
 // an implicit super-source with arc lengths δ_max − δ_u.
 //
-// Like the unweighted Partition, the bucket-relaxation rounds are
-// direction-optimizing: Options.Direction selects push (top-down atomic-min
-// relaxation), pull (each unsettled vertex scans its own in-neighborhood
-// over a bit-packed frontier), or per-round Beamer-style auto switching.
-// The shifted distances converge to the same min-plus fixpoint in every
-// mode and parents are resolved from them by a deterministic minimum over
-// packed (distance bits, proposer) keys, so Center, Dist and Parent are
-// bit-identical across directions and worker counts (docs/determinism.md).
+// Each bucket-relaxation round relaxes the frontier from its distances as
+// of the start of the round, so the shifted distances, the frontiers and
+// the round count are the same at every worker count; parents are resolved
+// from the distances by a deterministic minimum over packed (distance
+// bits, proposer) keys, so Center, Dist, Parent and Rounds are
+// bit-identical across worker counts (docs/determinism.md).
+// Options.Direction and Options.TieBreak do not apply to this engine.
 //
 // The decomposition quality matches PartitionWeighted exactly up to
 // floating-point tie events (the assignment minimizes the same shifted
 // distances); the Rounds counter exposes the empirical parallel depth that
 // Section 6 asks about — experiment E15 sweeps it against Δ and the weight
-// distribution, and E21 sweeps the traversal direction.
+// distribution.
 // Robustness: like Partition, Options.Ctx is polled between
 // bucket-relaxation rounds (a cancelled call returns (nil, ctx.Err()) with
 // no partial result) and panics escaping the round kernels are recovered
@@ -60,11 +59,10 @@ func PartitionWeightedParallel(wg *graph.WeightedGraph, beta float64, delta floa
 	pool.For(opts.Workers, n, func(v int) {
 		init[v] = d.DeltaMax - d.Shifts[v]
 	})
-	// The bucket-relaxation rounds run on the same persistent pool, in the
-	// traversal direction the caller selected; Ctx cancels between rounds.
-	// They leave the shifted distances in d.Dist and the shortest-path
-	// forest in d.Parent.
-	d.Rounds, err = deltaStep(opts.Ctx, pool, wg, init, delta, opts.Workers, opts.Direction, d.Dist, d.Parent)
+	// The bucket-relaxation rounds run on the same persistent pool; Ctx
+	// cancels between rounds. They leave the shifted distances in d.Dist
+	// and the shortest-path forest in d.Parent.
+	d.Rounds, err = deltaStep(opts.Ctx, pool, wg, init, delta, opts.Workers, d.Dist, d.Parent)
 	if err != nil {
 		return nil, err
 	}

@@ -26,6 +26,9 @@ func TestWeightedParallelMatchesSequentialQuality(t *testing.T) {
 		if seq.Center[v] != par.Center[v] {
 			mismatch++
 		}
+		if math.Abs(seq.Dist[v]-par.Dist[v]) > 1e-9 {
+			t.Fatalf("Dist[%d]=%g, sequential has %g", v, par.Dist[v], seq.Dist[v])
+		}
 	}
 	// Allow a tiny number of fp-tie divergences; none expected with these
 	// seeds.
@@ -39,6 +42,8 @@ func TestWeightedParallelMatchesSequentialQuality(t *testing.T) {
 	}
 }
 
+// TestWeightedParallelValidates runs the engine through the structural
+// validator on a GNM graph and across graph families and β values.
 func TestWeightedParallelValidates(t *testing.T) {
 	wg := graph.RandomWeights(graph.GNM(400, 1200, 5), 0.5, 3, 9)
 	d, err := PartitionWeightedParallel(wg, 0.15, 0, Options{Seed: 4})
@@ -51,6 +56,24 @@ func TestWeightedParallelValidates(t *testing.T) {
 	if d.Rounds <= 0 {
 		t.Error("expected positive round count")
 	}
+	cases := []struct {
+		name string
+		wg   *graph.WeightedGraph
+	}{
+		{"path", graph.RandomWeights(graph.Path(200), 1, 3, 1)},
+		{"cycle", graph.RandomWeights(graph.Cycle(100), 0.5, 2, 2)},
+		{"grid", graph.RandomWeights(graph.Grid2D(15, 20), 1, 8, 3)},
+		{"complete", graph.RandomWeights(graph.Complete(40), 1, 2, 4)},
+		{"star", graph.RandomWeights(graph.Star(100), 1, 4, 5)},
+	}
+	for _, tc := range cases {
+		for _, beta := range []float64{0.05, 0.2, 0.5} {
+			d := mustPartitionWeighted(t, tc.wg, beta, Options{Seed: 42, Workers: 4})
+			if err := d.Validate(); err != nil {
+				t.Errorf("%s beta=%g: %v", tc.name, beta, err)
+			}
+		}
+	}
 }
 
 func TestWeightedParallelDeterministicAcrossWorkers(t *testing.T) {
@@ -62,6 +85,9 @@ func TestWeightedParallelDeterministicAcrossWorkers(t *testing.T) {
 	b, err := PartitionWeightedParallel(wg, 0.2, 1.0, Options{Seed: 8, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if a.Rounds != b.Rounds {
+		t.Fatalf("Rounds %d at workers=1, %d at workers=4", a.Rounds, b.Rounds)
 	}
 	for v := range a.Center {
 		if a.Center[v] != b.Center[v] {

@@ -74,7 +74,8 @@ type Config struct {
 	// Pool is the persistent worker pool every level executes on; nil
 	// means parallel.Default().
 	Pool *parallel.Pool
-	// Direction is forwarded to every Partition call.
+	// Direction is forwarded to every unweighted Partition call; weighted
+	// builds ignore it.
 	Direction core.Direction
 	// MaxLevels caps the level count defensively; 0 means 64.
 	MaxLevels int
@@ -117,9 +118,10 @@ type LevelStat struct {
 	QuotientN   int // vertices of the next level's graph
 
 	// Weighted runs additionally record the level's weight structure.
-	// These are measurements, not determinism-gated output: the block
-	// reductions computing them depend on the logical worker count in
-	// their last float bits, like Rounds depends on the schedule.
+	// The float aggregates are measurements, not determinism-gated output:
+	// the block reductions computing them depend on the logical worker
+	// count in their last float bits. Rounds is the same at every worker
+	// count.
 	Weighted          bool
 	TotalWeight       float64 // sum of edge weights entering the level
 	CutWeight         float64 // weight crossing pieces (== next level's total)

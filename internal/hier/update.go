@@ -146,8 +146,8 @@ func BuildHierarchy(cfg Config, g *graph.Graph, visit func(*Level) error) (*Hier
 // weights) or rebuilds the weighted residual graph (Config.Residual).
 // Edge annotations and intra-edge collection behave exactly as in
 // BuildHierarchy; Level.G is the unweighted view of Level.WG, so OrigEdge
-// works unchanged. Output is bit-identical at every worker count and
-// traversal direction for a fixed (wg, config).
+// works unchanged. Output is bit-identical at every worker count for a
+// fixed (wg, config).
 func BuildWeightedHierarchy(cfg Config, wg *graph.WeightedGraph, visit func(*Level) error) (*Hierarchy, error) {
 	return build(cfg, levelInput{wg: wg}, visit)
 }

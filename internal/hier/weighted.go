@@ -21,12 +21,12 @@ import (
 // width is 1/β_l.
 //
 // Determinism composes exactly as in the unweighted engine: the weighted
-// partition is bit-identical across workers and push/pull/auto
-// (docs/determinism.md), the weighted contraction is bit-identical to its
-// serial reference including every summed weight bit (stable sort + fixed
-// run-sum order), and the annotation/classification kernels are shared
-// with the unweighted engine verbatim — they read only the CSR structure
-// and the center labels, never the weights or the schedule.
+// partition is bit-identical across workers (docs/determinism.md), the
+// weighted contraction is bit-identical to its serial reference including
+// every summed weight bit (stable sort + fixed run-sum order), and the
+// annotation/classification kernels are shared with the unweighted engine
+// verbatim — they read only the CSR structure and the center labels,
+// never the weights or the schedule.
 
 // Center returns the per-vertex center assignment of this level's
 // decomposition — WD.Center in weighted runs, D.Center otherwise.

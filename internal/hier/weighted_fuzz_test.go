@@ -4,17 +4,16 @@ import (
 	"math"
 	"testing"
 
-	"mpx/internal/core"
 	"mpx/internal/graph"
 )
 
 // FuzzHierWeighted checks the weighted hierarchy engine on arbitrary small
-// weighted graphs, worker counts and traversal directions: the union of the
-// per-level shortest-path-tree edges (mapped to original coordinates via
-// the annotation machinery) must be a valid spanning structure of the
-// original graph — acyclic, one tree per connected component, every edge a
-// real original edge — and the whole run must be bit-identical to the
-// workers=1 push schedule of the same instance (the weighted mirror of
+// weighted graphs and worker counts: the union of the per-level
+// shortest-path-tree edges (mapped to original coordinates via the
+// annotation machinery) must be a valid spanning structure of the original
+// graph — acyclic, one tree per connected component, every edge a real
+// original edge — and the whole run must be bit-identical to the
+// workers=1 run of the same instance (the weighted mirror of
 // FuzzPartitionWeighted, one layer up).
 func FuzzHierWeighted(f *testing.F) {
 	f.Add(uint16(40), uint16(80), uint64(1), byte(20), byte(0))
@@ -31,7 +30,6 @@ func FuzzHierWeighted(f *testing.F) {
 		g := graph.GNM(n, m, seed)
 		wg := graph.RandomWeights(g, 0.25, 8, seed^0x9e3779b97f4a7c15)
 		beta := 0.02 + float64(betaRaw%96)/100
-		dir := []core.Direction{core.DirectionAuto, core.DirectionForcePush, core.DirectionForcePull}[modeRaw%3]
 		workers := 1 + int(modeRaw%8)
 
 		type runOut struct {
@@ -40,7 +38,7 @@ func FuzzHierWeighted(f *testing.F) {
 			origMap []uint32
 			maxLv   bool
 		}
-		run := func(workers int, dir core.Direction) runOut {
+		run := func(workers int) runOut {
 			// origMap folds every visited level's quotient map: original
 			// vertex -> its vertex in the final graph.
 			out := runOut{origMap: make([]uint32, n)}
@@ -55,7 +53,6 @@ func FuzzHierWeighted(f *testing.F) {
 				},
 				Seed:         seed,
 				Workers:      workers,
-				Direction:    dir,
 				NeedEdgeOrig: true,
 			}, wg, func(lv *Level) error {
 				for v := 0; v < lv.G.NumVertices(); v++ {
@@ -79,24 +76,24 @@ func FuzzHierWeighted(f *testing.F) {
 			return out
 		}
 
-		got := run(workers, dir)
-		ref := run(1, core.DirectionForcePush)
+		got := run(workers)
+		ref := run(1)
 
-		// Cross-path determinism: identical level count, tree edges,
+		// Cross-worker determinism: identical level count, tree edges,
 		// original→final vertex map, and MaxLevels behavior.
 		if got.maxLv != ref.maxLv || got.levels != ref.levels || len(got.edges) != len(ref.edges) {
-			t.Fatalf("workers=%d dir=%v diverges from workers=1 push: levels %d/%v vs %d/%v, edges %d vs %d",
-				workers, dir, got.levels, got.maxLv, ref.levels, ref.maxLv, len(got.edges), len(ref.edges))
+			t.Fatalf("workers=%d diverges from workers=1: levels %d/%v vs %d/%v, edges %d vs %d",
+				workers, got.levels, got.maxLv, ref.levels, ref.maxLv, len(got.edges), len(ref.edges))
 		}
 		for i := range got.edges {
 			if got.edges[i] != ref.edges[i] {
-				t.Fatalf("workers=%d dir=%v: tree edge %d is %v, workers=1 push has %v",
-					workers, dir, i, got.edges[i], ref.edges[i])
+				t.Fatalf("workers=%d: tree edge %d is %v, workers=1 has %v",
+					workers, i, got.edges[i], ref.edges[i])
 			}
 		}
 		for v := range got.origMap {
 			if got.origMap[v] != ref.origMap[v] {
-				t.Fatalf("workers=%d dir=%v: origMap[%d] diverges", workers, dir, v)
+				t.Fatalf("workers=%d: origMap[%d] diverges", workers, v)
 			}
 		}
 		if got.maxLv {

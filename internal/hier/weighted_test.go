@@ -11,10 +11,11 @@ import (
 )
 
 // weightedRunFingerprint drives a weighted contract-mode hierarchy and
-// hashes everything determinism guards: per level the quotient map, the
-// centers, the IEEE bits of the weighted distances, and the tree edges
-// mapped to original coordinates through the annotation machinery.
-func weightedRunFingerprint(t *testing.T, wg *graph.WeightedGraph, beta float64, seed uint64, workers int, dir core.Direction) (uint64, int) {
+// hashes everything determinism guards: per level the round count, the
+// quotient map, the centers, the IEEE bits of the weighted distances, and
+// the tree edges mapped to original coordinates through the annotation
+// machinery.
+func weightedRunFingerprint(t *testing.T, wg *graph.WeightedGraph, beta float64, seed uint64, workers int) (uint64, int) {
 	t.Helper()
 	h := fnv.New64a()
 	var buf [8]byte
@@ -34,9 +35,9 @@ func weightedRunFingerprint(t *testing.T, wg *graph.WeightedGraph, beta float64,
 		WBetaAt:      func(level int) float64 { return beta / float64(uint64(1)<<uint(level)) },
 		Seed:         seed,
 		Workers:      workers,
-		Direction:    dir,
 		NeedEdgeOrig: true,
 	}, wg, func(lv *Level) error {
+		put32(uint32(lv.WD.Rounds))
 		for _, q := range lv.Quot {
 			put32(q)
 		}
@@ -60,7 +61,7 @@ func weightedRunFingerprint(t *testing.T, wg *graph.WeightedGraph, beta float64,
 }
 
 // TestRunWeightedMatchesSerialHierarchy replays the weighted hierarchy
-// with a hand-rolled serial loop — workers=1 push partition plus the
+// with a hand-rolled serial loop — workers=1 partition plus the
 // serial map-based weighted contraction — and requires the engine to match
 // it level by level, bit for bit (graphs, weights, quotient maps).
 func TestRunWeightedMatchesSerialHierarchy(t *testing.T) {
@@ -78,9 +79,8 @@ func TestRunWeightedMatchesSerialHierarchy(t *testing.T) {
 	cur := wg
 	for level := 0; cur.NumEdges() > 0 && level < 64; level++ {
 		wd, err := core.PartitionWeightedParallel(cur, betaAt(level), 1/betaAt(level), core.Options{
-			Seed:      xrand.Mix(seed, uint64(level)),
-			Workers:   1,
-			Direction: core.DirectionForcePush,
+			Seed:    xrand.Mix(seed, uint64(level)),
+			Workers: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -142,25 +142,22 @@ func weightedEqual(a, b *graph.WeightedGraph) bool {
 	return true
 }
 
-// TestRunWeightedDirectionsBitIdentical is the engine-level cross-path
-// determinism proof for weighted hierarchies: workers 1/2/8 ×
-// push/pull/auto must produce one fingerprint.
+// TestRunWeightedDirectionsBitIdentical is the engine-level cross-worker
+// determinism proof for weighted hierarchies: workers 1/2/8 must produce
+// one fingerprint.
 func TestRunWeightedDirectionsBitIdentical(t *testing.T) {
 	graphs := map[string]*graph.WeightedGraph{
 		"grid": graph.RandomWeights(graph.Grid2D(15, 20), 1, 4, 9),
 		"gnm":  graph.RandomWeights(graph.GNM(400, 1600, 5), 0.5, 8, 2),
 	}
-	dirs := []core.Direction{core.DirectionForcePush, core.DirectionForcePull, core.DirectionAuto}
 	for name, wg := range graphs {
 		for _, seed := range []uint64{1, 23} {
-			want, wantLevels := weightedRunFingerprint(t, wg, 0.35, seed, 1, core.DirectionForcePush)
-			for _, dir := range dirs {
-				for _, w := range []int{1, 2, 8} {
-					got, levels := weightedRunFingerprint(t, wg, 0.35, seed, w, dir)
-					if got != want || levels != wantLevels {
-						t.Fatalf("%s seed=%d dir=%v workers=%d: fingerprint %#x (levels %d) want %#x (levels %d)",
-							name, seed, dir, w, got, levels, want, wantLevels)
-					}
+			want, wantLevels := weightedRunFingerprint(t, wg, 0.35, seed, 1)
+			for _, w := range []int{2, 8} {
+				got, levels := weightedRunFingerprint(t, wg, 0.35, seed, w)
+				if got != want || levels != wantLevels {
+					t.Fatalf("%s seed=%d workers=%d: fingerprint %#x (levels %d) want %#x (levels %d)",
+						name, seed, w, got, levels, want, wantLevels)
 				}
 			}
 		}

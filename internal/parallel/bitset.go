@@ -4,10 +4,9 @@ import "sync/atomic"
 
 // Bitset is a bit-packed vertex set over a fixed universe [0, n), backed by
 // []uint64 words. Compared with a []bool bitmap it touches 8x less memory
-// per sweep and clears in O(n/64) word stores (FillPool over Words), which
-// is what makes dense (bottom-up) traversal rounds profitable. Concurrent
-// writers must use the atomic methods; reads concurrent with writes are the
-// caller's responsibility, exactly as with a []bool bitmap.
+// per sweep and clears in O(n/64) word stores (FillPool over Words).
+// Concurrent writers set bits with TrySetAtomic; reads concurrent with
+// writes are the caller's responsibility, exactly as with a []bool bitmap.
 type Bitset struct {
 	words []uint64
 }
@@ -15,17 +14,6 @@ type Bitset struct {
 // NewBitset returns an empty bitset over [0, n).
 func NewBitset(n int) *Bitset {
 	return &Bitset{words: make([]uint64, (n+63)/64)}
-}
-
-// Get reports whether bit i is set (plain read).
-func (b *Bitset) Get(i uint32) bool {
-	return b.words[i>>6]&(1<<(i&63)) != 0
-}
-
-// SetAtomic sets bit i with an atomic OR, safe under concurrent writers to
-// the same word.
-func (b *Bitset) SetAtomic(i uint32) {
-	atomic.OrUint64(&b.words[i>>6], 1<<(i&63))
 }
 
 // TrySetAtomic sets bit i atomically and reports whether this call flipped
