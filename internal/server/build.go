@@ -71,10 +71,12 @@ func (req *buildRequest) key() buildKey {
 	return newBuildKey(req.App, req.Weighted, req.Seed, req.Beta)
 }
 
-// built is a retained build: the oracles answering queries against it,
-// plus the vertex/level bounds queries are validated against.
+// built is a retained build: its exact response body, which build
+// requests for the same key hit, the oracles answering queries against
+// it, and the vertex/level bounds queries are validated against.
 type built struct {
 	key    buildKey
+	body   []byte
 	n      int // base-graph vertex count
 	levels int // membership levels (0 when no hierarchy is retained)
 	dist   *oracle.DistanceOracle
@@ -82,12 +84,12 @@ type built struct {
 	member *oracle.MembershipOracle
 }
 
-// levelStatJSON is the deterministic subset of hier.LevelStat: the integer
+// levelStatJSON is a deterministic subset of hier.LevelStat: the integer
 // shape fields (and their exact ratio) are bit-identical across worker
-// counts and directions; the weighted float aggregates and round counts
-// are schedule-dependent measurements (hier.LevelStat docs) and are
+// counts and directions. The weighted float aggregates depend on the
+// worker count in their last bits (hier.LevelStat docs) and are
 // deliberately NOT served — response bodies must be byte-identical at any
-// worker count.
+// worker count. Round counts are deterministic but not served either.
 type levelStatJSON struct {
 	Level       int     `json:"level"`
 	N           int     `json:"n"`
@@ -134,11 +136,12 @@ type buildResponse struct {
 	Stats       []levelStatJSON `json:"stats"`
 }
 
-// handleBuild serves POST /v1/graphs/{fp}/build: cache first (hits return
-// the stored bytes with zero compute and no admission slot), then
-// admission control, then the build under the request context plus the
-// server's build deadline. A successful build retains its oracles on the
-// entry and its exact response bytes in the cache.
+// handleBuild serves POST /v1/graphs/{fp}/build: retained builds first
+// (hits return the stored bytes with zero compute and no admission slot),
+// then admission control, then the build under the request context plus
+// the server's build deadline. A successful build is retained on the
+// entry with its oracles and its exact response bytes, so it lives and
+// dies with the registered graph.
 func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request, fp uint64) {
 	e := s.reg.acquire(fp)
 	if e == nil {
@@ -154,10 +157,9 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request, fp uint64) 
 		writeError(w, code, kind, "%s", msg)
 		return
 	}
-	ck := cacheKey{fp: fp, bk: req.key()}
-	if body, ok := s.cache.get(ck); ok {
+	if bt := e.getBuilt(req.key()); bt != nil {
 		w.Header().Set("X-Mpxd-Cache", "hit")
-		writeJSON(w, http.StatusOK, body)
+		writeJSON(w, http.StatusOK, bt.body)
 		return
 	}
 	select {
@@ -182,16 +184,15 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request, fp uint64) 
 		writeBuildError(w, err)
 		return
 	}
-	body := marshalBody(resp)
-	s.cache.put(ck, body)
+	bt.body = marshalBody(resp)
 	e.putBuilt(bt)
 	w.Header().Set("X-Mpxd-Cache", "miss")
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, bt.body)
 }
 
 // runBuild computes one build. All-or-nothing: on any error (cancellation
 // included) nothing has been retained anywhere — the engines guarantee no
-// partial result and the caller skips both cache and entry insertion. The
+// partial result and the caller retains nothing on the entry. The
 // recover mirrors the engine entry points' own (hier.BuildHierarchy and
 // friends): a contained worker panic re-raised outside an engine's recover
 // (oracle construction runs pool kernels after the build proper) still

@@ -73,7 +73,7 @@ func TestCancelAtEveryBuildBoundary(t *testing.T) {
 			t.Fatalf("boundary %d/%d: status %d kind %q, want 503 cancelled (body %s)",
 				i, polls, code, errKind(t, body), body)
 		}
-		if n := s.cache.size(); n != 0 {
+		if n := s.cacheEntries(); n != 0 {
 			t.Fatalf("boundary %d: cancelled build left %d cache entries", i, n)
 		}
 	}
@@ -167,7 +167,7 @@ func TestPanicAtSubmissionFaults(t *testing.T) {
 			t.Fatalf("submission %d/%d: status %d kind %q, want 503 fault (body %s)",
 				n, total, code, errKind(t, body), body)
 		}
-		if cn := s.cache.size(); cn != 0 {
+		if cn := s.cacheEntries(); cn != 0 {
 			t.Fatalf("submission %d: faulted build left %d cache entries", n, cn)
 		}
 	}

@@ -413,8 +413,8 @@ func TestBuildDeadline503(t *testing.T) {
 	if code != http.StatusServiceUnavailable || errKind(t, resp) != kindCancelled {
 		t.Fatalf("deadline build: status %d, body %s", code, resp)
 	}
-	if s.cache.size() != 0 {
-		t.Fatalf("cancelled build left %d cache entries", s.cache.size())
+	if s.cacheEntries() != 0 {
+		t.Fatalf("cancelled build left %d cache entries", s.cacheEntries())
 	}
 	fpBits, ok := parseFingerprint(fp)
 	if !ok {

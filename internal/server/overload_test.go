@@ -158,3 +158,60 @@ func TestShutdownDrainsInflight(t *testing.T) {
 		t.Fatalf("second Shutdown: %v", err)
 	}
 }
+
+// TestEvictDuringBuild deletes a graph while a build on it is parked, then
+// releases the build: its response reaches its client, but it is retained
+// nowhere. Re-registering the same bytes and building again must compute
+// afresh (a miss, byte-identical to the first body), and the rebuilt
+// oracle must answer queries. A build body that outlived its graph used to
+// answer the rebuild as a hit with no oracle behind it, so every query
+// was a 404.
+func TestEvictDuringBuild(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	s, ts := newTestServer(t, Config{MaxBuilds: 1})
+	s.buildGate = parkedGate(entered, release)
+
+	snap := gridSnapshotBytes(t, 8, 8, false)
+	fp := register(t, ts.URL, snap)
+	buildURL := fmtURL(ts.URL, "/v1/graphs/%s/build", fp)
+	buildBody := jsonBody(t, map[string]any{"app": "lowstretch", "beta": 0.25, "seed": 1})
+
+	first := postAsync(buildURL, buildBody)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked build never reached the gate")
+	}
+	code, _, body := httpBody(t, http.MethodDelete, fmtURL(ts.URL, "/v1/graphs/%s", fp), nil)
+	if code != http.StatusOK {
+		t.Fatalf("evict: status %d, body %s", code, body)
+	}
+	close(release)
+	r := <-first
+	if r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("parked build: code %d err %v body %s", r.code, r.err, r.body)
+	}
+	if n := s.cacheEntries(); n != 0 {
+		t.Fatalf("a build of an evicted graph left %d cache entries", n)
+	}
+
+	if got := register(t, ts.URL, snap); got != fp {
+		t.Fatalf("re-register fingerprint %s, want %s", got, fp)
+	}
+	code, hdr, again := httpBody(t, http.MethodPost, buildURL, buildBody)
+	if code != http.StatusOK || hdr.Get("X-Mpxd-Cache") != "miss" {
+		t.Fatalf("build after re-register: status %d, cache %q", code, hdr.Get("X-Mpxd-Cache"))
+	}
+	if !bytes.Equal(again, r.body) {
+		t.Fatalf("rebuilt body differs:\nwas: %s\nnow: %s", r.body, again)
+	}
+	query := jsonBody(t, map[string]any{"app": "lowstretch", "beta": 0.25, "seed": 1, "op": "dist", "pairs": [][]uint32{{0, 63}}})
+	code, _, body = httpBody(t, http.MethodPost, fmtURL(ts.URL, "/v1/graphs/%s/query", fp), query)
+	if code != http.StatusOK {
+		t.Fatalf("query after rebuild: status %d, body %s", code, body)
+	}
+	if n := s.cacheEntries(); n != 1 {
+		t.Fatalf("cache entries after rebuild = %d, want 1", n)
+	}
+}

@@ -14,8 +14,8 @@ import (
 
 // entry is one registered graph plus everything derived from it: the
 // spooled upload backing it (a snapshot upload stays memory-mapped from
-// the spool file), and the hierarchies built on it, keyed by build
-// configuration.
+// the spool file), and the builds on it, with their response bodies, keyed
+// by build configuration.
 //
 // Lifetime is ref-counted under the registry lock: the registry itself
 // holds one reference while the graph is registered, and every in-flight
@@ -54,19 +54,16 @@ func (e *entry) getBuilt(k buildKey) *built {
 }
 
 // putBuilt retains b under its key; when a concurrent identical build got
-// there first, the first insert wins (the two are bit-identical anyway)
-// and its value is returned.
-func (e *entry) putBuilt(b *built) *built {
+// there first, the first insert wins (the two are bit-identical anyway).
+func (e *entry) putBuilt(b *built) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.builds == nil {
 		e.builds = make(map[buildKey]*built)
 	}
-	if prev, ok := e.builds[b.key]; ok {
-		return prev
+	if _, ok := e.builds[b.key]; !ok {
+		e.builds[b.key] = b
 	}
-	e.builds[b.key] = b
-	return b
 }
 
 func (e *entry) buildCount() int {
@@ -287,15 +284,15 @@ func (s *Server) handleInfo(w http.ResponseWriter, fp uint64) {
 	writeJSON(w, http.StatusOK, marshalBody(infoOf(e)))
 }
 
-// handleEvict unregisters the graph and drops its cached build responses.
-// In-flight requests holding the entry finish normally; the backing
-// resources go away with the last reference.
+// handleEvict unregisters the graph; its retained builds and their
+// response bodies go with the entry, including those of builds still in
+// flight. In-flight requests holding the entry finish normally; the
+// backing resources go away with the last reference.
 func (s *Server) handleEvict(w http.ResponseWriter, fp uint64) {
 	if !s.reg.evict(fp) {
 		writeError(w, http.StatusNotFound, kindNotFound, "graph %s is not registered", fpHex(fp))
 		return
 	}
-	s.cache.dropGraph(fp)
 	writeJSON(w, http.StatusOK, marshalBody(struct {
 		Evicted string `json:"evicted"`
 	}{fpHex(fp)}))

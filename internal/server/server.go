@@ -6,9 +6,10 @@
 // guarantees: every result is bit-deterministic in (graph fingerprint,
 // seed, config, app) — independent of worker count, traversal direction,
 // and scheduling (docs/determinism.md). Responses are therefore perfectly
-// cacheable, and the server exploits it: build responses are stored in a
-// sharded result cache keyed on that tuple, and a cache hit returns the
-// byte-identical body a fresh computation would produce.
+// cacheable, and the server exploits it: each build's response body is
+// retained with the build on its graph's registry entry, keyed on the rest
+// of that tuple, and a cache hit returns the byte-identical body a fresh
+// computation would produce.
 //
 // Robustness rides the PR 7/9 cancellation plumbing (docs/robustness.md):
 // every build runs under the request context (plus an optional server-side
@@ -80,7 +81,6 @@ type Server struct {
 	maxBatch int
 
 	reg      *registry
-	cache    *resultCache
 	buildSem chan struct{}
 
 	spool    string
@@ -135,7 +135,6 @@ func New(cfg Config) (*Server, error) {
 		maxJSON:  maxJSON,
 		maxBatch: maxBatch,
 		reg:      newRegistry(),
-		cache:    newResultCache(),
 		buildSem: make(chan struct{}, maxBuilds),
 		spool:    spool,
 		ownSpool: ownSpool,
@@ -165,7 +164,7 @@ func (s *Server) end() {
 }
 
 // Shutdown refuses new requests and waits for in-flight ones to finish
-// (in-flight builds run to completion; their results land in the cache as
+// (in-flight builds run to completion; their results are retained as
 // usual). It returns ctx.Err() if ctx expires first — the work keeps
 // draining in the background either way. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -405,10 +404,20 @@ type statsResponse struct {
 	Panics         int64 `json:"panics"`
 }
 
+// cacheEntries counts the retained builds of the registered graphs: the
+// bodies a build request can hit.
+func (s *Server) cacheEntries() int {
+	n := 0
+	for _, e := range s.reg.snapshotEntries() {
+		n += e.buildCount()
+	}
+	return n
+}
+
 func (s *Server) handleStats(w http.ResponseWriter) {
 	writeJSON(w, http.StatusOK, marshalBody(statsResponse{
 		Graphs:         s.reg.size(),
-		CacheEntries:   s.cache.size(),
+		CacheEntries:   s.cacheEntries(),
 		InflightBuilds: len(s.buildSem),
 		Panics:         s.panics.Load(),
 	}))
