@@ -12,6 +12,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mpx/internal/parallel"
@@ -166,7 +167,7 @@ func (g *Graph) sortAdjacency() {
 	n := g.NumVertices()
 	parallel.Default().For(0, n, func(v int) {
 		nb := g.adj[g.offsets[v]:g.offsets[v+1]]
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+		slices.Sort(nb)
 	})
 }
 

@@ -10,6 +10,20 @@ import (
 	"mpx/internal/xrand"
 )
 
+// TestFromEdgesAllocs gates FromEdges' allocations, which do not grow
+// with the vertex count: sorting the neighbor lists allocates nothing.
+func TestFromEdgesAllocs(t *testing.T) {
+	edges := Grid2D(64, 64).Edges()
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := FromEdges(64*64, edges); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("FromEdges on a 64x64 grid made %.0f allocations, gate 16", allocs)
+	}
+}
+
 func TestFromEdgesBasic(t *testing.T) {
 	g, err := FromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	if err != nil {
