@@ -143,6 +143,7 @@ func BenchmarkE23RebuildBaseline(b *testing.B) {
 		Pool:         benchPool,
 		NeedEdgeOrig: true,
 	}
+	b.ResetTimer()
 	b.ReportAllocs()
 	var levels int
 	for i := 0; i < b.N; i++ {
@@ -156,7 +157,7 @@ func BenchmarkE23RebuildBaseline(b *testing.B) {
 }
 
 // e23ClearedSlack is what the E23 cleared-update gate allows per op beyond
-// the new CSR: the batch's canonical copies and delta map, the staged
+// the new CSR: the batch's canonical and arc-edit slices, the staged
 // level and stat arrays, and the pool closures — O(batch + levels) bytes.
 const e23ClearedSlack = 128 << 10
 

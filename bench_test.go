@@ -217,6 +217,7 @@ func BenchmarkE8TieBreak(b *testing.B) {
 func BenchmarkE9Weighted(b *testing.B) {
 	wg := graph.RandomWeights(graph.Grid2D(150, 150), 1, 10, 5)
 	var cut float64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d, err := core.PartitionWeighted(wg, 0.1, core.Options{Seed: uint64(i)})
 		if err != nil {
@@ -231,6 +232,7 @@ func BenchmarkE9Weighted(b *testing.B) {
 func BenchmarkE10Blocks(b *testing.B) {
 	g := graph.Torus2D(120, 120)
 	var nblocks int
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bd, err := blocks.DecomposePoolCtx(nil, nil, g, 0.5, uint64(i), 0, 0, core.DirectionAuto)
 		if err != nil {
@@ -247,6 +249,7 @@ func BenchmarkE11Spanner(b *testing.B) {
 	g0 := graph.RoadNetwork(150, 150, 0.85, 80, 7)
 	g, _ := graph.LargestComponent(g0)
 	var size int64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := spanner.Build(g, 0.1, core.Options{Seed: uint64(i)})
 		if err != nil {
@@ -262,6 +265,7 @@ func BenchmarkE11Spanner(b *testing.B) {
 func BenchmarkE12LowStretch(b *testing.B) {
 	g := graph.Grid2D(100, 100)
 	var mean float64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr, err := lowstretch.BuildPoolCtx(nil, nil, g, 0.2, uint64(i), 0, core.DirectionAuto)
 		if err != nil {
@@ -637,6 +641,7 @@ func BenchmarkE14Solver(b *testing.B) {
 		rhs[i] -= sum / float64(len(rhs))
 	}
 	var iters int
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr, err := lowstretch.BuildPoolCtx(nil, nil, g, 0.2, uint64(i), 0, core.DirectionAuto)
 		if err != nil {
@@ -657,6 +662,7 @@ func BenchmarkE14Solver(b *testing.B) {
 func BenchmarkE15WeightedParallel(b *testing.B) {
 	wg := graph.RandomWeights(graph.Grid2D(120, 120), 1, 10, 3)
 	var rounds int
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d, err := core.PartitionWeightedParallel(wg, 0.1, 0, core.Options{Seed: uint64(i)})
 		if err != nil {
@@ -670,6 +676,7 @@ func BenchmarkE15WeightedParallel(b *testing.B) {
 // BenchmarkE16Embedding benchmarks the hierarchical tree-metric embedding.
 func BenchmarkE16Embedding(b *testing.B) {
 	g := graph.Grid2D(50, 50)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := embedding.BuildPoolCtx(nil, nil, g, 0, uint64(i), 0, core.DirectionAuto); err != nil {
 			b.Fatal(err)
@@ -681,6 +688,7 @@ func BenchmarkE16Embedding(b *testing.B) {
 func BenchmarkE17Separator(b *testing.B) {
 	g := graph.Grid2D(100, 100)
 	var size int
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := separator.FindPoolCtx(nil, nil, g, 0, 2.0/3, uint64(i), 0, core.DirectionAuto)
 		if err != nil {

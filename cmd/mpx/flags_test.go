@@ -28,6 +28,7 @@ func TestFlagAudit(t *testing.T) {
 	const (
 		direction = "mpx: -direction applies only to -algo mpx and the unweighted apps"
 		tie       = "mpx: -tie applies only to -algo mpx, seq and exact and to -app spanner"
+		weighted  = "mpx: -weighted supports apps lowstretch, blocks and embedding"
 	)
 	cases := []struct {
 		name string
@@ -46,6 +47,9 @@ func TestFlagAudit(t *testing.T) {
 		{"tie/weighted-par", []string{"-algo", "weighted-par", "-tie", "fractional"}, 2, tie + " (got -algo weighted-par)"},
 		{"existing/algo-with-app", []string{"-app", "blocks", "-algo", "seq"}, 2, "mpx: -algo applies only to -app partition (got -app blocks)"},
 		{"existing/unknown-direction", []string{"-direction", "sideways"}, 2, `mpx: unknown -direction value "sideways"`},
+		{"weighted/connectivity", []string{"-app", "connectivity", "-weighted"}, 2, weighted + " (got -app connectivity)"},
+		{"weighted/spanner", []string{"-app", "spanner", "-weighted"}, 2, weighted + " (got -app spanner)"},
+		{"weighted/separator", []string{"-app", "separator", "-weighted"}, 2, weighted + " (got -app separator)"},
 		{"reads/direction-mpx", []string{"-algo", "mpx", "-direction", "pull"}, 0, ""},
 		{"reads/direction-app", []string{"-app", "connectivity", "-direction", "push"}, 0, ""},
 		{"reads/tie-seq", []string{"-algo", "seq", "-tie", "permutation"}, 0, ""},

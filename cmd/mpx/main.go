@@ -112,10 +112,18 @@ func main() {
 		os.Exit(2)
 	}
 	// -weighted must never be dropped silently: the partition app selects
-	// its weighted algorithms via -algo.
-	if *weighted && *app == "partition" {
-		fmt.Fprintln(os.Stderr, "mpx: -weighted applies to hierarchy apps (lowstretch, blocks, embedding); for -app partition use -algo weighted or weighted-par")
-		os.Exit(2)
+	// its weighted algorithms via -algo, and only three hierarchy apps
+	// have a weighted variant.
+	if *weighted {
+		switch *app {
+		case "lowstretch", "blocks", "embedding":
+		case "partition":
+			fmt.Fprintln(os.Stderr, "mpx: -weighted applies to hierarchy apps (lowstretch, blocks, embedding); for -app partition use -algo weighted or weighted-par")
+			os.Exit(2)
+		default:
+			fmt.Fprintf(os.Stderr, "mpx: -weighted supports apps lowstretch, blocks and embedding (got -app %s)\n", *app)
+			os.Exit(2)
+		}
 	}
 	if *in != "" {
 		for _, name := range []string{"gen", "rows", "cols", "n", "m", "scale"} {
@@ -516,7 +524,7 @@ func runWeightedApp(app string, wg *graph.WeightedGraph, beta, wmax float64, fro
 			tr.Levels, dist.MeanDistortion, dist.MaxDistortion, dist.DominatedFrac)
 		printHierStats(tr.Stats)
 	default:
-		return fmt.Errorf("-weighted supports apps lowstretch, blocks and embedding (got %q)", app)
+		panic("unreachable: -weighted apps validated in the flag audit above")
 	}
 	return nil
 }

@@ -150,8 +150,12 @@ func (t *pieceTree) grow(opts core.Options, n int, diam0, unit float64, maxLevel
 		if err != nil {
 			return err
 		}
+		var parent []uint32
+		if level > 0 {
+			parent = t.assignment[level-1]
+		}
 		t.Stats = append(t.Stats, st)
-		t.assignment = append(t.assignment, t.refine(opts.Pool, opts.Workers, level, center, scratch))
+		t.assignment = append(t.assignment, refine(opts.Pool, opts.Workers, parent, center, scratch))
 		t.length = append(t.length, target)
 		level++
 		target /= 2
@@ -174,20 +178,20 @@ func (t *pieceTree) grow(opts core.Options, n int, diam0, unit float64, maxLevel
 	return nil
 }
 
-// refine returns level l's piece assignment: the centers themselves at
-// level 0, otherwise their refinement of level l-1's pieces. A piece may
-// not span two parent pieces, so the effective piece id is the composite
-// key (parent piece, new center) canonicalized to its smallest member
-// vertex so ids stay stable.
-func (t *pieceTree) refine(pool *parallel.Pool, workers, l int, center []uint32, sc *hier.RefineScratch) []uint32 {
+// refine returns a level's piece assignment: the centers themselves at
+// level 0 (parent nil), otherwise their refinement of the parent level's
+// assignment. A piece may not span two parent pieces, so the effective
+// piece id is the composite key (parent piece, new center) canonicalized
+// to its smallest member vertex so ids stay stable.
+func refine(pool *parallel.Pool, workers int, parent, center []uint32, sc *hier.RefineScratch) []uint32 {
 	n := len(center)
 	assign := make([]uint32, n)
-	if l == 0 {
+	if parent == nil {
 		pool.ForRange(workers, n, func(lo, hi int) {
 			copy(assign[lo:hi], center[lo:hi])
 		})
 	} else {
-		hier.RefineAssignment(pool, workers, t.assignment[l-1], center, assign, sc)
+		hier.RefineAssignment(pool, workers, parent, center, assign, sc)
 	}
 	return assign
 }

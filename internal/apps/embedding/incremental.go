@@ -68,7 +68,7 @@ func BuildIncrementalPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.
 }
 
 // Tree returns the maintained embedding. The pointer stays valid across
-// updates; UpdateCtx mutates it in place.
+// updates; a successful UpdateCtx updates it in place.
 func (inc *Incremental) Tree() *Tree { return inc.t }
 
 // UpdateCtx applies b to the base graph and refreshes the embedding level
@@ -76,32 +76,44 @@ func (inc *Incremental) Tree() *Tree { return inc.t }
 // fixpoint, re-refines only if its inputs moved (refinement stops
 // propagating as soon as a recomputed assignment comes out unchanged), and
 // always refreshes its M-dependent stats. ctx (nil means never cancelled)
-// is polled at every level boundary and inside each re-partition. An
-// error leaves the structure inconsistent; discard it. Unlike the
-// contraction hierarchies, the embedding refreshes its levels in place, so
-// this includes a cancellation that strikes after the first level
-// committed.
-func (inc *Incremental) UpdateCtx(ctx context.Context, b graph.Batch) (UpdateStats, error) {
+// is polled at every level boundary and inside each re-partition.
+// UpdateCtx is all-or-nothing: it stages the new levels, assignments and
+// stats and commits them only once every level has succeeded. On
+// cancellation, a contained panic (*parallel.PanicError), or any kernel
+// error, it returns a zero UpdateStats and the error with the embedding
+// untouched, so retrying the same batch is safe.
+func (inc *Incremental) UpdateCtx(ctx context.Context, b graph.Batch) (us UpdateStats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			us, err = UpdateStats{}, parallel.Recovered(r)
+		}
+	}()
 	t := inc.t
 	newG, ar, err := graph.ApplyBatch(t.G, b)
 	if err != nil {
 		return UpdateStats{}, err
 	}
-	us := UpdateStats{Levels: len(inc.parts)}
+	us = UpdateStats{Levels: len(inc.parts)}
 	if ar.Unchanged() {
 		us.Reused = len(inc.parts)
 		return us, nil
 	}
 	ins, del := ar.Inserted, ar.Deleted
+	parts := slices.Clone(inc.parts)
+	assignment := slices.Clone(t.assignment)
+	stats := slices.Clone(t.Stats)
+	// A verified level keeps its decomposition, which the live embedding
+	// shares; its graph moves to newG only at commit.
+	var kept []*core.Decomposition
 	assignChanged := false
-	for l := range inc.parts {
+	for l := range parts {
 		if err := ctxErr(ctx); err != nil {
-			return us, err
+			return UpdateStats{}, err
 		}
-		lp := &inc.parts[l]
+		lp := &parts[l]
 		verified := lp.d.UnchangedUnder(ins, del)
 		if verified {
-			lp.d.G = newG
+			kept = append(kept, lp.d)
 		} else {
 			d, err := core.Partition(newG, lp.beta, core.Options{
 				Ctx:       ctx,
@@ -111,17 +123,21 @@ func (inc *Incremental) UpdateCtx(ctx context.Context, b graph.Batch) (UpdateSta
 				Direction: inc.dir,
 			})
 			if err != nil {
-				return us, err
+				return UpdateStats{}, err
 			}
 			lp.d = d
 			us.Repartitioned++
 		}
 		if !verified || assignChanged {
-			assign := t.refine(inc.pool, inc.workers, l, lp.d.Center, inc.scratch)
-			if slices.Equal(assign, t.assignment[l]) {
+			var parent []uint32
+			if l > 0 {
+				parent = assignment[l-1]
+			}
+			assign := refine(inc.pool, inc.workers, parent, lp.d.Center, inc.scratch)
+			if slices.Equal(assign, assignment[l]) {
 				assignChanged = false // converged; stop propagating
 			} else {
-				t.assignment[l] = assign
+				assignment[l] = assign
 				assignChanged = true
 			}
 			if verified {
@@ -131,7 +147,7 @@ func (inc *Incremental) UpdateCtx(ctx context.Context, b graph.Batch) (UpdateSta
 			us.Reused++
 		}
 		// Stats depend on the edge set, so they always refresh.
-		st := &t.Stats[l]
+		st := &stats[l]
 		st.M = newG.NumEdges()
 		st.Clusters = lp.d.NumClusters()
 		st.CutEdges = graph.CutEdgesPool(inc.pool, inc.workers, newG, lp.d.Center)
@@ -140,6 +156,9 @@ func (inc *Incremental) UpdateCtx(ctx context.Context, b graph.Batch) (UpdateSta
 			st.CutFraction = float64(st.CutEdges) / float64(st.M)
 		}
 	}
-	t.G = newG
+	for _, d := range kept {
+		d.G = newG
+	}
+	inc.parts, t.assignment, t.Stats, t.G = parts, assignment, stats, newG
 	return us, nil
 }

@@ -1,11 +1,17 @@
 package embedding
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mpx/internal/core"
 	"mpx/internal/graph"
+	"mpx/internal/parallel"
+	"mpx/internal/parallel/faultpool"
 	"mpx/internal/xrand"
 )
 
@@ -141,5 +147,97 @@ func TestIncrementalNoOp(t *testing.T) {
 	}
 	if us.Repartitioned != 0 {
 		t.Fatalf("universally safe delete re-partitioned: %+v", us)
+	}
+}
+
+// TestIncrementalUpdateCancelUntouched fails an update at every context
+// poll, by cancellation and by a panic, at workers 1, 2 and 8, and
+// requires the embedding to be left exactly as it was. A clean retry must
+// then equal BuildPoolCtx on the updated graph with the pinned diam0.
+func TestIncrementalUpdateCancelUntouched(t *testing.T) {
+	base := graph.Grid2D(15, 13)
+	const diam0, seed = 28.0, 11
+	// The batch re-partitions some levels and verifies others, so both
+	// staged paths fail part-way.
+	b := graph.Batch{Insert: []graph.Edge{{U: 3, V: 17}}, Delete: []graph.Edge{{U: 4, V: 5}}}
+	for _, w := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			pool := parallel.NewPool(w)
+			defer pool.Close()
+			build := func() *Incremental {
+				inc, err := BuildIncrementalPoolCtx(nil, pool, base, diam0, seed, w, core.DirectionAuto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return inc
+			}
+			inc := build()
+			// The state an untouched embedding keeps: its graph, a deep copy
+			// of its tree, and each level's decomposition with that
+			// decomposition's graph.
+			tr := inc.Tree()
+			g0 := tr.G
+			want := &Tree{G: g0, pieceTree: pieceTree{
+				Levels:     tr.Levels,
+				Stats:      slices.Clone(tr.Stats),
+				assignment: make([][]uint32, len(tr.assignment)),
+				length:     slices.Clone(tr.length),
+			}}
+			for l, a := range tr.assignment {
+				want.assignment[l] = slices.Clone(a)
+			}
+			parts := slices.Clone(inc.parts)
+			untouched := func(tag string) {
+				t.Helper()
+				if inc.Tree() != tr || tr.G != g0 {
+					t.Fatalf("%s: tree or graph replaced", tag)
+				}
+				embeddingsEqual(t, tag, tr, want)
+				if !slices.Equal(inc.parts, parts) {
+					t.Fatalf("%s: level decompositions replaced", tag)
+				}
+				for l, lp := range parts {
+					if lp.d.G != g0 {
+						t.Fatalf("%s: level %d's decomposition moved to another graph", tag, l)
+					}
+				}
+			}
+
+			probe := faultpool.CancelAtCheck(1 << 40)
+			us, err := build().UpdateCtx(probe, b)
+			if err != nil {
+				t.Fatalf("probe update: %v", err)
+			}
+			if us.Repartitioned == 0 || us.Repartitioned == us.Levels {
+				t.Fatalf("probe update %+v: want both re-partitioned and verified levels", us)
+			}
+			polls := probe.Polls()
+			for n := 1; n <= polls; n++ {
+				us, err := inc.UpdateCtx(faultpool.CancelAtCheck(n), b)
+				if !errors.Is(err, context.Canceled) || us != (UpdateStats{}) {
+					t.Fatalf("cancel at poll %d: %+v, %v; want zero stats and context.Canceled", n, us, err)
+				}
+				untouched(fmt.Sprintf("cancel at poll %d", n))
+				var pe *parallel.PanicError
+				us, err = inc.UpdateCtx(faultpool.PanicAtCheck(n), b)
+				if !errors.As(err, &pe) || !errors.Is(err, faultpool.ErrInjected) || us != (UpdateStats{}) {
+					t.Fatalf("panic at poll %d: %+v, %v; want zero stats and the injected panic", n, us, err)
+				}
+				untouched(fmt.Sprintf("panic at poll %d", n))
+			}
+
+			if _, err := inc.UpdateCtx(nil, b); err != nil {
+				t.Fatalf("retry: %v", err)
+			}
+			newG, _, err := graph.ApplyBatch(base, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := BuildPoolCtx(nil, pool, newG, diam0, seed, w, core.DirectionAuto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			embeddingsEqual(t, "retry", inc.Tree(), fresh)
+		})
 	}
 }

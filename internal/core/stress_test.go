@@ -144,6 +144,65 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		{"center out of range", func(d *Decomposition) {
 			d.Center[0] = uint32(d.NumVertices() + 5)
 		}},
+		{"parent out of range", func(d *Decomposition) {
+			for v, c := range d.Center {
+				if uint32(v) != c {
+					d.Parent[v] = uint32(d.NumVertices() + 5)
+					return
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		d := fresh()
+		tc.corrupt(d)
+		if err := d.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted corrupted decomposition", tc.name)
+		}
+	}
+}
+
+// TestWeightedValidateDetectsCorruption is TestValidateDetectsCorruption
+// for weighted decompositions: a tree edge missing from the graph and an
+// out-of-range center or parent are reported as errors, not panics.
+func TestWeightedValidateDetectsCorruption(t *testing.T) {
+	wg := graph.RandomWeights(graph.Path(200), 1, 4, 3)
+	fresh := func() *WeightedDecomposition {
+		d, err := PartitionWeighted(wg, 0.05, Options{Seed: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("uncorrupted decomposition: %v", err)
+		}
+		return d
+	}
+	// farMember returns a vertex two or more path steps from its center,
+	// so the center is in its piece but not its neighbor.
+	farMember := func(d *WeightedDecomposition) int {
+		for v, c := range d.Center {
+			if v > int(c)+1 || v+1 < int(c) {
+				return v
+			}
+		}
+		t.Fatal("no piece spans three path vertices")
+		return 0
+	}
+	n := uint32(wg.NumVertices())
+	cases := []struct {
+		name    string
+		corrupt func(*WeightedDecomposition)
+	}{
+		{"non-edge parent", func(d *WeightedDecomposition) {
+			v := farMember(d)
+			d.Parent[v] = d.Center[v]
+		}},
+		{"center out of range", func(d *WeightedDecomposition) {
+			d.Center[0] = n + 5
+		}},
+		{"parent out of range", func(d *WeightedDecomposition) {
+			d.Parent[farMember(d)] = n + 5
+		}},
 	}
 	for _, tc := range cases {
 		d := fresh()

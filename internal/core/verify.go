@@ -55,6 +55,9 @@ func (d *Decomposition) Validate() error {
 		if d.Dist[v] <= 0 {
 			return validationErrorf("non-center %d has dist %d", v, d.Dist[v])
 		}
+		if int(p) >= n {
+			return validationErrorf("vertex %d has out-of-range parent %d", v, p)
+		}
 		if d.Center[p] != c {
 			return validationErrorf("parent %d of vertex %d lies in a different piece", p, v)
 		}

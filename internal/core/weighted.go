@@ -85,7 +85,8 @@ func PartitionWeighted(wg *graph.WeightedGraph, beta float64, opts Options) (*We
 			d.Dist[v] = 0
 		} else {
 			// Weighted distance along the tree edge from the proposer.
-			d.Dist[v] = d.Dist[it.proposer] + edgeWeight(wg, it.proposer, v)
+			w, _ := wg.Weight(it.proposer, v)
+			d.Dist[v] = d.Dist[it.proposer] + w
 		}
 		nbrs, ws := wg.Neighbors(v)
 		for i, u := range nbrs {
@@ -101,18 +102,6 @@ func PartitionWeighted(wg *graph.WeightedGraph, beta float64, opts Options) (*We
 		}
 	}
 	return d, nil
-}
-
-// edgeWeight returns the weight of edge {u, v}; both directions carry the
-// same weight by construction. It panics if the edge does not exist.
-func edgeWeight(wg *graph.WeightedGraph, u, v uint32) float64 {
-	nbrs, ws := wg.Neighbors(u)
-	for i, x := range nbrs {
-		if x == v {
-			return ws[i]
-		}
-	}
-	panic("core: edgeWeight on non-edge")
 }
 
 // NumClusters returns the number of pieces.
@@ -188,8 +177,15 @@ func (d *WeightedDecomposition) CutEdgeFraction() float64 {
 // shift (the paper's Lemma 4.2 argument: dist(u,v) ≤ δ_u − δ_v ≤ δ_u).
 func (d *WeightedDecomposition) Validate() error {
 	const eps = 1e-9
+	n := len(d.Center)
+	if d.G == nil || d.G.NumVertices() != n {
+		return validationErrorf("weighted: graph/decomposition size mismatch")
+	}
 	for v := range d.Center {
 		c := d.Center[v]
+		if int(c) >= n {
+			return validationErrorf("weighted: vertex %d assigned to out-of-range center %d", v, c)
+		}
 		if d.Center[c] != c {
 			return validationErrorf("weighted: center %d of vertex %d is not its own center", c, v)
 		}
@@ -200,10 +196,16 @@ func (d *WeightedDecomposition) Validate() error {
 			}
 			continue
 		}
+		if int(p) >= n {
+			return validationErrorf("weighted: vertex %d has out-of-range parent %d", v, p)
+		}
 		if d.Center[p] != c {
 			return validationErrorf("weighted: parent %d of %d lies in another piece", p, v)
 		}
-		w := edgeWeight(d.G, p, uint32(v))
+		w, ok := d.G.Weight(p, uint32(v))
+		if !ok {
+			return validationErrorf("weighted: tree edge {%d,%d} not in graph", p, v)
+		}
 		if math.Abs(d.Dist[v]-(d.Dist[p]+w)) > eps {
 			return validationErrorf("weighted: distance of %d inconsistent with parent", v)
 		}

@@ -1,9 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Batch is a set of edge updates to apply to a graph: the unit of change of
@@ -33,22 +34,47 @@ func (b Batch) Len() int { return len(b.Insert) + len(b.Delete) }
 // edgeKey packs a canonical (u < v) edge into a sortable uint64.
 func edgeKey(e Edge) uint64 { return uint64(e.U)<<32 | uint64(e.V) }
 
-// canonBatch canonicalizes one side of a batch: orients each edge U < V,
-// drops self loops, sorts, and collapses duplicates. For weighted inserts
-// the LAST duplicate's weight wins, matching FromWeightedEdges. Returns an
-// error for out-of-range endpoints or non-positive weights (weighted).
-func canonBatch(n int, edges []Edge, weights []float64) ([]Edge, []float64, error) {
+// editOp is what an arcEdit does to its row, valued as the change it
+// makes to the row's degree.
+type editOp int8
+
+const (
+	opDelete   editOp = -1
+	opReweight editOp = 0
+	opAdd      editOp = 1
+)
+
+// arcEdit is one arc of an edge change: op applied to neighbor V in row
+// U, with the arc's new weight w for adds and re-weights on weighted
+// graphs. Both arcs of an effective change are separate edits.
+type arcEdit struct {
+	Edge
+	op editOp
+	w  float64
+}
+
+// reverse returns the same edit on the other arc of the edge.
+func (a arcEdit) reverse() arcEdit {
+	a.U, a.V = a.V, a.U
+	return a
+}
+
+// cmpArc orders arc edits by (row, neighbor).
+func cmpArc(a, b arcEdit) int { return cmp.Compare(edgeKey(a.Edge), edgeKey(b.Edge)) }
+
+// canonBatch canonicalizes one side of a batch into edits with op:
+// orients each edge U < V, drops self loops, sorts, and collapses
+// duplicates. For weighted inserts the LAST duplicate's weight wins,
+// matching FromWeightedEdges. Returns an error for out-of-range endpoints
+// or non-positive weights (weighted).
+func canonBatch(n int, edges []Edge, weights []float64, op editOp) ([]arcEdit, error) {
 	if weights != nil && len(weights) != len(edges) {
-		return nil, nil, fmt.Errorf("graph: batch weight count %d does not match insert count %d", len(weights), len(edges))
+		return nil, fmt.Errorf("graph: batch weight count %d does not match insert count %d", len(weights), len(edges))
 	}
-	out := make([]Edge, 0, len(edges))
-	var outW []float64
-	if weights != nil {
-		outW = make([]float64, 0, len(edges))
-	}
+	out := make([]arcEdit, 0, len(edges))
 	for i, e := range edges {
 		if int(e.U) >= n || int(e.V) >= n {
-			return nil, nil, fmt.Errorf("%w: (%d,%d) with n=%d", ErrVertexRange, e.U, e.V, n)
+			return nil, fmt.Errorf("%w: (%d,%d) with n=%d", ErrVertexRange, e.U, e.V, n)
 		}
 		if e.U == e.V {
 			continue
@@ -56,57 +82,26 @@ func canonBatch(n int, edges []Edge, weights []float64) ([]Edge, []float64, erro
 		if e.U > e.V {
 			e.U, e.V = e.V, e.U
 		}
+		a := arcEdit{Edge: e, op: op}
 		if weights != nil {
-			w := weights[i]
-			if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-				return nil, nil, fmt.Errorf("graph: batch insert (%d,%d) has non-positive weight %g", e.U, e.V, w)
+			a.w = weights[i]
+			if a.w <= 0 || math.IsNaN(a.w) || math.IsInf(a.w, 0) {
+				return nil, fmt.Errorf("graph: batch insert (%d,%d) has non-positive weight %g", e.U, e.V, a.w)
 			}
-			outW = append(outW, w)
 		}
-		out = append(out, e)
+		out = append(out, a)
 	}
-	// Stable sort by canonical key keeps the original order of duplicates,
-	// so "last wins" is a backward scan over equal keys.
-	idx := make([]int, len(out))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool { return edgeKey(out[idx[i]]) < edgeKey(out[idx[j]]) })
-	uniq := make([]Edge, 0, len(out))
-	var uniqW []float64
-	if weights != nil {
-		uniqW = make([]float64, 0, len(out))
-	}
-	for i := 0; i < len(idx); i++ {
-		// Take the last entry of each equal-key run.
-		if i+1 < len(idx) && edgeKey(out[idx[i]]) == edgeKey(out[idx[i+1]]) {
+	// The stable sort keeps duplicates in batch order, so the last entry
+	// of each equal run carries the winning weight.
+	slices.SortStableFunc(out, cmpArc)
+	uniq := out[:0]
+	for i, a := range out {
+		if i+1 < len(out) && out[i+1].Edge == a.Edge {
 			continue
 		}
-		uniq = append(uniq, out[idx[i]])
-		if weights != nil {
-			uniqW = append(uniqW, outW[idx[i]])
-		}
+		uniq = append(uniq, a)
 	}
-	return uniq, uniqW, nil
-}
-
-// searchEdge returns the position of v in the sorted neighbor list nb and
-// whether it is present.
-func searchEdge(nb []uint32, v uint32) (int, bool) {
-	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= v })
-	return i, i < len(nb) && nb[i] == v
-}
-
-// deltaSet is the per-vertex adjacency change derived from a canonical
-// batch: sorted neighbor ids to remove and to add.
-type deltaSet struct {
-	del []uint32
-	add []uint32
-	// addW aligns with add on weighted graphs; upd/updW are weight-only
-	// changes (edge present, weight bits differ).
-	addW []float64
-	upd  []uint32
-	updW []float64
+	return uniq, nil
 }
 
 // ApplyBatch applies b to g (deletes first, then inserts) and returns the
@@ -172,73 +167,46 @@ func applyBatch(n int, offsets []int64, adj []uint32, weights []float64, b Batch
 	if weights != nil {
 		insW = b.InsertW
 	}
-	ins, insW, err := canonBatch(n, b.Insert, insW)
+	ins, err := canonBatch(n, b.Insert, insW, opAdd)
 	if err != nil {
 		return csrBuf{}, ApplyResult{}, err
 	}
-	del, _, err := canonBatch(n, b.Delete, nil)
+	del, err := canonBatch(n, b.Delete, nil, opDelete)
 	if err != nil {
 		return csrBuf{}, ApplyResult{}, err
 	}
-	res := ApplyResult{}
-	deltas := make(map[uint32]*deltaSet)
-	delta := func(v uint32) *deltaSet {
-		d := deltas[v]
-		if d == nil {
-			d = &deltaSet{}
-			deltas[v] = d
-		}
-		return d
-	}
-	inserted := make(map[uint64]bool, len(ins))
-	for _, e := range ins {
-		inserted[edgeKey(e)] = true
-	}
+	var res ApplyResult
+	edits := make([]arcEdit, 0, 2*(len(del)+len(ins)))
 	for _, e := range del {
-		if inserted[edgeKey(e)] {
+		if _, ok := slices.BinarySearchFunc(ins, e, cmpArc); ok {
 			continue // delete-then-insert of the same edge: net no-op
 		}
-		if _, ok := searchEdge(adj[offsets[e.U]:offsets[e.U+1]], e.V); !ok {
+		if _, ok := slices.BinarySearch(adj[offsets[e.U]:offsets[e.U+1]], e.V); !ok {
 			continue // absent: no-op
 		}
-		du, dv := delta(e.U), delta(e.V)
-		du.del = append(du.del, e.V)
-		dv.del = append(dv.del, e.U)
-		res.Deleted = append(res.Deleted, e)
+		edits = append(edits, e, e.reverse())
+		res.Deleted = append(res.Deleted, e.Edge)
 	}
-	for i, e := range ins {
-		if j, ok := searchEdge(adj[offsets[e.U]:offsets[e.U+1]], e.V); ok {
-			if weights == nil || math.Float64bits(weights[offsets[e.U]+int64(j)]) == math.Float64bits(insW[i]) {
-				continue // present (unweighted) or same weight bits: exact no-op
-			}
-			du, dv := delta(e.U), delta(e.V)
-			du.upd = append(du.upd, e.V)
-			du.updW = append(du.updW, insW[i])
-			dv.upd = append(dv.upd, e.U)
-			dv.updW = append(dv.updW, insW[i])
-			res.Reweighted = append(res.Reweighted, e)
-			continue
+	for _, e := range ins {
+		if j, ok := slices.BinarySearch(adj[offsets[e.U]:offsets[e.U+1]], e.V); !ok {
+			res.Inserted = append(res.Inserted, e.Edge)
+		} else if weights == nil || math.Float64bits(weights[offsets[e.U]+int64(j)]) == math.Float64bits(e.w) {
+			continue // present (unweighted) or same weight bits: exact no-op
+		} else {
+			e.op = opReweight
+			res.Reweighted = append(res.Reweighted, e.Edge)
 		}
-		du, dv := delta(e.U), delta(e.V)
-		du.add = append(du.add, e.V)
-		dv.add = append(dv.add, e.U)
-		if weights != nil {
-			du.addW = append(du.addW, insW[i])
-			dv.addW = append(dv.addW, insW[i])
+		edits = append(edits, e, e.reverse())
+	}
+	// Each arc appears at most once, so the sort needs no stability.
+	slices.SortFunc(edits, cmpArc)
+	res.Dirty = make([]uint32, 0, len(edits))
+	for i, e := range edits {
+		if i == 0 || edits[i-1].U != e.U {
+			res.Dirty = append(res.Dirty, e.U)
 		}
-		res.Inserted = append(res.Inserted, e)
 	}
-	res.Dirty = dirtyList(deltas)
-	return rebuildCSR(offsets, adj, weights, res.Dirty, deltas), res, nil
-}
-
-func dirtyList(deltas map[uint32]*deltaSet) []uint32 {
-	dirty := make([]uint32, 0, len(deltas))
-	for v := range deltas {
-		dirty = append(dirty, v)
-	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
-	return dirty
+	return rebuildCSR(offsets, adj, weights, edits), res, nil
 }
 
 type csrBuf struct {
@@ -247,23 +215,20 @@ type csrBuf struct {
 	weights []float64
 }
 
-// rebuildCSR merges the per-vertex deltas into a fresh CSR. dirty is the
-// sorted key set of deltas; weights is nil for unweighted graphs. The rows
-// between two dirty vertices are untouched, so each such run moves with
-// one copy of adj (and of weights), and its offsets are the old ones
-// shifted by the degree change of the dirty rows before it. Only dirty
-// rows merge their sorted add/del lists: beyond the copies, the work is
-// O(batch).
-func rebuildCSR(offsets []int64, adj []uint32, weights []float64, dirty []uint32, deltas map[uint32]*deltaSet) csrBuf {
+// rebuildCSR applies the arc edits, sorted by (row, neighbor), to a fresh
+// CSR; weights is nil for unweighted graphs. The rows between two edited
+// rows are untouched, so each such run moves with one copy of adj (and of
+// weights), and its offsets are the old ones shifted by the degree change
+// of the edited rows before it. Only edited rows merge with their run of
+// edits: beyond the copies, the work is O(batch).
+func rebuildCSR(offsets []int64, adj []uint32, weights []float64, edits []arcEdit) csrBuf {
 	n := len(offsets) - 1
 	if n < 0 {
 		n, offsets = 0, []int64{0} // the zero-value graph
 	}
 	var shift int64
-	for _, v := range dirty {
-		d := deltas[v]
-		sortDelta(d)
-		shift += int64(len(d.add) - len(d.del))
+	for _, e := range edits {
+		shift += int64(e.op)
 	}
 	newOffsets := make([]int64, n+1)
 	newAdj := make([]uint32, offsets[n]+shift)
@@ -273,10 +238,10 @@ func rebuildCSR(offsets []int64, adj []uint32, weights []float64, dirty []uint32
 	}
 	shift = 0
 	lo := 0 // first row of the current untouched run
-	for k := 0; ; k++ {
-		hi := n // the run ends at the next dirty row, or after the last row
-		if k < len(dirty) {
-			hi = int(dirty[k])
+	for {
+		hi := n // the run ends at the next edited row, or after the last row
+		if len(edits) > 0 {
+			hi = int(edits[0].U)
 		}
 		a, b := offsets[lo], offsets[hi]
 		copy(newAdj[a+shift:b+shift], adj[a:b])
@@ -286,12 +251,16 @@ func rebuildCSR(offsets []int64, adj []uint32, weights []float64, dirty []uint32
 		for v := lo + 1; v <= hi; v++ {
 			newOffsets[v] = offsets[v] + shift
 		}
-		if k == len(dirty) {
+		if len(edits) == 0 {
 			break
 		}
 		v := hi
-		d := deltas[uint32(v)]
-		shift += int64(len(d.add) - len(d.del))
+		k := 0 // edits[:k] is row v's run of edits
+		for ; k < len(edits) && int(edits[k].U) == v; k++ {
+			shift += int64(edits[k].op)
+		}
+		run := edits[:k]
+		edits = edits[k:]
 		newOffsets[v+1] = offsets[v+1] + shift
 		lo = v + 1
 		src := adj[offsets[v]:offsets[v+1]]
@@ -301,82 +270,43 @@ func rebuildCSR(offsets []int64, adj []uint32, weights []float64, dirty []uint32
 			srcW = weights[offsets[v]:offsets[v+1]]
 			dstW = newW[newOffsets[v]:newOffsets[v+1]]
 		}
-		// Three sorted streams merge into dst: the old adjacency minus the
-		// delete list, interleaved with the add list; weight updates rewrite
-		// in place as the old stream is copied.
-		di, ai, ui, o := 0, 0, 0, 0
-		for i, u := range src {
-			if di < len(d.del) && d.del[di] == u {
-				di++
-				continue
-			}
-			for ai < len(d.add) && d.add[ai] < u {
-				dst[o] = d.add[ai]
-				if weights != nil {
-					dstW[o] = d.addW[ai]
-				}
-				ai++
-				o++
-			}
+		o := 0
+		put := func(u uint32, w float64) {
 			dst[o] = u
 			if weights != nil {
-				w := srcW[i]
-				if ui < len(d.upd) && d.upd[ui] == u {
-					w = d.updW[ui]
-					ui++
-				}
 				dstW[o] = w
 			}
 			o++
 		}
-		for ai < len(d.add) {
-			dst[o] = d.add[ai]
-			if weights != nil {
-				dstW[o] = d.addW[ai]
+		// The old row and its run are both sorted by neighbor: adds slot
+		// in between the old arcs, and an edit naming an old arc deletes
+		// it or rewrites its weight.
+		for i, u := range src {
+			for ; len(run) > 0 && run[0].V < u; run = run[1:] {
+				put(run[0].V, run[0].w)
 			}
-			ai++
-			o++
+			var w float64
+			if weights != nil {
+				w = srcW[i]
+			}
+			if len(run) > 0 && run[0].V == u {
+				e := run[0]
+				run = run[1:]
+				if e.op == opDelete {
+					continue
+				}
+				w = e.w
+			}
+			put(u, w)
+		}
+		for _, e := range run {
+			put(e.V, e.w)
 		}
 		if o != len(dst) {
-			panic("graph: batch delta merge produced inconsistent degree")
+			panic("graph: batch edit merge produced inconsistent degree")
 		}
 	}
 	return csrBuf{offsets: newOffsets, adj: newAdj, weights: newW}
-}
-
-// sortDelta sorts each delta stream by neighbor id, keeping addW/updW
-// aligned. The streams are tiny (per-vertex batch fan-in), so simple sorts
-// suffice.
-func sortDelta(d *deltaSet) {
-	sort.Slice(d.del, func(i, j int) bool { return d.del[i] < d.del[j] })
-	if d.addW == nil {
-		sort.Slice(d.add, func(i, j int) bool { return d.add[i] < d.add[j] })
-	} else {
-		idx := make([]int, len(d.add))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(i, j int) bool { return d.add[idx[i]] < d.add[idx[j]] })
-		add := make([]uint32, len(d.add))
-		addW := make([]float64, len(d.add))
-		for o, i := range idx {
-			add[o], addW[o] = d.add[i], d.addW[i]
-		}
-		d.add, d.addW = add, addW
-	}
-	if len(d.upd) > 1 {
-		idx := make([]int, len(d.upd))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(i, j int) bool { return d.upd[idx[i]] < d.upd[idx[j]] })
-		upd := make([]uint32, len(d.upd))
-		updW := make([]float64, len(d.upd))
-		for o, i := range idx {
-			upd[o], updW[o] = d.upd[i], d.updW[i]
-		}
-		d.upd, d.updW = upd, updW
-	}
 }
 
 // DiffCSR compares two graphs on the same vertex set and returns the

@@ -488,3 +488,106 @@ func TestInducedSubgraphEdgeCases(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyBatchAllocs gates ApplyBatch's allocations on 500-edge batches
+// of a 350×300 grid and on a one-edge insert. A batch costs its canonical
+// and edit slices, the result lists and the new CSR, independent of the
+// number of dirty rows.
+func TestApplyBatchAllocs(t *testing.T) {
+	g := mustGrid(t, 350, 300)
+	var picked []Edge
+	for i, e := range g.Edges() {
+		if i%37 == 0 && len(picked) < 500 {
+			picked = append(picked, e)
+		}
+	}
+	without, _, err := ApplyBatch(g, Batch{Delete: picked})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg := RandomWeights(g, 1, 10, 3)
+	reweight := Batch{Insert: picked, InsertW: make([]float64, len(picked))}
+	for i := range reweight.InsertW {
+		reweight.InsertW[i] = 11 + float64(i)
+	}
+	n := uint32(g.NumVertices())
+	cases := []struct {
+		name  string
+		apply func() (ApplyResult, error)
+		gate  float64
+	}{
+		{"500-edge delete", func() (ApplyResult, error) {
+			_, res, err := ApplyBatch(g, Batch{Delete: picked})
+			return res, err
+		}, 64},
+		{"500-edge insert", func() (ApplyResult, error) {
+			_, res, err := ApplyBatch(without, Batch{Insert: picked})
+			return res, err
+		}, 64},
+		{"500-edge weighted re-weight", func() (ApplyResult, error) {
+			_, res, err := ApplyBatchWeighted(wg, reweight)
+			return res, err
+		}, 64},
+		{"one-edge insert", func() (ApplyResult, error) {
+			_, res, err := ApplyBatch(g, Batch{Insert: []Edge{{0, n - 1}}})
+			return res, err
+		}, 16},
+	}
+	for _, tc := range cases {
+		res, err := tc.apply()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Unchanged() {
+			t.Fatalf("%s: the batch changed nothing", tc.name)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := tc.apply(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.gate {
+			t.Errorf("%s: %.0f allocations, gate %.0f", tc.name, allocs, tc.gate)
+		}
+		t.Logf("%s: %.0f allocations", tc.name, allocs)
+	}
+}
+
+// FuzzApplyBatch applies fuzzer-chosen batches to a small random graph,
+// unweighted and weighted, and checks both against a from-scratch
+// rebuild. Each 3-byte record of ops is one batch entry: the low bit of
+// its first byte picks delete or insert, the rest of that byte the
+// insert's weight, and the next two bytes its endpoints modulo n, so self
+// loops, duplicates, deletes of absent edges, inserts of present edges
+// and delete-then-insert pairs all occur. The graph's weights and the
+// insert weights share the lattice k/4, so a weighted upsert can repeat
+// an edge's weight bits exactly.
+func FuzzApplyBatch(f *testing.F) {
+	f.Add(uint8(10), uint8(20), uint64(1), []byte{0, 1, 2, 1, 1, 2, 0, 3, 3, 2, 1, 2})
+	f.Add(uint8(4), uint8(15), uint64(2), []byte{2, 0, 5, 5, 5, 0, 1, 0, 5, 6, 0, 5, 1, 4, 4})
+	f.Add(uint8(0), uint8(0), uint64(3), []byte{})
+	f.Fuzz(func(t *testing.T, nb, mb uint8, seed uint64, ops []byte) {
+		n := 2 + int(nb%15)
+		g := GNM(n, int64(mb)%(int64(n)*int64(n-1)/2+1), seed)
+		var wes []WeightedEdge
+		for i, e := range g.Edges() {
+			wes = append(wes, WeightedEdge{U: e.U, V: e.V, W: float64(1+xrand.Mix(seed, uint64(i))%8) / 4})
+		}
+		wg, err := FromWeightedEdges(n, wes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b Batch
+		for ; len(ops) >= 3; ops = ops[3:] {
+			e := Edge{U: uint32(int(ops[1]) % n), V: uint32(int(ops[2]) % n)}
+			if ops[0]&1 == 1 {
+				b.Delete = append(b.Delete, e)
+				continue
+			}
+			b.Insert = append(b.Insert, e)
+			b.InsertW = append(b.InsertW, float64(1+ops[0]>>1)/4)
+		}
+		checkApplyBatch(t, "unweighted", g, b)
+		checkApplyBatchWeighted(t, "weighted", wg, b)
+	})
+}

@@ -190,9 +190,8 @@ func (g *Graph) HasEdge(u, v uint32) bool {
 	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
-	nb := g.Neighbors(u)
-	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= v })
-	return i < len(nb) && nb[i] == v
+	_, ok := slices.BinarySearch(g.Neighbors(u), v)
+	return ok
 }
 
 // InducedSubgraph returns the subgraph induced by the given vertex set,

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"mpx/internal/xrand"
 )
@@ -103,10 +103,9 @@ func (g *WeightedGraph) Unweighted() *Graph {
 // Weight returns the weight of edge {u, v} and whether the edge exists.
 // Adjacency lists are sorted, so the lookup is a binary search.
 func (g *WeightedGraph) Weight(u, v uint32) (float64, bool) {
-	lo, hi := g.offsets[u], g.offsets[u+1]
-	nb := g.adj[lo:hi]
-	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= v })
-	if i == len(nb) || nb[i] != v {
+	lo := g.offsets[u]
+	i, ok := slices.BinarySearch(g.adj[lo:g.offsets[u+1]], v)
+	if !ok {
 		return 0, false
 	}
 	return g.weights[lo+int64(i)], true
