@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -21,15 +23,26 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestFlagAudit runs the test binary as mpx on a small generated path. An
+// TestFlagAudit runs the test binary as mpx on a small generated path, or
+// on a small weighted DIMACS file where the arguments name -in. An
 // explicitly set flag that the selected mode would ignore exits 2 with a
-// message naming the rule; the same flag where the mode reads it runs.
+// message naming the rule; the same flag where the mode reads it runs. In
+// the arguments, {dir} is a temporary directory and {wgr} the DIMACS file.
 func TestFlagAudit(t *testing.T) {
 	const (
 		direction = "mpx: -direction applies only to -algo mpx and the unweighted apps"
 		tie       = "mpx: -tie applies only to -algo mpx, seq and exact and to -app spanner"
 		weighted  = "mpx: -weighted supports apps lowstretch, blocks and embedding"
+		validate  = "mpx: -validate applies only to -app partition"
+		wmax      = "mpx: -wmax applies only where weights are drawn: -algo weighted and weighted-par, and -weighted"
+		png       = "mpx: -png renders a single unweighted decomposition and applies only to -app partition with -algo mpx, seq, exact, ballgrow or iterative"
 	)
+	dir := t.TempDir()
+	wgr := filepath.Join(dir, "w.gr")
+	if err := os.WriteFile(wgr, []byte("p sp 4 3\na 1 2 2.5\na 2 3 1\na 3 4 4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	placeholders := strings.NewReplacer("{dir}", dir, "{wgr}", wgr)
 	cases := []struct {
 		name string
 		args []string
@@ -55,10 +68,35 @@ func TestFlagAudit(t *testing.T) {
 		{"reads/tie-seq", []string{"-algo", "seq", "-tie", "permutation"}, 0, ""},
 		{"reads/tie-spanner", []string{"-app", "spanner", "-tie", "permutation"}, 0, ""},
 		{"reads/weighted-par", []string{"-algo", "weighted-par"}, 0, ""},
+		{"validate/blocks", []string{"-app", "blocks", "-validate"}, 2, validate + " (got -app blocks)"},
+		{"validate/weighted-blocks", []string{"-app", "blocks", "-weighted", "-validate"}, 2, validate + " (got -app blocks -weighted)"},
+		{"validate/queries", []string{"-app", "lowstretch", "-queries", "synth:10", "-validate"}, 2, validate + " (got -app lowstretch)"},
+		{"wmax/partition", []string{"-wmax", "8"}, 2, wmax + " (got -algo mpx)"},
+		{"wmax/spanner", []string{"-app", "spanner", "-wmax", "3"}, 2, wmax + " (got -app spanner)"},
+		{"wmax/weighted-file", []string{"-in", "{wgr}", "-app", "lowstretch", "-weighted", "-wmax", "3"}, 2, "mpx: -wmax draws U(1,wmax) weights, but " + wgr + " carries its own; drop -wmax"},
+		{"wmax/below-one", []string{"-algo", "weighted", "-wmax", "0.5"}, 2, "mpx: -wmax must be a finite number >= 1, got 0.5"},
+		{"wmax/infinite", []string{"-app", "blocks", "-weighted", "-wmax", "+Inf"}, 2, "mpx: -wmax must be a finite number >= 1, got +Inf"},
+		{"dimacs/no-in", []string{"-dimacs"}, 2, "mpx: -dimacs forces the format of an -in file; it needs -in"},
+		{"png/weighted-par", []string{"-algo", "weighted-par", "-png", "{dir}/wp.png"}, 2, png + " (got -algo weighted-par)"},
+		{"png/path", []string{"-png", "{dir}/path.png"}, 2, "mpx: -png requires a grid-shaped generator (-gen grid, torus or road)"},
+		{"reads/validate-mpx", []string{"-validate"}, 0, ""},
+		{"reads/validate-weighted", []string{"-algo", "weighted", "-validate"}, 0, ""},
+		{"reads/wmax-weighted-par", []string{"-algo", "weighted-par", "-wmax", "8"}, 0, ""},
+		{"reads/wmax-weighted-app", []string{"-app", "blocks", "-weighted", "-wmax", "8"}, 0, ""},
+		{"reads/weighted-file", []string{"-in", "{wgr}", "-app", "lowstretch", "-weighted"}, 0, ""},
+		{"reads/dimacs", []string{"-in", "{wgr}", "-dimacs"}, 0, ""},
+		{"reads/png-grid", []string{"-gen", "grid", "-rows", "8", "-cols", "8", "-png", "{dir}/grid.png"}, 0, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], append([]string{"-gen", "path", "-n", "40"}, tc.args...)...)
+			args := []string{"-gen", "path", "-n", "40"}
+			if slices.Contains(tc.args, "-in") {
+				args = nil
+			}
+			for _, a := range tc.args {
+				args = append(args, placeholders.Replace(a))
+			}
+			cmd := exec.Command(os.Args[0], args...)
 			cmd.Env = append(os.Environ(), runMainEnv+"=1")
 			var stderr bytes.Buffer
 			cmd.Stderr = &stderr

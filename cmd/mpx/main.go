@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -55,12 +56,12 @@ func main() {
 		workers   = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		app       = flag.String("app", "partition", "workload: partition|connectivity|spanner|lowstretch|blocks|separator|embedding")
 		algo      = flag.String("algo", "mpx", "algorithm: mpx|seq|exact|ballgrow|iterative|weighted|weighted-par (partition app only)")
-		wmax      = flag.Float64("wmax", 4, "max edge weight for weighted algorithms (U(1,wmax))")
+		wmax      = flag.Float64("wmax", 4, "max edge weight of the U(1,wmax) weight draw (-algo weighted|weighted-par and -weighted)")
 		weighted  = flag.Bool("weighted", false, "run the hierarchy app on a weighted graph: U(1,wmax) random weights, or the file's arc weights with -in -dimacs (lowstretch|blocks|embedding)")
 		tie       = flag.String("tie", "fractional", "tie-break: fractional|permutation (-algo mpx|seq|exact and -app spanner)")
 		direction = flag.String("direction", "auto", "partition traversal: auto|push|pull (-algo mpx and the unweighted apps)")
-		pngPath   = flag.String("png", "", "write cluster coloring PNG (grid generators only)")
-		validate  = flag.Bool("validate", false, "run full O(m) decomposition validation")
+		pngPath   = flag.String("png", "", "write cluster coloring PNG (-app partition with an unweighted -algo; grid|torus|road generators only)")
+		validate  = flag.Bool("validate", false, "run full O(m) decomposition validation (-app partition)")
 		updates   = flag.String("updates", "", "replay a batched edge-update trace against an incrementally maintained app (lowstretch|blocks|embedding); see cmd/mpx/updates.go for the format")
 		queries   = flag.String("queries", "", "serve a distance/cluster-membership query trace from the built lowstretch structures, or \"synth:N\" for N synthetic queries; see cmd/mpx/queries.go for the format")
 		qbatch    = flag.Int("qbatch", 1024, "batch size for -queries synth:N workloads (file traces carry their own batch structure)")
@@ -156,9 +157,35 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mpx: -tie applies only to -algo mpx, seq and exact and to -app spanner (got %s)\n", mode)
 		os.Exit(2)
 	}
-	if *pngPath != "" && *app != "partition" {
-		fmt.Fprintln(os.Stderr, "mpx: -png renders a single decomposition and applies only to -app partition")
+	// -validate is read only by -app partition, -wmax only where weights
+	// are drawn, -dimacs only with -in, and -png only by an unweighted
+	// partition of a grid-shaped generator.
+	if *validate && *app != "partition" {
+		fmt.Fprintf(os.Stderr, "mpx: -validate applies only to -app partition (got %s)\n", mode)
 		os.Exit(2)
+	}
+	drawsWeights := *weighted || *algo == "weighted" || *algo == "weighted-par"
+	if explicit["wmax"] && !drawsWeights {
+		fmt.Fprintf(os.Stderr, "mpx: -wmax applies only where weights are drawn: -algo weighted and weighted-par, and -weighted (got %s)\n", mode)
+		os.Exit(2)
+	}
+	if drawsWeights && !(*wmax >= 1 && !math.IsInf(*wmax, 1)) {
+		fmt.Fprintf(os.Stderr, "mpx: -wmax must be a finite number >= 1, got %g\n", *wmax)
+		os.Exit(2)
+	}
+	if *dimacs && *in == "" {
+		fmt.Fprintln(os.Stderr, "mpx: -dimacs forces the format of an -in file; it needs -in")
+		os.Exit(2)
+	}
+	if *pngPath != "" {
+		if *app != "partition" || *algo == "weighted" || *algo == "weighted-par" {
+			fmt.Fprintf(os.Stderr, "mpx: -png renders a single unweighted decomposition and applies only to -app partition with -algo mpx, seq, exact, ballgrow or iterative (got %s)\n", mode)
+			os.Exit(2)
+		}
+		if *in != "" || *gen != "grid" && *gen != "torus" && *gen != "road" {
+			fmt.Fprintln(os.Stderr, "mpx: -png requires a grid-shaped generator (-gen grid, torus or road)")
+			os.Exit(2)
+		}
 	}
 	if *updates != "" {
 		switch *app {
@@ -169,10 +196,6 @@ func main() {
 		}
 		if *weighted {
 			fmt.Fprintln(os.Stderr, "mpx: -updates replays unweighted hierarchies; drop -weighted")
-			os.Exit(2)
-		}
-		if *validate {
-			fmt.Fprintln(os.Stderr, "mpx: -validate applies to -app partition, not -updates replays")
 			os.Exit(2)
 		}
 	}
@@ -187,10 +210,6 @@ func main() {
 		}
 		if *updates != "" {
 			fmt.Fprintln(os.Stderr, "mpx: -queries and -updates are separate modes; pick one")
-			os.Exit(2)
-		}
-		if *validate {
-			fmt.Fprintln(os.Stderr, "mpx: -validate applies to -app partition, not -queries serving")
 			os.Exit(2)
 		}
 		if *qbatch <= 0 {
@@ -237,6 +256,10 @@ func main() {
 		}
 		if closer != nil {
 			defer closer.Close()
+		}
+		if fromFile && explicit["wmax"] {
+			fmt.Fprintf(os.Stderr, "mpx: -wmax draws U(1,wmax) weights, but %s carries its own; drop -wmax\n", *in)
+			os.Exit(2)
 		}
 		if *snapOut != "" {
 			writeSnapshotOut(*snapOut, nil, wg)
@@ -348,10 +371,6 @@ func main() {
 		fmt.Println("validation: OK (pieces connected, distances exact, radius within shift bound)")
 	}
 	if *pngPath != "" {
-		if gridRows == 0 {
-			fmt.Fprintln(os.Stderr, "mpx: -png requires a grid-shaped generator")
-			os.Exit(1)
-		}
 		f, err := os.Create(*pngPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mpx:", err)
@@ -453,14 +472,7 @@ func loadWeightedGraph(in string, dimacs bool, gen string, rows, cols, n int, m 
 		if o.Weighted != nil {
 			return o.Weighted, o, true, nil
 		}
-		if wmax < 1 {
-			o.Close()
-			return nil, nil, false, fmt.Errorf("-wmax must be >= 1, got %g", wmax)
-		}
 		return graph.RandomWeights(o.Graph, 1, wmax, seed), o, false, nil
-	}
-	if wmax < 1 {
-		return nil, nil, false, fmt.Errorf("-wmax must be >= 1, got %g", wmax)
 	}
 	g, _, _, err := generateGraph(gen, rows, cols, n, m, scale, seed)
 	if err != nil {

@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"mpx/internal/apps/lowstretch"
@@ -12,7 +13,7 @@ import (
 	"mpx/internal/xrand"
 )
 
-func buildWeightedFixture(t *testing.T) (*WeightedLaplacian, *WeightedTreeSolver, []float64) {
+func buildWeightedFixture(t *testing.T) (*Laplacian, *TreeSolver, []float64) {
 	t.Helper()
 	g := graph.Grid2D(20, 20)
 	wg := graph.RandomWeights(g, 1, 4, 3)
@@ -37,10 +38,10 @@ func buildWeightedFixture(t *testing.T) (*WeightedLaplacian, *WeightedTreeSolver
 // after many reuses with different right-hand sides.
 func TestSolverBitIdenticalToOneShot(t *testing.T) {
 	l, ts, b := buildWeightedFixture(t)
-	s := NewWeightedSolver(l, ts, 1e-8, 400)
+	s := NewSolver(l, ts, 1e-8, 400)
 	rng := xrand.NewSplitMix64(77)
 	for iter := 0; iter < 5; iter++ {
-		want, wres := WeightedPCG(l, ts, b, 1e-8, 400)
+		want, wres := PCG(l, ts, b, 1e-8, 400)
 		got, gres := s.Solve(b)
 		if gres != wres {
 			t.Fatalf("iter %d: Result %+v != one-shot %+v", iter, gres, wres)
@@ -81,7 +82,7 @@ func TestSolverBitIdenticalToOneShot(t *testing.T) {
 // satellite: after the first Solve, further Solves allocate nothing.
 func TestSolverSteadyStateAllocs(t *testing.T) {
 	l, ts, b := buildWeightedFixture(t)
-	s := NewWeightedSolver(l, ts, 1e-8, 400)
+	s := NewSolver(l, ts, 1e-8, 400)
 	s.Solve(b) // warm-up (lazy runtime state, if any)
 	if allocs := testing.AllocsPerRun(10, func() { s.Solve(b) }); allocs != 0 {
 		t.Fatalf("steady-state Solve allocates %.1f objects/solve, want 0", allocs)
@@ -93,8 +94,8 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 // and the solver stays reusable afterwards with bit-identical output.
 func TestSolverCtxCancellation(t *testing.T) {
 	l, ts, b := buildWeightedFixture(t)
-	s := NewWeightedSolver(l, ts, 1e-10, 400)
-	want, wres := WeightedPCG(l, ts, b, 1e-10, 400)
+	s := NewSolver(l, ts, 1e-10, 400)
+	want, wres := PCG(l, ts, b, 1e-10, 400)
 	if wres.Iterations < 2 {
 		t.Fatalf("fixture converges in %d iterations; cannot cancel mid-solve", wres.Iterations)
 	}
@@ -133,6 +134,37 @@ func TestSolverCtxCancellation(t *testing.T) {
 	for i := range want {
 		if got2[i] != want[i] {
 			t.Fatalf("polled x[%d] diverged", i)
+		}
+	}
+}
+
+// TestSolverRejectsMismatchedRHS: a right-hand side shorter or longer than
+// the operator's dimension is a caller bug, and every entry point panics
+// with both lengths instead of indexing past b or averaging extra entries
+// into the projection.
+func TestSolverRejectsMismatchedRHS(t *testing.T) {
+	l := NewLaplacian(graph.Path(4))
+	ts, err := NewTreeSolver(4, graph.Path(4).Edges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	solves := map[string]func(b []float64){
+		"CG":    func(b []float64) { CG(l, b, 1e-9, 100) },
+		"PCG":   func(b []float64) { PCG(l, ts, b, 1e-9, 100) },
+		"Solve": func(b []float64) { NewSolver(l, ts, 1e-9, 100).Solve(b) },
+	}
+	for name, solve := range solves {
+		for _, m := range []int{3, 5} {
+			b := []float64{1, -1, 2, -2, 50}[:m]
+			want := fmt.Sprintf("solver: right-hand side has %d entries for a 4-vertex Laplacian", m)
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); msg != want {
+						t.Errorf("%s with len(b)=%d: panic %q, want %q", name, m, msg, want)
+					}
+				}()
+				solve(b)
+			}()
 		}
 	}
 }

@@ -13,6 +13,13 @@
 // low-stretch tree needs ~40% fewer iterations than a BFS tree, and the
 // gap widens with n).
 //
+// Weighted graphs (paper Section 6) run the same pipeline with edge weights
+// as conductances: NewWeightedLaplacian and NewWeightedTreeSolver return the
+// same Laplacian and TreeSolver types carrying a weight array (nil means
+// unit weights), preconditioned by the weighted AKPW tree. At unit weights
+// the weighted operators perform the unweighted float operations bit for
+// bit.
+//
 // Honest scope note: a bare tree preconditioner does not beat plain CG on
 // grids (total stretch ≈ m·polylog exceeds κ(L) ≈ n there); the full
 // nearly-linear solvers of the literature augment the tree with sampled
@@ -23,6 +30,7 @@ package solver
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 
 	"mpx/internal/graph"
@@ -39,25 +47,48 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Laplacian is the linear operator L = D − A of an unweighted graph.
+// Laplacian is the linear operator L = D − A of a graph, with edge weights
+// acting as conductances; an unweighted graph has unit conductances.
 type Laplacian struct {
 	g *graph.Graph
+	w []float64 // per-arc conductance; nil means 1
 }
 
 // NewLaplacian wraps a graph as its Laplacian operator.
 func NewLaplacian(g *graph.Graph) *Laplacian { return &Laplacian{g: g} }
 
+// NewWeightedLaplacian wraps a weighted graph as its Laplacian operator
+// L = D_w − A_w.
+func NewWeightedLaplacian(wg *graph.WeightedGraph) *Laplacian {
+	return &Laplacian{g: wg.Unweighted(), w: wg.Weights()}
+}
+
 // Dim returns the number of variables (vertices).
 func (l *Laplacian) Dim() int { return l.g.NumVertices() }
 
-// Apply computes out = L·x.
+// Apply computes out = L·x. The diagonal is the sum of the incident
+// conductances and each off-diagonal term is w·x[u]. At unit weights that
+// sum is exactly the integer degree and 1·x[u] is exactly x[u], so a
+// weighted Laplacian performs the unweighted float operations bit for bit.
 func (l *Laplacian) Apply(x, out []float64) {
-	offsets := l.g.Offsets()
-	adj := l.g.Adjacency()
-	for v := 0; v < l.g.NumVertices(); v++ {
-		s := float64(offsets[v+1]-offsets[v]) * x[v]
-		for i := offsets[v]; i < offsets[v+1]; i++ {
-			s -= x[adj[i]]
+	offsets, adj, w := l.g.Offsets(), l.g.Adjacency(), l.w
+	for v := 0; v < l.Dim(); v++ {
+		lo, hi := offsets[v], offsets[v+1]
+		if w == nil {
+			s := float64(hi-lo) * x[v]
+			for i := lo; i < hi; i++ {
+				s -= x[adj[i]]
+			}
+			out[v] = s
+			continue
+		}
+		var deg float64
+		for _, c := range w[lo:hi] {
+			deg += c
+		}
+		s := deg * x[v]
+		for i := lo; i < hi; i++ {
+			s -= w[i] * x[adj[i]]
 		}
 		out[v] = s
 	}
@@ -68,29 +99,51 @@ func (l *Laplacian) Apply(x, out []float64) {
 // to zero (Laplacians are singular with nullspace 1); the returned solution
 // is normalized to mean zero.
 type TreeSolver struct {
-	n      int
-	parent []int32 // parent vertex in the rooted tree, -1 for the root
-	order  []int32 // vertices in BFS order from the root (parents first)
+	n       int
+	parent  []int32   // parent vertex in the rooted tree, -1 for the root
+	parentW []float64 // conductance of the edge to the parent; nil means 1
+	order   []int32   // vertices in BFS order from the root (parents first)
 }
 
 // NewTreeSolver roots the given spanning tree. The edges must form a
 // spanning tree of n vertices (connected, acyclic).
 func NewTreeSolver(n int, edges []graph.Edge) (*TreeSolver, error) {
+	unit := make([]graph.WeightedEdge, len(edges))
+	for i, e := range edges {
+		unit[i] = graph.WeightedEdge{U: e.U, V: e.V, W: 1}
+	}
+	return newTreeSolver(n, unit, false)
+}
+
+// NewWeightedTreeSolver roots the given weighted spanning tree (weights as
+// conductances). The edges must form a spanning tree of n vertices with
+// positive finite weights.
+func NewWeightedTreeSolver(n int, edges []graph.WeightedEdge) (*TreeSolver, error) {
+	return newTreeSolver(n, edges, true)
+}
+
+func newTreeSolver(n int, edges []graph.WeightedEdge, weighted bool) (*TreeSolver, error) {
 	if len(edges) != n-1 && n > 0 {
 		return nil, errors.New("solver: edge set is not a spanning tree")
 	}
-	adj := make([][]int32, n)
-	for _, e := range edges {
+	adj := make([][]int32, n) // per vertex: the indices of its edges
+	for i, e := range edges {
 		if int(e.U) >= n || int(e.V) >= n {
 			return nil, errors.New("solver: tree edge out of range")
 		}
-		adj[e.U] = append(adj[e.U], int32(e.V))
-		adj[e.V] = append(adj[e.V], int32(e.U))
+		if !(e.W > 0) || math.IsInf(e.W, 0) {
+			return nil, errors.New("solver: tree edge weight must be positive and finite")
+		}
+		adj[e.U] = append(adj[e.U], int32(i))
+		adj[e.V] = append(adj[e.V], int32(i))
 	}
 	ts := &TreeSolver{
 		n:      n,
 		parent: make([]int32, n),
 		order:  make([]int32, 0, n),
+	}
+	if weighted {
+		ts.parentW = make([]float64, n)
 	}
 	for i := range ts.parent {
 		ts.parent[i] = -2 // unvisited
@@ -102,9 +155,17 @@ func NewTreeSolver(n int, edges []graph.Edge) (*TreeSolver, error) {
 	ts.order = append(ts.order, 0)
 	for head := 0; head < len(ts.order); head++ {
 		v := ts.order[head]
-		for _, u := range adj[v] {
+		for _, i := range adj[v] {
+			e := edges[i]
+			u := int32(e.U)
+			if u == v {
+				u = int32(e.V)
+			}
 			if ts.parent[u] == -2 {
 				ts.parent[u] = v
+				if weighted {
+					ts.parentW[u] = e.W
+				}
 				ts.order = append(ts.order, u)
 			}
 		}
@@ -117,7 +178,9 @@ func NewTreeSolver(n int, edges []graph.Edge) (*TreeSolver, error) {
 
 // Solve computes y with L_T y = r (r must be orthogonal to the all-ones
 // vector up to fp error) into out. Two passes: subtree sums upward, then
-// potentials downward; finally shift to mean zero.
+// potentials downward — the current through the edge to the parent is the
+// subtree sum S, so the potential drop across it is S/w (S at unit
+// conductance, where S/1.0 would be exactly S); finally shift to mean zero.
 func (ts *TreeSolver) Solve(r, out []float64) {
 	n := ts.n
 	if n == 0 {
@@ -130,14 +193,18 @@ func (ts *TreeSolver) Solve(r, out []float64) {
 		v := ts.order[i]
 		s[ts.parent[v]] += s[v]
 	}
-	// Downward: y[child] = y[parent] + S[child] (unit edge weights).
-	// Overwrite s in BFS order — parents are finalized before children, and
-	// s[v] is consumed exactly when v is visited.
+	// Downward: y[child] = y[parent] + S[child]/w. Overwrite s in BFS
+	// order — parents are finalized before children, and s[v] is consumed
+	// exactly when v is visited.
 	root := ts.order[0]
 	s[root] = 0
 	for i := 1; i < n; i++ {
 		v := ts.order[i]
-		s[v] = s[ts.parent[v]] + s[v]
+		drop := s[v]
+		if ts.parentW != nil {
+			drop /= ts.parentW[v]
+		}
+		s[v] = s[ts.parent[v]] + drop
 	}
 	// Normalize to mean zero.
 	var mean float64
@@ -161,31 +228,12 @@ type Result struct {
 // projected onto 1-perp. It stops when the relative residual drops below
 // tol or after maxIter iterations.
 func CG(l *Laplacian, b []float64, tol float64, maxIter int) ([]float64, Result) {
-	return pcg(l, b, tol, maxIter, nil)
+	return NewSolver(l, nil, tol, maxIter).Solve(b)
 }
 
 // PCG runs conjugate gradient preconditioned by exact tree solves.
 func PCG(l *Laplacian, ts *TreeSolver, b []float64, tol float64, maxIter int) ([]float64, Result) {
-	return pcg(l, b, tol, maxIter, ts)
-}
-
-func pcg(l *Laplacian, b []float64, tol float64, maxIter int, pre *TreeSolver) ([]float64, Result) {
-	var solve func(r, z []float64)
-	if pre != nil {
-		solve = pre.Solve
-	}
-	return pcgOp(l.Apply, l.Dim(), b, tol, maxIter, solve)
-}
-
-// pcgOp is the operator-generic PCG kernel shared by the unweighted and
-// weighted Laplacians: apply computes out = L·x and pre (nil for plain CG)
-// solves the preconditioner system into z. It allocates fresh scratch per
-// call; repeated-solve callers use the reusable Solver instead (identical
-// float operations, zero steady-state allocations).
-func pcgOp(apply func(x, out []float64), n int, b []float64, tol float64, maxIter int, pre func(r, z []float64)) ([]float64, Result) {
-	s := newSolver(apply, n, tol, maxIter, pre)
-	x, res, _ := s.solve(nil, b)
-	return x, res
+	return NewSolver(l, ts, tol, maxIter).Solve(b)
 }
 
 // Solver is a reusable PCG solver: the preconditioner-as-a-service shape,
@@ -193,32 +241,24 @@ func pcgOp(apply func(x, out []float64), n int, b []float64, tol float64, maxIte
 // allocation would be a per-request allocation. All scratch vectors (x,
 // projected rhs, residual, preconditioned residual, search direction,
 // L·p) are hoisted into the object, so a steady-state Solve allocates
-// nothing. The float operations are exactly those of CG/PCG/WeightedPCG —
-// results are bit-identical. Not safe for concurrent use; create one
-// Solver per goroutine.
+// nothing. CG and PCG run one fresh Solver each, so a reused Solver's
+// results are bit-identical to theirs. Not safe for concurrent use; create
+// one Solver per goroutine.
 type Solver struct {
-	apply   func(x, out []float64)
-	pre     func(r, z []float64) // nil = plain CG
-	n       int
+	l       *Laplacian
+	pre     *TreeSolver // nil = plain CG
 	tol     float64
 	maxIter int
 
 	x, rhs, r, z, p, lp []float64
 }
 
-// NewSolver builds a reusable solver for L x = b over the unweighted
-// Laplacian, preconditioned by exact tree solves (ts nil = plain CG).
+// NewSolver builds a reusable solver for L x = b, preconditioned by exact
+// tree solves (ts nil = plain CG).
 func NewSolver(l *Laplacian, ts *TreeSolver, tol float64, maxIter int) *Solver {
-	var pre func(r, z []float64)
-	if ts != nil {
-		pre = ts.Solve
-	}
-	return newSolver(l.Apply, l.Dim(), tol, maxIter, pre)
-}
-
-func newSolver(apply func(x, out []float64), n int, tol float64, maxIter int, pre func(r, z []float64)) *Solver {
+	n := l.Dim()
 	return &Solver{
-		apply: apply, pre: pre, n: n, tol: tol, maxIter: maxIter,
+		l: l, pre: ts, tol: tol, maxIter: maxIter,
 		x: make([]float64, n), rhs: make([]float64, n), r: make([]float64, n),
 		z: make([]float64, n), p: make([]float64, n), lp: make([]float64, n),
 	}
@@ -226,7 +266,8 @@ func newSolver(apply func(x, out []float64), n int, tol float64, maxIter int, pr
 
 // Solve runs PCG on b. The returned solution slice is owned by the Solver
 // and valid until the next Solve; copy it to retain. Bit-identical to the
-// one-shot CG/PCG/WeightedPCG on the same operator and b.
+// one-shot CG/PCG on the same operator and b. A b whose length is not the
+// operator's dimension is a caller bug and panics.
 func (s *Solver) Solve(b []float64) ([]float64, Result) {
 	x, res, _ := s.solve(nil, b)
 	return x, res
@@ -241,7 +282,10 @@ func (s *Solver) SolveCtx(ctx context.Context, b []float64) ([]float64, Result, 
 }
 
 func (s *Solver) solve(ctx context.Context, b []float64) ([]float64, Result, error) {
-	n := s.n
+	n := len(s.x)
+	if len(b) != n {
+		panic(fmt.Sprintf("solver: right-hand side has %d entries for a %d-vertex Laplacian", len(b), n))
+	}
 	x := s.x
 	for i := range x {
 		x[i] = 0
@@ -271,7 +315,7 @@ func (s *Solver) solve(ctx context.Context, b []float64) ([]float64, Result, err
 		if s.pre == nil {
 			copy(z, r)
 		} else {
-			s.pre(r, z)
+			s.pre.Solve(r, z)
 		}
 	}
 	applyPre()
@@ -288,7 +332,7 @@ func (s *Solver) solve(ctx context.Context, b []float64) ([]float64, Result, err
 			res.Converged = true
 			break
 		}
-		s.apply(p, lp)
+		s.l.Apply(p, lp)
 		plp := dot(p, lp)
 		if plp <= 0 {
 			break // numerical breakdown (p in nullspace)

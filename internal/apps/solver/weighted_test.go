@@ -120,7 +120,7 @@ func TestWeightedPCGUnitEquivalence(t *testing.T) {
 	}
 	b := randomVec(n, 21)
 	xU, resU := PCG(NewLaplacian(g), tsU, b, 1e-8, 400)
-	xW, resW := WeightedPCG(NewWeightedLaplacian(wg), tsW, b, 1e-8, 400)
+	xW, resW := PCG(NewWeightedLaplacian(wg), tsW, b, 1e-8, 400)
 	if resU.Iterations != resW.Iterations || resU.Converged != resW.Converged {
 		t.Fatalf("PCG runs diverge: %+v vs %+v", resU, resW)
 	}
@@ -148,7 +148,7 @@ func TestWeightedPCGSolvesWeightedSystem(t *testing.T) {
 	}
 	l := NewWeightedLaplacian(wg)
 	b := randomVec(n, 31)
-	x, res := WeightedPCG(l, ts, b, 1e-8, 2000)
+	x, res := PCG(l, ts, b, 1e-8, 2000)
 	if !res.Converged {
 		t.Fatalf("weighted PCG did not converge: %+v", res)
 	}

@@ -116,31 +116,45 @@ func TestWeightedPartitionValid(t *testing.T) {
 	}
 }
 
+// TestWeightedPartitionUnitWeightsMatchUnweightedQuality pins the two
+// callers of shiftedDijkstra together: with all weights 1 the weighted
+// algorithm is Algorithm 2 exactly, so on a unit-weight lift
+// PartitionWeighted must return PartitionExact's Center and Parent,
+// numerically equal Dist, and the same shifts, across graph families
+// (isolated vertices included) and both shift sources.
 func TestWeightedPartitionUnitWeightsMatchUnweightedQuality(t *testing.T) {
-	// With all weights 1 the weighted algorithm is Algorithm 2 exactly, so
-	// it must agree with PartitionExact vertex for vertex.
-	base := graph.Grid2D(15, 15)
-	edges := make([]graph.WeightedEdge, 0)
-	for _, e := range base.Edges() {
-		edges = append(edges, graph.WeightedEdge{U: e.U, V: e.V, W: 1})
-	}
-	wg, err := graph.FromWeightedEdges(base.NumVertices(), edges)
+	edgeless, err := graph.FromEdges(12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Seed: 31}
-	wd, err := PartitionWeighted(wg, 0.15, opts)
-	if err != nil {
-		t.Fatal(err)
+	graphs := map[string]*graph.Graph{
+		"grid":     graph.Grid2D(15, 15),
+		"gnm":      graph.GNM(300, 900, 3),
+		"powerlaw": graph.RMAT(9, 1500, 2),
+		"path":     graph.Path(120),
+		"edgeless": edgeless,
 	}
-	ud, err := PartitionExact(base, 0.15, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range wd.Center {
-		if wd.Center[v] != ud.Center[v] {
-			t.Fatalf("unit weights: center mismatch at %d: weighted=%d exact=%d",
-				v, wd.Center[v], ud.Center[v])
+	for name, g := range graphs {
+		wg := graph.RandomWeights(g, 1, 1, 0)
+		for _, opts := range []Options{{Seed: 31}, {Seed: 7, ShiftSource: ShiftQuantile}} {
+			ud, err := PartitionExact(g, 0.15, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wd, err := PartitionWeighted(wg, 0.15, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ud.DeltaMax != wd.DeltaMax {
+				t.Fatalf("%s %+v: DeltaMax %g vs %g", name, opts, ud.DeltaMax, wd.DeltaMax)
+			}
+			for v := range ud.Center {
+				if ud.Center[v] != wd.Center[v] || ud.Parent[v] != wd.Parent[v] ||
+					float64(ud.Dist[v]) != wd.Dist[v] || ud.Shifts[v] != wd.Shifts[v] {
+					t.Fatalf("%s %+v: vertex %d: exact (center %d, parent %d, dist %d) vs weighted (%d, %d, %g)",
+						name, opts, v, ud.Center[v], ud.Parent[v], ud.Dist[v], wd.Center[v], wd.Parent[v], wd.Dist[v])
+				}
+			}
 		}
 	}
 }

@@ -134,10 +134,10 @@ func (h *refHeap) Pop() interface{} {
 // PartitionExact is the literal Algorithm 2 of the paper run sequentially:
 // assign every vertex v to the center u minimizing the real-valued shifted
 // distance dist(u,v) − δ_u, ties broken lexicographically by center id. It
-// is implemented as a Dijkstra from a super-source with arc lengths
-// δ_max − δ_u (floating point). Used to cross-validate the integer-round
-// implementation; with fractional tie-breaking the two agree exactly unless
-// float addition rounds a fractional part across an integer boundary.
+// is shiftedDijkstra at unit arc lengths. Used to cross-validate the
+// integer-round implementation; with fractional tie-breaking the two agree
+// exactly unless float addition rounds a fractional part across an integer
+// boundary.
 func PartitionExact(g *graph.Graph, beta float64, opts Options) (*Decomposition, error) {
 	if beta <= 0 || beta >= 1 {
 		return nil, ErrBeta
@@ -153,9 +153,33 @@ func PartitionExact(g *graph.Graph, beta float64, opts Options) (*Decomposition,
 	if n == 0 {
 		return d, nil
 	}
-	plan := newShiftPlan(n, beta, opts, everyVertex)
-	d.Shifts = plan.shifts
-	d.DeltaMax = plan.deltaMax
+	var err error
+	d.Shifts, d.DeltaMax, err = shiftedDijkstra(g, nil, beta, opts, func(v, center, proposer uint32) {
+		d.Center[v], d.Parent[v] = center, proposer
+		if proposer != v {
+			d.Dist[v] = d.Dist[proposer] + 1
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// shiftedDijkstra is the one loop of PartitionExact and PartitionWeighted:
+// a Dijkstra from an implicit super-source with an arc of length
+// δ_max − δ_v into every vertex v, over g's arcs with lengths weights (g's
+// per-arc array; nil means unit lengths). Keys are floats, and equal keys
+// go to the smaller center id. It draws the shifts, calls settle once per
+// vertex in settle order with the vertex's center and the vertex it was
+// reached from (itself for a center), and returns the shifts and δ_max.
+// Float keys have no integer rounds, so Options.Ctx is polled on a fixed
+// settle cadence instead. g must have at least one vertex.
+func shiftedDijkstra(g *graph.Graph, weights []float64, beta float64, opts Options, settle func(v, center, proposer uint32)) ([]float64, float64, error) {
+	n := g.NumVertices()
+	shifts := GenerateShifts(n, beta, opts)
+	deltaMax, _ := opts.Pool.MaxFloat64(opts.Workers, n, func(i int) float64 { return shifts[i] })
+	offsets, adj := g.Offsets(), g.Adjacency()
 
 	type flabel struct {
 		f       float64
@@ -163,12 +187,9 @@ func PartitionExact(g *graph.Graph, beta float64, opts Options) (*Decomposition,
 		settled bool
 	}
 	labels := make([]flabel, n)
-	for i := range labels {
-		labels[i] = flabel{f: math.Inf(1), center: math.MaxUint32}
-	}
 	h := &floatRefHeap{}
 	for v := 0; v < n; v++ {
-		start := plan.deltaMax - plan.shifts[v]
+		start := deltaMax - shifts[v]
 		labels[v] = flabel{f: start, center: uint32(v)}
 		heap.Push(h, floatRefItem{f: start, center: uint32(v), proposer: uint32(v), target: uint32(v)})
 	}
@@ -179,28 +200,24 @@ func PartitionExact(g *graph.Graph, beta float64, opts Options) (*Decomposition,
 		if lb.settled || it.f != lb.f || it.center != lb.center {
 			continue
 		}
-		// Float keys have no integer rounds; poll on a fixed settle cadence
-		// instead so long runs still observe cancellation.
 		if settled%1024 == 0 {
 			if cerr := ctxErr(opts.Ctx); cerr != nil {
-				return nil, cerr
+				return nil, 0, cerr
 			}
 		}
 		settled++
 		lb.settled = true
 		v := it.target
-		d.Center[v] = it.center
-		d.Parent[v] = it.proposer
-		if it.center == v {
-			d.Dist[v] = 0
-		} else {
-			d.Dist[v] = d.Dist[it.proposer] + 1
-		}
-		nf := it.f + 1
-		for _, u := range g.Neighbors(v) {
+		settle(v, it.center, it.proposer)
+		for i := offsets[v]; i < offsets[v+1]; i++ {
+			u := adj[i]
 			lu := &labels[u]
 			if lu.settled {
 				continue
+			}
+			nf := it.f + 1
+			if weights != nil {
+				nf = it.f + weights[i]
 			}
 			if nf < lu.f || (nf == lu.f && it.center < lu.center) {
 				lu.f, lu.center = nf, it.center
@@ -208,7 +225,7 @@ func PartitionExact(g *graph.Graph, beta float64, opts Options) (*Decomposition,
 			}
 		}
 	}
-	return d, nil
+	return shifts, deltaMax, nil
 }
 
 type floatRefItem struct {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"math"
 
 	"mpx/internal/graph"
@@ -26,9 +25,9 @@ type WeightedDecomposition struct {
 // direction sketched in the paper's Section 6: the analysis of Section 4
 // carries over verbatim (shifts are Exp(β), assignment minimizes
 // dist_w(u,v) − δ_u), and an edge of weight w is cut with probability
-// O(βw). The implementation is a shifted Dijkstra from an implicit
-// super-source; it is sequential because, as the paper notes, hop count no
-// longer bounds depth in the weighted setting.
+// O(βw). The implementation is PartitionExact's shifted Dijkstra with the
+// edge weights as arc lengths; it is sequential because, as the paper
+// notes, hop count no longer bounds depth in the weighted setting.
 //
 // The returned pieces have weighted radius at most δ_max = O(log n / β) in
 // expectation and the expected total weight of cut edges is O(β · Σ_e w_e).
@@ -47,59 +46,17 @@ func PartitionWeighted(wg *graph.WeightedGraph, beta float64, opts Options) (*We
 	if n == 0 {
 		return d, nil
 	}
-	d.Shifts = GenerateShifts(n, beta, opts)
-	d.DeltaMax, _ = opts.Pool.MaxFloat64(opts.Workers, n, func(i int) float64 { return d.Shifts[i] })
-
-	type wlabel struct {
-		f       float64
-		center  uint32
-		settled bool
-	}
-	labels := make([]wlabel, n)
-	h := &floatRefHeap{}
-	for v := 0; v < n; v++ {
-		start := d.DeltaMax - d.Shifts[v]
-		labels[v] = wlabel{f: start, center: uint32(v)}
-		heap.Push(h, floatRefItem{f: start, center: uint32(v), proposer: uint32(v), target: uint32(v)})
-	}
-	settled := 0
-	for h.Len() > 0 {
-		it := heap.Pop(h).(floatRefItem)
-		lb := &labels[it.target]
-		if lb.settled || it.f != lb.f || it.center != lb.center {
-			continue
-		}
-		// Serial Dijkstra has no round boundaries; poll Options.Ctx on a
-		// fixed settle cadence so -timeout applies to -algo weighted too.
-		if settled%1024 == 0 {
-			if cerr := ctxErr(opts.Ctx); cerr != nil {
-				return nil, cerr
-			}
-		}
-		settled++
-		lb.settled = true
-		v := it.target
-		d.Center[v] = it.center
-		d.Parent[v] = it.proposer
-		if it.center == v && it.proposer == v {
-			d.Dist[v] = 0
-		} else {
+	var err error
+	d.Shifts, d.DeltaMax, err = shiftedDijkstra(wg.Unweighted(), wg.Weights(), beta, opts, func(v, center, proposer uint32) {
+		d.Center[v], d.Parent[v] = center, proposer
+		if proposer != v {
 			// Weighted distance along the tree edge from the proposer.
-			w, _ := wg.Weight(it.proposer, v)
-			d.Dist[v] = d.Dist[it.proposer] + w
+			w, _ := wg.Weight(proposer, v)
+			d.Dist[v] = d.Dist[proposer] + w
 		}
-		nbrs, ws := wg.Neighbors(v)
-		for i, u := range nbrs {
-			lu := &labels[u]
-			if lu.settled {
-				continue
-			}
-			nf := it.f + ws[i]
-			if nf < lu.f || (nf == lu.f && it.center < lu.center) {
-				lu.f, lu.center = nf, it.center
-				heap.Push(h, floatRefItem{f: nf, center: it.center, proposer: v, target: u})
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return d, nil
 }

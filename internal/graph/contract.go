@@ -8,25 +8,28 @@ import (
 )
 
 // This file is the parallel contraction layer of the hierarchy engine
-// (internal/hier): ContractClustersPool replaces the map-based
-// ContractClusters + FromEdgesDedup path with slice-based label compaction
-// and a pool radix sort on packed (qu, qv) 64-bit arc keys, and
-// CutSubgraphPool builds the residual graph of cut edges on the same
-// vertex set (the Linial–Saks block iteration). Both construct the CSR
-// directly from the sorted symmetric arc keys, so no per-vertex adjacency
-// sort (and none of its per-vertex closures) runs, and with a reused
-// ContractScratch a steady-state contraction level performs a small
-// constant number of allocations — the result graph and the quotient map
-// — each sized O(cut edges), never O(m) map churn.
+// (internal/hier). Each mode has one body, shared by both graph kinds: it
+// runs over a CSR plus an optional per-arc weight array, nil for an
+// unweighted graph. contractPool builds the quotient graph of a cluster
+// labeling with slice-based label compaction and a pool radix sort on
+// packed (qu, qv) 64-bit arc keys; cutSubgraphPool builds the residual
+// graph of cut edges on the same vertex set (the Linial–Saks block
+// iteration). Both construct the CSR directly from the sorted symmetric arc
+// keys, so no per-vertex adjacency sort (and none of its per-vertex
+// closures) runs, and with a reused ContractScratch a steady-state
+// contraction level performs a small constant number of allocations — the
+// result graph and the quotient map — each sized O(cut edges), never O(m)
+// map churn. The serial map-based ContractClusters and
+// ContractWeightedClusters are the references the tests hold them to.
 
-// ContractScratch owns every reusable buffer of ContractClustersPool and
-// CutSubgraphPool. A zero value is ready to use; reusing one across the
+// ContractScratch owns every reusable buffer of the pooled contraction and
+// residual kernels. A zero value is ready to use; reusing one across the
 // levels of a hierarchy makes steady-state contractions allocate only
 // their results. Buffers are sized to the first (largest) level and shrink
 // logically afterwards.
 type ContractScratch struct {
-	// CutArcs reports, after a ContractClustersPool or CutSubgraphPool
-	// call, the number of directed cut arcs the input graph had (twice the
+	// CutArcs reports, after a pooled contraction or residual call, the
+	// number of directed cut arcs the input graph had (twice the
 	// undirected cut edges, before parallel-edge dedup). The hierarchy
 	// engine reads it for per-level stats instead of re-scanning all arcs.
 	CutArcs int64
@@ -39,8 +42,7 @@ type ContractScratch struct {
 	blockOff []int    // per-worker two-pass offsets
 	counts   []int64  // quotient degree histogram
 
-	// Weighted-contraction extensions (ContractWeightedClustersPool,
-	// CutWeightedSubgraphPool).
+	// Weighted graphs only.
 	arcW   []float64 // per collected cut arc: its weight, in collection order
 	arcPos []uint32  // collection positions riding the stable radix sort
 	posTmp []uint32  // SortPairs value scratch
@@ -72,66 +74,132 @@ func minUint32(addr *uint32, v uint32) {
 // cluster labels plus the vertex→quotient mapping, bit-identical to the
 // serial ContractClusters — quotient ids are assigned in first-appearance
 // order and the CSR is canonical (sorted adjacency) — at every worker
-// count.
-//
-// Label values must lie in [0, n) (true for every in-repo caller, which
-// passes Decomposition.Center); inputs with out-of-range labels fall back
-// to the serial map-based path, preserving ContractClusters semantics.
+// count. Label values must lie in [0, n), as a decomposition's Center
+// does; any other value returns an error wrapping ErrVertexRange.
 func ContractClustersPool(pool *parallel.Pool, workers int, g *Graph, label []uint32, sc *ContractScratch) (*Graph, []uint32, error) {
+	q, _, quot, err := contractPool(pool, workers, g, nil, label, sc)
+	return q, quot, err
+}
+
+// CutSubgraphPool returns the graph on the same vertex set containing
+// exactly the edges of g whose endpoints carry different labels — the
+// residual graph the block-decomposition iteration recurses on. The result
+// is bit-identical to FromEdges(n, cutEdges).
+func CutSubgraphPool(pool *parallel.Pool, workers int, g *Graph, label []uint32, sc *ContractScratch) (*Graph, error) {
+	q, _, err := cutSubgraphPool(pool, workers, g, nil, label, sc)
+	return q, err
+}
+
+// contractPool is the one body of ContractClustersPool and
+// ContractWeightedClustersPool: the quotient CSR of g under label, the
+// summed quotient arc weights when weights (g's per-arc array) is non-nil,
+// and the vertex→quotient map. Unweighted keys are radix-sorted bare;
+// weighted keys carry their collection positions through the stable
+// SortPairs, so each run of parallel arcs is summed in collection order
+// (contract_weighted.go says why that order is part of the contract).
+func contractPool(pool *parallel.Pool, workers int, g *Graph, weights []float64, label []uint32, sc *ContractScratch) (*Graph, []float64, []uint32, error) {
 	n := g.NumVertices()
 	if len(label) != n {
-		return nil, nil, fmt.Errorf("graph: label length %d for n=%d", len(label), n)
-	}
-	if n == 0 {
-		if sc != nil {
-			sc.CutArcs = 0
-		}
-		return &Graph{offsets: make([]int64, 1)}, []uint32{}, nil
+		return nil, nil, nil, fmt.Errorf("graph: label length %d for n=%d", len(label), n)
 	}
 	if sc == nil {
 		sc = &ContractScratch{}
 	}
-	bad := pool.ReduceInt64(workers, n, func(v int) int64 {
-		if int(label[v]) >= n {
-			return 1
-		}
-		return 0
-	})
-	if bad > 0 {
-		sc.CutArcs = 2 * CutEdgesPool(pool, workers, g, label)
-		return ContractClusters(g, label)
+	if n == 0 {
+		sc.CutArcs = 0
+		return &Graph{offsets: make([]int64, 1)}, nil, []uint32{}, nil
+	}
+	quot, nq, err := compactLabelsPool(pool, workers, n, label, sc)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 
-	quot, nq := compactLabelsPool(pool, workers, n, label, sc)
-
-	keys := collectCutArcs(pool, workers, g.offsets, g.adj, nil, label, quot, sc)
-	sc.CutArcs = int64(len(keys))
-	sc.arcTmp = parallel.Grow(sc.arcTmp, len(keys))
-	pool.SortUint64(workers, keys, sc.arcTmp)
+	keys := collectCutArcs(pool, workers, g.offsets, g.adj, weights, label, quot, sc)
+	c := len(keys)
+	sc.CutArcs = int64(c)
+	sc.arcTmp = parallel.Grow(sc.arcTmp, c)
+	if weights == nil {
+		pool.SortUint64(workers, keys, sc.arcTmp)
+	} else {
+		sc.arcPos = parallel.Grow(sc.arcPos, c)
+		pos := sc.arcPos
+		pool.ForRange(workers, c, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				pos[i] = uint32(i)
+			}
+		})
+		sc.posTmp = parallel.Grow(sc.posTmp, c)
+		pool.SortPairs(workers, keys, pos, sc.arcTmp, sc.posTmp)
+	}
 	// Parallel contracted edges collapse to runs of equal keys; keep one.
-	arcs := dedupSortedUint64(pool, workers, keys, sc.arcTmp, sc)
+	arcs, wout := dedupSortedArcs(pool, workers, keys, weights != nil, sc)
+	if weights != nil {
+		mirrorLowerArcWeights(pool, workers, arcs, wout)
+	}
 	q, err := csrFromSortedArcs(pool, workers, nq, arcs, sc)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return q, quot, nil
+	return q, wout, quot, nil
+}
+
+// cutSubgraphPool is the one body of CutSubgraphPool and
+// CutWeightedSubgraphPool: the residual CSR of g's cut arcs under label,
+// plus their original weights when weights is non-nil. Unlike contraction,
+// neither a sort nor a dedup pass is needed: identity-mapped cut arcs of a
+// simple graph stay distinct and are collected in ascending (v, u) order
+// over sorted adjacency (an invariant every constructor and validateCSR
+// enforce), so the collected arc list is already the canonical CSR.
+func cutSubgraphPool(pool *parallel.Pool, workers int, g *Graph, weights []float64, label []uint32, sc *ContractScratch) (*Graph, []float64, error) {
+	n := g.NumVertices()
+	if len(label) != n {
+		return nil, nil, fmt.Errorf("graph: label length %d for n=%d", len(label), n)
+	}
+	if sc == nil {
+		sc = &ContractScratch{}
+	}
+	if n == 0 {
+		sc.CutArcs = 0
+		return &Graph{offsets: make([]int64, 1)}, nil, nil
+	}
+	keys := collectCutArcs(pool, workers, g.offsets, g.adj, weights, label, nil, sc)
+	c := len(keys)
+	sc.CutArcs = int64(c)
+	q, err := csrFromSortedArcs(pool, workers, n, keys, sc)
+	if err != nil || weights == nil {
+		return q, nil, err
+	}
+	wout := make([]float64, c)
+	arcW := sc.arcW
+	pool.ForRange(workers, c, func(lo, hi int) {
+		copy(wout[lo:hi], arcW[lo:hi])
+	})
+	return q, wout, nil
 }
 
 // compactLabelsPool densely renumbers the label values in first-appearance
 // order without a map: the quotient id of a label is its rank among the
 // smallest vertices carrying each label, which is exactly the order a
 // serial first-appearance scan assigns. It returns the freshly allocated
-// vertex→quotient map and the quotient vertex count. Labels must lie in
-// [0, n).
-func compactLabelsPool(pool *parallel.Pool, workers, n int, label []uint32, sc *ContractScratch) ([]uint32, int) {
+// vertex→quotient map and the quotient vertex count, or an error wrapping
+// ErrVertexRange if a label lies outside [0, n).
+func compactLabelsPool(pool *parallel.Pool, workers, n int, label []uint32, sc *ContractScratch) ([]uint32, int, error) {
 	sc.firstPos = parallel.Grow(sc.firstPos, n)
 	firstPos := sc.firstPos
 	parallel.FillPool(pool, workers, firstPos, ^uint32(0))
+	var bad int32
 	pool.ForRange(workers, n, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
+			if int(label[v]) >= n {
+				atomic.StoreInt32(&bad, 1)
+				continue
+			}
 			minUint32(&firstPos[label[v]], uint32(v))
 		}
 	})
+	if bad != 0 {
+		return nil, 0, fmt.Errorf("%w: cluster label outside [0, %d)", ErrVertexRange, n)
+	}
 	sc.firsts = pool.PackInto(workers, n, func(v int) bool {
 		return firstPos[label[v]] == uint32(v)
 	}, sc.firsts)
@@ -148,34 +216,7 @@ func compactLabelsPool(pool *parallel.Pool, workers, n int, label []uint32, sc *
 			quot[v] = qid[label[v]]
 		}
 	})
-	return quot, nq
-}
-
-// CutSubgraphPool returns the graph on the same vertex set containing
-// exactly the edges of g whose endpoints carry different labels — the
-// residual graph the block-decomposition iteration recurses on. The result
-// is bit-identical to FromEdges(n, cutEdges). Unlike contraction, neither
-// a sort nor a dedup pass is needed: identity-mapped cut arcs are
-// collected in ascending (v, u) order over sorted adjacency (an invariant
-// every constructor and validateCSR enforce), so the collected arc list is
-// already the canonical CSR.
-func CutSubgraphPool(pool *parallel.Pool, workers int, g *Graph, label []uint32, sc *ContractScratch) (*Graph, error) {
-	n := g.NumVertices()
-	if len(label) != n {
-		return nil, fmt.Errorf("graph: label length %d for n=%d", len(label), n)
-	}
-	if n == 0 {
-		if sc != nil {
-			sc.CutArcs = 0
-		}
-		return &Graph{offsets: make([]int64, 1)}, nil
-	}
-	if sc == nil {
-		sc = &ContractScratch{}
-	}
-	keys := collectCutArcs(pool, workers, g.offsets, g.adj, nil, label, nil, sc)
-	sc.CutArcs = int64(len(keys))
-	return csrFromSortedArcs(pool, workers, n, keys, sc)
+	return quot, nq, nil
 }
 
 // collectCutArcs gathers the packed key (quot[v]<<32 | quot[u]) — or
@@ -238,9 +279,9 @@ func collectCutArcs(pool *parallel.Pool, workers int, offsets []int64, adj []uin
 
 // CutEdgesPool counts the undirected edges of g whose endpoints carry
 // different labels, reducing on pool (nil means parallel.Default()). The
-// contraction kernels' out-of-range-label fallbacks report twice this
-// count as their cut arcs; the single-level applications (separator,
-// embedding) report it as their level's cut.
+// single-level applications (separator, embedding) report it as their
+// level's cut; the hierarchy kernels report twice it as ContractScratch's
+// CutArcs.
 func CutEdgesPool(pool *parallel.Pool, workers int, g *Graph, label []uint32) int64 {
 	offsets, adj := g.offsets, g.adj
 	arcs := pool.ReduceInt64(workers, g.NumVertices(), func(v int) int64 {
@@ -256,15 +297,17 @@ func CutEdgesPool(pool *parallel.Pool, workers int, g *Graph, label []uint32) in
 	return arcs / 2
 }
 
-// dedupSortedUint64 compacts runs of equal keys in the sorted input into
-// dst (which must have capacity >= len(keys)) and returns the compacted
-// prefix. Deterministic two-pass compaction, same discipline as the
-// frontier concatenations.
-func dedupSortedUint64(pool *parallel.Pool, workers int, keys, dst []uint64, sc *ContractScratch) []uint64 {
+// dedupSortedArcs compacts runs of equal keys in the sorted input into
+// sc.arcTmp and returns the compacted prefix. With sum set it also returns
+// a freshly allocated weight array: out weight i is the sum of sc.arcW over
+// run i's positions in sc.arcPos (the collection positions that rode the
+// stable sort), added left to right in sorted order, which is exactly the
+// canonical collection order at every worker count. Deterministic
+// two-pass compaction, same discipline as the frontier concatenations; a
+// worker handles every run that STARTS in its block, scanning past the
+// block boundary when a run crosses it, so each run is summed exactly once.
+func dedupSortedArcs(pool *parallel.Pool, workers int, keys []uint64, sum bool, sc *ContractScratch) ([]uint64, []float64) {
 	m := len(keys)
-	if m == 0 {
-		return dst[:0]
-	}
 	w := parallel.Workers(workers, m)
 	off := sc.ensureOff(w)
 	pool.Run(w, func(k int) {
@@ -281,18 +324,31 @@ func dedupSortedUint64(pool *parallel.Pool, workers int, keys, dst []uint64, sc 
 	for k := 1; k <= w; k++ {
 		off[k] += off[k-1]
 	}
-	out := dst[:off[w]]
+	out := sc.arcTmp[:off[w]]
+	var wout []float64
+	if sum {
+		wout = make([]float64, off[w])
+	}
+	arcW, pos := sc.arcW, sc.arcPos
 	pool.Run(w, func(k int) {
 		lo, hi := k*m/w, (k+1)*m/w
-		pos := off[k]
+		p := off[k]
 		for i := lo; i < hi; i++ {
-			if i == 0 || keys[i] != keys[i-1] {
-				out[pos] = keys[i]
-				pos++
+			if i != 0 && keys[i] == keys[i-1] {
+				continue
 			}
+			out[p] = keys[i]
+			if sum {
+				s := arcW[pos[i]]
+				for j := i + 1; j < m && keys[j] == keys[i]; j++ {
+					s += arcW[pos[j]]
+				}
+				wout[p] = s
+			}
+			p++
 		}
 	})
-	return out
+	return out, wout
 }
 
 // csrFromSortedArcs builds the canonical CSR graph on nq vertices whose

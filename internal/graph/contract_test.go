@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -119,30 +120,38 @@ func TestContractClustersPoolMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestContractClustersPoolOutOfRangeFallback checks that labels outside
-// [0, n) — legal for the serial primitive — fall back to identical serial
-// semantics instead of corrupting the slice-compaction path.
-func TestContractClustersPoolOutOfRangeFallback(t *testing.T) {
+// TestContractOutOfRangeLabels checks that both pooled contraction kernels
+// reject a label outside [0, n) with an error wrapping ErrVertexRange,
+// where the slice-based compaction would otherwise index past its tables.
+func TestContractOutOfRangeLabels(t *testing.T) {
 	g := Grid2D(8, 9)
+	wg := RandomWeights(g, 1, 4, 2)
 	n := g.NumVertices()
-	label := make([]uint32, n)
-	for v := range label {
-		label[v] = uint32(1<<20 + v/7*13)
+	labelings := []struct {
+		name  string
+		label func(v int) uint32
+	}{
+		{"far", func(v int) uint32 { return uint32(1<<20 + v/7*13) }},
+		{"mixed", func(v int) uint32 { return uint32(1_000_000 + v%5) }},
+		{"one-at-n", func(v int) uint32 {
+			if v == n-1 {
+				return uint32(n)
+			}
+			return uint32(v / 3)
+		}},
 	}
-	want, wantQuot, err := ContractClusters(g, label)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, gotQuot, err := ContractClustersPool(nil, 4, g, label, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(want, got) {
-		t.Fatalf("fallback quotient differs: %v want %v", got, want)
-	}
-	for v := range wantQuot {
-		if gotQuot[v] != wantQuot[v] {
-			t.Fatalf("fallback quot[%d]=%d want %d", v, gotQuot[v], wantQuot[v])
+	for _, tc := range labelings {
+		label := make([]uint32, n)
+		for v := range label {
+			label[v] = tc.label(v)
+		}
+		for _, w := range []int{1, 4} {
+			if _, _, err := ContractClustersPool(nil, w, g, label, nil); !errors.Is(err, ErrVertexRange) {
+				t.Errorf("%s/unweighted workers=%d: err = %v, want ErrVertexRange", tc.name, w, err)
+			}
+			if _, _, err := ContractWeightedClustersPool(nil, w, wg, label, &ContractScratch{}); !errors.Is(err, ErrVertexRange) {
+				t.Errorf("%s/weighted workers=%d: err = %v, want ErrVertexRange", tc.name, w, err)
+			}
 		}
 	}
 }
@@ -202,4 +211,110 @@ func TestContractClustersPoolSteadyAllocs(t *testing.T) {
 	if avg > 64 {
 		t.Fatalf("steady-state contraction allocates %.1f objects, want <= 64", avg)
 	}
+}
+
+// FuzzContract holds all four pooled kernels to their serial references on
+// one reused ContractScratch at workers 1/2/8: the quotients of
+// ContractClustersPool and ContractWeightedClustersPool (weight bits
+// included) against ContractClusters and ContractWeightedClusters, the
+// residuals of CutSubgraphPool and CutWeightedSubgraphPool against
+// FromEdges and FromWeightedEdges of the cut edges, and every call's
+// sc.CutArcs against twice CutEdgesPool. The graph has at most 64
+// vertices; label bytes repeat cyclically, reduced into [0, n); the
+// weights are generic uniform draws (whose sums are order-sensitive) or
+// all 1.
+func FuzzContract(f *testing.F) {
+	f.Add(uint8(12), uint8(30), uint64(1), true, []byte{0, 0, 3, 3, 3, 7})
+	f.Add(uint8(64), uint8(255), uint64(2), true, []byte{1, 2})
+	f.Add(uint8(40), uint8(90), uint64(3), false, []byte{})
+	f.Add(uint8(1), uint8(0), uint64(4), true, []byte{5})
+	f.Fuzz(func(t *testing.T, nb, mb uint8, seed uint64, random bool, lb []byte) {
+		n := int(nb % 65)
+		g := mustFromEdges(t, n, nil)
+		if n >= 2 {
+			g = GNM(n, int64(mb)%(int64(n)*int64(n-1)/2+1), seed)
+		}
+		wg := RandomWeights(g, 1, 1, 0)
+		if random {
+			wg = RandomWeights(g, 0.5, 8, seed)
+		}
+		label := make([]uint32, n)
+		for v := range label {
+			label[v] = uint32(v)
+			if len(lb) > 0 {
+				label[v] = uint32(int(lb[v%len(lb)]) % n)
+			}
+		}
+		var cut []Edge
+		var wcut []WeightedEdge
+		for v := 0; v < n; v++ {
+			nbrs, ws := wg.Neighbors(uint32(v))
+			for i, u := range nbrs {
+				if uint32(v) < u && label[v] != label[u] {
+					cut = append(cut, Edge{uint32(v), u})
+					wcut = append(wcut, WeightedEdge{U: uint32(v), V: u, W: ws[i]})
+				}
+			}
+		}
+		wantQ, wantQuot, err := ContractClusters(g, label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantWQ, wantWQuot, err := ContractWeightedClusters(wg, label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantR := mustFromEdges(t, n, cut)
+		wantWR, err := FromWeightedEdges(n, wcut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Past n = 0, where the pooled kernels return nil weights, the
+		// fingerprints must agree too: they tell a weighted graph without
+		// arcs (empty weights) from an unweighted one (nil weights).
+		sameWeighted := func(got, want *WeightedGraph) bool {
+			return weightedGraphsEqual(got, want) && (n == 0 || got.Fingerprint() == want.Fingerprint())
+		}
+		sameQuot := func(got, want []uint32) bool {
+			if len(got) != len(want) {
+				return false
+			}
+			for v := range want {
+				if got[v] != want[v] {
+					return false
+				}
+			}
+			return true
+		}
+		sc := &ContractScratch{}
+		for _, w := range []int{1, 2, 8} {
+			cutArcs := 2 * CutEdgesPool(nil, w, g, label)
+			checkArcs := func(kernel string) {
+				t.Helper()
+				if sc.CutArcs != cutArcs {
+					t.Fatalf("%s workers=%d: CutArcs %d, want %d", kernel, w, sc.CutArcs, cutArcs)
+				}
+			}
+			q, quot, err := ContractClustersPool(nil, w, g, label, sc)
+			if err != nil || !graphsEqual(q, wantQ) || !sameQuot(quot, wantQuot) {
+				t.Fatalf("ContractClustersPool workers=%d differs from ContractClusters (err %v)", w, err)
+			}
+			checkArcs("ContractClustersPool")
+			wq, wquot, err := ContractWeightedClustersPool(nil, w, wg, label, sc)
+			if err != nil || !sameWeighted(wq, wantWQ) || !sameQuot(wquot, wantWQuot) {
+				t.Fatalf("ContractWeightedClustersPool workers=%d differs from ContractWeightedClusters (err %v)", w, err)
+			}
+			checkArcs("ContractWeightedClustersPool")
+			r, err := CutSubgraphPool(nil, w, g, label, sc)
+			if err != nil || !graphsEqual(r, wantR) {
+				t.Fatalf("CutSubgraphPool workers=%d differs from FromEdges (err %v)", w, err)
+			}
+			checkArcs("CutSubgraphPool")
+			wr, err := CutWeightedSubgraphPool(nil, w, wg, label, sc)
+			if err != nil || !sameWeighted(wr, wantWR) {
+				t.Fatalf("CutWeightedSubgraphPool workers=%d differs from FromWeightedEdges (err %v)", w, err)
+			}
+			checkArcs("CutWeightedSubgraphPool")
+		}
+	})
 }

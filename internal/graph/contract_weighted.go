@@ -13,9 +13,10 @@ import (
 // pair have their weights SUMMED, the AKPW invariant that lets a weighted
 // hierarchy keep total edge weight conserved level by level — and
 // CutWeightedSubgraphPool builds the weighted residual graph of cut edges
-// on the same vertex set. Both reuse the PR 4 machinery: slice-based label
-// compaction, the stable pool radix sort on packed (qu, qv) arc keys, and
-// direct CSR construction from the sorted arcs.
+// on the same vertex set. Both are typed entry points to the bodies in
+// contract.go, which take the graph's per-arc weight array alongside its
+// CSR: the stable pool radix sort on packed (qu, qv) arc keys, run sums,
+// and direct CSR construction from the sorted arcs.
 //
 // Floating-point sums are order-sensitive, so the summation order is part
 // of the contract: for every quotient edge {a, b} with a < b, the weights
@@ -98,62 +99,37 @@ func ContractWeightedClusters(wg *WeightedGraph, label []uint32) (*WeightedGraph
 // ContractWeightedClustersPool is ContractWeightedClusters executed on a
 // persistent worker pool (nil means parallel.Default()), bit-identical to
 // the serial reference — including the IEEE bits of every summed quotient
-// weight — at every worker count. Label values must lie in [0, n); inputs
-// with out-of-range labels fall back to the serial path.
-//
-// After the call sc.CutArcs reports the directed cut-arc count of the
-// input (twice the undirected cut edges, before parallel-edge merge),
-// exactly as in the unweighted ContractClustersPool.
+// weight — at every worker count. It shares its body with
+// ContractClustersPool: label values must lie in [0, n), and sc.CutArcs
+// reports the input's directed cut arcs.
 func ContractWeightedClustersPool(pool *parallel.Pool, workers int, wg *WeightedGraph, label []uint32, sc *ContractScratch) (*WeightedGraph, []uint32, error) {
-	n := wg.NumVertices()
-	if len(label) != n {
-		return nil, nil, fmt.Errorf("graph: label length %d for n=%d", len(label), n)
-	}
-	if n == 0 {
-		if sc != nil {
-			sc.CutArcs = 0
-		}
-		return &WeightedGraph{offsets: make([]int64, 1)}, []uint32{}, nil
-	}
-	if sc == nil {
-		sc = &ContractScratch{}
-	}
-	bad := pool.ReduceInt64(workers, n, func(v int) int64 {
-		if int(label[v]) >= n {
-			return 1
-		}
-		return 0
-	})
-	if bad > 0 {
-		sc.CutArcs = 2 * CutEdgesPool(pool, workers, wg.Unweighted(), label)
-		return ContractWeightedClusters(wg, label)
-	}
-
-	quot, nq := compactLabelsPool(pool, workers, n, label, sc)
-
-	keys := collectCutArcs(pool, workers, wg.offsets, wg.adj, wg.weights, label, quot, sc)
-	c := len(keys)
-	sc.CutArcs = int64(c)
-	// Position payloads ride the stable sort so each run's weights can be
-	// summed in collection order afterwards.
-	sc.arcPos = parallel.Grow(sc.arcPos, c)
-	pos := sc.arcPos
-	pool.ForRange(workers, c, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pos[i] = uint32(i)
-		}
-	})
-	sc.arcTmp = parallel.Grow(sc.arcTmp, c)
-	sc.posTmp = parallel.Grow(sc.posTmp, c)
-	pool.SortPairs(workers, keys, pos, sc.arcTmp, sc.posTmp)
-
-	arcs, wout := dedupSumSortedArcs(pool, workers, keys, pos, sc)
-	mirrorLowerArcWeights(pool, workers, arcs, wout)
-	q, err := csrFromSortedArcs(pool, workers, nq, arcs, sc)
+	q, w, quot, err := contractPool(pool, workers, wg.Unweighted(), wg.arcWeights(), label, sc)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &WeightedGraph{offsets: q.offsets, adj: q.adj, weights: wout}, quot, nil
+	return &WeightedGraph{offsets: q.offsets, adj: q.adj, weights: w}, quot, nil
+}
+
+// CutWeightedSubgraphPool returns the weighted graph on the same vertex
+// set containing exactly the edges of wg whose endpoints carry different
+// labels, with their original weights — the residual graph a weighted
+// block decomposition recurses on. It is bit-identical to
+// FromWeightedEdges over the cut edges.
+func CutWeightedSubgraphPool(pool *parallel.Pool, workers int, wg *WeightedGraph, label []uint32, sc *ContractScratch) (*WeightedGraph, error) {
+	q, w, err := cutSubgraphPool(pool, workers, wg.Unweighted(), wg.arcWeights(), label, sc)
+	if err != nil {
+		return nil, err
+	}
+	return &WeightedGraph{offsets: q.offsets, adj: q.adj, weights: w}, nil
+}
+
+// arcWeights returns the per-arc weight array, non-nil even for a graph
+// without arcs: the shared kernels read a nil array as an unweighted graph.
+func (g *WeightedGraph) arcWeights() []float64 {
+	if g.weights == nil {
+		return []float64{}
+	}
+	return g.weights
 }
 
 // mirrorLowerArcWeights overwrites every lower arc's (src > dst) weight
@@ -172,90 +148,4 @@ func mirrorLowerArcWeights(pool *parallel.Pool, workers int, arcs []uint64, wout
 			wout[i] = wout[j]
 		}
 	})
-}
-
-// CutWeightedSubgraphPool returns the weighted graph on the same vertex
-// set containing exactly the edges of wg whose endpoints carry different
-// labels, with their original weights — the residual graph a weighted
-// block decomposition recurses on. Identity-mapped cut arcs of a simple
-// graph stay distinct and are collected in ascending (v, u) order, so the
-// collected arc list is already the canonical CSR: no sort, no dedup.
-func CutWeightedSubgraphPool(pool *parallel.Pool, workers int, wg *WeightedGraph, label []uint32, sc *ContractScratch) (*WeightedGraph, error) {
-	n := wg.NumVertices()
-	if len(label) != n {
-		return nil, fmt.Errorf("graph: label length %d for n=%d", len(label), n)
-	}
-	if n == 0 {
-		if sc != nil {
-			sc.CutArcs = 0
-		}
-		return &WeightedGraph{offsets: make([]int64, 1)}, nil
-	}
-	if sc == nil {
-		sc = &ContractScratch{}
-	}
-	keys := collectCutArcs(pool, workers, wg.offsets, wg.adj, wg.weights, label, nil, sc)
-	c := len(keys)
-	sc.CutArcs = int64(c)
-	q, err := csrFromSortedArcs(pool, workers, n, keys, sc)
-	if err != nil {
-		return nil, err
-	}
-	weights := make([]float64, c)
-	arcW := sc.arcW
-	pool.ForRange(workers, c, func(lo, hi int) {
-		copy(weights[lo:hi], arcW[lo:hi])
-	})
-	return &WeightedGraph{offsets: q.offsets, adj: q.adj, weights: weights}, nil
-}
-
-// dedupSumSortedArcs compacts runs of equal keys in the sorted input into
-// sc.arcTmp and returns the compacted arc list plus a freshly allocated
-// weight array: out weight i = the sum of sc.arcW over run i's payload
-// positions, added left to right in sorted order. Because the sort was
-// stable over collection-ordered payloads, that is exactly the canonical
-// collection order, independent of the worker count. A worker sums every
-// run that STARTS in its block, scanning past the block boundary when a
-// run crosses it, so each run is summed by exactly one worker.
-func dedupSumSortedArcs(pool *parallel.Pool, workers int, keys []uint64, pos []uint32, sc *ContractScratch) ([]uint64, []float64) {
-	m := len(keys)
-	if m == 0 {
-		return sc.arcTmp[:0], []float64{}
-	}
-	arcW := sc.arcW
-	w := parallel.Workers(workers, m)
-	off := sc.ensureOff(w)
-	pool.Run(w, func(k int) {
-		lo, hi := k*m/w, (k+1)*m/w
-		cnt := 0
-		for i := lo; i < hi; i++ {
-			if i == 0 || keys[i] != keys[i-1] {
-				cnt++
-			}
-		}
-		off[k+1] = cnt
-	})
-	off[0] = 0
-	for k := 1; k <= w; k++ {
-		off[k] += off[k-1]
-	}
-	out := sc.arcTmp[:off[w]]
-	wout := make([]float64, off[w])
-	pool.Run(w, func(k int) {
-		lo, hi := k*m/w, (k+1)*m/w
-		p := off[k]
-		for i := lo; i < hi; i++ {
-			if i != 0 && keys[i] == keys[i-1] {
-				continue
-			}
-			sum := arcW[pos[i]]
-			for j := i + 1; j < m && keys[j] == keys[i]; j++ {
-				sum += arcW[pos[j]]
-			}
-			out[p] = keys[i]
-			wout[p] = sum
-			p++
-		}
-	})
-	return out, wout
 }

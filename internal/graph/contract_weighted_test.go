@@ -226,37 +226,3 @@ func TestCutWeightedSubgraphPoolMatchesFromWeightedEdges(t *testing.T) {
 		}
 	}
 }
-
-// TestContractWeightedOutOfRangeLabels exercises the serial fallback for
-// label values outside [0, n).
-func TestContractWeightedOutOfRangeLabels(t *testing.T) {
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	g := Grid2D(8, 9)
-	wg := RandomWeights(g, 1, 4, 2)
-	n := g.NumVertices()
-	label := make([]uint32, n)
-	for v := range label {
-		label[v] = uint32(1_000_000 + v%5) // far out of range
-	}
-	want, wantQuot, err := ContractWeightedClusters(wg, label)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := &ContractScratch{}
-	got, gotQuot, err := ContractWeightedClustersPool(pool, 4, wg, label, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !weightedGraphsEqual(want, got) {
-		t.Fatal("fallback diverges from serial reference")
-	}
-	for v := range wantQuot {
-		if wantQuot[v] != gotQuot[v] {
-			t.Fatalf("fallback quot[%d] = %d want %d", v, gotQuot[v], wantQuot[v])
-		}
-	}
-	if sc.CutArcs == 0 {
-		t.Fatal("fallback did not record cut-arc stats")
-	}
-}

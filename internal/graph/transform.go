@@ -43,7 +43,9 @@ func RandomPermutation(n int, seed uint64) []uint32 {
 // It also returns the mapping from original vertex to quotient vertex.
 // Self-loops (intra-cluster edges) are dropped; parallel edges collapsed.
 // This is the contraction step of decomposition hierarchies (AKPW, tree
-// embeddings) promoted to a reusable primitive.
+// embeddings) in its serial, map-based form: production runs
+// ContractClustersPool, and the graph and hier tests hold that kernel
+// bit-identical to this reference.
 func ContractClusters(g *Graph, label []uint32) (*Graph, []uint32, error) {
 	n := g.NumVertices()
 	if len(label) != n {

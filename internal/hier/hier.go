@@ -11,7 +11,7 @@
 // radix sort on packed (qu, qv) keys) or keeps the vertex set and recurses
 // on the residual cut subgraph (graph.CutSubgraphPool — the Linial–Saks
 // iteration); one function picks among those kernels and their weighted
-// twins. The engine maintains original-edge annotations across levels —
+// entry points, which share one body per mode in package graph. The engine maintains original-edge annotations across levels —
 // callers that need the original→final vertex map fold each visit's
 // Level.Quot — and reuses every piece of scratch, so a steady-state level
 // allocates a small constant number of objects sized O(cut edges) — never
