@@ -120,37 +120,41 @@ func TestContractClustersPoolMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestContractOutOfRangeLabels checks that both pooled contraction kernels
-// reject a label outside [0, n) with an error wrapping ErrVertexRange,
-// where the slice-based compaction would otherwise index past its tables.
-func TestContractOutOfRangeLabels(t *testing.T) {
-	g := Grid2D(8, 9)
-	wg := RandomWeights(g, 1, 4, 2)
-	n := g.NumVertices()
-	labelings := []struct {
-		name  string
-		label func(v int) uint32
-	}{
-		{"far", func(v int) uint32 { return uint32(1<<20 + v/7*13) }},
-		{"mixed", func(v int) uint32 { return uint32(1_000_000 + v%5) }},
-		{"one-at-n", func(v int) uint32 {
+// outOfRangeLabelings returns named labelings of n vertices that each put
+// at least one label outside [0, n): all far out, a few repeated far
+// values, and a single label equal to n.
+func outOfRangeLabelings(n int) map[string][]uint32 {
+	gen := map[string]func(v int) uint32{
+		"far":   func(v int) uint32 { return uint32(1<<20 + v/7*13) },
+		"mixed": func(v int) uint32 { return uint32(1_000_000 + v%5) },
+		"one-at-n": func(v int) uint32 {
 			if v == n-1 {
 				return uint32(n)
 			}
 			return uint32(v / 3)
-		}},
+		},
 	}
-	for _, tc := range labelings {
+	out := make(map[string][]uint32, len(gen))
+	for name, f := range gen {
 		label := make([]uint32, n)
 		for v := range label {
-			label[v] = tc.label(v)
+			label[v] = f(v)
 		}
+		out[name] = label
+	}
+	return out
+}
+
+// TestContractClustersPoolOutOfRangeFallback checks that ContractClustersPool
+// has no serial fallback for labels outside [0, n): it rejects them with an
+// error wrapping ErrVertexRange, where the slice-based compaction would
+// otherwise index past its tables.
+func TestContractClustersPoolOutOfRangeFallback(t *testing.T) {
+	g := Grid2D(8, 9)
+	for name, label := range outOfRangeLabelings(g.NumVertices()) {
 		for _, w := range []int{1, 4} {
 			if _, _, err := ContractClustersPool(nil, w, g, label, nil); !errors.Is(err, ErrVertexRange) {
-				t.Errorf("%s/unweighted workers=%d: err = %v, want ErrVertexRange", tc.name, w, err)
-			}
-			if _, _, err := ContractWeightedClustersPool(nil, w, wg, label, &ContractScratch{}); !errors.Is(err, ErrVertexRange) {
-				t.Errorf("%s/weighted workers=%d: err = %v, want ErrVertexRange", tc.name, w, err)
+				t.Errorf("%s workers=%d: err = %v, want ErrVertexRange", name, w, err)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -222,6 +223,22 @@ func TestCutWeightedSubgraphPoolMatchesFromWeightedEdges(t *testing.T) {
 					t.Fatalf("%s/%s workers=%d: weighted residual diverges from FromWeightedEdges",
 						gname, wname, workers)
 				}
+			}
+		}
+	}
+}
+
+// TestContractWeightedOutOfRangeLabels checks that
+// ContractWeightedClustersPool rejects labels outside [0, n) with an error
+// wrapping ErrVertexRange, as the unweighted kernel does.
+func TestContractWeightedOutOfRangeLabels(t *testing.T) {
+	pool := parallel.NewPool(4)
+	defer pool.Close()
+	wg := RandomWeights(Grid2D(8, 9), 1, 4, 2)
+	for name, label := range outOfRangeLabelings(wg.NumVertices()) {
+		for _, w := range []int{1, 4} {
+			if _, _, err := ContractWeightedClustersPool(pool, w, wg, label, &ContractScratch{}); !errors.Is(err, ErrVertexRange) {
+				t.Errorf("%s workers=%d: err = %v, want ErrVertexRange", name, w, err)
 			}
 		}
 	}
