@@ -160,15 +160,14 @@ func clampBeta(b float64) float64 {
 }
 
 // classHistogramOnPool counts undirected edges per weight class with a
-// per-worker histogram merge in (class, worker) order — deterministic
+// per-block histogram merge in (class, block) order — deterministic
 // integer sums.
 func classHistogramOnPool(pool *parallel.Pool, workers int, wg *graph.WeightedGraph, wmin float64, numClasses int) []int64 {
 	n := wg.NumVertices()
-	w := parallel.Workers(workers, n)
+	w := parallel.Blocks(workers, n)
 	local := make([]int64, w*numClasses)
 	logY := math.Log(akpwClassGrowth)
-	pool.Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
+	pool.ForBlocks(w, n, func(k, lo, hi int) {
 		h := local[k*numClasses : (k+1)*numClasses]
 		for v := lo; v < hi; v++ {
 			nbrs, ws := wg.Neighbors(uint32(v))

@@ -368,22 +368,3 @@ func dot(a, b []float64) float64 {
 func norm(a []float64) float64 {
 	return math.Sqrt(dot(a, a))
 }
-
-// ResidualNorm returns ||L x − b||₂ after projecting b; a convenience for
-// tests and experiments.
-func ResidualNorm(l *Laplacian, x, b []float64) float64 {
-	n := l.Dim()
-	var mean float64
-	for _, v := range b {
-		mean += v
-	}
-	mean /= float64(n)
-	out := make([]float64, n)
-	l.Apply(x, out)
-	var s float64
-	for i := range out {
-		d := out[i] - (b[i] - mean)
-		s += d * d
-	}
-	return math.Sqrt(s)
-}

@@ -261,13 +261,3 @@ func TestSolveEmptyAndTrivial(t *testing.T) {
 		}
 	}
 }
-
-func TestResidualNorm(t *testing.T) {
-	g := graph.Grid2D(6, 6)
-	l := NewLaplacian(g)
-	b := randomRHS(36, 3)
-	x, _ := CG(l, b, 1e-10, 1000)
-	if rn := ResidualNorm(l, x, b); rn > 1e-8 {
-		t.Errorf("residual %g", rn)
-	}
-}

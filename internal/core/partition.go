@@ -32,14 +32,12 @@ const (
 
 // partitionScratch owns every piece of per-round state the BFS reuses, so
 // a steady-state round allocates nothing beyond the submitted closures:
-// per-worker claim/open buffers, their offset scans and arc counters, and
-// the double-buffered frontier and pull-cohort lists.
+// per-worker claim/open buffers and arc counters, and the double-buffered
+// frontier and pull-cohort lists.
 type partitionScratch struct {
 	claimBufs [][]uint32
 	openBufs  [][]uint32
 	arcs      []int64
-	offs      []int
-	openOffs  []int
 	// frontSpare is the buffer the next round's newly-claimed list is
 	// compacted into; after each round the dead frontier's buffer takes its
 	// place (classic double buffering). cohortSpare plays the same role for
@@ -53,8 +51,6 @@ func (sc *partitionScratch) ensure(w int) {
 		sc.claimBufs = make([][]uint32, w)
 		sc.openBufs = make([][]uint32, w)
 		sc.arcs = make([]int64, w)
-		sc.offs = make([]int, w+1)
-		sc.openOffs = make([]int, w+1)
 	}
 }
 
@@ -354,8 +350,9 @@ func runRound(g *graph.Graph, frontier, bucket []uint32, claim []uint64,
 // decomposition, are bit-identical. The cohort splits into the claimed set
 // (returned as the next frontier, with its summed out-degree) and the
 // still-open remainder (the next round's cohort); both preserve the
-// cohort's vertex order and are compacted scan-and-copy style into reused
-// buffers.
+// cohort's vertex order: each block writes only its own vertices' claim
+// words and buffers, and Concat joins the buffers in block order into
+// reused lists.
 func runRoundPull(g *graph.Graph, plan *shiftPlan, claim []uint64,
 	level []int32, center []uint32, t int32, opts Options,
 	packed func(uint32) uint64, relaxed *int64, cohort []uint32,
@@ -368,18 +365,15 @@ func runRoundPull(g *graph.Graph, plan *shiftPlan, claim []uint64,
 	// frontier is empty at t == 0 by construction).
 	prev := t - 1
 	scanNeighbors := prev >= 0
-	w := parallel.Workers(opts.Workers, len(cohort))
+	nc := len(cohort)
+	w := parallel.Blocks(opts.Workers, nc)
 	sc.ensure(w)
 	claimedBufs := sc.claimBufs[:w]
 	openBufs := sc.openBufs[:w]
 	arcs := sc.arcs[:w]
-	offs := sc.offs[:w+1]
-	openOffs := sc.openOffs[:w+1]
 	offsets := g.Offsets()
 	pool := opts.Pool
-	nc := len(cohort)
-	pool.Run(w, func(k int) {
-		lo, hi := k*nc/w, (k+1)*nc/w
+	pool.ForBlocks(w, nc, func(k, lo, hi int) {
 		claimedBuf := claimedBufs[k][:0]
 		openBuf := openBufs[k][:0]
 		var local, claimedArcs int64
@@ -413,28 +407,13 @@ func runRoundPull(g *graph.Graph, plan *shiftPlan, claim []uint64,
 		arcs[k] = claimedArcs
 		atomic.AddInt64(relaxed, local)
 	})
-	offs[0], openOffs[0] = 0, 0
 	for k := 0; k < w; k++ {
-		offs[k+1] = offs[k] + len(claimedBufs[k])
-		openOffs[k+1] = openOffs[k] + len(openBufs[k])
 		newArcs += arcs[k]
 	}
-	claimedTotal, openTotal := offs[w], openOffs[w]
-	newly = parallel.GrowUint32(sc.frontSpare, claimedTotal)
+	newly = pool.Concat(opts.Workers, sc.frontSpare[:0], claimedBufs)
 	sc.frontSpare = nil
-	rest = parallel.GrowUint32(sc.cohortSpare, openTotal)
+	rest = pool.Concat(opts.Workers, sc.cohortSpare[:0], openBufs)
 	sc.cohortSpare = nil
-	if claimedTotal+openTotal < parallel.CompactCutoff || w == 1 {
-		for k := 0; k < w; k++ {
-			copy(newly[offs[k]:], claimedBufs[k])
-			copy(rest[openOffs[k]:], openBufs[k])
-		}
-	} else {
-		pool.Run(w, func(k int) {
-			copy(newly[offs[k]:], claimedBufs[k])
-			copy(rest[openOffs[k]:], openBufs[k])
-		})
-	}
 	return newly, rest, newArcs
 }
 

@@ -39,20 +39,13 @@ type ContractScratch struct {
 	firsts   []uint32 // labels' first-carrier vertices, ascending
 	arcKeys  []uint64 // packed (qu, qv) directed cut arcs
 	arcTmp   []uint64 // radix-sort ping-pong + dedup output
-	blockOff []int    // per-worker two-pass offsets
+	blockOff []int64  // per-block offsets of the offset scans
 	counts   []int64  // quotient degree histogram
 
 	// Weighted graphs only.
 	arcW   []float64 // per collected cut arc: its weight, in collection order
 	arcPos []uint32  // collection positions riding the stable radix sort
 	posTmp []uint32  // SortPairs value scratch
-}
-
-func (sc *ContractScratch) ensureOff(w int) []int {
-	if cap(sc.blockOff) < w+1 {
-		sc.blockOff = make([]int, w+1)
-	}
-	return sc.blockOff[:w+1]
 }
 
 // minUint32 atomically lowers *addr to v if v is smaller. Minimum is
@@ -105,10 +98,6 @@ func contractPool(pool *parallel.Pool, workers int, g *Graph, weights []float64,
 	if sc == nil {
 		sc = &ContractScratch{}
 	}
-	if n == 0 {
-		sc.CutArcs = 0
-		return &Graph{offsets: make([]int64, 1)}, nil, []uint32{}, nil
-	}
 	quot, nq, err := compactLabelsPool(pool, workers, n, label, sc)
 	if err != nil {
 		return nil, nil, nil, err
@@ -157,10 +146,6 @@ func cutSubgraphPool(pool *parallel.Pool, workers int, g *Graph, weights []float
 	}
 	if sc == nil {
 		sc = &ContractScratch{}
-	}
-	if n == 0 {
-		sc.CutArcs = 0
-		return &Graph{offsets: make([]int64, 1)}, nil, nil
 	}
 	keys := collectCutArcs(pool, workers, g.offsets, g.adj, weights, label, nil, sc)
 	c := len(keys)
@@ -224,15 +209,15 @@ func compactLabelsPool(pool *parallel.Pool, workers, n int, label []uint32, sc *
 // (offsets, adj) whose endpoints carry different class labels, in
 // (v, adjacency) order. With non-nil weights (a weighted graph's per-arc
 // array) it also gathers each such arc's weight into sc.arcW, aligned with
-// the keys. The two-pass layout (per-worker-block counts, serial offset
-// scan, in-order fill) makes the output independent of scheduling.
+// the keys. The offset scan and in-order fill make the output independent
+// of scheduling.
 func collectCutArcs(pool *parallel.Pool, workers int, offsets []int64, adj []uint32, weights []float64, class, quot []uint32, sc *ContractScratch) []uint64 {
 	n := len(offsets) - 1
-	w := parallel.Workers(workers, n)
-	off := sc.ensureOff(w)
-	pool.Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
-		cnt := 0
+	w := parallel.Blocks(workers, n)
+	sc.blockOff = parallel.Grow(sc.blockOff, w+1)
+	off := sc.blockOff
+	total := pool.ScanBlocks(w, n, off, func(lo, hi int) int64 {
+		var cnt int64
 		for v := lo; v < hi; v++ {
 			cv := class[v]
 			for _, u := range adj[offsets[v]:offsets[v+1]] {
@@ -241,19 +226,14 @@ func collectCutArcs(pool *parallel.Pool, workers int, offsets []int64, adj []uin
 				}
 			}
 		}
-		off[k+1] = cnt
+		return cnt
 	})
-	off[0] = 0
-	for k := 1; k <= w; k++ {
-		off[k] += off[k-1]
-	}
-	sc.arcKeys = parallel.Grow(sc.arcKeys, off[w])
+	sc.arcKeys = parallel.Grow(sc.arcKeys, int(total))
 	if weights != nil {
-		sc.arcW = parallel.Grow(sc.arcW, off[w])
+		sc.arcW = parallel.Grow(sc.arcW, int(total))
 	}
 	keys, arcW := sc.arcKeys, sc.arcW
-	pool.Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
+	pool.ForBlocks(w, n, func(k, lo, hi int) {
 		pos := off[k]
 		for v := lo; v < hi; v++ {
 			cv := class[v]
@@ -302,36 +282,32 @@ func CutEdgesPool(pool *parallel.Pool, workers int, g *Graph, label []uint32) in
 // a freshly allocated weight array: out weight i is the sum of sc.arcW over
 // run i's positions in sc.arcPos (the collection positions that rode the
 // stable sort), added left to right in sorted order, which is exactly the
-// canonical collection order at every worker count. Deterministic
-// two-pass compaction, same discipline as the frontier concatenations; a
-// worker handles every run that STARTS in its block, scanning past the
-// block boundary when a run crosses it, so each run is summed exactly once.
+// canonical collection order at every worker count. An offset scan over
+// the run heads and an in-order fill, same discipline as the frontier
+// concatenations; a block handles every run that STARTS in it, scanning
+// past the block boundary when a run crosses it, so each run is summed
+// exactly once.
 func dedupSortedArcs(pool *parallel.Pool, workers int, keys []uint64, sum bool, sc *ContractScratch) ([]uint64, []float64) {
 	m := len(keys)
-	w := parallel.Workers(workers, m)
-	off := sc.ensureOff(w)
-	pool.Run(w, func(k int) {
-		lo, hi := k*m/w, (k+1)*m/w
-		cnt := 0
+	w := parallel.Blocks(workers, m)
+	sc.blockOff = parallel.Grow(sc.blockOff, w+1)
+	off := sc.blockOff
+	total := pool.ScanBlocks(w, m, off, func(lo, hi int) int64 {
+		var cnt int64
 		for i := lo; i < hi; i++ {
 			if i == 0 || keys[i] != keys[i-1] {
 				cnt++
 			}
 		}
-		off[k+1] = cnt
+		return cnt
 	})
-	off[0] = 0
-	for k := 1; k <= w; k++ {
-		off[k] += off[k-1]
-	}
-	out := sc.arcTmp[:off[w]]
+	out := sc.arcTmp[:total]
 	var wout []float64
 	if sum {
-		wout = make([]float64, off[w])
+		wout = make([]float64, total)
 	}
 	arcW, pos := sc.arcW, sc.arcPos
-	pool.Run(w, func(k int) {
-		lo, hi := k*m/w, (k+1)*m/w
+	pool.ForBlocks(w, m, func(k, lo, hi int) {
 		p := off[k]
 		for i := lo; i < hi; i++ {
 			if i != 0 && keys[i] == keys[i-1] {

@@ -232,6 +232,7 @@ func FuzzContract(f *testing.F) {
 	f.Add(uint8(64), uint8(255), uint64(2), true, []byte{1, 2})
 	f.Add(uint8(40), uint8(90), uint64(3), false, []byte{})
 	f.Add(uint8(1), uint8(0), uint64(4), true, []byte{5})
+	f.Add(uint8(0), uint8(0), uint64(5), true, []byte{})
 	f.Fuzz(func(t *testing.T, nb, mb uint8, seed uint64, random bool, lb []byte) {
 		n := int(nb % 65)
 		g := mustFromEdges(t, n, nil)
@@ -273,11 +274,10 @@ func FuzzContract(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Past n = 0, where the pooled kernels return nil weights, the
-		// fingerprints must agree too: they tell a weighted graph without
-		// arcs (empty weights) from an unweighted one (nil weights).
+		// The fingerprints must agree too: they tell a weighted graph
+		// without arcs (empty weights) from an unweighted one (nil weights).
 		sameWeighted := func(got, want *WeightedGraph) bool {
-			return weightedGraphsEqual(got, want) && (n == 0 || got.Fingerprint() == want.Fingerprint())
+			return weightedGraphsEqual(got, want) && got.Fingerprint() == want.Fingerprint()
 		}
 		sameQuot := func(got, want []uint32) bool {
 			if len(got) != len(want) {

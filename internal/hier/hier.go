@@ -208,8 +208,8 @@ type engine struct {
 	valTmp   []uint32
 	cutOrig  []graph.Edge
 	intra    []graph.Edge
-	rankBase []int
-	cutBase  []int
+	rankBase []int64
+	cutBase  []int64
 
 	// OrigEdge rank tables for the current level's graph.
 	upperOff   []int64
@@ -226,10 +226,9 @@ type engine struct {
 func (e *engine) annotateContraction(cur *graph.Graph, orig []graph.Edge, center, quot []uint32, next *graph.Graph) []graph.Edge {
 	pool := e.cfg.Pool
 	workers := e.cfg.Workers
-	n := cur.NumVertices()
 	w, rankBase, cutBase := e.countUpper(cur, center)
 	offsets, adjacency := cur.Offsets(), cur.Adjacency()
-	c := cutBase[w]
+	c := int(cutBase[w])
 	e.cutKeys = parallel.Grow(e.cutKeys, c)
 	e.cutVals = parallel.Grow(e.cutVals, c)
 	e.cutOrig = parallel.Grow(e.cutOrig, c)
@@ -237,8 +236,7 @@ func (e *engine) annotateContraction(cur *graph.Graph, orig []graph.Edge, center
 	// Second pass: emit each cut edge's quotient-pair key and its original-edge
 	// annotation; the running upper-arc counter is exactly cur's canonical
 	// edge rank, which indexes the current annotation table.
-	pool.Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
+	pool.ForBlocks(w, cur.NumVertices(), func(k, lo, hi int) {
 		rank := rankBase[k]
 		pos := cutBase[k]
 		for v := lo; v < hi; v++ {
@@ -271,32 +269,25 @@ func (e *engine) annotateContraction(cur *graph.Graph, orig []graph.Edge, center
 
 	// Runs of equal keys are the quotient edges in canonical order; the
 	// stable sort put the first-collected (lowest current-edge-rank) cut
-	// edge at each run's head. The dedup passes split the cut-edge range,
-	// whose worker count can exceed the vertex-based w on dense tail
-	// levels (c > n), so the offsets buffer is re-grown for wc.
+	// edge at each run's head. The offset scan over the run heads splits
+	// the cut-edge range, not the vertices, into its own blocks.
 	nextOrig := make([]graph.Edge, next.NumEdges())
-	wc := parallel.Workers(workers, c)
+	wc := parallel.Blocks(workers, c)
 	e.rankBase = parallel.Grow(e.rankBase, wc+1)
 	dedupBase := e.rankBase
-	pool.Run(wc, func(k int) {
-		lo, hi := k*c/wc, (k+1)*c/wc
-		cnt := 0
+	heads := pool.ScanBlocks(wc, c, dedupBase, func(lo, hi int) int64 {
+		var cnt int64
 		for i := lo; i < hi; i++ {
 			if i == 0 || cutKeys[i] != cutKeys[i-1] {
 				cnt++
 			}
 		}
-		dedupBase[k+1] = cnt
+		return cnt
 	})
-	dedupBase[0] = 0
-	for k := 1; k <= wc; k++ {
-		dedupBase[k] += dedupBase[k-1]
-	}
-	if dedupBase[wc] != len(nextOrig) {
+	if heads != int64(len(nextOrig)) {
 		panic("hier: quotient edge count mismatch between contraction and annotation")
 	}
-	pool.Run(wc, func(k int) {
-		lo, hi := k*c/wc, (k+1)*c/wc
+	pool.ForBlocks(wc, c, func(k, lo, hi int) {
 		pos := dedupBase[k]
 		for i := lo; i < hi; i++ {
 			if i == 0 || cutKeys[i] != cutKeys[i-1] {
@@ -309,20 +300,19 @@ func (e *engine) annotateContraction(cur *graph.Graph, orig []graph.Edge, center
 }
 
 // countUpper is the first pass annotateContraction and collectIntra
-// share. It splits cur's vertices into w contiguous blocks and counts, per
-// block, the upper arcs (canonical edge ranks) and the cut edges among
-// them: rankBase[k] and cutBase[k] hold the counts before block k, and
-// index w holds the totals. Both slices alias engine scratch.
-func (e *engine) countUpper(cur *graph.Graph, center []uint32) (int, []int, []int) {
+// share. It splits cur's vertices into w blocks and counts, per block, the
+// upper arcs (canonical edge ranks) and the cut edges among them:
+// rankBase[k] and cutBase[k] hold the counts before block k, and index w
+// holds the totals. Both slices alias engine scratch.
+func (e *engine) countUpper(cur *graph.Graph, center []uint32) (int, []int64, []int64) {
 	n := cur.NumVertices()
-	w := parallel.Workers(e.cfg.Workers, n)
+	w := parallel.Blocks(e.cfg.Workers, n)
 	e.rankBase = parallel.Grow(e.rankBase, w+1)
 	e.cutBase = parallel.Grow(e.cutBase, w+1)
 	rankBase, cutBase := e.rankBase, e.cutBase
 	offsets, adjacency := cur.Offsets(), cur.Adjacency()
-	e.cfg.Pool.Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
-		upper, cut := 0, 0
+	e.cfg.Pool.ForBlocks(w, n, func(k, lo, hi int) {
+		var upper, cut int64
 		for v := lo; v < hi; v++ {
 			cv := center[v]
 			for _, u := range adjacency[offsets[v]:offsets[v+1]] {
@@ -351,13 +341,11 @@ func (e *engine) countUpper(cur *graph.Graph, center []uint32) (int, []int, []in
 // Each block's intra edges start at its upper arcs before it minus its
 // cut edges before it.
 func (e *engine) collectIntra(cur *graph.Graph, orig []graph.Edge, center []uint32) []graph.Edge {
-	n := cur.NumVertices()
 	w, rankBase, cutBase := e.countUpper(cur, center)
 	offsets, adjacency := cur.Offsets(), cur.Adjacency()
-	e.intra = parallel.Grow(e.intra, rankBase[w]-cutBase[w])
+	e.intra = parallel.Grow(e.intra, int(rankBase[w]-cutBase[w]))
 	intra := e.intra
-	e.cfg.Pool.Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
+	e.cfg.Pool.ForBlocks(w, cur.NumVertices(), func(k, lo, hi int) {
 		rank := rankBase[k]
 		pos := rankBase[k] - cutBase[k]
 		for v := lo; v < hi; v++ {

@@ -7,10 +7,12 @@ package parallel
 // never installs a hook; with no hook installed the only cost on the
 // submission path is one atomic pointer load.
 type FaultHook struct {
-	// Submit runs on the submitting goroutine at the start of every Run
-	// call (including the serial slots<=1 fast path), before any job state
-	// is touched — a panic here propagates out of Run directly. seq is the
-	// 1-based submission sequence number of the pool.
+	// Submit runs on the submitting goroutine at the start of every
+	// submission — every Run call (including the serial slots<=1 fast
+	// path) and every blocked pass of more than one block — before any job
+	// state is touched; a panic here propagates out of the submitting call
+	// directly. A one-block pass runs inline and is no submission. seq is
+	// the 1-based submission sequence number of the pool.
 	Submit func(seq int64, slots int)
 	// Slot runs on the executing goroutine (a pool worker or the helping
 	// submitter) immediately before each slot body. A panic here is
@@ -26,7 +28,7 @@ func (p *Pool) SetFaultHook(h *FaultHook) {
 	p.orDefault().hook.Store(h)
 }
 
-// SubmitCount returns the number of Run submissions the pool has performed
+// SubmitCount returns the number of submissions the pool has performed
 // while a fault hook was installed (the seq values hooks observe). It is
 // the probe fault-injection tests use to size their injection points.
 func (p *Pool) SubmitCount() int64 {

@@ -157,8 +157,8 @@ func TestRecovered(t *testing.T) {
 }
 
 // TestRunPanicPrimitives checks that panics inside the higher-level
-// primitives (For, ForRange, ReduceInt64) are contained the same way and
-// leave the primitives reusable.
+// primitives (For, ForRange, ForBlocks, ScanBlocks) are contained the same
+// way and leave the primitives reusable.
 func TestRunPanicPrimitives(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -174,6 +174,22 @@ func TestRunPanicPrimitives(t *testing.T) {
 			if lo <= 5000 && 5000 < hi {
 				panic("range boom")
 			}
+		})
+	})
+	w := Blocks(8, 10000)
+	recoverPanicError(t, func() {
+		p.ForBlocks(w, 10000, func(k, lo, hi int) {
+			if k == w-1 {
+				panic("block boom")
+			}
+		})
+	})
+	recoverPanicError(t, func() {
+		p.ScanBlocks(w, 10000, make([]int64, w+1), func(lo, hi int) int64 {
+			if lo == 0 {
+				panic("count boom")
+			}
+			return 0
 		})
 	})
 	got := p.ReduceInt64(8, 10000, func(i int) int64 { return 1 })
@@ -257,8 +273,9 @@ func TestSortPairsLengthMismatchPanics(t *testing.T) {
 }
 
 // TestFaultHookObservesSubmissions checks the fault-injection hook fires on
-// every submission (including the serial fast path), numbers them, and that
-// a hook panic in a slot is contained like a slot-body panic.
+// every submission (including the serial fast path) and on every block of
+// a blocked pass, numbers them, and that a hook panic in a slot is
+// contained like a slot-body panic.
 func TestFaultHookObservesSubmissions(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
@@ -277,6 +294,30 @@ func TestFaultHookObservesSubmissions(t *testing.T) {
 	}
 	if p.SubmitCount() != 2 {
 		t.Fatalf("SubmitCount = %d, want 2", p.SubmitCount())
+	}
+
+	// A blocked pass is one submission whose slots are its blocks; a
+	// range below the serial cutoff is one block, run inline on the
+	// caller, and no submission at all.
+	w := Blocks(8, 50000)
+	blockSeen := make([]int32, w)
+	p.SetFaultHook(&FaultHook{
+		Submit: func(seq int64, n int) {
+			if n != w {
+				t.Errorf("blocked pass submitted %d slots, want %d", n, w)
+			}
+		},
+		Slot: func(seq int64, k int) { atomic.AddInt32(&blockSeen[k], 1) },
+	})
+	p.ForBlocks(w, 50000, func(k, lo, hi int) {})
+	p.ForBlocks(Blocks(8, serialCutoff-1), serialCutoff-1, func(k, lo, hi int) {})
+	for k, c := range blockSeen {
+		if c != 1 {
+			t.Fatalf("Slot hook saw block %d %d times, want 1", k, c)
+		}
+	}
+	if p.SubmitCount() != 3 {
+		t.Fatalf("SubmitCount = %d after one blocked and one inline pass, want 3", p.SubmitCount())
 	}
 
 	p.SetFaultHook(&FaultHook{

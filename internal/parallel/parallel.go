@@ -18,6 +18,16 @@
 // the result), not the physical parallelism: which pool worker executes a
 // block is unspecified. Every primitive is deterministic — its result
 // never depends on goroutine scheduling.
+//
+// Two patterns carry every blocked pass, here and in the callers' own
+// kernels. The blocked submission (Blocks, ForBlocks) splits [0, n) into
+// w blocks, block k being [k·n/w, (k+1)·n/w), and a range below
+// serialCutoff into one block, run inline on the caller. The offset scan
+// (ScanBlocks) counts per block and turns the counts into exclusive
+// offsets, so a second blocked pass writes each block's output from its
+// offset, in block order. Each primitive writes its loop body once, as a
+// plain function of its range: the one-block path calls it directly, the
+// pool path from the submitted blocks.
 package parallel
 
 import "runtime"
@@ -40,11 +50,18 @@ func Workers(requested, n int) int {
 }
 
 // serialCutoff is the range size below which submitting to the pool costs
-// more than it saves; loops this small run inline.
+// more than it saves: every blocked pass — the primitives, the radix sort
+// passes and the callers' own kernels — runs a smaller range as one block
+// on the caller, so the whole stack switches to parallel execution at one
+// size.
 const serialCutoff = 2048
 
-// CompactCutoff is the shared work-size threshold below which round loops
-// (partition round compaction copies, shift-plan passes, radix sorts) run
-// inline rather than on the pool. It equals the primitive serial cutoff so
-// the whole stack switches to parallel execution at one size.
-const CompactCutoff = serialCutoff
+// Blocks returns the number of blocks a blocked pass splits [0, n) into:
+// one below serialCutoff, Workers(workers, n) otherwise. Block k of w is
+// [k·n/w, (k+1)·n/w).
+func Blocks(workers, n int) int {
+	if n < serialCutoff {
+		return 1
+	}
+	return Workers(workers, n)
+}

@@ -14,8 +14,10 @@ import (
 // synchronous rounds (Partition claim rounds, Δ-stepping bucket rounds,
 // hierarchy levels) cheap enough to run back to back.
 //
-// Scheduling model: every primitive call is turned into a job of `slots`
-// logical work units (one per requested worker). The submitting goroutine
+// Scheduling model: every submission is a job of `slots` logical work
+// units: the blocks of a blocked pass, or the slots a Run asks for. A slot
+// of a blocked pass computes its block's bounds inside the job and calls
+// the caller's body directly. The submitting goroutine
 // offers the job to the parked workers and then participates itself;
 // whoever is free grabs slot indices from an atomic counter until the job
 // drains. Because results depend only on the slot decomposition — never on
@@ -47,15 +49,21 @@ type Pool struct {
 }
 
 // job is one submitted parallel loop: slots logical work units drained via
-// an atomic counter by the owner and any helping workers.
+// an atomic counter by the owner and any helping workers. Slot k of a
+// blocked pass runs the block [k·n/slots, (k+1)·n/slots) of its range.
 type job struct {
-	fn      func(k int)
+	task    task
+	n       int
 	slots   int64
 	next    atomic.Int64  // next slot index to claim
 	pending atomic.Int64  // slots not yet completed
 	refs    atomic.Int64  // owner + enqueued hand-offs still holding the job
 	wake    chan struct{} // helper that completes the last slot -> owner
 	pool    *Pool
+	// hook and seq are the fault hook observing this submission, if any,
+	// and the sequence number it gave it.
+	hook *FaultHook
+	seq  int64
 	// panicked records the first panic captured in a slot body; Run
 	// re-panics with it on the submitter once the job has drained. Slots
 	// claimed after a panic is recorded are skipped (their results would be
@@ -63,6 +71,36 @@ type job struct {
 	// with it the pool, the descriptor freelist and Wait — is unaffected
 	// by a faulting body.
 	panicked atomic.Pointer[PanicError]
+}
+
+// task is the body of one submission, in the shape its caller wrote it:
+// exactly one function is set, and the job hands it the caller's function
+// itself, so no wrapper closure is allocated per submission.
+type task struct {
+	slot  func(k int)            // Run: slot k
+	each  func(i int)            // For: every index of the block
+	span  func(lo, hi int)       // ForRange: the block
+	block func(k, lo, hi int)    // ForBlocks: the block and its number
+	count func(lo, hi int) int64 // ScanBlocks: offs[k] = the block's count
+	offs  []int64
+}
+
+// run executes t on slot k, whose block is [lo, hi).
+func (t *task) run(k, lo, hi int) {
+	switch {
+	case t.slot != nil:
+		t.slot(k)
+	case t.each != nil:
+		for i := lo; i < hi; i++ {
+			t.each(i)
+		}
+	case t.span != nil:
+		t.span(lo, hi)
+	case t.block != nil:
+		t.block(k, lo, hi)
+	default:
+		t.offs[k] = t.count(lo, hi)
+	}
 }
 
 // NewPool starts a pool of the given number of persistent workers;
@@ -176,7 +214,11 @@ func (j *job) runSlot(k int) {
 			j.panicked.CompareAndSwap(nil, Recovered(r))
 		}
 	}()
-	j.fn(k)
+	if h := j.hook; h != nil && h.Slot != nil {
+		h.Slot(j.seq, k)
+	}
+	w := int(j.slots)
+	j.task.run(k, k*j.n/w, (k+1)*j.n/w)
 }
 
 // release drops one reference; the last holder returns the descriptor to
@@ -185,7 +227,7 @@ func (j *job) runSlot(k int) {
 // freelist safe under concurrent and nested submission.
 func (j *job) release() {
 	if j.refs.Add(-1) == 0 {
-		j.fn = nil
+		j.task, j.hook = task{}, nil
 		j.pool.jobPool.Put(j)
 	}
 }
@@ -206,25 +248,31 @@ func (j *job) release() {
 // not just *PanicError. After a contained panic the slot coverage is
 // partial by design — the computation's outputs must be discarded.
 func (p *Pool) Run(slots int, fn func(k int)) {
-	p = p.orDefault()
-	if h := p.hook.Load(); h != nil {
-		seq := p.submitSeq.Add(1)
+	p.orDefault().submit(slots, slots, task{slot: fn})
+}
+
+// submit runs t on slots slots over the range [0, n) as one job.
+func (p *Pool) submit(slots, n int, t task) {
+	h := p.hook.Load()
+	var seq int64
+	if h != nil {
+		seq = p.submitSeq.Add(1)
 		if h.Submit != nil {
 			h.Submit(seq, slots)
-		}
-		if h.Slot != nil {
-			inner := fn
-			fn = func(k int) { h.Slot(seq, k); inner(k) }
 		}
 	}
 	if slots <= 1 {
 		if slots == 1 {
-			fn(0)
+			if h != nil && h.Slot != nil {
+				h.Slot(seq, 0)
+			}
+			t.run(0, 0, n)
 		}
 		return
 	}
 	j := p.jobPool.Get().(*job)
-	j.fn = fn
+	j.task, j.n = t, n
+	j.hook, j.seq = h, seq
 	j.slots = int64(slots)
 	j.next.Store(0)
 	j.pending.Store(int64(slots))
@@ -295,88 +343,85 @@ func (p *Pool) drainQueued() {
 	}
 }
 
-// For runs body(i) for every i in [0, n) on the pool, splitting the index
-// space into one contiguous block per logical worker.
+// For runs body(i) for every i in [0, n) on the pool, one block of
+// indices per slot.
 func (p *Pool) For(workers, n int, body func(i int)) {
-	p.ForRange(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
+	if n > 0 {
+		p.blocks(Blocks(workers, n), n, task{each: body})
+	}
 }
 
-// ForRange splits [0, n) into one contiguous block per logical worker and
-// runs body(lo, hi) on each block.
+// ForRange runs body(lo, hi) on each block of [0, n).
 func (p *Pool) ForRange(workers, n int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
+	if n > 0 {
+		p.blocks(Blocks(workers, n), n, task{span: body})
 	}
-	w := Workers(workers, n)
-	if w == 1 || n < serialCutoff {
-		body(0, n)
-		return
-	}
-	p.orDefault().Run(w, func(k int) {
-		body(k*n/w, (k+1)*n/w)
-	})
 }
 
-// ReduceInt64 computes the sum over i in [0, n) of f(i) with per-slot
-// partials combined in slot order (deterministic for a fixed worker count).
+// ForBlocks runs body(k, lo, hi) on each block k of the w blocks of
+// [0, n), [k·n/w, (k+1)·n/w); w comes from Blocks. Unlike ForRange it runs
+// the one block of an empty range too, so a body that writes per-block
+// results writes them at every n.
+func (p *Pool) ForBlocks(w, n int, body func(k, lo, hi int)) {
+	p.blocks(w, n, task{block: body})
+}
+
+// ScanBlocks is the offset scan, the order-preserving first pass of a
+// blocked kernel: it runs count on each of the w blocks of [0, n) and
+// turns the counts into exclusive offsets, so offs[k] is the total count
+// of the blocks before k and offs[w], which it returns, the grand total.
+// offs must hold w+1 entries; w comes from Blocks. A second ForBlocks pass
+// then writes block k's output from offs[k], so the output is in block
+// order, the same at every w.
+func (p *Pool) ScanBlocks(w, n int, offs []int64, count func(lo, hi int) int64) int64 {
+	p.blocks(w, n, task{count: count, offs: offs})
+	offs[w] = scan(offs[:w], 0)
+	return offs[w]
+}
+
+// blocks runs t on the w blocks of [0, n): inline on the caller for one
+// block, which is then not a pool submission, as one job otherwise.
+func (p *Pool) blocks(w, n int, t task) {
+	if w <= 1 {
+		t.run(0, 0, n)
+		return
+	}
+	p.orDefault().submit(w, n, t)
+}
+
+// ReduceInt64 computes the sum over i in [0, n) of f(i) with per-block
+// partials combined in block order (deterministic for a fixed worker
+// count).
 func (p *Pool) ReduceInt64(workers, n int, f func(i int) int64) int64 {
-	if n <= 0 {
-		return 0
+	return reduce(p, workers, n, f)
+}
+
+// ReduceFloat64 is ReduceInt64 for float64 values; the fixed combine order
+// keeps results deterministic for a fixed worker count.
+func (p *Pool) ReduceFloat64(workers, n int, f func(i int) float64) float64 {
+	return reduce(p, workers, n, f)
+}
+
+// reduce is the one body of ReduceInt64 and ReduceFloat64.
+func reduce[T int64 | float64](p *Pool, workers, n int, f func(i int) T) T {
+	w := Blocks(workers, n)
+	if w == 1 {
+		return sum(f, 0, n)
 	}
-	w := Workers(workers, n)
-	if w == 1 || n < serialCutoff {
-		var s int64
-		for i := 0; i < n; i++ {
-			s += f(i)
-		}
-		return s
-	}
-	partial := make([]int64, w)
-	p.orDefault().Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
-		var s int64
-		for i := lo; i < hi; i++ {
-			s += f(i)
-		}
-		partial[k] = s
-	})
-	var s int64
+	partial := make([]T, w)
+	p.ForBlocks(w, n, func(k, lo, hi int) { partial[k] = sum(f, lo, hi) })
+	var s T
 	for _, v := range partial {
 		s += v
 	}
 	return s
 }
 
-// ReduceFloat64 is ReduceInt64 for float64 values; the fixed combine order
-// keeps results deterministic for a fixed worker count.
-func (p *Pool) ReduceFloat64(workers, n int, f func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	w := Workers(workers, n)
-	if w == 1 || n < serialCutoff {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += f(i)
-		}
-		return s
-	}
-	partial := make([]float64, w)
-	p.orDefault().Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += f(i)
-		}
-		partial[k] = s
-	})
-	var s float64
-	for _, v := range partial {
-		s += v
+// sum adds f over [lo, hi) left to right.
+func sum[T int64 | float64](f func(i int) T, lo, hi int) T {
+	var s T
+	for i := lo; i < hi; i++ {
+		s += f(i)
 	}
 	return s
 }
@@ -394,27 +439,13 @@ func (p *Pool) MaxFloat64(workers, n int, f func(i int) float64) (max float64, a
 	if n <= 0 {
 		panic("parallel: MaxFloat64 over empty range")
 	}
-	w := Workers(workers, n)
-	if w == 1 || n < serialCutoff {
-		best := fpair{f(0), 0}
-		for i := 1; i < n; i++ {
-			if v := f(i); v > best.v {
-				best = fpair{v, i}
-			}
-		}
+	w := Blocks(workers, n)
+	if w == 1 {
+		best := maxRange(f, 0, n)
 		return best.v, best.i
 	}
 	partial := make([]fpair, w)
-	p.orDefault().Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
-		best := fpair{f(lo), lo}
-		for i := lo + 1; i < hi; i++ {
-			if v := f(i); v > best.v {
-				best = fpair{v, i}
-			}
-		}
-		partial[k] = best
-	})
+	p.ForBlocks(w, n, func(k, lo, hi int) { partial[k] = maxRange(f, lo, hi) })
 	best := partial[0]
 	for _, q := range partial[1:] {
 		if q.v > best.v {
@@ -424,151 +455,117 @@ func (p *Pool) MaxFloat64(workers, n int, f func(i int) float64) (max float64, a
 	return best.v, best.i
 }
 
+// maxRange is the maximum of f over the nonempty [lo, hi) with its
+// smallest argmax.
+func maxRange(f func(i int) float64, lo, hi int) fpair {
+	best := fpair{f(lo), lo}
+	for i := lo + 1; i < hi; i++ {
+		if v := f(i); v > best.v {
+			best = fpair{v, i}
+		}
+	}
+	return best
+}
+
 // ExclusiveScan replaces data with its exclusive prefix sum and returns the
-// total, using the classic two-pass blocked algorithm on the pool.
+// total: the offset scan of the block sums, then each block's own scan from
+// its offset.
 func (p *Pool) ExclusiveScan(workers int, data []int64) int64 {
 	n := len(data)
-	if n == 0 {
-		return 0
+	w := Blocks(workers, n)
+	if w == 1 {
+		return scan(data, 0)
 	}
-	w := Workers(workers, n)
-	if w == 1 || n < serialCutoff {
-		var run int64
-		for i := 0; i < n; i++ {
-			v := data[i]
-			data[i] = run
-			run += v
-		}
-		return run
-	}
-	p = p.orDefault()
-	blockSum := make([]int64, w)
-	p.Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
+	offs := make([]int64, w+1)
+	total := p.ScanBlocks(w, n, offs, func(lo, hi int) int64 {
 		var s int64
-		for i := lo; i < hi; i++ {
-			s += data[i]
+		for _, v := range data[lo:hi] {
+			s += v
 		}
-		blockSum[k] = s
+		return s
 	})
-	var run int64
-	for k := 0; k < w; k++ {
-		v := blockSum[k]
-		blockSum[k] = run
+	p.ForBlocks(w, n, func(k, lo, hi int) { scan(data[lo:hi], offs[k]) })
+	return total
+}
+
+// scan replaces s with its exclusive prefix sum started at run and returns
+// the running total past its end.
+func scan(s []int64, run int64) int64 {
+	for i, v := range s {
+		s[i] = run
 		run += v
 	}
-	p.Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
-		local := blockSum[k]
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = local
-			local += v
-		}
-	})
 	return run
 }
 
 // PackInto writes the values v in [0, n) for which keep(v) is true, in
 // increasing order, into dst (reused when its capacity suffices, grown
-// otherwise) and returns the filled slice. The two-pass offset-scan
-// structure makes the output order identical at every worker count.
+// otherwise) and returns the filled slice. The offset scan makes the
+// output order identical at every worker count.
 func (p *Pool) PackInto(workers, n int, keep func(i int) bool, dst []uint32) []uint32 {
-	if n <= 0 {
-		return dst[:0]
+	w := Blocks(workers, n)
+	if w == 1 {
+		return pack(keep, 0, n, dst[:0])
 	}
-	w := Workers(workers, n)
-	if w == 1 || n < serialCutoff {
-		out := dst[:0]
-		for i := 0; i < n; i++ {
-			if keep(i) {
-				out = append(out, uint32(i))
-			}
-		}
-		return out
-	}
-	p = p.orDefault()
-	counts := make([]int64, w)
-	p.Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
+	offs := make([]int64, w+1)
+	total := p.ScanBlocks(w, n, offs, func(lo, hi int) int64 {
 		var c int64
 		for i := lo; i < hi; i++ {
 			if keep(i) {
 				c++
 			}
 		}
-		counts[k] = c
+		return c
 	})
-	var run int64
-	for k := 0; k < w; k++ {
-		v := counts[k]
-		counts[k] = run
-		run += v
-	}
-	out := GrowUint32(dst, int(run))
-	p.Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
-		pos := counts[k]
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				out[pos] = uint32(i)
-				pos++
-			}
+	out := GrowUint32(dst, int(total))
+	p.ForBlocks(w, n, func(k, lo, hi int) { pack(keep, lo, hi, out[offs[k]:offs[k]:offs[k+1]]) })
+	return out
+}
+
+// pack appends to out the i in [lo, hi) that keep accepts, in order.
+func pack(keep func(i int) bool, lo, hi int, out []uint32) []uint32 {
+	for i := lo; i < hi; i++ {
+		if keep(i) {
+			out = append(out, uint32(i))
 		}
-	})
+	}
 	return out
 }
 
 // FilterUint32 writes the elements of src for which keep is true into dst
 // (reused when its capacity suffices), preserving src order, and returns
-// the filled slice. Like PackInto it is a two-pass count/scan/copy, so the
+// the filled slice. Like PackInto it is an offset scan and a fill, so the
 // output is identical at every worker count; keep is therefore invoked
 // twice per element and concurrently from pool workers — it must be pure
 // and safe for concurrent use. src and dst must not overlap.
 func (p *Pool) FilterUint32(workers int, src []uint32, keep func(uint32) bool, dst []uint32) []uint32 {
 	n := len(src)
-	if n == 0 {
-		return dst[:0]
+	w := Blocks(workers, n)
+	if w == 1 {
+		return filter(keep, src, dst[:0])
 	}
-	w := Workers(workers, n)
-	if w == 1 || n < serialCutoff {
-		out := dst[:0]
-		for _, v := range src {
-			if keep(v) {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	p = p.orDefault()
-	counts := make([]int64, w)
-	p.Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
+	offs := make([]int64, w+1)
+	total := p.ScanBlocks(w, n, offs, func(lo, hi int) int64 {
 		var c int64
 		for _, v := range src[lo:hi] {
 			if keep(v) {
 				c++
 			}
 		}
-		counts[k] = c
+		return c
 	})
-	var run int64
-	for k := 0; k < w; k++ {
-		v := counts[k]
-		counts[k] = run
-		run += v
-	}
-	out := GrowUint32(dst, int(run))
-	p.Run(w, func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
-		pos := counts[k]
-		for _, v := range src[lo:hi] {
-			if keep(v) {
-				out[pos] = v
-				pos++
-			}
+	out := GrowUint32(dst, int(total))
+	p.ForBlocks(w, n, func(k, lo, hi int) { filter(keep, src[lo:hi], out[offs[k]:offs[k]:offs[k+1]]) })
+	return out
+}
+
+// filter appends to out the elements of src that keep accepts, in order.
+func filter(keep func(uint32) bool, src, out []uint32) []uint32 {
+	for _, v := range src {
+		if keep(v) {
+			out = append(out, v)
 		}
-	})
+	}
 	return out
 }
 

@@ -84,6 +84,67 @@ func TestPoolPrimitivesMatchSerial(t *testing.T) {
 	}
 }
 
+// TestForBlocksAndScanBlocks checks the blocked submission and the offset
+// scan at workers 1, 2 and 8 on sizes straddling the serial cutoff: a
+// range below the cutoff is one block, every index lies in exactly one
+// block, block k is [k·n/w, (k+1)·n/w), and the offsets are the serial
+// prefix sums of the block counts.
+func TestForBlocksAndScanBlocks(t *testing.T) {
+	p := NewPool(4)
+	defer p.Close()
+	for _, n := range []int{0, 1, serialCutoff - 1, serialCutoff, serialCutoff + 1, 50000} {
+		for _, workers := range []int{1, 2, 8} {
+			w := Blocks(workers, n)
+			if want := Workers(workers, n); (n < serialCutoff && w != 1) || (n >= serialCutoff && w != want) {
+				t.Fatalf("Blocks(%d, %d) = %d", workers, n, w)
+			}
+			hits := make([]int32, n)
+			ran := make([]int32, w)
+			p.ForBlocks(w, n, func(k, lo, hi int) {
+				if lo != k*n/w || hi != (k+1)*n/w {
+					t.Errorf("n=%d w=%d: block %d is [%d, %d)", n, w, k, lo, hi)
+				}
+				atomic.AddInt32(&ran[k], 1)
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hits[i], 1)
+				}
+			})
+			for k, r := range ran {
+				if r != 1 {
+					t.Fatalf("n=%d w=%d: block %d ran %d times", n, w, k, r)
+				}
+			}
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("n=%d w=%d: index %d in %d blocks", n, w, i, h)
+				}
+			}
+
+			count := func(lo, hi int) int64 {
+				var c int64
+				for i := lo; i < hi; i++ {
+					if i%3 == 0 {
+						c++
+					}
+				}
+				return c
+			}
+			offs := make([]int64, w+1)
+			total := p.ScanBlocks(w, n, offs, count)
+			var run int64
+			for k := 0; k < w; k++ {
+				if offs[k] != run {
+					t.Fatalf("n=%d w=%d: offs[%d]=%d, want %d", n, w, k, offs[k], run)
+				}
+				run += count(k*n/w, (k+1)*n/w)
+			}
+			if offs[w] != run || total != run {
+				t.Fatalf("n=%d w=%d: total %d, offs[w]=%d, want %d", n, w, total, offs[w], run)
+			}
+		}
+	}
+}
+
 // TestPoolPackIntoReusesBuffer verifies that PackInto reuses a buffer of
 // sufficient capacity and still produces the exact filter output.
 func TestPoolPackIntoReusesBuffer(t *testing.T) {

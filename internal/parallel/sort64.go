@@ -12,15 +12,10 @@ package parallel
 // histograms into per-(byte, worker) start offsets with an exclusive scan
 // in (byte, worker) order, and scatters the blocks in order, so keys with
 // equal bytes land exactly in their pre-pass order. Every pass is
-// therefore the same stable counting sort the serial loop performs, and
-// the output is identical at workers 1, 2, 8, ... Passes whose byte is
+// therefore the same stable counting sort at every block count, and the
+// output is identical at workers 1, 2, 8, ... Passes whose byte is
 // constant across all keys are skipped outright (for packed (qu, qv) keys
 // of a small quotient graph most of the eight passes skip).
-
-// sortGrain is the input size below which the radix passes run serially;
-// it matches the shared CompactCutoff so the whole stack switches to
-// parallel execution at one size.
-const sortGrain = CompactCutoff
 
 // SortUint64 sorts keys ascending in place. scratch must be nil or have
 // length >= len(keys); passing a reused buffer makes steady-state calls
@@ -64,111 +59,49 @@ func (p *Pool) SortPairs(workers int, keys []uint64, vals []uint32, keyScratch [
 // radixSort64 runs the shared LSD passes. vals may be nil (key-only sort).
 // The sorted sequence always ends up back in keys/vals: the pass parity is
 // tracked and a final parallel copy runs only when the ping-pong ended in
-// the scratch buffers.
+// the scratch buffers. One block (a small input) is the w = 1 case of the
+// same passes: its histogram is the byte totals, on the stack, and its
+// passes are plain calls rather than submitted closures.
 func radixSort64(p *Pool, workers int, keys, keyTmp []uint64, vals, valTmp []uint32) {
 	n := len(keys)
+	w := Blocks(workers, n)
+	var totals [256]int
+	var counts []int // w > 1: block k's histogram is counts[k*256 : (k+1)*256]
+	if w > 1 {
+		counts = make([]int, w*256)
+	}
 	srcK, dstK := keys, keyTmp
 	srcV, dstV := vals, valTmp
-	w := Workers(workers, n)
-	if w == 1 || n < sortGrain {
-		var count [256]int
-		for shift := uint(0); shift < 64; shift += 8 {
-			for b := range count {
-				count[b] = 0
-			}
-			for _, k := range srcK {
-				count[(k>>shift)&0xff]++
-			}
-			if count[(srcK[0]>>shift)&0xff] == n {
-				continue // every key shares this byte; the pass is a no-op
-			}
-			pos := 0
-			for b := 0; b < 256; b++ {
-				c := count[b]
-				count[b] = pos
-				pos += c
-			}
-			if srcV == nil {
-				for _, k := range srcK {
-					b := (k >> shift) & 0xff
-					dstK[count[b]] = k
-					count[b]++
-				}
-			} else {
-				for i, k := range srcK {
-					b := (k >> shift) & 0xff
-					j := count[b]
-					count[b]++
-					dstK[j] = k
-					dstV[j] = srcV[i]
-				}
-			}
-			srcK, dstK = dstK, srcK
-			srcV, dstV = dstV, srcV
-		}
-	} else {
-		counts := make([]int, w*256)
-		totals := make([]int, 256)
-		for shift := uint(0); shift < 64; shift += 8 {
-			sk := srcK
-			p.Run(w, func(k int) {
-				lo, hi := k*n/w, (k+1)*n/w
-				c := counts[k*256 : (k+1)*256]
-				for b := range c {
-					c[b] = 0
-				}
-				for _, key := range sk[lo:hi] {
-					c[(key>>shift)&0xff]++
-				}
+	for shift := uint(0); shift < 64; shift += 8 {
+		// Per-pass copies, which the block closures capture by value.
+		sk, sv, dk, dv, c := srcK, srcV, dstK, dstV, counts
+		if w == 1 {
+			countBytes(sk, shift, &totals)
+		} else {
+			p.ForBlocks(w, n, func(k, lo, hi int) {
+				countBytes(sk[lo:hi], shift, (*[256]int)(c[k*256:]))
 			})
-			for b := range totals {
-				totals[b] = 0
-			}
+			totals = [256]int{}
 			for k := 0; k < w; k++ {
-				c := counts[k*256 : (k+1)*256]
-				for b := 0; b < 256; b++ {
-					totals[b] += c[b]
+				for b, x := range c[k*256 : (k+1)*256] {
+					totals[b] += x
 				}
 			}
-			if totals[(sk[0]>>shift)&0xff] == n {
-				continue // same skip rule as the serial passes
-			}
-			// Exclusive scan in (byte, worker) order: counts[k*256+b]
-			// becomes the destination offset of worker k's first key
-			// carrying byte b.
-			pos := 0
-			for b := 0; b < 256; b++ {
-				for k := 0; k < w; k++ {
-					c := counts[k*256+b]
-					counts[k*256+b] = pos
-					pos += c
-				}
-			}
-			sv, dk, dv := srcV, dstK, dstV
-			p.Run(w, func(k int) {
-				lo, hi := k*n/w, (k+1)*n/w
-				c := counts[k*256 : (k+1)*256]
-				if sv == nil {
-					for i := lo; i < hi; i++ {
-						key := sk[i]
-						b := (key >> shift) & 0xff
-						dk[c[b]] = key
-						c[b]++
-					}
-				} else {
-					for i := lo; i < hi; i++ {
-						key := sk[i]
-						b := (key >> shift) & 0xff
-						j := c[b]
-						c[b]++
-						dk[j] = key
-						dv[j] = sv[i]
-					}
-				}
-			})
-			srcK, dstK = dstK, srcK
-			srcV, dstV = dstV, srcV
 		}
+		if totals[(sk[0]>>shift)&0xff] == n {
+			continue // every key shares this byte; the pass is a no-op
+		}
+		if w == 1 {
+			scanBytes(totals[:])
+			scatterBytes(sk, sv, dk, dv, 0, n, shift, &totals)
+		} else {
+			scanBytes(c)
+			p.ForBlocks(w, n, func(k, lo, hi int) {
+				scatterBytes(sk, sv, dk, dv, lo, hi, shift, (*[256]int)(c[k*256:]))
+			})
+		}
+		srcK, dstK = dstK, srcK
+		srcV, dstV = dstV, srcV
 	}
 	if &srcK[0] != &keys[0] {
 		p.ForRange(workers, n, func(lo, hi int) {
@@ -177,6 +110,53 @@ func radixSort64(p *Pool, workers int, keys, keyTmp []uint64, vals, valTmp []uin
 				copy(vals[lo:hi], srcV[lo:hi])
 			}
 		})
+	}
+}
+
+// countBytes clears c and counts the keys by their byte at shift.
+func countBytes(keys []uint64, shift uint, c *[256]int) {
+	*c = [256]int{}
+	shift &= 63 // tells the compiler the shift is below 64: no over-shift check per key
+	for _, key := range keys {
+		c[(key>>shift)&0xff]++
+	}
+}
+
+// scanBytes turns the block histograms, laid out block after block, into
+// destination offsets with an exclusive scan in (byte, block) order:
+// counts[k*256+b] becomes the position of block k's first key carrying
+// byte b.
+func scanBytes(counts []int) {
+	pos := 0
+	for b := 0; b < 256; b++ {
+		for i := b; i < len(counts); i += 256 {
+			c := counts[i]
+			counts[i] = pos
+			pos += c
+		}
+	}
+}
+
+// scatterBytes moves the keys of [lo, hi) (and their values, when vals is
+// non-nil) to their places by their byte at shift, in order, from the
+// block's offsets c.
+func scatterBytes(keys []uint64, vals []uint32, dstK []uint64, dstV []uint32, lo, hi int, shift uint, c *[256]int) {
+	shift &= 63 // as in countBytes
+	if vals == nil {
+		for _, key := range keys[lo:hi] {
+			b := (key >> shift) & 0xff
+			dstK[c[b]] = key
+			c[b]++
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		key := keys[i]
+		b := (key >> shift) & 0xff
+		j := c[b]
+		c[b]++
+		dstK[j] = key
+		dstV[j] = vals[i]
 	}
 }
 

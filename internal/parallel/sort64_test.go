@@ -63,7 +63,7 @@ func TestSortUint64MatchesStdlib(t *testing.T) {
 // move together, at workers 1/2/8.
 func TestSortPairsStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 2, 100, sortGrain - 1, sortGrain * 3} {
+	for _, n := range []int{1, 2, 100, serialCutoff - 1, serialCutoff * 3} {
 		keys := make([]uint64, n)
 		for i := range keys {
 			keys[i] = uint64(rng.Intn(9)) << 40 // few distinct keys -> long equal runs
@@ -97,7 +97,7 @@ func TestSortPairsStable(t *testing.T) {
 // but still-sorted permutation of payloads).
 func TestSortPairsWorkerIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	n := sortGrain * 2
+	n := serialCutoff * 2
 	keys := make([]uint64, n)
 	for i := range keys {
 		keys[i] = uint64(rng.Intn(64)) << 32

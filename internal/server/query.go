@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"mpx/internal/oracle"
+	"mpx/internal/parallel"
 )
 
 // queryRequest is the POST .../query body as encoding/json reads it: the
@@ -66,14 +67,6 @@ type queryScratch struct {
 }
 
 var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
-
-// grow returns s resized to n, reusing its memory when it fits.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
 
 // handleQuery serves POST /v1/graphs/{fp}/query against a previously
 // built hierarchy. Queries are pure reads on immutable oracles — no
@@ -138,7 +131,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, fp uint64) 
 		}
 		resp.Count = len(pairs)
 		if bt.wdist != nil {
-			out := grow(sc.wdists, len(pairs))
+			out := parallel.Grow(sc.wdists, len(pairs))
 			sc.wdists = out
 			bt.wdist.DistBatch(pairs, out)
 			h := fnvOffset
@@ -148,7 +141,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, fp uint64) 
 			resp.WDists = out
 			resp.Checksum = fpHex(h)
 		} else {
-			out := grow(sc.dists, len(pairs))
+			out := parallel.Grow(sc.dists, len(pairs))
 			sc.dists = out
 			bt.dist.DistBatch(pairs, out)
 			h := fnvOffset
@@ -179,7 +172,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, fp uint64) 
 				return
 			}
 		}
-		out := grow(sc.clusters, len(req.Verts))
+		out := parallel.Grow(sc.clusters, len(req.Verts))
 		sc.clusters = out
 		bt.member.ClusterBatch(level, req.Verts, out)
 		h := fnvOffset
@@ -198,7 +191,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, fp uint64) 
 		if !ok {
 			return
 		}
-		out := grow(sc.same, len(pairs))
+		out := parallel.Grow(sc.same, len(pairs))
 		sc.same = out
 		bt.member.SameClusterBatch(level, pairs, out)
 		h := fnvOffset
