@@ -156,50 +156,67 @@ func BenchmarkE23RebuildBaseline(b *testing.B) {
 	b.ReportMetric(float64(levels), "levels")
 }
 
-// e23ClearedSlack is what the E23 cleared-update gate allows per op beyond
-// the new CSR: the batch's canonical and arc-edit slices, the staged
-// level and stat arrays, and the pool closures — O(batch + levels) bytes.
+// e23ClearedSlack is what a cleared update may allocate: the batch's
+// canonical and arc-edit slices, the overlay of its edited rows, the
+// staged level and stat arrays, and the pool closures — O(batch + levels)
+// bytes, far below one copy of the graph's CSR.
 const e23ClearedSlack = 128 << 10
 
-// BenchmarkE23ClearedUpdate gates the cleared op of perfbench's
-// update-query workload, on the same graph: PA(100k, 4), the
-// preferential-attachment graph, with β = 0.2. The batch is one
+// clearedUpdates is the cleared op of perfbench's update-query workload on
+// the preferential-attachment graph PA(n, 4) with β = 0.2: one
 // friend-of-friend edge that passes level 0's UnchangedUnder, inserted and
-// deleted in turn, so no level re-derives. Each op runs
-// Incremental.UpdateCtx plus oracle.NewMembership, the refresh a query
-// server runs after every update. Such an op must cost one copy of the new
-// CSR — 8(n+1) bytes of offsets and 8m of adjacency — and O(batch) more.
-// The run fails if bytes/op exceed that by more than e23ClearedSlack, so
-// an O(n) rebuild of a tree segment or of a cluster map fails it.
-func BenchmarkE23ClearedUpdate(b *testing.B) {
-	const n, k, seed, beta = 100000, 4, 0x5eed, 0.2
+// deleted in turn through Incremental.UpdateCtx, so no level re-derives,
+// then oracle.NewMembership, the refresh a query server runs after every
+// update. It returns the graph's CSR size, 8(n+1) + 8m bytes, and op,
+// which runs the i-th update; one insert/delete pair has run already, so
+// the first NewMembership has composed the cluster maps. check runs after
+// the ops, and fails if the oracle and the tree disagree on the level
+// count.
+func clearedUpdates(tb testing.TB, n int) (csr int64, op func(i int), check func()) {
+	const k, seed, beta = 4, 0x5eed, 0.2
 	g := graph.PreferentialAttachment(n, k, seed)
 	inc, err := lowstretch.BuildIncrementalPoolCtx(nil, benchPool, g, beta, seed, 0, core.DirectionAuto)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	// Level 0's decomposition, derived as the hierarchy derives it.
 	d0, err := core.Partition(g, beta, core.Options{Seed: xrand.Mix(seed, 0), Pool: benchPool})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	e := clearingFoFEdge(b, g, d0)
+	e := clearingFoFEdge(tb, g, d0)
 	batches := [2]graph.Batch{{Insert: []graph.Edge{e}}, {Delete: []graph.Edge{e}}}
 	var mo *oracle.MembershipOracle
-	op := func(i int) {
+	op = func(i int) {
 		us, err := inc.UpdateCtx(nil, batches[i%2])
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if us.Rederived != 0 {
-			b.Fatalf("op %d on %v re-derived: %+v", i, e, us)
+			tb.Fatalf("op %d on %v re-derived: %+v", i, e, us)
 		}
 		mo = oracle.NewMembership(inc.Hierarchy(), benchPool, 0)
 	}
-	// One warm-up insert/delete pair: the first NewMembership composes the
-	// cluster maps, once.
 	op(0)
 	op(1)
+	check = func() {
+		if mo.Levels() != inc.Tree().Levels {
+			tb.Fatalf("membership oracle has %d levels, tree %d", mo.Levels(), inc.Tree().Levels)
+		}
+	}
+	return 8*int64(g.NumVertices()+1) + 8*g.NumEdges(), op, check
+}
+
+// BenchmarkE23ClearedUpdate gates the cleared op of perfbench's
+// update-query workload (clearedUpdates) on its own graph, PA(100k, 4).
+// ApplyBatch leaves the update's graph as an overlay of the old CSR, and
+// nothing in a cleared op splices it, so an op allocates O(batch) bytes:
+// the run fails if bytes/op exceed e23ClearedSlack, so a copy of the CSR
+// (reported as csr-bytes) or an O(n) rebuild of a tree segment or of a
+// cluster map fails it. TestClearedUpdateAllocs
+// holds the same gate over 500 ops on a smaller graph.
+func BenchmarkE23ClearedUpdate(b *testing.B) {
+	csr, op, check := clearedUpdates(b, 100000)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
@@ -209,16 +226,36 @@ func BenchmarkE23ClearedUpdate(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	if mo.Levels() != inc.Tree().Levels {
-		b.Fatalf("membership oracle has %d levels, tree %d", mo.Levels(), inc.Tree().Levels)
-	}
+	check()
 	bytesPerOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N)
-	csr := 8*int64(g.NumVertices()+1) + 8*g.NumEdges()
 	b.ReportMetric(bytesPerOp, "bytes/update")
 	b.ReportMetric(float64(csr), "csr-bytes")
-	if bytesPerOp > float64(csr+e23ClearedSlack) {
-		b.Fatalf("a cleared update allocates %.0f bytes (gate: the %d-byte CSR + %d): an O(n) per-op rebuild is back",
-			bytesPerOp, csr, e23ClearedSlack)
+	if bytesPerOp > e23ClearedSlack {
+		b.Fatalf("a cleared update allocates %.0f bytes (gate %d): a CSR copy or an O(n) per-op rebuild is back",
+			bytesPerOp, e23ClearedSlack)
+	}
+}
+
+// TestClearedUpdateAllocs is the tier-1 form of BenchmarkE23ClearedUpdate's
+// gate, which CI runs at one iteration: 500 cleared ops in a row on
+// PA(20000, 4), whose CSR (about 800 KB) is six times the slack, with
+// TotalAlloc per op held under e23ClearedSlack. It also fails if an op's
+// cost grows with the ops before it, as a never-shrinking overlay would.
+func TestClearedUpdateAllocs(t *testing.T) {
+	const ops = 500
+	csr, op, check := clearedUpdates(t, 20000)
+	if csr <= e23ClearedSlack {
+		t.Fatalf("the %d-byte CSR fits in the slack: a copy per op would pass", csr)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < ops; i++ {
+		op(i)
+	}
+	runtime.ReadMemStats(&after)
+	check()
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / ops; perOp > e23ClearedSlack {
+		t.Fatalf("a cleared update allocates %d bytes (gate %d)", perOp, e23ClearedSlack)
 	}
 }
 
@@ -226,8 +263,8 @@ func BenchmarkE23ClearedUpdate(b *testing.B) {
 // neighbour v of u, a neighbour w of v — until one is absent from g and
 // passes d0's UnchangedUnder. Inserting it leaves d0 as it is, so it is
 // not a tree edge and deleting it again passes too.
-func clearingFoFEdge(b *testing.B, g *graph.Graph, d0 *core.Decomposition) graph.Edge {
-	b.Helper()
+func clearingFoFEdge(tb testing.TB, g *graph.Graph, d0 *core.Decomposition) graph.Edge {
+	tb.Helper()
 	rng := xrand.NewSplitMix64(0xf0f)
 	n := g.NumVertices()
 	for try := 0; try < 1000000; try++ {
@@ -246,6 +283,6 @@ func clearingFoFEdge(b *testing.B, g *graph.Graph, d0 *core.Decomposition) graph
 			return e
 		}
 	}
-	b.Fatal("no clearing friend-of-friend edge found")
+	tb.Fatal("no clearing friend-of-friend edge found")
 	return graph.Edge{}
 }

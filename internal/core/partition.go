@@ -293,7 +293,9 @@ func runRound(g *graph.Graph, frontier, bucket []uint32, claim []uint64,
 	sc.ensure(w)
 	bufs := sc.claimBufs[:w]
 	arcs := sc.arcs[:w]
-	offsets := g.Offsets()
+	// Rows are read from the raw arrays: Neighbors on a graph ApplyBatch
+	// returned is a call per row, even once its flat CSR exists.
+	offsets, adj := g.Offsets(), g.Adjacency()
 	pool := opts.Pool
 	nf, nb := len(frontier), len(bucket)
 	pool.Run(w, func(k int) {
@@ -317,7 +319,7 @@ func runRound(g *graph.Graph, frontier, bucket []uint32, claim []uint64,
 		for i := flo; i < fhi; i++ {
 			v := frontier[i]
 			p := packed(center[v])
-			for _, u := range g.Neighbors(v) {
+			for _, u := range adj[offsets[v]:offsets[v+1]] {
 				local++
 				if level[u] != -1 {
 					continue
@@ -371,7 +373,7 @@ func runRoundPull(g *graph.Graph, plan *shiftPlan, claim []uint64,
 	claimedBufs := sc.claimBufs[:w]
 	openBufs := sc.openBufs[:w]
 	arcs := sc.arcs[:w]
-	offsets := g.Offsets()
+	offsets, adj := g.Offsets(), g.Adjacency() // raw rows, as in runRound
 	pool := opts.Pool
 	pool.ForBlocks(w, nc, func(k, lo, hi int) {
 		claimedBuf := claimedBufs[k][:0]
@@ -384,7 +386,7 @@ func runRoundPull(g *graph.Graph, plan *shiftPlan, claim []uint64,
 				best = packed(u)
 			}
 			if scanNeighbors {
-				for _, v := range g.Neighbors(u) {
+				for _, v := range adj[offsets[u]:offsets[u+1]] {
 					local++
 					if level[v] != prev {
 						continue // not a current-frontier member

@@ -107,16 +107,31 @@ func canonBatch(n int, edges []Edge, weights []float64, op editOp) ([]arcEdit, e
 // ApplyBatch applies b to g (deletes first, then inserts) and returns the
 // updated graph together with the effective changes: the canonical edges
 // actually removed and added (no-op entries dropped) and the sorted set of
-// vertices whose adjacency changed. The input graph must be simple
-// (deduplicated adjacency, as built by FromEdgesDedup or the generators);
-// the result is then bit-identical to FromEdgesDedup over the updated edge
-// list. g is not modified.
+// vertices whose adjacency changed. g is not modified and stays valid.
+//
+// The result is persistent: it shares g's CSR and holds only the rows the
+// batch (and the batches g itself came from) rewrote, so the call costs
+// O(batch + overlay), not O(n + m). Its accessors read through those rows;
+// Offsets, Adjacency and the package's raw-array kernels splice its flat
+// CSR once, on first use (overlay.go). A batch that would grow the overlay
+// past a fixed share of the graph returns the spliced graph directly.
+//
+// On a simple input (deduplicated adjacency, as built by FromEdgesDedup or
+// the generators) the result is bit-identical to FromEdgesDedup over the
+// updated edge list. A multigraph input (FromEdges keeps parallel edges,
+// and so do ReadEdgeList and ReadBinary) is updated copy by copy: a delete
+// removes one copy of its edge, however often the batch lists it, and an
+// insert of an edge with a copy present is a no-op. The result is then
+// FromEdges over the updated edge multiset.
 func ApplyBatch(g *Graph, b Batch) (*Graph, ApplyResult, error) {
-	out, res, err := applyBatch(g.NumVertices(), g.offsets, g.adj, nil, b)
+	base, over := g.layers()
+	v := csrView{offsets: base.offsets, adj: base.adj, over: over}
+	edits, res, err := v.batchEdits(g.NumVertices(), b)
 	if err != nil {
 		return nil, ApplyResult{}, err
 	}
-	return &Graph{offsets: out.offsets, adj: out.adj}, res, nil
+	arcs := g.NumArcs() + 2*int64(len(res.Inserted)-len(res.Deleted))
+	return withRows(base, v.apply(edits), arcs), res, nil
 }
 
 // ApplyResult reports what an ApplyBatch call actually changed.
@@ -143,7 +158,9 @@ func (r ApplyResult) Unchanged() bool {
 // align with Batch.Insert and carry positive weights. Inserting an existing
 // edge updates its weight (reported in ApplyResult.Reweighted when the bits
 // change); the result is bit-identical to FromWeightedEdges over the
-// updated weighted edge list.
+// updated weighted edge list. Unlike ApplyBatch, it returns a freshly
+// spliced CSR: every effective weighted change re-derives a hierarchy from
+// level 0, which reads the whole graph anyway.
 func ApplyBatchWeighted(g *WeightedGraph, b Batch) (*WeightedGraph, ApplyResult, error) {
 	if b.InsertW == nil && len(b.Insert) > 0 {
 		return nil, ApplyResult{}, fmt.Errorf("graph: weighted batch requires InsertW weights for its %d inserts", len(b.Insert))
@@ -152,28 +169,58 @@ func ApplyBatchWeighted(g *WeightedGraph, b Batch) (*WeightedGraph, ApplyResult,
 	if weights == nil {
 		weights = []float64{} // an edgeless graph; nil would select the unweighted merge
 	}
-	out, res, err := applyBatch(g.NumVertices(), g.offsets, g.adj, weights, b)
+	v := csrView{offsets: g.offsets, adj: g.adj, weights: weights}
+	edits, res, err := v.batchEdits(g.NumVertices(), b)
 	if err != nil {
 		return nil, ApplyResult{}, err
 	}
+	rows := v.apply(edits)
+	out := splice(g.offsets, g.adj, weights, &rows)
 	return &WeightedGraph{offsets: out.offsets, adj: out.adj, weights: out.weights}, res, nil
 }
 
-// applyBatch is the body of ApplyBatch and ApplyBatchWeighted over the raw
-// CSR arrays of an n-vertex graph; weights is nil for unweighted graphs,
-// which ignore Batch.InsertW and treat inserting a present edge as a no-op.
-func applyBatch(n int, offsets []int64, adj []uint32, weights []float64, b Batch) (csrBuf, ApplyResult, error) {
+// csrView is a graph as a batch reads and edits it: the flat CSR
+// (offsets, adj, weights) with the rows of over replaced. weights is nil
+// for unweighted graphs, which ignore Batch.InsertW and treat inserting a
+// present edge as a no-op; over is nil on a flat graph, and always on a
+// weighted one.
+type csrView struct {
+	offsets []int64
+	adj     []uint32
+	weights []float64
+	over    *rowSet
+}
+
+// row returns the neighbours of u as v has them, with their weights on a
+// weighted graph.
+func (v *csrView) row(u uint32) ([]uint32, []float64) {
+	if v.over != nil {
+		if i, ok := slices.BinarySearch(v.over.ids, u); ok {
+			return v.over.row(i), nil
+		}
+	}
+	a, b := v.offsets[u], v.offsets[u+1]
+	if v.weights == nil {
+		return v.adj[a:b], nil
+	}
+	return v.adj[a:b], v.weights[a:b]
+}
+
+// batchEdits canonicalizes b against the n-vertex graph v and returns its
+// effective arc edits, sorted by (row, neighbour), with the ApplyResult
+// that reports them.
+func (v *csrView) batchEdits(n int, b Batch) ([]arcEdit, ApplyResult, error) {
 	var insW []float64
-	if weights != nil {
+	if v.weights != nil {
 		insW = b.InsertW
 	}
 	ins, err := canonBatch(n, b.Insert, insW, opAdd)
 	if err != nil {
-		return csrBuf{}, ApplyResult{}, err
+		return nil, ApplyResult{}, err
 	}
 	del, err := canonBatch(n, b.Delete, nil, opDelete)
 	if err != nil {
-		return csrBuf{}, ApplyResult{}, err
+		return nil, ApplyResult{}, err
 	}
 	var res ApplyResult
 	edits := make([]arcEdit, 0, 2*(len(del)+len(ins)))
@@ -181,16 +228,18 @@ func applyBatch(n int, offsets []int64, adj []uint32, weights []float64, b Batch
 		if _, ok := slices.BinarySearchFunc(ins, e, cmpArc); ok {
 			continue // delete-then-insert of the same edge: net no-op
 		}
-		if _, ok := slices.BinarySearch(adj[offsets[e.U]:offsets[e.U+1]], e.V); !ok {
+		nb, _ := v.row(e.U)
+		if _, ok := slices.BinarySearch(nb, e.V); !ok {
 			continue // absent: no-op
 		}
 		edits = append(edits, e, e.reverse())
 		res.Deleted = append(res.Deleted, e.Edge)
 	}
 	for _, e := range ins {
-		if j, ok := slices.BinarySearch(adj[offsets[e.U]:offsets[e.U+1]], e.V); !ok {
+		nb, ws := v.row(e.U)
+		if j, ok := slices.BinarySearch(nb, e.V); !ok {
 			res.Inserted = append(res.Inserted, e.Edge)
-		} else if weights == nil || math.Float64bits(weights[offsets[e.U]+int64(j)]) == math.Float64bits(e.w) {
+		} else if ws == nil || math.Float64bits(ws[j]) == math.Float64bits(e.w) {
 			continue // present (unweighted) or same weight bits: exact no-op
 		} else {
 			e.op = opReweight
@@ -206,107 +255,111 @@ func applyBatch(n int, offsets []int64, adj []uint32, weights []float64, b Batch
 			res.Dirty = append(res.Dirty, e.U)
 		}
 	}
-	return rebuildCSR(offsets, adj, weights, edits), res, nil
+	return edits, res, nil
 }
 
-type csrBuf struct {
-	offsets []int64
-	adj     []uint32
-	weights []float64
-}
-
-// rebuildCSR applies the arc edits, sorted by (row, neighbor), to a fresh
-// CSR; weights is nil for unweighted graphs. The rows between two edited
-// rows are untouched, so each such run moves with one copy of adj (and of
-// weights), and its offsets are the old ones shifted by the degree change
-// of the edited rows before it. Only edited rows merge with their run of
-// edits: beyond the copies, the work is O(batch).
-func rebuildCSR(offsets []int64, adj []uint32, weights []float64, edits []arcEdit) csrBuf {
-	n := len(offsets) - 1
-	if n < 0 {
-		n, offsets = 0, []int64{0} // the zero-value graph
+// apply returns the rows of the graph v becomes under edits, arc edits
+// sorted by (row, neighbour): each edited row merged with its run of
+// edits, and every row of v.over the edits left alone. A merged overlay
+// row equal to its base row again — the batch undid an earlier one — is
+// dropped, so an overlay shrinks when an insert is undone.
+func (v *csrView) apply(edits []arcEdit) rowSet {
+	var over rowSet
+	if v.over != nil {
+		over = *v.over
 	}
-	var shift int64
-	for _, e := range edits {
-		shift += int64(e.op)
+	// Capacity: every carried row, plus every edited row at its old length
+	// and its adds (a row both carried and edited counts twice).
+	rows, arcs := len(over.ids), len(over.adj)
+	for i, e := range edits {
+		if i == 0 || edits[i-1].U != e.U {
+			nb, _ := v.row(e.U)
+			rows++
+			arcs += len(nb)
+		}
+		if e.op == opAdd {
+			arcs++
+		}
 	}
-	newOffsets := make([]int64, n+1)
-	newAdj := make([]uint32, offsets[n]+shift)
-	var newW []float64
-	if weights != nil {
-		newW = make([]float64, len(newAdj))
+	s := rowSet{ids: make([]uint32, 0, rows), off: make([]int64, 1, rows+1), adj: make([]uint32, 0, arcs)}
+	if v.weights != nil {
+		s.w = make([]float64, 0, arcs)
 	}
-	shift = 0
-	lo := 0 // first row of the current untouched run
-	for {
-		hi := n // the run ends at the next edited row, or after the last row
-		if len(edits) > 0 {
-			hi = int(edits[0].U)
+	// carry copies over's rows with ids below the bound into s; c is the
+	// next one.
+	c := 0
+	carry := func(below int64) {
+		for ; c < len(over.ids) && int64(over.ids[c]) < below; c++ {
+			s.ids = append(s.ids, over.ids[c])
+			s.adj = append(s.adj, over.row(c)...)
+			s.off = append(s.off, int64(len(s.adj)))
 		}
-		a, b := offsets[lo], offsets[hi]
-		copy(newAdj[a+shift:b+shift], adj[a:b])
-		if weights != nil {
-			copy(newW[a+shift:b+shift], weights[a:b])
+	}
+	for len(edits) > 0 {
+		u := edits[0].U
+		k := 1 // edits[:k] is row u's run of edits
+		for k < len(edits) && edits[k].U == u {
+			k++
 		}
-		for v := lo + 1; v <= hi; v++ {
-			newOffsets[v] = offsets[v] + shift
+		carry(int64(u))
+		src, srcW := v.row(u)
+		overlaid := c < len(over.ids) && over.ids[c] == u
+		if overlaid {
+			c++
 		}
-		if len(edits) == 0 {
-			break
+		start := len(s.adj)
+		s.mergeRow(src, srcW, edits[:k], v.weights != nil)
+		if overlaid && slices.Equal(s.adj[start:], v.adj[v.offsets[u]:v.offsets[u+1]]) {
+			s.adj = s.adj[:start]
+		} else {
+			s.ids = append(s.ids, u)
+			s.off = append(s.off, int64(len(s.adj)))
 		}
-		v := hi
-		k := 0 // edits[:k] is row v's run of edits
-		for ; k < len(edits) && int(edits[k].U) == v; k++ {
-			shift += int64(edits[k].op)
-		}
-		run := edits[:k]
 		edits = edits[k:]
-		newOffsets[v+1] = offsets[v+1] + shift
-		lo = v + 1
-		src := adj[offsets[v]:offsets[v+1]]
-		dst := newAdj[newOffsets[v]:newOffsets[v+1]]
-		var srcW, dstW []float64
-		if weights != nil {
-			srcW = weights[offsets[v]:offsets[v+1]]
-			dstW = newW[newOffsets[v]:newOffsets[v+1]]
-		}
-		o := 0
-		put := func(u uint32, w float64) {
-			dst[o] = u
-			if weights != nil {
-				dstW[o] = w
-			}
-			o++
-		}
-		// The old row and its run are both sorted by neighbor: adds slot
-		// in between the old arcs, and an edit naming an old arc deletes
-		// it or rewrites its weight.
-		for i, u := range src {
-			for ; len(run) > 0 && run[0].V < u; run = run[1:] {
-				put(run[0].V, run[0].w)
-			}
-			var w float64
-			if weights != nil {
-				w = srcW[i]
-			}
-			if len(run) > 0 && run[0].V == u {
-				e := run[0]
-				run = run[1:]
-				if e.op == opDelete {
-					continue
-				}
-				w = e.w
-			}
-			put(u, w)
-		}
-		for _, e := range run {
-			put(e.V, e.w)
-		}
-		if o != len(dst) {
-			panic("graph: batch edit merge produced inconsistent degree")
+	}
+	carry(math.MaxInt64)
+	return s
+}
+
+// mergeRow appends to s the row src (with weights srcW when weighted)
+// merged with run, its arc edits. Both are sorted by neighbour: adds slot
+// in between the old arcs, and an edit naming an old arc deletes it or
+// rewrites its weight.
+func (s *rowSet) mergeRow(src []uint32, srcW []float64, run []arcEdit, weighted bool) {
+	want := len(s.adj) + len(src)
+	for _, e := range run {
+		want += int(e.op)
+	}
+	put := func(u uint32, w float64) {
+		s.adj = append(s.adj, u)
+		if weighted {
+			s.w = append(s.w, w)
 		}
 	}
-	return csrBuf{offsets: newOffsets, adj: newAdj, weights: newW}
+	for i, u := range src {
+		for ; len(run) > 0 && run[0].V < u; run = run[1:] {
+			put(run[0].V, run[0].w)
+		}
+		var w float64
+		if weighted {
+			w = srcW[i]
+		}
+		if len(run) > 0 && run[0].V == u {
+			e := run[0]
+			run = run[1:]
+			if e.op == opDelete {
+				continue
+			}
+			w = e.w
+		}
+		put(u, w)
+	}
+	for _, e := range run {
+		put(e.V, e.w)
+	}
+	if len(s.adj) != want {
+		panic("graph: batch edit merge produced inconsistent degree")
+	}
 }
 
 // DiffCSR compares two graphs on the same vertex set and returns the

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"mpx/internal/xrand"
@@ -489,6 +490,62 @@ func TestInducedSubgraphEdgeCases(t *testing.T) {
 	}
 }
 
+// TestApplyBatchMultigraph pins ApplyBatch on a multigraph, the input
+// FromEdges, ReadEdgeList and ReadBinary build and `mpx -in FILE -updates`
+// passes on: a chain of batches must give FromEdges of the expected edge
+// multiset at every step. The 200-vertex graph keeps its edges on vertices
+// 0-3, so each step's result stays an overlay of the one before it.
+func TestApplyBatchMultigraph(t *testing.T) {
+	const n = 200
+	g, err := FromEdges(n, []Edge{{0, 1}, {0, 1}, {1, 2}, {2, 3}, {3, 0}, {1, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest := []Edge{{1, 2}, {2, 3}, {3, 0}, {1, 3}}
+	steps := []struct {
+		name     string
+		b        Batch
+		ins, del int
+		want     []Edge
+	}{
+		{"delete and insert of one edge in one batch", Batch{Insert: []Edge{{0, 1}}, Delete: []Edge{{0, 1}}}, 0, 0,
+			append([]Edge{{0, 1}, {0, 1}}, rest...)},
+		{"insert of a present edge", Batch{Insert: []Edge{{1, 0}}}, 0, 0,
+			append([]Edge{{0, 1}, {0, 1}}, rest...)},
+		{"a delete listed twice removes one copy", Batch{Delete: []Edge{{1, 0}, {0, 1}}}, 0, 1,
+			append([]Edge{{0, 1}}, rest...)},
+		{"a second delete removes the last copy", Batch{Delete: []Edge{{0, 1}}}, 0, 1,
+			rest},
+		{"insert", Batch{Insert: []Edge{{0, 1}, {0, 2}}}, 2, 0,
+			append([]Edge{{0, 1}, {0, 2}}, rest...)},
+		{"delete of a simple edge", Batch{Delete: []Edge{{0, 1}, {3, 1}}}, 0, 2,
+			[]Edge{{0, 2}, {1, 2}, {2, 3}, {3, 0}}},
+	}
+	cur := g
+	for _, st := range steps {
+		got, res, err := ApplyBatch(cur, st.b)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if len(res.Inserted) != st.ins || len(res.Deleted) != st.del {
+			t.Fatalf("%s: +%d/-%d, want +%d/-%d", st.name, len(res.Inserted), len(res.Deleted), st.ins, st.del)
+		}
+		ref, err := FromEdges(n, st.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkReads(t, st.name, got, ref)
+		twin, _, err := ApplyBatch(cur, st.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !graphsEqual(twin, ref) {
+			t.Fatalf("%s: CSR differs from FromEdges of the expected multiset", st.name)
+		}
+		cur = got
+	}
+}
+
 // TestApplyBatchAllocs gates ApplyBatch's allocations on 500-edge batches
 // of a 350×300 grid and on a one-edge insert. A batch costs its canonical
 // and edit slices, the result lists and the new CSR, independent of the
@@ -553,21 +610,35 @@ func TestApplyBatchAllocs(t *testing.T) {
 	}
 }
 
-// FuzzApplyBatch applies fuzzer-chosen batches to a small random graph,
-// unweighted and weighted, and checks both against a from-scratch
-// rebuild. Each 3-byte record of ops is one batch entry: the low bit of
-// its first byte picks delete or insert, the rest of that byte the
-// insert's weight, and the next two bytes its endpoints modulo n, so self
-// loops, duplicates, deletes of absent edges, inserts of present edges
-// and delete-then-insert pairs all occur. The graph's weights and the
-// insert weights share the lattice k/4, so a weighted upsert can repeat
-// an edge's weight bits exactly.
+// FuzzApplyBatch applies fuzzer-chosen batches to a random graph on up to
+// 128 vertices, unweighted and weighted, and checks both against a
+// from-scratch rebuild. Each 3-byte record of ops is one batch entry: the
+// low bit of its first byte picks delete or insert, the rest of that byte
+// the insert's weight, and the next two bytes its endpoints modulo n, so
+// self loops, duplicates, deletes of absent edges, inserts of present
+// edges and delete-then-insert pairs all occur. The graph's weights and
+// the insert weights share the lattice k/4, so a weighted upsert can
+// repeat an edge's weight bits exactly.
+//
+// The weighted arm applies the records as one batch. The unweighted arm
+// splits them into 1 + seed>>62 consecutive batches and applies them in
+// sequence, so overlays stack, shrink when a later batch undoes an
+// insert, and cross the splice bound (checkChainStep).
 func FuzzApplyBatch(f *testing.F) {
 	f.Add(uint8(10), uint8(20), uint64(1), []byte{0, 1, 2, 1, 1, 2, 0, 3, 3, 2, 1, 2})
 	f.Add(uint8(4), uint8(15), uint64(2), []byte{2, 0, 5, 5, 5, 0, 1, 0, 5, 6, 0, 5, 1, 4, 4})
 	f.Add(uint8(0), uint8(0), uint64(3), []byte{})
+	// Four batches on GNM(102, 100): a four-row overlay; the undo of one
+	// of its edges, which shrinks it to the two carried rows; an insert
+	// on the spliced twin; and three inserts that pass the splice bound.
+	f.Add(uint8(100), uint8(100), uint64(3<<62|5), []byte{
+		0, 3, 40, 0, 5, 77, 0, 3, 40,
+		1, 3, 40, 1, 50, 51, 0, 5, 77,
+		0, 11, 60, 0, 11, 60, 0, 11, 60,
+		0, 13, 62, 0, 14, 63, 0, 15, 64,
+	})
 	f.Fuzz(func(t *testing.T, nb, mb uint8, seed uint64, ops []byte) {
-		n := 2 + int(nb%15)
+		n := 2 + int(nb)%127
 		g := GNM(n, int64(mb)%(int64(n)*int64(n-1)/2+1), seed)
 		var wes []WeightedEdge
 		for i, e := range g.Edges() {
@@ -578,7 +649,9 @@ func FuzzApplyBatch(f *testing.F) {
 			t.Fatal(err)
 		}
 		var b Batch
+		var starts []int // the first Insert and Delete index of each record
 		for ; len(ops) >= 3; ops = ops[3:] {
+			starts = append(starts, len(b.Insert), len(b.Delete))
 			e := Edge{U: uint32(int(ops[1]) % n), V: uint32(int(ops[2]) % n)}
 			if ops[0]&1 == 1 {
 				b.Delete = append(b.Delete, e)
@@ -587,7 +660,84 @@ func FuzzApplyBatch(f *testing.F) {
 			b.Insert = append(b.Insert, e)
 			b.InsertW = append(b.InsertW, float64(1+ops[0]>>1)/4)
 		}
-		checkApplyBatch(t, "unweighted", g, b)
 		checkApplyBatchWeighted(t, "weighted", wg, b)
+
+		recs := len(starts) / 2
+		starts = append(starts, len(b.Insert), len(b.Delete))
+		k := 1 + int(seed>>62)
+		cur, want := g, edgeSet(g)
+		for i := 0; i < k; i++ {
+			lo, hi := i*recs/k, (i+1)*recs/k
+			step := Batch{
+				Insert: b.Insert[starts[2*lo]:starts[2*hi]],
+				Delete: b.Delete[starts[2*lo+1]:starts[2*hi+1]],
+			}
+			// Odd steps go on from a spliced twin of their result, even
+			// steps from the result itself, unspliced.
+			cur = checkChainStep(t, fmt.Sprintf("unweighted batch %d/%d", i+1, k), cur, step, want, i%2 == 1)
+		}
 	})
+}
+
+// checkChainStep applies b to g, whose canonical edge set is want, and
+// updates want to the expected result. The result must read, through
+// NumEdges, Degree, Neighbors and HasEdge over every pair, exactly as the
+// FromEdgesDedup rebuild of want does, before anything splices it; a twin
+// from the same call must then show the rebuild's Offsets, Adjacency and
+// Fingerprint. It returns the twin when spliced is set, else the result.
+func checkChainStep(t *testing.T, tag string, g *Graph, b Batch, want map[uint64]bool, spliced bool) *Graph {
+	t.Helper()
+	got, _, err := ApplyBatch(g, b)
+	if err != nil {
+		t.Fatalf("%s: ApplyBatch: %v", tag, err)
+	}
+	for _, e := range b.Delete {
+		delete(want, edgeKey(Edge{U: min(e.U, e.V), V: max(e.U, e.V)}))
+	}
+	for _, e := range b.Insert {
+		if e.U != e.V {
+			want[edgeKey(Edge{U: min(e.U, e.V), V: max(e.U, e.V)})] = true
+		}
+	}
+	edges := make([]Edge, 0, len(want))
+	for k := range want {
+		edges = append(edges, Edge{U: uint32(k >> 32), V: uint32(k)})
+	}
+	ref, err := FromEdgesDedup(g.NumVertices(), edges)
+	if err != nil {
+		t.Fatalf("%s: reference rebuild: %v", tag, err)
+	}
+	checkReads(t, tag, got, ref)
+	twin, _, err := ApplyBatch(g, b)
+	if err != nil {
+		t.Fatalf("%s: second ApplyBatch: %v", tag, err)
+	}
+	if !graphsEqual(twin, ref) || twin.Fingerprint() != ref.Fingerprint() {
+		t.Fatalf("%s: spliced CSR differs from the FromEdgesDedup rebuild", tag)
+	}
+	if spliced {
+		return twin
+	}
+	return got
+}
+
+// checkReads requires every accessor that reads through an overlay to
+// answer on got as on ref: NumVertices, NumEdges, Degree and Neighbors per
+// vertex, and HasEdge over every pair.
+func checkReads(t *testing.T, tag string, got, ref *Graph) {
+	t.Helper()
+	n := ref.NumVertices()
+	if got.NumVertices() != n || got.NumEdges() != ref.NumEdges() {
+		t.Fatalf("%s: n=%d m=%d, want n=%d m=%d", tag, got.NumVertices(), got.NumEdges(), n, ref.NumEdges())
+	}
+	for v := uint32(0); v < uint32(n); v++ {
+		if got.Degree(v) != ref.Degree(v) || !slices.Equal(got.Neighbors(v), ref.Neighbors(v)) {
+			t.Fatalf("%s: row %d = %v (degree %d), want %v", tag, v, got.Neighbors(v), got.Degree(v), ref.Neighbors(v))
+		}
+		for u := uint32(0); u < uint32(n); u++ {
+			if got.HasEdge(u, v) != ref.HasEdge(u, v) {
+				t.Fatalf("%s: HasEdge(%d, %d) = %v", tag, u, v, got.HasEdge(u, v))
+			}
+		}
+	}
 }

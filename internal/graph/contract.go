@@ -103,7 +103,7 @@ func contractPool(pool *parallel.Pool, workers int, g *Graph, weights []float64,
 		return nil, nil, nil, err
 	}
 
-	keys := collectCutArcs(pool, workers, g.offsets, g.adj, weights, label, quot, sc)
+	keys := collectCutArcs(pool, workers, g.Offsets(), g.Adjacency(), weights, label, quot, sc)
 	c := len(keys)
 	sc.CutArcs = int64(c)
 	sc.arcTmp = parallel.Grow(sc.arcTmp, c)
@@ -147,7 +147,7 @@ func cutSubgraphPool(pool *parallel.Pool, workers int, g *Graph, weights []float
 	if sc == nil {
 		sc = &ContractScratch{}
 	}
-	keys := collectCutArcs(pool, workers, g.offsets, g.adj, weights, label, nil, sc)
+	keys := collectCutArcs(pool, workers, g.Offsets(), g.Adjacency(), weights, label, nil, sc)
 	c := len(keys)
 	sc.CutArcs = int64(c)
 	q, err := csrFromSortedArcs(pool, workers, n, keys, sc)
@@ -263,7 +263,7 @@ func collectCutArcs(pool *parallel.Pool, workers int, offsets []int64, adj []uin
 // level's cut; the hierarchy kernels report twice it as ContractScratch's
 // CutArcs.
 func CutEdgesPool(pool *parallel.Pool, workers int, g *Graph, label []uint32) int64 {
-	offsets, adj := g.offsets, g.adj
+	offsets, adj := g.Offsets(), g.Adjacency()
 	arcs := pool.ReduceInt64(workers, g.NumVertices(), func(v int) int64 {
 		var c int64
 		lv := label[v]

@@ -59,16 +59,17 @@ func clusterishLabels(n, k int, seed int64) []uint32 {
 }
 
 func graphsEqual(a, b *Graph) bool {
-	if a.NumVertices() != b.NumVertices() || len(a.adj) != len(b.adj) {
+	ao, bo, aa, ba := a.Offsets(), b.Offsets(), a.Adjacency(), b.Adjacency()
+	if a.NumVertices() != b.NumVertices() || len(aa) != len(ba) {
 		return false
 	}
-	for i := range a.offsets {
-		if a.offsets[i] != b.offsets[i] {
+	for i := range ao {
+		if ao[i] != bo[i] {
 			return false
 		}
 	}
-	for i := range a.adj {
-		if a.adj[i] != b.adj[i] {
+	for i := range aa {
+		if aa[i] != ba[i] {
 			return false
 		}
 	}

@@ -193,7 +193,7 @@ func FoldFingerprint(n, arcs uint64, weighted bool, offsetsSum, adjSum, weightsS
 
 // Fingerprint returns the content fingerprint of the graph.
 func (g *Graph) Fingerprint() uint64 {
-	return FingerprintCSR(g.offsets, g.adj, nil)
+	return FingerprintCSR(g.Offsets(), g.Adjacency(), nil)
 }
 
 // Fingerprint returns the content fingerprint of the weighted graph. It

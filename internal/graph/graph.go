@@ -1,12 +1,20 @@
 // Package graph provides the graph substrate for the decomposition library:
-// an immutable compressed-sparse-row (CSR) representation of undirected
-// graphs, builders, synthetic generators covering the workload families used
-// in the experiments, weighted variants, text/binary I/O, and basic
-// structural utilities (degrees, connected components, induced subgraphs).
+// an immutable, persistent compressed-sparse-row (CSR) representation of
+// undirected graphs, builders, synthetic generators covering the workload
+// families used in the experiments, weighted variants, text/binary I/O,
+// and basic structural utilities (degrees, connected components, induced
+// subgraphs).
 //
 // Vertices are dense uint32 ids in [0, NumVertices()). Undirected edges are
 // stored twice, once per direction, as is conventional for CSR; NumEdges
 // reports the number of undirected edges.
+//
+// No graph is ever modified. ApplyBatch returns a new graph that shares
+// its input's CSR and holds only the rows the batches since rewrote (an
+// overlay, overlay.go), and the input stays valid. Every accessor reads
+// through the overlay; the flat arrays Offsets and Adjacency expose are
+// spliced once per graph, on first use. Every other constructor builds a
+// flat CSR.
 package graph
 
 import (
@@ -18,11 +26,15 @@ import (
 	"mpx/internal/parallel"
 )
 
-// Graph is an immutable undirected graph in CSR form. The zero value is the
-// empty graph.
+// Graph is an immutable undirected graph in CSR form: a flat CSR, or an
+// overlay of one that ApplyBatch returned. The zero value is the empty
+// graph.
 type Graph struct {
 	offsets []int64  // len n+1; adjacency of v is adj[offsets[v]:offsets[v+1]]
 	adj     []uint32 // concatenated neighbor lists, 2m entries
+	// ov is set, and offsets and adj are not, on a graph ApplyBatch left
+	// as an overlay of a flat one. Every accessor tests it first.
+	ov *overlay
 }
 
 // Edge is an undirected edge between U and V.
@@ -35,6 +47,9 @@ var ErrVertexRange = errors.New("graph: edge endpoint out of vertex range")
 
 // NumVertices returns n.
 func (g *Graph) NumVertices() int {
+	if g.ov != nil {
+		return g.ov.n
+	}
 	if len(g.offsets) == 0 {
 		return 0
 	}
@@ -43,32 +58,53 @@ func (g *Graph) NumVertices() int {
 
 // NumEdges returns the number of undirected edges m.
 func (g *Graph) NumEdges() int64 {
-	return int64(len(g.adj)) / 2
+	return g.NumArcs() / 2
 }
 
 // NumArcs returns 2m, the number of directed arcs stored.
 func (g *Graph) NumArcs() int64 {
+	if g.ov != nil {
+		return g.ov.arcs
+	}
 	return int64(len(g.adj))
 }
 
 // Degree returns the degree of v.
 func (g *Graph) Degree(v uint32) int {
+	if g.ov != nil {
+		return len(g.overlayRow(v))
+	}
 	return int(g.offsets[v+1] - g.offsets[v])
 }
 
 // Neighbors returns the neighbor slice of v. The slice aliases internal
 // storage and must not be modified.
 func (g *Graph) Neighbors(v uint32) []uint32 {
+	if g.ov != nil {
+		return g.overlayRow(v)
+	}
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
 }
 
 // Offsets exposes the CSR offset array (length n+1) for algorithms that
-// iterate arcs directly. The slice must not be modified.
-func (g *Graph) Offsets() []int64 { return g.offsets }
+// iterate arcs directly. The slice must not be modified. On a graph
+// ApplyBatch returned as an overlay, the first call (of Offsets,
+// Adjacency, or any kernel that scans the raw arrays) splices the flat
+// CSR, O(n + m) once; every later call and read uses it.
+func (g *Graph) Offsets() []int64 { return g.flat().offsets }
 
 // Adjacency exposes the CSR adjacency array (length 2m). The slice must not
-// be modified.
-func (g *Graph) Adjacency() []uint32 { return g.adj }
+// be modified. Like Offsets, it splices an overlay's flat CSR on first use.
+func (g *Graph) Adjacency() []uint32 { return g.flat().adj }
+
+// flat returns the flat CSR form of g: g itself, or an overlay's spliced
+// CSR.
+func (g *Graph) flat() *Graph {
+	if g.ov != nil {
+		return g.ov.csr()
+	}
+	return g
+}
 
 // MaxDegree returns the maximum vertex degree (0 for the empty graph).
 func (g *Graph) MaxDegree() int {

@@ -186,6 +186,60 @@ func TestRoundTripUnweighted(t *testing.T) {
 	}
 }
 
+// TestWriteApplyBatchResult writes graphs ApplyBatch returned — an
+// overlay, an overlay of an overlay that undoes an insert, and a batch
+// past the splice bound — and requires the bytes of their FromEdgesDedup
+// twins: a snapshot does not depend on how a graph is stored.
+func TestWriteApplyBatchResult(t *testing.T) {
+	base := graph.Grid2D(30, 40)
+	set := make(map[graph.Edge]bool)
+	for _, e := range base.Edges() {
+		set[e] = true
+	}
+	many := graph.Batch{}
+	for v := uint32(0); v+600 < 1200; v += 7 {
+		many.Insert = append(many.Insert, graph.Edge{U: v, V: v + 600})
+	}
+	// Each batch applies to the previous step's graph.
+	steps := []struct {
+		name string
+		b    graph.Batch
+	}{
+		{"overlay", graph.Batch{Insert: []graph.Edge{{U: 0, V: 1199}, {U: 5, V: 900}}, Delete: []graph.Edge{{U: 0, V: 1}}}},
+		{"overlay of an overlay", graph.Batch{Insert: []graph.Edge{{U: 17, V: 640}}, Delete: []graph.Edge{{U: 0, V: 1199}}}},
+		{"past the splice bound", many},
+	}
+	// Derive every graph before writing any: a write splices its graph,
+	// and the second batch must apply to an unspliced overlay.
+	gs := []*graph.Graph{base}
+	for i, st := range steps {
+		g, _, err := graph.ApplyBatch(gs[i], st.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs = append(gs, g)
+	}
+	for i, st := range steps {
+		for _, e := range st.b.Delete {
+			delete(set, graph.Edge{U: min(e.U, e.V), V: max(e.U, e.V)})
+		}
+		for _, e := range st.b.Insert {
+			set[graph.Edge{U: min(e.U, e.V), V: max(e.U, e.V)}] = true
+		}
+		edges := make([]graph.Edge, 0, len(set))
+		for e := range set {
+			edges = append(edges, e)
+		}
+		twin, err := graph.FromEdgesDedup(base.NumVertices(), edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeUnweighted(t, gs[i+1]), encodeUnweighted(t, twin)) {
+			t.Fatalf("%s: snapshot bytes differ from the FromEdgesDedup twin's", st.name)
+		}
+	}
+}
+
 // TestRoundTripWeighted covers the weight payload: exact float64 bit
 // round-trip and the weighted fingerprint.
 func TestRoundTripWeighted(t *testing.T) {

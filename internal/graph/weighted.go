@@ -132,6 +132,7 @@ func RandomWeights(g *Graph, lo, hi float64, seed uint64) *WeightedGraph {
 	if lo <= 0 || hi < lo {
 		panic("graph: RandomWeights needs 0 < lo <= hi")
 	}
+	g = g.flat()
 	weights := make([]float64, len(g.adj))
 	for v := 0; v < g.NumVertices(); v++ {
 		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
