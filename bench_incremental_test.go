@@ -157,24 +157,23 @@ func BenchmarkE23RebuildBaseline(b *testing.B) {
 }
 
 // e23ClearedSlack is what a cleared update may allocate: the batch's
-// canonical and arc-edit slices, the overlay of its edited rows, the
-// staged level and stat arrays, and the pool closures — O(batch + levels)
-// bytes, far below one copy of the graph's CSR.
+// canonical and arc-edit slices, the overlay rows its new graph carries,
+// the staged level and stat arrays, and the pool closures — O(batch +
+// overlay + levels) bytes, far below one copy of the graph's CSR. In
+// update-query's pattern, where each op deletes the edge the one before
+// inserted, the overlay holds one edge's rows; an overlay that no delete
+// shrinks grows up to 1/64 of the CSR (internal/graph's overlayShare), and
+// TestClearedStreamAllocs holds that case under this slack too.
 const e23ClearedSlack = 128 << 10
 
-// clearedUpdates is the cleared op of perfbench's update-query workload on
-// the preferential-attachment graph PA(n, 4) with β = 0.2: one
-// friend-of-friend edge that passes level 0's UnchangedUnder, inserted and
-// deleted in turn through Incremental.UpdateCtx, so no level re-derives,
-// then oracle.NewMembership, the refresh a query server runs after every
-// update. It returns the graph's CSR size, 8(n+1) + 8m bytes, and op,
-// which runs the i-th update; one insert/delete pair has run already, so
-// the first NewMembership has composed the cluster maps. check runs after
-// the ops, and fails if the oracle and the tree disagree on the level
-// count.
-func clearedUpdates(tb testing.TB, n int) (csr int64, op func(i int), check func()) {
-	const k, seed, beta = 4, 0x5eed, 0.2
-	g := graph.PreferentialAttachment(n, k, seed)
+// clearedSetup builds the hierarchy perfbench's update-query workload
+// maintains, on the preferential-attachment graph PA(n, 4) with β = 0.2,
+// and draws k distinct friend-of-friend edges absent from the graph that
+// pass level 0's UnchangedUnder, so inserting any of them re-derives no
+// level. It also returns the graph's CSR size, 8(n+1) + 8m bytes.
+func clearedSetup(tb testing.TB, n, k int) (*lowstretch.Incremental, []graph.Edge, int64) {
+	const deg, seed, beta = 4, 0x5eed, 0.2
+	g := graph.PreferentialAttachment(n, deg, seed)
 	inc, err := lowstretch.BuildIncrementalPoolCtx(nil, benchPool, g, beta, seed, 0, core.DirectionAuto)
 	if err != nil {
 		tb.Fatal(err)
@@ -184,7 +183,20 @@ func clearedUpdates(tb testing.TB, n int) (csr int64, op func(i int), check func
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e := clearingFoFEdge(tb, g, d0)
+	return inc, clearingFoFEdges(tb, g, d0, k), 8*int64(g.NumVertices()+1) + 8*g.NumEdges()
+}
+
+// clearedUpdates is the cleared op of perfbench's update-query workload on
+// PA(n, 4) (clearedSetup): one clearing edge inserted and deleted in turn
+// through Incremental.UpdateCtx, then oracle.NewMembership, the refresh a
+// query server runs after every update. It returns the graph's CSR size
+// and op, which runs the i-th update; one insert/delete pair has run
+// already, so the first NewMembership has composed the cluster maps. check
+// runs after the ops, and fails if the oracle and the tree disagree on the
+// level count.
+func clearedUpdates(tb testing.TB, n int) (csr int64, op func(i int), check func()) {
+	inc, edges, csr := clearedSetup(tb, n, 1)
+	e := edges[0]
 	batches := [2]graph.Batch{{Insert: []graph.Edge{e}}, {Delete: []graph.Edge{e}}}
 	var mo *oracle.MembershipOracle
 	op = func(i int) {
@@ -204,17 +216,18 @@ func clearedUpdates(tb testing.TB, n int) (csr int64, op func(i int), check func
 			tb.Fatalf("membership oracle has %d levels, tree %d", mo.Levels(), inc.Tree().Levels)
 		}
 	}
-	return 8*int64(g.NumVertices()+1) + 8*g.NumEdges(), op, check
+	return csr, op, check
 }
 
 // BenchmarkE23ClearedUpdate gates the cleared op of perfbench's
 // update-query workload (clearedUpdates) on its own graph, PA(100k, 4).
 // ApplyBatch leaves the update's graph as an overlay of the old CSR, and
-// nothing in a cleared op splices it, so an op allocates O(batch) bytes:
-// the run fails if bytes/op exceed e23ClearedSlack, so a copy of the CSR
-// (reported as csr-bytes) or an O(n) rebuild of a tree segment or of a
-// cluster map fails it. TestClearedUpdateAllocs
-// holds the same gate over 500 ops on a smaller graph.
+// nothing in a cleared op splices it, so an op allocates O(batch) bytes
+// (the overlay holds the one edge's rows or none): the run fails if
+// bytes/op exceed e23ClearedSlack, so a copy of the CSR (reported as
+// csr-bytes) or an O(n) rebuild of a tree segment or of a cluster map
+// fails it. TestClearedUpdateAllocs holds the same gate over 500 ops on a
+// smaller graph.
 func BenchmarkE23ClearedUpdate(b *testing.B) {
 	csr, op, check := clearedUpdates(b, 100000)
 	var before, after runtime.MemStats
@@ -239,8 +252,10 @@ func BenchmarkE23ClearedUpdate(b *testing.B) {
 // TestClearedUpdateAllocs is the tier-1 form of BenchmarkE23ClearedUpdate's
 // gate, which CI runs at one iteration: 500 cleared ops in a row on
 // PA(20000, 4), whose CSR (about 800 KB) is six times the slack, with
-// TotalAlloc per op held under e23ClearedSlack. It also fails if an op's
-// cost grows with the ops before it, as a never-shrinking overlay would.
+// TotalAlloc per op held under e23ClearedSlack. Its ops insert and delete
+// one edge, so they cannot tell an overlay that drops restored rows from
+// one that keeps them: internal/graph's TestOverlayShrinks pins the drop,
+// and TestClearedStreamAllocs an overlay that only grows.
 func TestClearedUpdateAllocs(t *testing.T) {
 	const ops = 500
 	csr, op, check := clearedUpdates(t, 20000)
@@ -259,15 +274,63 @@ func TestClearedUpdateAllocs(t *testing.T) {
 	}
 }
 
-// clearingFoFEdge draws friend-of-friend edges {u, w} of g — u, a
-// neighbour v of u, a neighbour w of v — until one is absent from g and
-// passes d0's UnchangedUnder. Inserting it leaves d0 as it is, so it is
-// not a tree edge and deleting it again passes too.
-func clearingFoFEdge(tb testing.TB, g *graph.Graph, d0 *core.Decomposition) graph.Edge {
+// TestClearedStreamAllocs measures the growth overlayShare
+// (internal/graph) bounds: 2,000 distinct clearing edges inserted into
+// PA(100k, 4), update-query's graph, one per op and none deleted. The
+// level-0 overlay then gains each insert's two rows, every op copies the
+// rows it carries, and a batch that would pass the share splices a flat
+// CSR instead. An op that did not splice (allocate the CSR's bytes) must
+// allocate under e23ClearedSlack, the mean with the splices must stay
+// under it too, and the stream must splice at least once.
+func TestClearedStreamAllocs(t *testing.T) {
+	const ops = 2000
+	inc, edges, csr := clearedSetup(t, 100000, ops)
+	var before, after runtime.MemStats
+	var total, top uint64
+	splices := 0
+	for i, e := range edges {
+		runtime.ReadMemStats(&before)
+		us, err := inc.UpdateCtx(nil, graph.Batch{Insert: []graph.Edge{e}})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if us.Rederived != 0 {
+			t.Fatalf("op %d on %v re-derived: %+v", i, e, us)
+		}
+		bytes := after.TotalAlloc - before.TotalAlloc
+		total += bytes
+		switch {
+		case bytes >= uint64(csr):
+			splices++
+		case bytes > e23ClearedSlack:
+			t.Fatalf("op %d allocates %d bytes: past the %d-byte slack, short of a %d-byte splice", i, bytes, e23ClearedSlack, csr)
+		default:
+			top = max(top, bytes)
+		}
+	}
+	mean := total / ops
+	t.Logf("%d ops: %d bytes/op on average, at most %d without a splice; %d splices", ops, mean, top, splices)
+	if mean > e23ClearedSlack {
+		t.Fatalf("a cleared op allocates %d bytes on average (gate %d)", mean, e23ClearedSlack)
+	}
+	if splices == 0 {
+		t.Fatal("no op spliced: the stream never reached the overlay bound")
+	}
+}
+
+// clearingFoFEdges draws friend-of-friend edges {u, w} of g — u, a
+// neighbour v of u, a neighbour w of v — until it has k distinct ones that
+// are absent from g and pass d0's UnchangedUnder. Inserting any of them
+// leaves d0 as it is, so none is a tree edge and deleting it again passes
+// too.
+func clearingFoFEdges(tb testing.TB, g *graph.Graph, d0 *core.Decomposition, k int) []graph.Edge {
 	tb.Helper()
 	rng := xrand.NewSplitMix64(0xf0f)
 	n := g.NumVertices()
-	for try := 0; try < 1000000; try++ {
+	out := make([]graph.Edge, 0, k)
+	seen := make(map[graph.Edge]bool, k)
+	for try := 0; try < 1000000 && len(out) < k; try++ {
 		u := uint32(rng.Intn(n))
 		nu := g.Neighbors(u)
 		if len(nu) == 0 {
@@ -279,10 +342,13 @@ func clearingFoFEdge(tb testing.TB, g *graph.Graph, d0 *core.Decomposition) grap
 		if w == u || g.HasEdge(u, w) {
 			continue
 		}
-		if e := (graph.Edge{U: min(u, w), V: max(u, w)}); d0.UnchangedUnder([]graph.Edge{e}, nil) {
-			return e
+		if e := (graph.Edge{U: min(u, w), V: max(u, w)}); !seen[e] && d0.UnchangedUnder([]graph.Edge{e}, nil) {
+			seen[e] = true
+			out = append(out, e)
 		}
 	}
-	tb.Fatal("no clearing friend-of-friend edge found")
-	return graph.Edge{}
+	if len(out) < k {
+		tb.Fatalf("only %d of %d clearing friend-of-friend edges found", len(out), k)
+	}
+	return out
 }

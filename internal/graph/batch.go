@@ -119,13 +119,14 @@ func canonBatch(n int, edges []Edge, weights []float64, op editOp) ([]arcEdit, e
 // On a simple input (deduplicated adjacency, as built by FromEdgesDedup or
 // the generators) the result is bit-identical to FromEdgesDedup over the
 // updated edge list. A multigraph input (FromEdges keeps parallel edges,
-// and so do ReadEdgeList and ReadBinary) is updated copy by copy: a delete
-// removes one copy of its edge, however often the batch lists it, and an
-// insert of an edge with a copy present is a no-op. The result is then
-// FromEdges over the updated edge multiset.
+// and so do ReadEdgeList and ReadBinary) is updated copy by copy: an edge
+// both deleted and inserted by the batch is left unchanged, with all its
+// copies; otherwise a delete removes one copy of its edge, however often
+// the batch lists it, and an insert of an edge with a copy present is a
+// no-op. The result is then FromEdges over the updated edge multiset.
 func ApplyBatch(g *Graph, b Batch) (*Graph, ApplyResult, error) {
 	base, over := g.layers()
-	v := csrView{offsets: base.offsets, adj: base.adj, over: over}
+	v := csrView{g: g, offsets: base.offsets, adj: base.adj, over: over}
 	edits, res, err := v.batchEdits(g.NumVertices(), b)
 	if err != nil {
 		return nil, ApplyResult{}, err
@@ -179,12 +180,14 @@ func ApplyBatchWeighted(g *WeightedGraph, b Batch) (*WeightedGraph, ApplyResult,
 	return &WeightedGraph{offsets: out.offsets, adj: out.adj, weights: out.weights}, res, nil
 }
 
-// csrView is a graph as a batch reads and edits it: the flat CSR
-// (offsets, adj, weights) with the rows of over replaced. weights is nil
-// for unweighted graphs, which ignore Batch.InsertW and treat inserting a
-// present edge as a no-op; over is nil on a flat graph, and always on a
-// weighted one.
+// csrView is a graph as a batch reads and edits it. An unweighted graph
+// (weights nil) is read through g, overlay included; offsets and adj are
+// g's flat base and over the rows its overlay replaces (nil on a flat
+// graph). Its batches ignore Batch.InsertW and treat inserting a present
+// edge as a no-op. A weighted graph is the flat CSR (offsets, adj,
+// weights) alone, with g and over nil.
 type csrView struct {
+	g       *Graph
 	offsets []int64
 	adj     []uint32
 	weights []float64
@@ -194,15 +197,10 @@ type csrView struct {
 // row returns the neighbours of u as v has them, with their weights on a
 // weighted graph.
 func (v *csrView) row(u uint32) ([]uint32, []float64) {
-	if v.over != nil {
-		if i, ok := slices.BinarySearch(v.over.ids, u); ok {
-			return v.over.row(i), nil
-		}
+	if v.weights == nil {
+		return v.g.Neighbors(u), nil
 	}
 	a, b := v.offsets[u], v.offsets[u+1]
-	if v.weights == nil {
-		return v.adj[a:b], nil
-	}
 	return v.adj[a:b], v.weights[a:b]
 }
 
@@ -268,8 +266,10 @@ func (v *csrView) apply(edits []arcEdit) rowSet {
 	if v.over != nil {
 		over = *v.over
 	}
-	// Capacity: every carried row, plus every edited row at its old length
-	// and its adds (a row both carried and edited counts twice).
+	// Size s up front: every carried row, plus every edited row at its old
+	// length and its adds (a row both carried and edited counts twice).
+	// Left to append, the 500-edge weighted batch of TestApplyBatchAllocs
+	// allocates 70 times instead of 21.
 	rows, arcs := len(over.ids), len(over.adj)
 	for i, e := range edits {
 		if i == 0 || edits[i-1].U != e.U {

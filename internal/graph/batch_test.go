@@ -87,8 +87,7 @@ func TestApplyBatchMatchesRebuild(t *testing.T) {
 }
 
 // checkApplyBatch applies b to g and requires the CSR to equal the
-// FromEdgesDedup rebuild, the effective changes to reconcile the two edge
-// sets, and Dirty to be exactly their endpoints, sorted.
+// FromEdgesDedup rebuild and the ApplyResult to hold (checkApplyResult).
 func checkApplyBatch(t *testing.T, tag string, g *Graph, b Batch) {
 	t.Helper()
 	got, res, err := ApplyBatch(g, b)
@@ -99,7 +98,15 @@ func checkApplyBatch(t *testing.T, tag string, g *Graph, b Batch) {
 	if !graphsEqual(got, want) {
 		t.Fatalf("%s: ApplyBatch CSR differs from FromEdgesDedup rebuild", tag)
 	}
-	// Effective changes must reconcile the two edge sets exactly.
+	checkApplyResult(t, tag, g, got, res)
+}
+
+// checkApplyResult requires res, the ApplyResult of the batch that took g
+// to got, to reconcile the two edge sets exactly, and Dirty to be exactly
+// the endpoints of its changes, sorted. It reads g and got through Edges
+// and NumEdges only, so an overlay stays unspliced.
+func checkApplyResult(t *testing.T, tag string, g, got *Graph, res ApplyResult) {
+	t.Helper()
 	before, after := edgeSet(g), edgeSet(got)
 	for _, e := range res.Inserted {
 		if before[edgeKey(e)] || !after[edgeKey(e)] {
@@ -493,10 +500,11 @@ func TestInducedSubgraphEdgeCases(t *testing.T) {
 // TestApplyBatchMultigraph pins ApplyBatch on a multigraph, the input
 // FromEdges, ReadEdgeList and ReadBinary build and `mpx -in FILE -updates`
 // passes on: a chain of batches must give FromEdges of the expected edge
-// multiset at every step. The 200-vertex graph keeps its edges on vertices
-// 0-3, so each step's result stays an overlay of the one before it.
+// multiset at every step. The 1000-vertex graph keeps its edges on
+// vertices 0-3, so every step that changes it leaves an overlay of the
+// input graph, read through before its twin is spliced.
 func TestApplyBatchMultigraph(t *testing.T) {
-	const n = 200
+	const n = 1000
 	g, err := FromEdges(n, []Edge{{0, 1}, {0, 1}, {1, 2}, {2, 3}, {3, 0}, {1, 3}})
 	if err != nil {
 		t.Fatal(err)
@@ -529,6 +537,9 @@ func TestApplyBatchMultigraph(t *testing.T) {
 		}
 		if len(res.Inserted) != st.ins || len(res.Deleted) != st.del {
 			t.Fatalf("%s: +%d/-%d, want +%d/-%d", st.name, len(res.Inserted), len(res.Deleted), st.ins, st.del)
+		}
+		if !res.Unchanged() && got.ov == nil {
+			t.Fatalf("%s: the result was spliced, not left as an overlay", st.name)
 		}
 		ref, err := FromEdges(n, st.want)
 		if err != nil {
@@ -628,14 +639,16 @@ func FuzzApplyBatch(f *testing.F) {
 	f.Add(uint8(10), uint8(20), uint64(1), []byte{0, 1, 2, 1, 1, 2, 0, 3, 3, 2, 1, 2})
 	f.Add(uint8(4), uint8(15), uint64(2), []byte{2, 0, 5, 5, 5, 0, 1, 0, 5, 6, 0, 5, 1, 4, 4})
 	f.Add(uint8(0), uint8(0), uint64(3), []byte{})
-	// Four batches on GNM(102, 100): a four-row overlay; the undo of one
-	// of its edges, which shrinks it to the two carried rows; an insert
-	// on the spliced twin; and three inserts that pass the splice bound.
-	f.Add(uint8(100), uint8(100), uint64(3<<62|5), []byte{
-		0, 3, 40, 0, 5, 77, 0, 3, 40,
-		1, 3, 40, 1, 50, 51, 0, 5, 77,
-		0, 11, 60, 0, 11, 60, 0, 11, 60,
-		0, 13, 62, 0, 14, 63, 0, 15, 64,
+	// Four batches on GNM(128, 255), whose vertices 19, 28, 34, 62, 72, 95,
+	// 114, 121 and 122 are isolated, so an overlay may hold 9 rows and
+	// arcs: two inserts left as a four-row overlay; the undo of one of
+	// them, which shrinks it to the other's two rows; an insert on the
+	// spliced twin; and three inserts that pass the splice bound.
+	f.Add(uint8(126), uint8(255), uint64(3<<62|2729), []byte{
+		0, 19, 28, 0, 34, 62, 0, 19, 28,
+		1, 19, 28, 1, 72, 95, 0, 34, 62,
+		0, 72, 95, 0, 72, 95, 0, 72, 95,
+		0, 114, 121, 0, 122, 19, 0, 28, 34,
 	})
 	f.Fuzz(func(t *testing.T, nb, mb uint8, seed uint64, ops []byte) {
 		n := 2 + int(nb)%127
@@ -682,12 +695,13 @@ func FuzzApplyBatch(f *testing.F) {
 // checkChainStep applies b to g, whose canonical edge set is want, and
 // updates want to the expected result. The result must read, through
 // NumEdges, Degree, Neighbors and HasEdge over every pair, exactly as the
-// FromEdgesDedup rebuild of want does, before anything splices it; a twin
-// from the same call must then show the rebuild's Offsets, Adjacency and
-// Fingerprint. It returns the twin when spliced is set, else the result.
+// FromEdgesDedup rebuild of want does, and its ApplyResult must hold
+// (checkApplyResult), before anything splices it; a twin from the same
+// call must then show the rebuild's Offsets, Adjacency and Fingerprint.
+// It returns the twin when spliced is set, else the result.
 func checkChainStep(t *testing.T, tag string, g *Graph, b Batch, want map[uint64]bool, spliced bool) *Graph {
 	t.Helper()
-	got, _, err := ApplyBatch(g, b)
+	got, res, err := ApplyBatch(g, b)
 	if err != nil {
 		t.Fatalf("%s: ApplyBatch: %v", tag, err)
 	}
@@ -708,6 +722,7 @@ func checkChainStep(t *testing.T, tag string, g *Graph, b Batch, want map[uint64
 		t.Fatalf("%s: reference rebuild: %v", tag, err)
 	}
 	checkReads(t, tag, got, ref)
+	checkApplyResult(t, tag, g, got, res)
 	twin, _, err := ApplyBatch(g, b)
 	if err != nil {
 		t.Fatalf("%s: second ApplyBatch: %v", tag, err)

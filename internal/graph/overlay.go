@@ -27,10 +27,17 @@ import (
 
 // overlayShare bounds an overlay: once its rows and arcs together would
 // pass 1/overlayShare of the base CSR's n+1 offsets and 2m arcs, ApplyBatch
-// splices a flat CSR instead. Carrying the overlay costs each later batch
-// O(overlay), so this caps that at a small fraction of the copy it
-// replaces, and a read's binary search over the rows stays short.
-const overlayShare = 16
+// splices a flat CSR instead. A batch on an overlay copies every row the
+// overlay carries, so an update costs O(batch + overlay), and the bound
+// holds the overlay term to 1/overlayShare of a CSR copy; a read's binary
+// search over the rows stays short. The value is measured by
+// TestClearedStreamAllocs (root package), which inserts 2,000 distinct
+// clearing edges into PA(100k, 4) and deletes none, so the level-0 overlay
+// grows until it splices. At 16 or 32, op 1,053 already allocates 135 KB,
+// past the 128 KiB a cleared op is allowed; at 64 no op but the three
+// 4 MB splices allocates more than 72 KB, and the mean, splices included,
+// is 40 KB.
+const overlayShare = 64
 
 // rowSet is a sorted set of replacement rows: row ids[i] of a graph
 // becomes adj[off[i]:off[i+1]], with weights w[off[i]:off[i+1]] on a

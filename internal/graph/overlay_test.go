@@ -85,3 +85,37 @@ func TestOverlayConcurrentFirstUse(t *testing.T) {
 		}
 	}
 }
+
+// TestOverlayShrinks pins the drop of restored rows: a row that a batch
+// merges back to its base row leaves the overlay. Inserting an edge and
+// deleting it again gives a flat graph on the base's own arrays. Inserting
+// e1 and then, in one batch, inserting e2 and deleting e1 — update-query's
+// pattern — leaves an overlay of the same base holding e2's rows only.
+func TestOverlayShrinks(t *testing.T) {
+	base := Grid2D(30, 40)
+	e1, e2 := Edge{U: 0, V: 1199}, Edge{U: 17, V: 640}
+	apply := func(g *Graph, b Batch) *Graph {
+		t.Helper()
+		out, _, err := ApplyBatch(g, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	with1 := apply(base, Batch{Insert: []Edge{e1}})
+	if with1.ov == nil {
+		t.Fatal("a one-edge insert was spliced, not left as an overlay")
+	}
+	undone := apply(with1, Batch{Delete: []Edge{e1}})
+	if undone.ov != nil || &undone.offsets[0] != &base.offsets[0] || &undone.adj[0] != &base.adj[0] {
+		t.Fatal("undoing the insert did not give a flat graph on the base's arrays")
+	}
+	with2 := apply(with1, Batch{Insert: []Edge{e2}, Delete: []Edge{e1}})
+	if with2.ov == nil {
+		t.Fatal("the second batch was spliced, not left as an overlay")
+	}
+	flat, rows := with2.layers()
+	if flat != base || !slices.Equal(rows.ids, []uint32{e2.U, e2.V}) {
+		t.Fatalf("overlay of the base: %v, rows %v; want true, rows %v", flat == base, rows.ids, []uint32{e2.U, e2.V})
+	}
+}
