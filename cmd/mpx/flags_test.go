@@ -3,12 +3,17 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+
+	"mpx/internal/core"
+	"mpx/internal/graph"
 )
 
 // runMainEnv makes the test binary run main() instead of the tests, so a
@@ -23,11 +28,12 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestFlagAudit runs the test binary as mpx on a small generated path, or
-// on a small weighted DIMACS file where the arguments name -in. An
-// explicitly set flag that the selected mode would ignore exits 2 with a
-// message naming the rule; the same flag where the mode reads it runs. In
-// the arguments, {dir} is a temporary directory and {wgr} the DIMACS file.
+// TestFlagAudit runs the test binary as mpx on a small generated path,
+// unless the arguments name -gen or -in (here a small weighted DIMACS
+// file). An explicitly set flag that the selected mode would ignore exits 2
+// with a message naming the rule and prints nothing on stdout; the same
+// flag where the mode reads it runs. In the arguments, {dir} is a
+// temporary directory and {wgr} the DIMACS file.
 func TestFlagAudit(t *testing.T) {
 	const (
 		direction = "mpx: -direction applies only to -algo mpx and the unweighted apps"
@@ -86,11 +92,24 @@ func TestFlagAudit(t *testing.T) {
 		{"reads/weighted-file", []string{"-in", "{wgr}", "-app", "lowstretch", "-weighted"}, 0, ""},
 		{"reads/dimacs", []string{"-in", "{wgr}", "-dimacs"}, 0, ""},
 		{"reads/png-grid", []string{"-gen", "grid", "-rows", "8", "-cols", "8", "-png", "{dir}/grid.png"}, 0, ""},
+		{"shape/grid-n", []string{"-gen", "grid", "-n", "500"}, 2, "mpx: -n applies only to -gen path, cycle, tree, gnm and pa (got -gen grid)"},
+		{"shape/grid-m", []string{"-gen", "grid", "-m", "99"}, 2, "mpx: -m applies only to -gen gnm and rmat (got -gen grid)"},
+		{"shape/path-rows", []string{"-gen", "path", "-rows", "7"}, 2, "mpx: -rows applies only to -gen grid, torus and road (got -gen path)"},
+		{"shape/pa-scale", []string{"-gen", "pa", "-scale", "3"}, 2, "mpx: -scale applies only to -gen rmat and hypercube (got -gen pa)"},
+		{"shape/hypercube-n", []string{"-gen", "hypercube", "-n", "10"}, 2, "mpx: -n applies only to -gen path, cycle, tree, gnm and pa (got -gen hypercube)"},
+		{"beta/embedding", []string{"-app", "embedding", "-beta", "0.3"}, 2, "mpx: -beta applies to every app but embedding"},
+		{"beta/weighted-embedding", []string{"-app", "embedding", "-weighted", "-beta", "0.3"}, 2, "(got -app embedding -weighted)"},
+		{"gen/unknown", []string{"-gen", "bogus"}, 2, `mpx: unknown -gen value "bogus" (valid: grid, torus, path, cycle, tree, hypercube, gnm, rmat, pa, road)`},
+		{"validate/false", []string{"-app", "blocks", "-validate=false"}, 2, "mpx: -validate applies only to -app partition (got -app blocks)"},
+		{"reads/hypercube-scale", []string{"-gen", "hypercube", "-scale", "4"}, 0, ""},
+		{"reads/rmat-scale-m", []string{"-gen", "rmat", "-scale", "6", "-m", "100"}, 0, ""},
+		{"reads/torus-rows-cols", []string{"-gen", "torus", "-rows", "5", "-cols", "5"}, 0, ""},
+		{"reads/gnm-n-m", []string{"-gen", "gnm", "-n", "50", "-m", "100"}, 0, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			args := []string{"-gen", "path", "-n", "40"}
-			if slices.Contains(tc.args, "-in") {
+			if slices.Contains(tc.args, "-in") || slices.Contains(tc.args, "-gen") {
 				args = nil
 			}
 			for _, a := range tc.args {
@@ -98,8 +117,8 @@ func TestFlagAudit(t *testing.T) {
 			}
 			cmd := exec.Command(os.Args[0], args...)
 			cmd.Env = append(os.Environ(), runMainEnv+"=1")
-			var stderr bytes.Buffer
-			cmd.Stderr = &stderr
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
 			err := cmd.Run()
 			code := 0
 			var exit *exec.ExitError
@@ -112,6 +131,112 @@ func TestFlagAudit(t *testing.T) {
 				t.Fatalf("mpx %s: exit %d, stderr %q; want exit %d with %q",
 					strings.Join(tc.args, " "), code, stderr.String(), tc.code, tc.msg)
 			}
+			if code != 0 && stdout.Len() > 0 {
+				t.Fatalf("mpx %s: rejected after printing %q", strings.Join(tc.args, " "), stdout.String())
+			}
 		})
+	}
+}
+
+// tableReads reports whether the flag table lets mode md read flag name:
+// every row for the flag holds.
+func tableReads(name string, md mode) bool {
+	for _, r := range flagRules {
+		if r.flag == name && !r.reads(md) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFlagTable checks the audit's declarations against the flags mpx
+// defines. A row that names a misspelled flag would silently disable its
+// rule, and a flag with neither a row nor a place on everyMode would
+// escape the audit.
+func TestFlagTable(t *testing.T) {
+	named := slices.Clone(everyMode)
+	ruled := map[string]bool{}
+	for _, r := range flagRules {
+		named = append(named, r.flag)
+		ruled[r.flag] = true
+	}
+	for name := range enums {
+		named = append(named, name)
+	}
+	for _, name := range named {
+		if flag.Lookup(name) == nil {
+			t.Errorf("the audit names -%s, which mpx does not define", name)
+		}
+	}
+	flag.VisitAll(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "test.") {
+			return // the testing package's own flags
+		}
+		if ruled[f.Name] == slices.Contains(everyMode, f.Name) {
+			t.Errorf("-%s must have flag table rows or be on everyMode, and not both", f.Name)
+		}
+	})
+	// main converts -tie and -direction by their index in enums.
+	for i, s := range enums["tie"] {
+		if got := core.TieBreak(i).String(); got != s {
+			t.Errorf(`enums["tie"][%d] = %q, but core.TieBreak(%d) is %q`, i, s, i, got)
+		}
+	}
+	for i, s := range enums["direction"] {
+		if got := core.Direction(i).String(); got != s {
+			t.Errorf(`enums["direction"][%d] = %q, but core.Direction(%d) is %q`, i, s, i, got)
+		}
+	}
+}
+
+// TestFlagTableShapes checks the rows of the shape flags against
+// generateGraph: changing one shape value changes the generated graph
+// exactly when the table says the generator reads that flag.
+func TestFlagTableShapes(t *testing.T) {
+	base := map[string]int{"rows": 6, "cols": 5, "n": 40, "m": 60, "scale": 5}
+	alt := map[string]int{"rows": 7, "cols": 8, "n": 55, "m": 90, "scale": 6}
+	fingerprint := func(gen string, v map[string]int) uint64 {
+		return generateGraph(gen, v["rows"], v["cols"], v["n"], int64(v["m"]), v["scale"], 1).Fingerprint()
+	}
+	for _, gen := range enums["gen"] {
+		want := fingerprint(gen, base)
+		for name, v := range alt {
+			shaped := maps.Clone(base)
+			shaped[name] = v
+			changed := fingerprint(gen, shaped) != want
+			if reads := tableReads(name, mode{gen: gen}); changed != reads {
+				t.Errorf("-gen %s: changing -%s changes the graph: %v; the flag table says it reads -%s: %v", gen, name, changed, name, reads)
+			}
+		}
+	}
+}
+
+// TestFlagTableBeta checks the -beta row against the app runners: changing
+// -beta changes a run's stdout exactly when the table says its mode reads
+// -beta. It covers every app but partition, whose report prints -beta
+// itself, unweighted and with -weighted where the table allows it.
+func TestFlagTableBeta(t *testing.T) {
+	g := graph.Grid2D(6, 6)
+	wg := graph.RandomWeights(g, 1, 4, 3)
+	opts := core.Options{Seed: 3, Workers: 1, Direction: core.DirectionAuto}
+	for _, app := range enums["app"] {
+		for _, weighted := range []bool{false, true} {
+			md := mode{app: app, algo: "mpx", weighted: weighted}
+			if app == "partition" || weighted && !tableReads("weighted", md) {
+				continue
+			}
+			stdout := func(beta float64) string {
+				return captureStdout(t, func() error {
+					if weighted {
+						return runWeightedApp(app, wg, beta, 4, false, opts)
+					}
+					return runApp(app, g, beta, opts)
+				})
+			}
+			changed := stdout(0.25) != stdout(0.5)
+			if reads := tableReads("beta", md); changed != reads {
+				t.Errorf("%s: changing -beta changes stdout: %v; the flag table says it reads -beta: %v", md.workload(), changed, reads)
+			}
+		}
 	}
 }

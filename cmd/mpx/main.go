@@ -22,6 +22,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -40,195 +41,172 @@ import (
 	"mpx/internal/stats"
 )
 
+// enums lists the values each enumerated flag accepts. -tie and -direction
+// list theirs in the order of core's constants, which main indexes by.
+var enums = map[string][]string{
+	"gen":       {"grid", "torus", "path", "cycle", "tree", "hypercube", "gnm", "rmat", "pa", "road"},
+	"app":       {"partition", "connectivity", "spanner", "lowstretch", "blocks", "separator", "embedding"},
+	"algo":      {"mpx", "seq", "exact", "ballgrow", "iterative", "weighted", "weighted-par"},
+	"tie":       {"fractional", "permutation"},
+	"direction": {"auto", "push", "pull"},
+}
+
+// The flags are package-level so that the tests can check the flag table
+// against them.
+var (
+	gen       = flag.String("gen", "grid", "generator: "+strings.Join(enums["gen"], "|")+" (not with -in)")
+	rows      = flag.Int("rows", 100, "grid/torus/road rows")
+	cols      = flag.Int("cols", 100, "grid/torus/road cols")
+	n         = flag.Int("n", 10000, "vertex count for path/cycle/tree/gnm/pa")
+	m         = flag.Int64("m", 40000, "edge count for gnm/rmat")
+	scale     = flag.Int("scale", 14, "rmat/hypercube scale (n = 2^scale)")
+	in        = flag.String("in", "", "read graph from file instead of generating; format auto-detected (CSR snapshot, binary, DIMACS, edge list)")
+	dimacs    = flag.Bool("dimacs", false, "force DIMACS parsing of the -in file (bypass format auto-detection)")
+	snapOut   = flag.String("snapshot-out", "", "write the loaded or generated graph (weighted under -weighted) as a binary CSR snapshot to this path, then run normally")
+	beta      = flag.Float64("beta", 0.1, "decomposition parameter in (0,1); not with -app embedding, which takes each level's beta from the graph's pseudo-diameter")
+	seed      = flag.Uint64("seed", 1, "random seed")
+	workers   = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+	app       = flag.String("app", "partition", "workload: "+strings.Join(enums["app"], "|"))
+	algo      = flag.String("algo", "mpx", "algorithm: "+strings.Join(enums["algo"], "|")+" (partition app only)")
+	wmax      = flag.Float64("wmax", 4, "max edge weight of the U(1,wmax) weight draw (-algo weighted|weighted-par and -weighted)")
+	weighted  = flag.Bool("weighted", false, "run the hierarchy app on a weighted graph: U(1,wmax) random weights, or the file's arc weights with -in -dimacs (lowstretch|blocks|embedding; a weighted partition is -algo weighted|weighted-par)")
+	tie       = flag.String("tie", "fractional", "tie-break: "+strings.Join(enums["tie"], "|")+" (-algo mpx|seq|exact and -app spanner)")
+	direction = flag.String("direction", "auto", "partition traversal: "+strings.Join(enums["direction"], "|")+" (-algo mpx and the unweighted apps)")
+	pngPath   = flag.String("png", "", "write cluster coloring PNG (-app partition with an unweighted -algo; grid|torus|road generators only)")
+	validate  = flag.Bool("validate", false, "run full O(m) decomposition validation (-app partition)")
+	updates   = flag.String("updates", "", "replay a batched edge-update trace against an incrementally maintained app (lowstretch|blocks|embedding); see cmd/mpx/updates.go for the format")
+	queries   = flag.String("queries", "", "serve a distance/cluster-membership query trace from the built lowstretch structures, or \"synth:N\" for N synthetic queries; see cmd/mpx/queries.go for the format")
+	qbatch    = flag.Int("qbatch", 1024, "batch size for -queries synth:N workloads (file traces carry their own batch structure)")
+	timeout   = flag.Duration("timeout", 0, "overall deadline (e.g. 30s); cancels any algorithm (parallel or serial) at its next round/poll boundary and exits non-zero, discarding partial work (0 = none)")
+)
+
+// everyMode lists the flags that every mode reads; each other flag has
+// rows in flagRules. Every engine, the serial baselines included, polls the
+// -timeout deadline, and -workers never changes output, so a serial -algo
+// accepts it too.
+var everyMode = []string{"app", "in", "seed", "snapshot-out", "timeout", "workers"}
+
+// mode holds the flags that select what a run does, and so which of the
+// other flags it reads.
+type mode struct {
+	app, algo, gen, in, queries, updates string
+	weighted                             bool
+}
+
+// task names m's -app, or its -algo under -app partition.
+func (m mode) task() string {
+	if m.app == "partition" {
+		return "-algo " + m.algo
+	}
+	return "-app " + m.app
+}
+
+// workload names m's task and -weighted.
+func (m mode) workload() string {
+	if m.weighted {
+		return m.task() + " -weighted"
+	}
+	return m.task()
+}
+
+// source names m's graph source: -in, or else -gen.
+func (m mode) source() string {
+	if m.in != "" {
+		return "-in " + m.in
+	}
+	return "-gen " + m.gen
+}
+
+// A flagRule declares which modes read a flag. An explicitly set flag whose
+// mode fails reads exits 2 with "mpx: -<flag> <rule> (got <mode>)", where
+// got names the part of the mode the message is about, without the flag
+// itself.
+type flagRule struct {
+	flag  string
+	got   func(mode) string
+	reads func(mode) bool
+	rule  string
+}
+
+// apps, algos and gens return the predicate that the mode runs one of the
+// named apps, partition algorithms or generators.
+func apps(names ...string) func(mode) bool {
+	return func(m mode) bool { return slices.Contains(names, m.app) }
+}
+
+func algos(names ...string) func(mode) bool {
+	return func(m mode) bool { return m.app == "partition" && slices.Contains(names, m.algo) }
+}
+
+func gens(names ...string) func(mode) bool {
+	return func(m mode) bool { return m.in == "" && slices.Contains(names, m.gen) }
+}
+
+// flagRules is checked in order, so the flags that select the mode come
+// first and a run is told first about the flag that picked the wrong mode.
+var flagRules = []flagRule{
+	{"gen", mode.source, func(m mode) bool { return m.in == "" }, "applies only to a generated graph, not to -in"},
+	{"algo", mode.workload, apps("partition"), "applies only to -app partition"},
+	{"weighted", mode.task, apps("lowstretch", "blocks", "embedding"), "supports apps lowstretch, blocks and embedding"},
+	{"updates", mode.workload, func(m mode) bool { return !m.weighted && apps("lowstretch", "blocks", "embedding")(m) },
+		"applies only to the unweighted -app lowstretch, blocks and embedding"},
+	{"queries", mode.workload, func(m mode) bool { return !m.weighted && m.app == "lowstretch" && m.updates == "" },
+		"applies only to the unweighted -app lowstretch, without -updates"},
+	{"rows", mode.source, gens("grid", "torus", "road"), "applies only to -gen grid, torus and road"},
+	{"cols", mode.source, gens("grid", "torus", "road"), "applies only to -gen grid, torus and road"},
+	{"n", mode.source, gens("path", "cycle", "tree", "gnm", "pa"), "applies only to -gen path, cycle, tree, gnm and pa"},
+	{"m", mode.source, gens("gnm", "rmat"), "applies only to -gen gnm and rmat"},
+	{"scale", mode.source, gens("rmat", "hypercube"), "applies only to -gen rmat and hypercube"},
+	{"dimacs", mode.source, func(m mode) bool { return m.in != "" }, "forces the format of an -in file; it needs -in"},
+	{"beta", mode.workload, func(m mode) bool { return m.app != "embedding" },
+		"applies to every app but embedding, which takes each level's beta from the graph's pseudo-diameter"},
+	{"direction", mode.workload, func(m mode) bool { return algos("mpx")(m) || m.app != "partition" && !m.weighted },
+		"applies only to -algo mpx and the unweighted apps"},
+	{"tie", mode.workload, func(m mode) bool { return algos("mpx", "seq", "exact")(m) || m.app == "spanner" && !m.weighted },
+		"applies only to -algo mpx, seq and exact and to -app spanner"},
+	{"validate", mode.workload, apps("partition"), "applies only to -app partition"},
+	{"wmax", mode.workload, func(m mode) bool { return m.weighted || algos("weighted", "weighted-par")(m) },
+		"applies only where weights are drawn: -algo weighted and weighted-par, and -weighted"},
+	{"png", mode.workload, algos("mpx", "seq", "exact", "ballgrow", "iterative"),
+		"renders a single unweighted decomposition and applies only to -app partition with -algo mpx, seq, exact, ballgrow or iterative"},
+	{"png", mode.source, gens("grid", "torus", "road"), "requires a grid-shaped generator (-gen grid, torus or road)"},
+	{"qbatch", mode.workload, func(m mode) bool { return strings.HasPrefix(m.queries, "synth:") },
+		"applies only to -queries synth:N; a trace file carries its own batches"},
+}
+
 func main() {
-	var (
-		gen       = flag.String("gen", "grid", "generator: grid|torus|path|cycle|tree|hypercube|gnm|rmat|pa|road (ignored with -in)")
-		rows      = flag.Int("rows", 100, "grid/torus/road rows")
-		cols      = flag.Int("cols", 100, "grid/torus/road cols")
-		n         = flag.Int("n", 10000, "vertex count for path/cycle/tree/gnm/pa")
-		m         = flag.Int64("m", 40000, "edge count for gnm/rmat")
-		scale     = flag.Int("scale", 14, "rmat/hypercube scale (n = 2^scale)")
-		in        = flag.String("in", "", "read graph from file instead of generating; format auto-detected (CSR snapshot, binary, DIMACS, edge list)")
-		dimacs    = flag.Bool("dimacs", false, "force DIMACS parsing of the -in file (bypass format auto-detection)")
-		snapOut   = flag.String("snapshot-out", "", "write the loaded or generated graph (weighted under -weighted) as a binary CSR snapshot to this path, then run normally")
-		beta      = flag.Float64("beta", 0.1, "decomposition parameter in (0,1)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		app       = flag.String("app", "partition", "workload: partition|connectivity|spanner|lowstretch|blocks|separator|embedding")
-		algo      = flag.String("algo", "mpx", "algorithm: mpx|seq|exact|ballgrow|iterative|weighted|weighted-par (partition app only)")
-		wmax      = flag.Float64("wmax", 4, "max edge weight of the U(1,wmax) weight draw (-algo weighted|weighted-par and -weighted)")
-		weighted  = flag.Bool("weighted", false, "run the hierarchy app on a weighted graph: U(1,wmax) random weights, or the file's arc weights with -in -dimacs (lowstretch|blocks|embedding)")
-		tie       = flag.String("tie", "fractional", "tie-break: fractional|permutation (-algo mpx|seq|exact and -app spanner)")
-		direction = flag.String("direction", "auto", "partition traversal: auto|push|pull (-algo mpx and the unweighted apps)")
-		pngPath   = flag.String("png", "", "write cluster coloring PNG (-app partition with an unweighted -algo; grid|torus|road generators only)")
-		validate  = flag.Bool("validate", false, "run full O(m) decomposition validation (-app partition)")
-		updates   = flag.String("updates", "", "replay a batched edge-update trace against an incrementally maintained app (lowstretch|blocks|embedding); see cmd/mpx/updates.go for the format")
-		queries   = flag.String("queries", "", "serve a distance/cluster-membership query trace from the built lowstretch structures, or \"synth:N\" for N synthetic queries; see cmd/mpx/queries.go for the format")
-		qbatch    = flag.Int("qbatch", 1024, "batch size for -queries synth:N workloads (file traces carry their own batch structure)")
-		timeout   = flag.Duration("timeout", 0, "overall deadline (e.g. 30s); cancels any algorithm (parallel or serial) at its next round/poll boundary and exits non-zero, discarding partial work (0 = none)")
-	)
 	flag.Parse()
 
-	// Explicitly set flags that the selected mode would silently ignore are
-	// hard errors: a flag that does nothing is almost always a typo'd run.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	// Enumerated flags are validated up front and exit with the valid set: a
-	// typo like "-tie perm" must not silently change results by falling back
-	// to a default.
-	tieBreaks := map[string]core.TieBreak{
-		"fractional":  core.TieFractional,
-		"permutation": core.TiePermutation,
-	}
-	directions := map[string]core.Direction{
-		"auto": core.DirectionAuto,
-		"push": core.DirectionForcePush,
-		"pull": core.DirectionForcePull,
-	}
-	validAlgos := map[string]bool{
-		"mpx": true, "seq": true, "exact": true, "ballgrow": true,
-		"iterative": true, "weighted": true, "weighted-par": true,
-	}
-	validApps := map[string]bool{
-		"partition": true, "connectivity": true, "spanner": true, "lowstretch": true,
-		"blocks": true, "separator": true, "embedding": true,
-	}
-	tieBreak, ok := tieBreaks[*tie]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "mpx: unknown -tie value %q (valid: fractional, permutation)\n", *tie)
-		os.Exit(2)
-	}
-	dir, ok := directions[*direction]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "mpx: unknown -direction value %q (valid: auto, push, pull)\n", *direction)
-		os.Exit(2)
-	}
-	if !validAlgos[*algo] {
-		fmt.Fprintf(os.Stderr, "mpx: unknown -algo value %q (valid: mpx, seq, exact, ballgrow, iterative, weighted, weighted-par)\n", *algo)
-		os.Exit(2)
-	}
-	if !validApps[*app] {
-		fmt.Fprintf(os.Stderr, "mpx: unknown -app value %q (valid: partition, connectivity, spanner, lowstretch, blocks, separator, embedding)\n", *app)
-		os.Exit(2)
-	}
-	// -weighted must never be dropped silently: the partition app selects
-	// its weighted algorithms via -algo, and only three hierarchy apps
-	// have a weighted variant.
-	if *weighted {
-		switch *app {
-		case "lowstretch", "blocks", "embedding":
-		case "partition":
-			fmt.Fprintln(os.Stderr, "mpx: -weighted applies to hierarchy apps (lowstretch, blocks, embedding); for -app partition use -algo weighted or weighted-par")
+	// A flag the selected mode would ignore is almost always a typo'd run,
+	// and so is a value outside an enumerated flag's list: both exit 2
+	// before any work.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if valid, ok := enums[f.Name]; ok && !slices.Contains(valid, f.Value.String()) {
+			fmt.Fprintf(os.Stderr, "mpx: unknown -%s value %q (valid: %s)\n", f.Name, f.Value, strings.Join(valid, ", "))
 			os.Exit(2)
-		default:
-			fmt.Fprintf(os.Stderr, "mpx: -weighted supports apps lowstretch, blocks and embedding (got -app %s)\n", *app)
+		}
+	})
+	md := mode{app: *app, algo: *algo, gen: *gen, in: *in, queries: *queries, updates: *updates, weighted: *weighted}
+	for _, r := range flagRules {
+		if set[r.flag] && !r.reads(md) {
+			fmt.Fprintf(os.Stderr, "mpx: -%s %s (got %s)\n", r.flag, r.rule, r.got(md))
 			os.Exit(2)
 		}
 	}
-	if *in != "" {
-		for _, name := range []string{"gen", "rows", "cols", "n", "m", "scale"} {
-			if explicit[name] {
-				fmt.Fprintf(os.Stderr, "mpx: -%s shapes a generated graph and is ignored with -in; remove one of them\n", name)
-				os.Exit(2)
-			}
-		}
-	}
-	if explicit["algo"] && *app != "partition" {
-		fmt.Fprintf(os.Stderr, "mpx: -algo applies only to -app partition (got -app %s)\n", *app)
-		os.Exit(2)
-	}
-	// -direction is read only by core.Partition, and -tie only by the shift
-	// plan of -algo mpx, seq and exact and by the spanner; the hierarchy
-	// apps, the baselines and the weighted partitions have neither knob.
-	mode := "-app " + *app
-	if *app == "partition" {
-		mode = "-algo " + *algo
-	} else if *weighted {
-		mode += " -weighted"
-	}
-	if explicit["direction"] && (*weighted || *app == "partition" && *algo != "mpx") {
-		fmt.Fprintf(os.Stderr, "mpx: -direction applies only to -algo mpx and the unweighted apps (got %s)\n", mode)
-		os.Exit(2)
-	}
-	readsTie := *app == "spanner" && !*weighted ||
-		*app == "partition" && (*algo == "mpx" || *algo == "seq" || *algo == "exact")
-	if explicit["tie"] && !readsTie {
-		fmt.Fprintf(os.Stderr, "mpx: -tie applies only to -algo mpx, seq and exact and to -app spanner (got %s)\n", mode)
-		os.Exit(2)
-	}
-	// -validate is read only by -app partition, -wmax only where weights
-	// are drawn, -dimacs only with -in, and -png only by an unweighted
-	// partition of a grid-shaped generator.
-	if *validate && *app != "partition" {
-		fmt.Fprintf(os.Stderr, "mpx: -validate applies only to -app partition (got %s)\n", mode)
-		os.Exit(2)
-	}
-	drawsWeights := *weighted || *algo == "weighted" || *algo == "weighted-par"
-	if explicit["wmax"] && !drawsWeights {
-		fmt.Fprintf(os.Stderr, "mpx: -wmax applies only where weights are drawn: -algo weighted and weighted-par, and -weighted (got %s)\n", mode)
-		os.Exit(2)
-	}
-	if drawsWeights && !(*wmax >= 1 && !math.IsInf(*wmax, 1)) {
+	if !(*wmax >= 1 && !math.IsInf(*wmax, 1)) {
 		fmt.Fprintf(os.Stderr, "mpx: -wmax must be a finite number >= 1, got %g\n", *wmax)
 		os.Exit(2)
 	}
-	if *dimacs && *in == "" {
-		fmt.Fprintln(os.Stderr, "mpx: -dimacs forces the format of an -in file; it needs -in")
+	if *qbatch <= 0 {
+		fmt.Fprintln(os.Stderr, "mpx: -qbatch must be positive")
 		os.Exit(2)
 	}
-	if *pngPath != "" {
-		if *app != "partition" || *algo == "weighted" || *algo == "weighted-par" {
-			fmt.Fprintf(os.Stderr, "mpx: -png renders a single unweighted decomposition and applies only to -app partition with -algo mpx, seq, exact, ballgrow or iterative (got %s)\n", mode)
-			os.Exit(2)
-		}
-		if *in != "" || *gen != "grid" && *gen != "torus" && *gen != "road" {
-			fmt.Fprintln(os.Stderr, "mpx: -png requires a grid-shaped generator (-gen grid, torus or road)")
-			os.Exit(2)
-		}
-	}
-	if *updates != "" {
-		switch *app {
-		case "lowstretch", "blocks", "embedding":
-		default:
-			fmt.Fprintf(os.Stderr, "mpx: -updates supports apps lowstretch, blocks and embedding (got -app %s)\n", *app)
-			os.Exit(2)
-		}
-		if *weighted {
-			fmt.Fprintln(os.Stderr, "mpx: -updates replays unweighted hierarchies; drop -weighted")
-			os.Exit(2)
-		}
-	}
-	if *queries != "" {
-		if *app != "lowstretch" {
-			fmt.Fprintf(os.Stderr, "mpx: -queries serves the lowstretch tree and hierarchy; use -app lowstretch (got -app %s)\n", *app)
-			os.Exit(2)
-		}
-		if *weighted {
-			fmt.Fprintln(os.Stderr, "mpx: -queries serves unweighted structures; drop -weighted")
-			os.Exit(2)
-		}
-		if *updates != "" {
-			fmt.Fprintln(os.Stderr, "mpx: -queries and -updates are separate modes; pick one")
-			os.Exit(2)
-		}
-		if *qbatch <= 0 {
-			fmt.Fprintln(os.Stderr, "mpx: -qbatch must be positive")
-			os.Exit(2)
-		}
-	}
-	if explicit["qbatch"] && !strings.HasPrefix(*queries, "synth:") {
-		fmt.Fprintln(os.Stderr, "mpx: -qbatch shapes -queries synth:N workloads only; file traces carry their own batch structure")
-		os.Exit(2)
-	}
-	if explicit["timeout"] && *timeout <= 0 {
+	if set["timeout"] && *timeout <= 0 {
 		fmt.Fprintln(os.Stderr, "mpx: -timeout must be a positive duration (e.g. 30s)")
 		os.Exit(2)
 	}
-	// Every -algo — the parallel engines AND the serial baselines — polls
-	// the deadline context (round boundaries for the parallel engines, key
-	// advances or settle cadences for the serial references), so -timeout
-	// applies uniformly; no algo silently ignores it.
 
 	// ctx carries the -timeout deadline into every engine below; nil (the
 	// engines' "never cancelled") when no deadline was requested.
@@ -243,6 +221,8 @@ func main() {
 	// of every algorithm below executes on it.
 	pool := parallel.NewPool(0)
 	defer pool.Close()
+	tieBreak := core.TieBreak(slices.Index(enums["tie"], *tie))
+	dir := core.Direction(slices.Index(enums["direction"], *direction))
 	opts := core.Options{Ctx: ctx, Seed: *seed, Workers: *workers, TieBreak: tieBreak, Direction: dir, Pool: pool}
 
 	// Weighted hierarchy apps build their graph once (a weighted DIMACS
@@ -257,7 +237,7 @@ func main() {
 		if closer != nil {
 			defer closer.Close()
 		}
-		if fromFile && explicit["wmax"] {
+		if fromFile && set["wmax"] {
 			fmt.Fprintf(os.Stderr, "mpx: -wmax draws U(1,wmax) weights, but %s carries its own; drop -wmax\n", *in)
 			os.Exit(2)
 		}
@@ -270,7 +250,7 @@ func main() {
 		return
 	}
 
-	g, gridRows, gridCols, closer, err := buildGraph(*in, *dimacs, *gen, *rows, *cols, *n, *m, *scale, *seed)
+	g, closer, err := buildGraph(*in, *dimacs, *gen, *rows, *cols, *n, *m, *scale, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mpx:", err)
 		os.Exit(1)
@@ -353,7 +333,7 @@ func main() {
 	case "iterative":
 		d, err = core.PartitionIterativeCtx(ctx, g, *beta, *seed, *workers)
 	default:
-		panic("unreachable: -algo validated against validAlgos above")
+		panic("unreachable: -algo validated against enums")
 	}
 	if err != nil {
 		fail(err, *timeout)
@@ -377,7 +357,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		if err := render.GridPNG(f, d.Center, gridRows, gridCols, 1); err != nil {
+		if err := render.GridPNG(f, d.Center, *rows, *cols, 1); err != nil {
 			fmt.Fprintln(os.Stderr, "mpx:", err)
 			os.Exit(1)
 		}
@@ -400,51 +380,50 @@ func fail(err error, timeout time.Duration) {
 // generates the input graph. The io.Closer, when non-nil, owns resources
 // backing the graph — a snapshot's memory mapping — and must outlive
 // every use of it.
-func buildGraph(in string, dimacs bool, gen string, rows, cols, n int, m int64, scale int, seed uint64) (*graph.Graph, int, int, io.Closer, error) {
+func buildGraph(in string, dimacs bool, gen string, rows, cols, n int, m int64, scale int, seed uint64) (*graph.Graph, io.Closer, error) {
 	if in != "" {
 		if dimacs {
 			f, err := os.Open(in)
 			if err != nil {
-				return nil, 0, 0, nil, err
+				return nil, nil, err
 			}
 			defer f.Close()
 			g, err := graph.ReadDIMACS(f)
-			return g, 0, 0, nil, err
+			return g, nil, err
 		}
 		o, err := snapshot.OpenAny(in)
 		if err != nil {
-			return nil, 0, 0, nil, err
+			return nil, nil, err
 		}
-		return o.Graph, 0, 0, o, nil
+		return o.Graph, o, nil
 	}
-	g, rows2, cols2, err := generateGraph(gen, rows, cols, n, m, scale, seed)
-	return g, rows2, cols2, nil, err
+	return generateGraph(gen, rows, cols, n, m, scale, seed), nil, nil
 }
 
-func generateGraph(gen string, rows, cols, n int, m int64, scale int, seed uint64) (*graph.Graph, int, int, error) {
+func generateGraph(gen string, rows, cols, n int, m int64, scale int, seed uint64) *graph.Graph {
 	switch gen {
 	case "grid":
-		return graph.Grid2D(rows, cols), rows, cols, nil
+		return graph.Grid2D(rows, cols)
 	case "torus":
-		return graph.Torus2D(rows, cols), rows, cols, nil
+		return graph.Torus2D(rows, cols)
 	case "road":
-		return graph.RoadNetwork(rows, cols, 0.85, rows, seed), rows, cols, nil
+		return graph.RoadNetwork(rows, cols, 0.85, rows, seed)
 	case "path":
-		return graph.Path(n), 0, 0, nil
+		return graph.Path(n)
 	case "cycle":
-		return graph.Cycle(n), 0, 0, nil
+		return graph.Cycle(n)
 	case "tree":
-		return graph.BinaryTree(n), 0, 0, nil
+		return graph.BinaryTree(n)
 	case "hypercube":
-		return graph.Hypercube(scale), 0, 0, nil
+		return graph.Hypercube(scale)
 	case "gnm":
-		return graph.GNM(n, m, seed), 0, 0, nil
+		return graph.GNM(n, m, seed)
 	case "rmat":
-		return graph.RMAT(scale, m, seed), 0, 0, nil
+		return graph.RMAT(scale, m, seed)
 	case "pa":
-		return graph.PreferentialAttachment(n, 3, seed), 0, 0, nil
+		return graph.PreferentialAttachment(n, 3, seed)
 	default:
-		return nil, 0, 0, fmt.Errorf("unknown generator %q", gen)
+		panic("unreachable: -gen validated against enums")
 	}
 }
 
@@ -474,10 +453,7 @@ func loadWeightedGraph(in string, dimacs bool, gen string, rows, cols, n int, m 
 		}
 		return graph.RandomWeights(o.Graph, 1, wmax, seed), o, false, nil
 	}
-	g, _, _, err := generateGraph(gen, rows, cols, n, m, scale, seed)
-	if err != nil {
-		return nil, nil, false, err
-	}
+	g := generateGraph(gen, rows, cols, n, m, scale, seed)
 	return graph.RandomWeights(g, 1, wmax, seed), nil, false, nil
 }
 
@@ -595,7 +571,7 @@ func runApp(app string, g *graph.Graph, beta float64, opts core.Options) error {
 		}
 		printEmbedding(tr, seed, dir)
 	default:
-		panic("unreachable: -app validated against validApps above")
+		panic("unreachable: -app validated against enums")
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -32,98 +31,40 @@ type query struct {
 // their line number; vertex ids and levels are range-checked against the
 // built structures by the runner, not the parser.
 func parseQueryTrace(r io.Reader) ([][]query, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var batches [][]query
-	var cur []query
-	flush := func() {
-		if len(cur) > 0 {
-			batches = append(batches, cur)
-			cur = nil
-		}
-	}
-	parseVertex := func(lineNo int, s string) (uint32, error) {
-		v, err := strconv.ParseUint(s, 10, 32)
-		if err != nil {
-			return 0, fmt.Errorf("trace line %d: bad vertex %q: %v", lineNo, s, err)
-		}
-		return uint32(v), nil
-	}
-	parseLevel := func(lineNo int, s string) (int, error) {
-		l, err := strconv.ParseUint(s, 10, 31)
-		if err != nil {
-			return 0, fmt.Errorf("trace line %d: bad level %q: %v", lineNo, s, err)
-		}
-		return int(l), nil
-	}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 || (len(fields) == 1 && fields[0] == "---") {
-			flush()
-			continue
-		}
-		switch fields[0] {
+	size := func(b []query) int { return len(b) }
+	return readTrace(r, "queries", size, func(l *traceLine, b *[]query) {
+		switch l.fields[0] {
 		case "d":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("trace line %d: distance query is \"d u v\", got %d fields", lineNo, len(fields))
+			if len(l.fields) != 3 {
+				l.fail("distance query is \"d u v\", got %d fields", len(l.fields))
+				return
 			}
-			u, err := parseVertex(lineNo, fields[1])
-			if err != nil {
-				return nil, err
-			}
-			v, err := parseVertex(lineNo, fields[2])
-			if err != nil {
-				return nil, err
-			}
-			cur = append(cur, query{op: 'd', u: u, v: v})
+			*b = append(*b, query{op: 'd', u: l.vertex(1), v: l.vertex(2)})
 		case "c":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("trace line %d: cluster query is \"c l v\", got %d fields", lineNo, len(fields))
+			if len(l.fields) != 3 {
+				l.fail("cluster query is \"c l v\", got %d fields", len(l.fields))
+				return
 			}
-			l, err := parseLevel(lineNo, fields[1])
-			if err != nil {
-				return nil, err
-			}
-			v, err := parseVertex(lineNo, fields[2])
-			if err != nil {
-				return nil, err
-			}
-			cur = append(cur, query{op: 'c', level: l, u: v})
+			*b = append(*b, query{op: 'c', level: l.level(1), u: l.vertex(2)})
 		case "s":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("trace line %d: same-cluster query is \"s l u v\", got %d fields", lineNo, len(fields))
+			if len(l.fields) != 4 {
+				l.fail("same-cluster query is \"s l u v\", got %d fields", len(l.fields))
+				return
 			}
-			l, err := parseLevel(lineNo, fields[1])
-			if err != nil {
-				return nil, err
-			}
-			u, err := parseVertex(lineNo, fields[2])
-			if err != nil {
-				return nil, err
-			}
-			v, err := parseVertex(lineNo, fields[3])
-			if err != nil {
-				return nil, err
-			}
-			cur = append(cur, query{op: 's', level: l, u: u, v: v})
+			*b = append(*b, query{op: 's', level: l.level(1), u: l.vertex(2), v: l.vertex(3)})
 		default:
-			return nil, fmt.Errorf("trace line %d: unknown query op %q (want \"d\", \"c\", \"s\", \"---\" or a comment)", lineNo, fields[0])
+			l.fail("unknown query op %q (want \"d\", \"c\", \"s\", \"---\" or a comment)", l.fields[0])
 		}
+	})
+}
+
+// level parses field i as a hierarchy level.
+func (l *traceLine) level(i int) int {
+	v, err := strconv.ParseUint(l.fields[i], 10, 31)
+	if err != nil {
+		l.fail("bad level %q: %v", l.fields[i], err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace line %d: %v", lineNo+1, err)
-	}
-	flush()
-	if len(batches) == 0 {
-		return nil, fmt.Errorf("trace: no queries (every line is blank or a comment)")
-	}
-	return batches, nil
+	return int(v)
 }
 
 // synthQueries generates a deterministic synthetic workload: count queries

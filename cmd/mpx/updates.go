@@ -1,12 +1,10 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
 
 	"mpx/internal/apps/blocks"
 	"mpx/internal/apps/embedding"
@@ -22,89 +20,39 @@ import (
 // mix weighted and unweighted inserts within one batch (graph.Batch
 // requires InsertW to cover every insert or none).
 func parseUpdateTrace(r io.Reader) ([]graph.Batch, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var batches []graph.Batch
-	var cur graph.Batch
-	flush := func() {
-		if cur.Len() > 0 {
-			batches = append(batches, cur)
-			cur = graph.Batch{}
-		}
-	}
-	parseVertex := func(lineNo int, s string) (uint32, error) {
-		v, err := strconv.ParseUint(s, 10, 32)
-		if err != nil {
-			return 0, fmt.Errorf("trace line %d: bad vertex %q: %v", lineNo, s, err)
-		}
-		return uint32(v), nil
-	}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 || (len(fields) == 1 && fields[0] == "---") {
-			flush()
-			continue
-		}
-		switch fields[0] {
+	return readTrace(r, "batches", graph.Batch.Len, func(l *traceLine, b *graph.Batch) {
+		switch l.fields[0] {
 		case "+":
-			if len(fields) != 3 && len(fields) != 4 {
-				return nil, fmt.Errorf("trace line %d: insert is \"+ u v\" or \"+ u v w\", got %d fields", lineNo, len(fields))
+			if len(l.fields) != 3 && len(l.fields) != 4 {
+				l.fail("insert is \"+ u v\" or \"+ u v w\", got %d fields", len(l.fields))
+				return
 			}
-			u, err := parseVertex(lineNo, fields[1])
-			if err != nil {
-				return nil, err
-			}
-			v, err := parseVertex(lineNo, fields[2])
-			if err != nil {
-				return nil, err
-			}
-			if len(fields) == 4 {
-				if len(cur.InsertW) != len(cur.Insert) {
-					return nil, fmt.Errorf("trace line %d: batch mixes weighted and unweighted inserts", lineNo)
+			u, v := l.vertex(1), l.vertex(2)
+			if len(l.fields) == 4 {
+				if len(b.InsertW) != len(b.Insert) {
+					l.fail("batch mixes weighted and unweighted inserts")
 				}
-				w, err := strconv.ParseFloat(fields[3], 64)
+				w, err := strconv.ParseFloat(l.fields[3], 64)
 				if err != nil {
-					return nil, fmt.Errorf("trace line %d: bad weight %q: %v", lineNo, fields[3], err)
+					l.fail("bad weight %q: %v", l.fields[3], err)
+				} else if math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
+					l.fail("weight %q is not a finite positive number", l.fields[3])
 				}
-				if math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
-					return nil, fmt.Errorf("trace line %d: weight %q is not a finite positive number", lineNo, fields[3])
-				}
-				cur.InsertW = append(cur.InsertW, w)
-			} else if len(cur.InsertW) > 0 {
-				return nil, fmt.Errorf("trace line %d: batch mixes weighted and unweighted inserts", lineNo)
+				b.InsertW = append(b.InsertW, w)
+			} else if len(b.InsertW) > 0 {
+				l.fail("batch mixes weighted and unweighted inserts")
 			}
-			cur.Insert = append(cur.Insert, graph.Edge{U: u, V: v})
+			b.Insert = append(b.Insert, graph.Edge{U: u, V: v})
 		case "-":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("trace line %d: delete is \"- u v\", got %d fields", lineNo, len(fields))
+			if len(l.fields) != 3 {
+				l.fail("delete is \"- u v\", got %d fields", len(l.fields))
+				return
 			}
-			u, err := parseVertex(lineNo, fields[1])
-			if err != nil {
-				return nil, err
-			}
-			v, err := parseVertex(lineNo, fields[2])
-			if err != nil {
-				return nil, err
-			}
-			cur.Delete = append(cur.Delete, graph.Edge{U: u, V: v})
+			b.Delete = append(b.Delete, graph.Edge{U: l.vertex(1), V: l.vertex(2)})
 		default:
-			return nil, fmt.Errorf("trace line %d: unknown op %q (want \"+\", \"-\", \"---\" or a comment)", lineNo, fields[0])
+			l.fail("unknown op %q (want \"+\", \"-\", \"---\" or a comment)", l.fields[0])
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace line %d: %v", lineNo+1, err)
-	}
-	flush()
-	if len(batches) == 0 {
-		return nil, fmt.Errorf("trace: no batches (every line is blank or a comment)")
-	}
-	return batches, nil
+	})
 }
 
 // runUpdates replays a batch trace against an incrementally maintained

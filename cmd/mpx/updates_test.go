@@ -73,6 +73,7 @@ func TestParseUpdateTraceErrors(t *testing.T) {
 		{"bad vertex", "+ 1 x\n", `line 1: bad vertex "x"`},
 		{"negative vertex", "+ -1 2\n", `line 1: bad vertex "-1"`},
 		{"bad weight", "+ 1 2 heavy\n", `line 1: bad weight "heavy"`},
+		{"bad vertex before bad weight", "+ x 2 heavy\n", `line 1: bad vertex "x"`},
 		{"nan weight", "+ 1 2 NaN\n", `line 1: weight "NaN" is not a finite positive number`},
 		{"inf weight", "+ 1 2 +Inf\n", `line 1: weight "+Inf" is not a finite positive number`},
 		{"zero weight", "+ 1 2 0\n", `line 1: weight "0" is not a finite positive number`},
