@@ -10,12 +10,23 @@ import (
 	"mpx/internal/graph/snapshot"
 )
 
-// e24Files materializes the E24 workload once per process: a ~1M-edge
-// GNM graph written both as DIMACS text and as a binary CSR snapshot,
-// in a temp directory cleaned up by the test framework.
+// e24 is the E24 workload, materialized once per process by e24Setup: a
+// ~1M-edge GNM graph written both as DIMACS text and as a binary CSR
+// snapshot, in a temp directory dir that the E24 benchmarks share and
+// TestMain removes once they have all run.
 var e24 struct {
-	dimacs, snap string
-	fingerprint  uint64
+	dir, dimacs, snap string
+	fingerprint       uint64
+}
+
+// TestMain runs the package's tests and benchmarks, then removes the E24
+// fixture directory, which outlives any single benchmark.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if e24.dir != "" {
+		os.RemoveAll(e24.dir)
+	}
+	os.Exit(code)
 }
 
 func e24Setup(b *testing.B) (dimacsPath, snapPath string) {
@@ -28,7 +39,7 @@ func e24Setup(b *testing.B) (dimacsPath, snapPath string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The process owns the dir for its lifetime; benchmarks share it.
+	e24.dir = dir
 	dimacsPath = filepath.Join(dir, "g.col")
 	f, err := os.Create(dimacsPath)
 	if err != nil {

@@ -105,6 +105,13 @@ func TestFlagAudit(t *testing.T) {
 		{"reads/rmat-scale-m", []string{"-gen", "rmat", "-scale", "6", "-m", "100"}, 0, ""},
 		{"reads/torus-rows-cols", []string{"-gen", "torus", "-rows", "5", "-cols", "5"}, 0, ""},
 		{"reads/gnm-n-m", []string{"-gen", "gnm", "-n", "50", "-m", "100"}, 0, ""},
+		{"beta/zero", []string{"-beta", "0"}, 2, "mpx: -beta must lie in (0, 1), got 0"},
+		{"beta/one", []string{"-app", "blocks", "-beta", "1"}, 2, "mpx: -beta must lie in (0, 1), got 1"},
+		{"beta/two", []string{"-app", "lowstretch", "-beta", "2"}, 2, "mpx: -beta must lie in (0, 1), got 2"},
+		{"beta/nan", []string{"-beta", "NaN"}, 2, "mpx: -beta must lie in (0, 1), got NaN"},
+		{"beta/nan-lowstretch", []string{"-app", "lowstretch", "-beta", "NaN"}, 2, "mpx: -beta must lie in (0, 1), got NaN"},
+		{"beta/inf", []string{"-algo", "weighted-par", "-beta", "+Inf"}, 2, "mpx: -beta must lie in (0, 1), got +Inf"},
+		{"beta/minus-inf", []string{"-app", "lowstretch", "-weighted", "-beta", "-Inf"}, 2, "mpx: -beta must lie in (0, 1), got -Inf"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -195,6 +195,10 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	if !core.ValidBeta(*beta) {
+		fmt.Fprintf(os.Stderr, "mpx: -beta must lie in (0, 1), got %g\n", *beta)
+		os.Exit(2)
+	}
 	if !(*wmax >= 1 && !math.IsInf(*wmax, 1)) {
 		fmt.Fprintf(os.Stderr, "mpx: -wmax must be a finite number >= 1, got %g\n", *wmax)
 		os.Exit(2)

@@ -34,7 +34,7 @@ type Incremental struct {
 // incremental maintenance. ctx (nil means never cancelled) covers the
 // initial build; per-call update deadlines go through UpdateCtx.
 func BuildIncrementalPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, maxIters, workers int, dir core.Direction) (*Incremental, error) {
-	if beta <= 0 || beta >= 1 {
+	if !core.ValidBeta(beta) {
 		return nil, core.ErrBeta
 	}
 	if maxIters <= 0 {

@@ -55,7 +55,7 @@ type WeightedDecomposition struct {
 // level and Δ-stepping round boundaries; a cancelled run returns
 // (nil, ctx.Err()) with no partial decomposition.
 func DecomposeWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.WeightedGraph, beta float64, seed uint64, maxIters, workers int) (*WeightedDecomposition, error) {
-	if beta <= 0 || beta >= 1 {
+	if !core.ValidBeta(beta) {
 		return nil, core.ErrBeta
 	}
 	bd := &WeightedDecomposition{G: wg, Beta: beta}

@@ -46,7 +46,7 @@ type Result struct {
 // contraction-round and partition-round boundaries; a cancelled run
 // returns (nil, ctx.Err()) with no partial labeling.
 func ComponentsPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, workers int, dir core.Direction) (*Result, error) {
-	if beta <= 0 || beta >= 1 {
+	if !core.ValidBeta(beta) {
 		return nil, core.ErrBeta
 	}
 	n := g.NumVertices()

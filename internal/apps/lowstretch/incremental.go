@@ -15,8 +15,9 @@ import (
 // edge updates. It owns a persistent hier.Hierarchy plus the per-level
 // tree-edge segments, so an UpdateCtx only recomputes the segments of levels
 // the hierarchy actually re-derived or refreshed — spliced levels keep
-// their edges verbatim — and skips the O(n log n) LCA index rebuild
-// entirely when the tree came out unchanged. The maintained Tree is
+// their edges verbatim — and skips the O(n) LCA index rebuild entirely
+// when the tree came out unchanged. A rebuild reuses the index's arrays
+// and the build scratch this Incremental keeps. The maintained Tree is
 // bit-identical to BuildPoolCtx on the updated graph with the same
 // parameters. Not safe for concurrent use.
 type Incremental struct {
@@ -28,6 +29,10 @@ type Incremental struct {
 	// edgesChanged is set by the capture callback whenever a re-visited
 	// level's segment differs from the retained one.
 	edgesChanged bool
+	// scratch is the index build's working memory, kept for the next
+	// rebuild; indexBuilds counts the builds.
+	scratch     forestScratch
+	indexBuilds int
 }
 
 // BuildIncrementalPoolCtx is BuildPoolCtx retaining the hierarchy for
@@ -37,10 +42,10 @@ type Incremental struct {
 // covers the initial build; per-call update deadlines go through
 // UpdateCtx.
 func BuildIncrementalPoolCtx(ctx context.Context, pool *parallel.Pool, g *graph.Graph, beta float64, seed uint64, workers int, dir core.Direction) (*Incremental, error) {
-	if beta <= 0 || beta >= 1 {
+	if !core.ValidBeta(beta) {
 		return nil, core.ErrBeta
 	}
-	inc := &Incremental{tree: &Tree{G: g, lcaIndex: lcaIndex{pool: pool, workers: workers}}}
+	inc := &Incremental{tree: &Tree{G: g}}
 	h, err := hier.BuildHierarchy(hier.Config{
 		Ctx:          ctx,
 		Beta:         beta,
@@ -76,9 +81,9 @@ func (inc *Incremental) Hierarchy() *hier.Hierarchy { return inc.h }
 
 // UpdateCtx applies b to the underlying graph and re-derives exactly the
 // hierarchy levels whose inputs changed, splicing the retained tree-edge
-// segments of every reused level. The LCA index is rebuilt only when the
-// edge set actually moved. ctx (nil means never cancelled) covers this
-// call only. A cancellation or contained panic that strikes before the
+// segments of every reused level. The LCA index is rebuilt, in place, only
+// when the edge set actually moved. ctx (nil means never cancelled) covers
+// this call only. A cancellation or contained panic that strikes before the
 // hierarchy commits leaves the whole structure untouched (retry the batch
 // freely — the underlying Hierarchy.UpdateCtx is all-or-nothing and no
 // visits have been delivered); an error after commit leaves the structure
@@ -121,14 +126,14 @@ func (inc *Incremental) capture(lv *hier.Level) error {
 
 // rebuildTree refreshes the maintained Tree from the hierarchy and the
 // retained segments: graph/stats pointers always, the flattened edge list
-// and the LCA index only when a segment moved.
+// and the LCA index only when a segment moved (or on the first call).
 func (inc *Incremental) rebuildTree() error {
 	t := inc.tree
 	t.G = inc.h.Graph()
 	res := inc.h.Result()
 	t.Levels = res.Levels
 	t.Stats = res.Stats
-	if !inc.edgesChanged && t.comp != nil {
+	if !inc.edgesChanged && inc.indexBuilds > 0 {
 		return nil
 	}
 	total := 0
@@ -142,5 +147,6 @@ func (inc *Incremental) rebuildTree() error {
 	for _, seg := range inc.segs {
 		t.Edges = append(t.Edges, seg...)
 	}
-	return t.index()
+	inc.indexBuilds++
+	return t.index(&inc.scratch)
 }

@@ -1,6 +1,7 @@
 package lowstretch
 
 import (
+	"slices"
 	"testing"
 
 	"mpx/internal/core"
@@ -29,12 +30,11 @@ func treesIdentical(t *testing.T, tag string, got, want *Tree) {
 			t.Fatalf("%s: Stats[%d] = %+v, want %+v", tag, l, got.Stats[l], want.Stats[l])
 		}
 	}
-	// The derived index must answer identically: spot-check depths, Euler
-	// tour length and a stretch summary.
-	for v := range want.depth {
-		if got.depth[v] != want.depth[v] || got.comp[v] != want.comp[v] {
-			t.Fatalf("%s: index differs at vertex %d", tag, v)
-		}
+	// The derived index must be the same arrays, however a rebuild reused
+	// them, and answer identically: a stretch summary.
+	if !slices.Equal(got.pre, want.pre) || !slices.Equal(got.key, want.key) ||
+		!slices.Equal(got.mask, want.mask) || !slices.Equal(got.table, want.table) {
+		t.Fatalf("%s: index arrays differ", tag)
 	}
 	if gs, ws := got.Stretch(), want.Stretch(); gs != ws {
 		t.Fatalf("%s: stretch %+v, want %+v", tag, gs, ws)
@@ -91,6 +91,9 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 // TestIncrementalSkipsIndexRebuild checks the fast path: an update that
 // provably leaves the forest unchanged (deleting an intra non-tree edge)
 // must not rebuild the LCA index, and a no-op batch must reuse every level.
+// A rebuild reuses the index's arrays, so the test counts index builds
+// rather than watching an address, and a tree-changing batch must move the
+// count by exactly one.
 func TestIncrementalSkipsIndexRebuild(t *testing.T) {
 	base := graph.Grid2D(25, 24)
 	inc, err := BuildIncrementalPoolCtx(nil, nil, base, 0.2, 4, 2, core.DirectionAuto)
@@ -98,7 +101,9 @@ func TestIncrementalSkipsIndexRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := inc.Tree()
-	mark := &tr.order[0]
+	if inc.indexBuilds != 1 {
+		t.Fatalf("the initial build ran %d index builds, want 1", inc.indexBuilds)
+	}
 
 	us, err := inc.UpdateCtx(nil, graph.Batch{Insert: []graph.Edge{{U: 0, V: 1}}})
 	if err != nil {
@@ -107,7 +112,7 @@ func TestIncrementalSkipsIndexRebuild(t *testing.T) {
 	if us.Reused != us.Levels || us.Refreshed+us.Rederived != 0 {
 		t.Fatalf("no-op batch: %+v", us)
 	}
-	if &tr.order[0] != mark {
+	if inc.indexBuilds != 1 {
 		t.Fatal("no-op batch rebuilt the index")
 	}
 
@@ -141,7 +146,7 @@ func TestIncrementalSkipsIndexRebuild(t *testing.T) {
 	if us.Rederived != 0 {
 		t.Fatalf("non-tree delete re-derived levels: %+v", us)
 	}
-	if &tr.order[0] != mark {
+	if inc.indexBuilds != 1 {
 		t.Fatal("unchanged forest rebuilt the index")
 	}
 	// Level 0 was refreshed with its partition verified and OrigEdge the
@@ -159,4 +164,20 @@ func TestIncrementalSkipsIndexRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	treesIdentical(t, "non-tree delete", tr, fresh)
+
+	// Deleting a tree edge changes the forest: one rebuild, in place.
+	cut := graph.Batch{Delete: []graph.Edge{tr.Edges[len(tr.Edges)/2]}}
+	if _, err := inc.UpdateCtx(nil, cut); err != nil {
+		t.Fatal(err)
+	}
+	if inc.indexBuilds != 2 {
+		t.Fatalf("a tree-edge delete ran %d index builds in all, want 2", inc.indexBuilds)
+	}
+	if updated, _, err = graph.ApplyBatch(updated, cut); err != nil {
+		t.Fatal(err)
+	}
+	if fresh, err = BuildPoolCtx(nil, nil, updated, 0.2, 4, 2, core.DirectionAuto); err != nil {
+		t.Fatal(err)
+	}
+	treesIdentical(t, "tree-edge delete", tr, fresh)
 }

@@ -22,6 +22,7 @@ package lowstretch
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"mpx/internal/core"
 	"mpx/internal/graph"
@@ -92,20 +93,21 @@ func BFSTree(g *graph.Graph) (*Tree, error) {
 		}
 	}
 	t.Levels = 1
-	if err := t.index(); err != nil {
+	if err := t.index(nil); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// index builds the LCA index over the tree edges and verifies the edge set
-// is a spanning forest.
-func (t *Tree) index() error {
+// index builds the LCA index over the tree edges, with s as its scratch
+// (nil means a throwaway one), and verifies the edge set is a spanning
+// forest.
+func (t *Tree) index(s *forestScratch) error {
 	n := t.G.NumVertices()
 	if n == 0 {
 		return nil
 	}
-	if comps := t.build(n, t.Edges, nil, nil); len(t.Edges) != n-comps {
+	if comps := t.build(n, t.Edges, nil, nil, s); len(t.Edges) != n-comps {
 		return errors.New("lowstretch: edge set is not a spanning forest")
 	}
 	return nil
@@ -113,8 +115,15 @@ func (t *Tree) index() error {
 
 // appendTreeEdges appends the edge from every vertex of lv to its parent
 // (its cluster tree's edges) to dst in original coordinates, in vertex
-// order.
+// order. It counts the edges first, so dst grows once.
 func appendTreeEdges(dst []graph.Edge, lv *hier.Level, parent []uint32) []graph.Edge {
+	k := 0
+	for v, p := range parent {
+		if p != uint32(v) {
+			k++
+		}
+	}
+	dst = slices.Grow(dst, k)
 	for v, p := range parent {
 		if p != uint32(v) {
 			dst = append(dst, lv.OrigEdge(uint32(v), p))
@@ -126,11 +135,18 @@ func appendTreeEdges(dst []graph.Edge, lv *hier.Level, parent []uint32) []graph.
 // Dist returns the tree distance between u and v, or -1 if they lie in
 // different components.
 func (t *Tree) Dist(u, v uint32) int32 {
-	if t.comp[u] != t.comp[v] {
-		return -1
+	a, b := t.pre[u], t.pre[v]
+	if a == b {
+		return 0
 	}
-	l := t.LCA(u, v)
-	return t.depth[u] + t.depth[v] - 2*t.depth[l]
+	if a > b {
+		a, b = b, a
+	}
+	k := t.minKey(a, b)
+	if k>>32 == 0 {
+		return -1 // the range holds a root: different components
+	}
+	return int32(t.key[a]>>32) + int32(t.key[b]>>32) - 2*(int32(k>>32)-1)
 }
 
 // StretchStats summarizes edge stretch over the whole edge set: for every

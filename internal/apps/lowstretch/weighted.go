@@ -70,10 +70,10 @@ type WeightedTree struct {
 // Δ-stepping round boundaries; a cancelled build returns (nil, ctx.Err())
 // with no partial forest.
 func BuildWeightedPoolCtx(ctx context.Context, pool *parallel.Pool, wg *graph.WeightedGraph, beta float64, seed uint64, workers int, dir core.Direction) (*WeightedTree, error) {
-	if beta <= 0 || beta >= 1 {
+	if !core.ValidBeta(beta) {
 		return nil, core.ErrBeta
 	}
-	t := &WeightedTree{G: wg, lcaIndex: lcaIndex{pool: pool, workers: workers}}
+	t := &WeightedTree{G: wg}
 	n := wg.NumVertices()
 	if n == 0 {
 		return t, nil
@@ -200,7 +200,7 @@ func classHistogramOnPool(pool *parallel.Pool, workers int, wg *graph.WeightedGr
 func (t *WeightedTree) index(edges []graph.Edge, w []float64) error {
 	n := t.G.NumVertices()
 	t.wdepth = make([]float64, n)
-	if comps := t.build(n, edges, w, t.wdepth); len(edges) != n-comps {
+	if comps := t.build(n, edges, w, t.wdepth, nil); len(edges) != n-comps {
 		return errors.New("lowstretch: weighted edge set is not a spanning forest")
 	}
 	return nil
@@ -209,10 +209,18 @@ func (t *WeightedTree) index(edges []graph.Edge, w []float64) error {
 // Dist returns the weighted tree distance between u and v, or -1 if they
 // lie in different components.
 func (t *WeightedTree) Dist(u, v uint32) float64 {
-	if t.comp[u] != t.comp[v] {
-		return -1
+	a, b := t.pre[u], t.pre[v]
+	if a > b {
+		a, b = b, a
 	}
-	l := t.LCA(u, v)
+	l := u
+	if a != b {
+		k := t.minKey(a, b)
+		if k>>32 == 0 {
+			return -1 // the range holds a root: different components
+		}
+		l = uint32(k)
+	}
 	return t.wdepth[u] + t.wdepth[v] - 2*t.wdepth[l]
 }
 

@@ -26,7 +26,7 @@ import (
 // the serial analog of the parallel round boundary. A cancelled run
 // returns (nil, ctx.Err()) with no partial decomposition.
 func BallGrowingCtx(ctx context.Context, g *graph.Graph, beta float64, seed uint64) (*Decomposition, error) {
-	if beta <= 0 || beta >= 1 {
+	if !ValidBeta(beta) {
 		return nil, ErrBeta
 	}
 	n := g.NumVertices()

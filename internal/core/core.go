@@ -207,6 +207,10 @@ type Decomposition struct {
 // ErrBeta reports a β outside the supported range (0, 1).
 var ErrBeta = errors.New("core: beta must lie in (0, 1)")
 
+// ValidBeta reports whether beta lies in (0, 1), the range every entry
+// point takes. NaN does not: each comparison with it is false.
+func ValidBeta(beta float64) bool { return beta > 0 && beta < 1 }
+
 // NumVertices returns the number of vertices of the decomposed graph.
 func (d *Decomposition) NumVertices() int { return len(d.Center) }
 

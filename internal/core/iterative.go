@@ -26,7 +26,7 @@ import (
 // and every BFS round within it. A cancelled run returns (nil, ctx.Err())
 // with no partial decomposition.
 func PartitionIterativeCtx(ctx context.Context, g *graph.Graph, beta float64, seed uint64, workers int) (*Decomposition, error) {
-	if beta <= 0 || beta >= 1 {
+	if !ValidBeta(beta) {
 		return nil, ErrBeta
 	}
 	n := g.NumVertices()

@@ -100,7 +100,7 @@ func (sc *partitionScratch) ensure(w int) {
 // recovered here and returned as a *parallel.PanicError; the pool and its
 // scratch stay reusable either way. See docs/robustness.md.
 func Partition(g *graph.Graph, beta float64, opts Options) (d *Decomposition, err error) {
-	if beta <= 0 || beta >= 1 {
+	if !ValidBeta(beta) {
 		return nil, ErrBeta
 	}
 	defer func() {

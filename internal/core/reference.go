@@ -13,7 +13,7 @@ import (
 // (⌊δ_max−δ_c⌋ + dist, rank(c), proposer). It exists as the oracle the
 // parallel implementation is property-tested against.
 func PartitionSequential(g *graph.Graph, beta float64, opts Options) (*Decomposition, error) {
-	if beta <= 0 || beta >= 1 {
+	if !ValidBeta(beta) {
 		return nil, ErrBeta
 	}
 	n := g.NumVertices()
@@ -139,7 +139,7 @@ func (h *refHeap) Pop() interface{} {
 // exactly unless float addition rounds a fractional part across an integer
 // boundary.
 func PartitionExact(g *graph.Graph, beta float64, opts Options) (*Decomposition, error) {
-	if beta <= 0 || beta >= 1 {
+	if !ValidBeta(beta) {
 		return nil, ErrBeta
 	}
 	n := g.NumVertices()

@@ -32,7 +32,7 @@ type WeightedDecomposition struct {
 // The returned pieces have weighted radius at most δ_max = O(log n / β) in
 // expectation and the expected total weight of cut edges is O(β · Σ_e w_e).
 func PartitionWeighted(wg *graph.WeightedGraph, beta float64, opts Options) (*WeightedDecomposition, error) {
-	if beta <= 0 || beta >= 1 {
+	if !ValidBeta(beta) {
 		return nil, ErrBeta
 	}
 	n := wg.NumVertices()

@@ -32,7 +32,7 @@ import (
 // no partial result) and panics escaping the round kernels are recovered
 // into a *parallel.PanicError return.
 func PartitionWeightedParallel(wg *graph.WeightedGraph, beta float64, delta float64, opts Options) (d *WeightedDecomposition, err error) {
-	if beta <= 0 || beta >= 1 {
+	if !ValidBeta(beta) {
 		return nil, ErrBeta
 	}
 	defer func() {

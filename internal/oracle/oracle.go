@@ -57,7 +57,8 @@ func shard(pool *parallel.Pool, workers, n int, body func(lo, hi int)) {
 // low-stretch forest. The tree distance upper-bounds the graph distance
 // and exceeds it only by the forest's stretch (polylog in expectation for
 // the AKPW construction), so it doubles as a stretch-bounded approximate
-// graph-distance oracle. Queries are O(1) via the flattened LCA index.
+// graph-distance oracle. Queries are O(1) via the tree's LCA index, a
+// block range-minimum query over DFS preorder keys in O(n) words.
 //
 // The oracle holds the Tree by reference: it is safe for concurrent
 // readers while the tree is not being mutated (no Incremental.UpdateCtx in

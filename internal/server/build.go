@@ -43,7 +43,7 @@ func (req *buildRequest) validate(e *entry) (int, string, string) {
 		return http.StatusBadRequest, kindBadRequest,
 			"unknown app " + quoted(req.App) + " (valid: blocks, connectivity, lowstretch)"
 	}
-	if !(req.Beta > 0 && req.Beta < 1) { // NaN fails too
+	if !core.ValidBeta(req.Beta) {
 		return http.StatusBadRequest, kindBadRequest, "beta must be in (0, 1)"
 	}
 	if req.Weighted {
